@@ -40,7 +40,10 @@ WORKLOAD_NAMES = ("batch_d6", "batch_d16", "cli_docs_d8")
 
 BLAS_THREADS = 1
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-SETUP_PROBES = 11  # fresh interpreters per setup_s measurement, after one untimed warm-up
+# setup_s is the median of this many fresh interpreters before the timed loop
+# and as many again after it (plus one untimed warm-up): a cold start's cost
+# varies by tens of percent from second to second on a shared host.
+SETUP_PROBES = 10
 WARMUP_OPS = 5
 # What a fresh interpreter imports before its first operation.
 ENTRY_MODULE = {"cli_docs_d8": "qmeasure.cli"}
@@ -114,17 +117,16 @@ def quantile(values: list[float], q: int) -> float:
     return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
 
 
-def setup_seconds(workload_name: str, first_arg) -> float:
-    """Median of SETUP_PROBES fresh interpreters: import qmeasure plus the first, cold operation."""
+def setup_probes(workload_name: str, first_arg, count: int) -> list[float]:
+    """Seconds for `count` fresh interpreters to import qmeasure and run the first, cold operation."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", workload_name, "--probe", json.dumps(first_arg)]
     values = []
-    for i in range(SETUP_PROBES + 1):
+    for _ in range(count):
         done = subprocess.run(cmd, capture_output=True, text=True, timeout=120, cwd=ROOT)
         if done.returncode != 0:
             raise RuntimeError(f"setup probe failed: {done.stderr.strip()}")
-        if i:  # the first probe only warms the bytecode and file caches
-            values.append(float(done.stdout.strip().splitlines()[-1]))
-    return statistics.median(values)
+        values.append(float(done.stdout.strip().splitlines()[-1]))
+    return values
 
 
 def probe(workload_name: str, arg) -> int:
@@ -182,9 +184,11 @@ def measure(args, workload, pool, record: dict) -> tuple[dict[str, tuple[float, 
         with contextlib.suppress(Exception):  # the timed loop counts a failing operation
             workload.run(item)
     if not args.trace:
-        setup_s = setup_seconds(args.workload, pool[0].arg)
+        setup_probes(args.workload, pool[0].arg, 1)  # warms the bytecode and file caches
+        setups = setup_probes(args.workload, pool[0].arg, SETUP_PROBES)
         loop = timed_loop(workload, pool, seconds=args.seconds)
-        return end_to_end(loop, setup_s), [loop]
+        setups += setup_probes(args.workload, pool[0].arg, SETUP_PROBES)
+        return end_to_end(loop, statistics.median(setups)), [loop]
 
     import qmeasure
     import tracer as tracing
