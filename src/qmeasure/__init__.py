@@ -5,192 +5,24 @@ object-pointer evolutions, decomposes the final entangled vector into its
 Schmidt canonical form, and verifies that the entanglement produced by the
 measurement equals the incompatibility (coherence) entropy of the measured
 observable, both in the final and in the initial state.
+
+The public names are those of each module's ``__all__``.
 """
 
-from .errors import (
-    DimensionMismatch,
-    InvalidTransformers,
-    NoDefiniteValue,
-    NonRepeatableInput,
-    NotADistribution,
-    NotDensityOperator,
-    NotHermitian,
-    NotNormalized,
-    NotOrthonormal,
-    NullOutcome,
-    ParseError,
-    QMeasureError,
-    ValidationError,
-)
-from .linalg import (
-    TensorStructure,
-    basis_vector,
-    complete_isometry,
-    dag,
-    frob,
-    hermitian_eig,
-    is_hermitian,
-    is_projector,
-    is_unitary,
-    kron,
-    partial_inner,
-    partial_trace,
-    random_state_vector,
-    random_unitary,
-)
-from .observables import (
-    DensityOperator,
-    Observable,
-    PureState,
-    State,
-    classify_outcomes,
-    density_matrix,
-    embed_observable,
-    luders_update,
-    observable_from_matrix,
-    probabilities,
-    purify,
-    uniform_superposition,
-    validate_observable,
-)
-from .instruments import (
-    MeasurementModel,
-    StateTransformerSet,
-    dilate,
-    evolve,
-    is_repeatable,
-    make_ideal_transformers,
-    make_repeatable_transformers,
-    post_state,
-    repeat_measurement_check,
-    verify_conditional_states,
-    verify_probability_reproducibility,
-)
-from .schmidt import (
-    DefiniteValueReport,
-    OutcomePairing,
-    SchmidtForm,
-    TwinObservables,
-    reconstruct,
-    reduced_states,
-    schmidt_decompose,
-    twin_observables,
-    verify_definite_values,
-)
-from .information import (
-    EntropyReport,
-    Verdict,
-    commutator_norm,
-    entanglement_of_pure_state,
-    incompatibility_entropy,
-    mutual_information,
-    post_reading_state,
-    read_pointer_tripartite,
-    shannon_entropy,
-    verify_entanglement_as_incompatibility,
-    verify_incompatibility_transfer,
-    von_neumann_entropy,
-)
-from .scenario import (
-    InstrumentSpec,
-    Scenario,
-    generate_random_instance,
-    load_scenario,
-    parse_scenario,
-    scenario_from_dict,
-)
-from .pipeline import (
-    VerificationReport,
-    report_to_dict,
-    report_to_json,
-    report_to_text,
-    run_pipeline,
-)
+from . import errors, information, instruments, linalg, observables, pipeline, scenario, schmidt
+from .errors import *  # noqa: F403
+from .linalg import *  # noqa: F403
+from .observables import *  # noqa: F403
+from .instruments import *  # noqa: F403
+from .schmidt import *  # noqa: F403
+from .information import *  # noqa: F403
+from .scenario import *  # noqa: F403
+from .pipeline import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "QMeasureError",
-    "DimensionMismatch",
-    "NotHermitian",
-    "NotOrthonormal",
-    "NotNormalized",
-    "NotDensityOperator",
-    "NotADistribution",
-    "NullOutcome",
-    "InvalidTransformers",
-    "NoDefiniteValue",
-    "NonRepeatableInput",
-    "ParseError",
-    "ValidationError",
-    "TensorStructure",
-    "dag",
-    "frob",
-    "kron",
-    "basis_vector",
-    "is_hermitian",
-    "is_unitary",
-    "is_projector",
-    "hermitian_eig",
-    "partial_trace",
-    "partial_inner",
-    "complete_isometry",
-    "random_unitary",
-    "random_state_vector",
-    "Observable",
-    "PureState",
-    "DensityOperator",
-    "State",
-    "validate_observable",
-    "observable_from_matrix",
-    "embed_observable",
-    "probabilities",
-    "classify_outcomes",
-    "luders_update",
-    "purify",
-    "density_matrix",
-    "uniform_superposition",
-    "StateTransformerSet",
-    "MeasurementModel",
-    "make_ideal_transformers",
-    "make_repeatable_transformers",
-    "is_repeatable",
-    "post_state",
-    "dilate",
-    "evolve",
-    "verify_probability_reproducibility",
-    "verify_conditional_states",
-    "repeat_measurement_check",
-    "SchmidtForm",
-    "OutcomePairing",
-    "DefiniteValueReport",
-    "TwinObservables",
-    "schmidt_decompose",
-    "reconstruct",
-    "reduced_states",
-    "verify_definite_values",
-    "twin_observables",
-    "EntropyReport",
-    "Verdict",
-    "shannon_entropy",
-    "von_neumann_entropy",
-    "entanglement_of_pure_state",
-    "mutual_information",
-    "incompatibility_entropy",
-    "commutator_norm",
-    "verify_entanglement_as_incompatibility",
-    "verify_incompatibility_transfer",
-    "read_pointer_tripartite",
-    "post_reading_state",
-    "Scenario",
-    "InstrumentSpec",
-    "scenario_from_dict",
-    "parse_scenario",
-    "load_scenario",
-    "generate_random_instance",
-    "VerificationReport",
-    "run_pipeline",
-    "report_to_dict",
-    "report_to_json",
-    "report_to_text",
+    name
+    for module in (errors, linalg, observables, instruments, schmidt, information, scenario, pipeline)
+    for name in module.__all__
 ]

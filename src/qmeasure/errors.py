@@ -51,3 +51,20 @@ class ParseError(QMeasureError):
 
 class ValidationError(QMeasureError):
     """A scenario or constructed object violates a domain invariant."""
+
+
+__all__ = [
+    "QMeasureError",
+    "DimensionMismatch",
+    "NotHermitian",
+    "NotOrthonormal",
+    "NotNormalized",
+    "NotDensityOperator",
+    "NotADistribution",
+    "NullOutcome",
+    "InvalidTransformers",
+    "NoDefiniteValue",
+    "NonRepeatableInput",
+    "ParseError",
+    "ValidationError",
+]

@@ -16,33 +16,21 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionMismatch, NonRepeatableInput, NotADistribution, NotNormalized
-from .linalg import basis_vector, frob, kron, partial_trace
+from .errors import DimensionMismatch, NonRepeatableInput, NotADistribution
+from .linalg import basis_vector, check_unit_norm, frob, hermitize, kron, partial_trace
 from .instruments import MeasurementModel, StateTransformerSet, evolve
 from .observables import (
     DensityOperator,
     Observable,
     PureState,
     State,
+    check_dims,
     density_matrix,
     embed_observable,
     luders_update,
     probabilities,
-    state_dim,
 )
 from .schmidt import schmidt_decompose
-
-
-def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + np.conj(m).T) / 2.0
-
-
-def _checked_unit_vector(psi: np.ndarray) -> np.ndarray:
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > tol.NORMALIZATION:
-        raise NotNormalized(f"vector norm {norm} is not 1 within {tol.NORMALIZATION}")
-    return psi / norm
 
 
 @dataclass(frozen=True)
@@ -100,12 +88,13 @@ def von_neumann_entropy(rho: DensityOperator | np.ndarray) -> float:
 
 def entanglement_of_pure_state(psi: np.ndarray, structure: Sequence[int]) -> float:
     """Entropy of the first marginal of a normalized bipartite vector."""
-    psi = _checked_unit_vector(psi)
+    psi, norm = check_unit_norm(psi)
+    psi = psi / norm
     dims = tuple(int(d) for d in structure)
     if len(dims) != 2:
         raise DimensionMismatch(f"entanglement needs a bipartite structure, got {dims}")
     rho1 = partial_trace(np.outer(psi, np.conj(psi)), dims, keep=0)
-    return von_neumann_entropy(_sym(rho1))
+    return von_neumann_entropy(hermitize(rho1))
 
 
 def mutual_information(state: np.ndarray | DensityOperator, structure: Sequence[int]) -> EntropyReport:
@@ -120,16 +109,17 @@ def mutual_information(state: np.ndarray | DensityOperator, structure: Sequence[
     else:
         arr = np.asarray(state, dtype=complex)
         if arr.ndim == 1:
-            pure_vector = _checked_unit_vector(arr)
+            arr, norm = check_unit_norm(arr)
+            pure_vector = arr / norm
             rho = np.outer(pure_vector, np.conj(pure_vector))
         else:
             rho = DensityOperator(arr).matrix
     if rho.shape[0] != int(np.prod(dims)):
         raise DimensionMismatch(f"state dim {rho.shape[0]} does not match structure {dims}")
 
-    s1 = von_neumann_entropy(_sym(partial_trace(rho, dims, keep=0)))
-    s2 = von_neumann_entropy(_sym(partial_trace(rho, dims, keep=1)))
-    s12 = von_neumann_entropy(_sym(rho))
+    s1 = von_neumann_entropy(hermitize(partial_trace(rho, dims, keep=0)))
+    s2 = von_neumann_entropy(hermitize(partial_trace(rho, dims, keep=1)))
+    s12 = von_neumann_entropy(hermitize(rho))
     info = s1 + s2 - s12
 
     entanglement = quasi_classical = shannon_pk = None
@@ -147,8 +137,6 @@ def incompatibility_entropy(obs: Observable, state: State) -> float:
     Zero exactly when the observable commutes with the state; for a pure
     state it equals the Shannon entropy of the outcome probabilities.
     """
-    if obs.dim != state_dim(state):
-        raise DimensionMismatch(f"observable dim {obs.dim} != state dim {state_dim(state)}")
     if isinstance(state, PureState):
         before = DensityOperator.from_pure(state)
     else:
@@ -159,8 +147,7 @@ def incompatibility_entropy(obs: Observable, state: State) -> float:
 
 def commutator_norm(obs: Observable, state: State) -> float:
     """Frobenius norm of [A, rho]."""
-    if obs.dim != state_dim(state):
-        raise DimensionMismatch(f"observable dim {obs.dim} != state dim {state_dim(state)}")
+    check_dims(obs, state)
     a = obs.matrix()
     rho = density_matrix(state)
     return frob(a @ rho - rho @ a)
@@ -179,14 +166,22 @@ def verify_entanglement_as_incompatibility(
     """
     final = evolve(model, psi)
     dims = model.composite_dims
-    lhs = entanglement_of_pure_state(final, dims)
-    lifted = embed_observable(ts.observable, dims, factor=0)
-    rhs = incompatibility_entropy(lifted, PureState(final))
-    h = shannon_entropy(np.clip(probabilities(ts.observable, psi), 0.0, None))
-    deviation = max(abs(lhs - rhs), abs(lhs - h), abs(rhs - h))
-    return Verdict.from_deviation(
-        "entanglement_incompatibility_final", lhs, rhs, deviation, tol.THEOREM
+    lhs, rhs, deviation = final_state_identity(
+        entanglement_of_pure_state(final, dims),
+        embed_observable(ts.observable, dims, factor=0),
+        final,
+        shannon_entropy(np.clip(probabilities(ts.observable, psi), 0.0, None)),
     )
+    return Verdict.from_deviation("entanglement_incompatibility_final", lhs, rhs, deviation, tol.THEOREM)
+
+
+def final_state_identity(
+    entanglement: float, lifted: Observable, final: np.ndarray, h_born: float
+) -> tuple[float, float, float]:
+    """(entanglement, incompatibility entropy of ``lifted`` in ``final``, worst pairwise gap incl. H(p))."""
+    rhs = incompatibility_entropy(lifted, PureState(final))
+    deviation = max(abs(entanglement - rhs), abs(entanglement - h_born), abs(rhs - h_born))
+    return entanglement, rhs, deviation
 
 
 def verify_incompatibility_transfer(
@@ -195,12 +190,17 @@ def verify_incompatibility_transfer(
     model: MeasurementModel,
 ) -> Verdict:
     """Incompatibility entropy in the initial state vs final entanglement."""
-    lhs = incompatibility_entropy(ts.observable, psi)
     final = evolve(model, psi)
-    rhs = entanglement_of_pure_state(final, model.composite_dims)
-    return Verdict.from_deviation(
-        "entanglement_incompatibility_initial", lhs, rhs, abs(lhs - rhs), tol.THEOREM
+    lhs, rhs, deviation = transfer_identity(
+        ts.observable, psi, entanglement_of_pure_state(final, model.composite_dims)
     )
+    return Verdict.from_deviation("entanglement_incompatibility_initial", lhs, rhs, deviation, tol.THEOREM)
+
+
+def transfer_identity(obs: Observable, psi: PureState, entanglement: float) -> tuple[float, float, float]:
+    """(incompatibility entropy of obs in the initial state, final entanglement, their gap)."""
+    lhs = incompatibility_entropy(obs, psi)
+    return lhs, entanglement, abs(lhs - entanglement)
 
 
 def read_pointer_tripartite(
@@ -250,7 +250,7 @@ def post_reading_state(tri: np.ndarray, structure: Sequence[int]) -> DensityOper
     if len(dims) != 3:
         raise DimensionMismatch(f"post-reading state needs a tripartite structure, got {dims}")
     rho = partial_trace(np.outer(tri, np.conj(tri)), dims, keep=(0, 1))
-    return DensityOperator((rho + np.conj(rho).T) / 2.0)
+    return DensityOperator(hermitize(rho))
 
 
 __all__ = [

@@ -61,18 +61,13 @@ class StateTransformerSet:
     def n_outcomes(self) -> int:
         return len(self.transformers)
 
-    @property
-    def outcome_labels(self) -> tuple[int, ...]:
-        return tuple(range(len(self.transformers)))
-
 
 @dataclass(frozen=True)
 class MeasurementModel:
     """Dilated instrument: pointer space, initial pointer state, unitary, pointer observable.
 
-    ``outcome_map`` is the bijection from outcome label k (term index of the
-    measured observable) to the pointer eigenvalue read for that outcome.
-    No invariants are enforced at construction so that tests can build
+    Outcome k (term index of the measured observable) is read as pointer
+    term k. No invariants are enforced at construction so that tests can build
     deliberately corrupted instruments; ``dilate`` always returns a valid one.
     """
 
@@ -82,7 +77,6 @@ class MeasurementModel:
     pointer_initial: PureState
     unitary: np.ndarray
     pointer_observable: Observable
-    outcome_map: tuple[float, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "unitary", frozen_array(self.unitary))
@@ -179,7 +173,6 @@ def dilate(ts: StateTransformerSet) -> MeasurementModel:
         pointer_initial=PureState(basis_vector(n, 0)),
         unitary=unitary,
         pointer_observable=Observable(pointer_terms, n),
-        outcome_map=tuple(float(k) for k in range(n)),
     )
 
 
@@ -199,8 +192,11 @@ def _lifted_pointer_projectors(model: MeasurementModel) -> list[np.ndarray]:
 
 def verify_probability_reproducibility(model: MeasurementModel, psi: PureState) -> float:
     """Worst gap between Born probabilities and pointer-readout probabilities."""
-    born = probabilities(model.observable, psi)
-    final = evolve(model, psi)
+    return probability_gap(model, probabilities(model.observable, psi), evolve(model, psi))
+
+
+def probability_gap(model: MeasurementModel, born: np.ndarray, final: np.ndarray) -> float:
+    """Worst |p_k - <final|1 ⊗ Q_k|final>| over the outcomes, for a given final vector."""
     worst = 0.0
     for k, q in enumerate(_lifted_pointer_projectors(model)):
         read = float(np.real(np.vdot(final, q @ final)))
@@ -214,9 +210,15 @@ def verify_conditional_states(model: MeasurementModel, ts: StateTransformerSet, 
     For every outcome k the unnormalized object state after reading the
     pointer, Tr_2(Q_k |Psi><Psi| Q_k), must equal A_k |psi><psi| A_k†.
     """
+    return conditional_state_gap(model, ts, psi, evolve(model, psi))
+
+
+def conditional_state_gap(
+    model: MeasurementModel, ts: StateTransformerSet, psi: PureState, final: np.ndarray
+) -> float:
+    """Worst gap between the two conditional-state routes, for a given final vector |Psi>."""
     if model.object_dim != ts.observable.dim:
         raise DimensionMismatch("model and transformer family disagree on the object dimension")
-    final = evolve(model, psi)
     rho_final = np.outer(final, np.conj(final))
     dims = model.composite_dims
     worst = 0.0
@@ -233,8 +235,8 @@ def repeat_measurement_check(model: MeasurementModel, ts: StateTransformerSet, p
 
     For every detectable outcome: apply the transformer, then measure the
     observable again on the post-measurement state and take the probability
-    of the eigenvalue certified by the pointer reading (the model's outcome
-    map is index-aligned with the spectral terms). Repeatable families give
+    of the eigenvalue certified by the pointer reading, which is term k
+    again because pointer term k records outcome k. Repeatable families give
     1 for every outcome.
     """
     if model.object_dim != ts.observable.dim:

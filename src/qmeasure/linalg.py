@@ -13,7 +13,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionMismatch, NotHermitian, NotOrthonormal
+from .errors import DimensionMismatch, NotHermitian, NotNormalized, NotOrthonormal
 
 # An ordered list of subsystem dimensions annotating a composite vector or
 # matrix: (d1, d2) for bipartite objects, (d1, d2, d3) for tripartite ones.
@@ -23,6 +23,23 @@ TensorStructure = tuple[int, ...]
 def dag(m: np.ndarray) -> np.ndarray:
     """Hermitian adjoint."""
     return np.conj(m).T
+
+
+def hermitize(m: np.ndarray) -> np.ndarray:
+    """Hermitian part (m + m†)/2, which removes rounding asymmetry."""
+    return (m + dag(m)) / 2.0
+
+
+def check_unit_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
+    """Flatten to a complex vector and check that its norm is 1 within NORMALIZATION.
+
+    Returns the vector and its norm, so that a caller can rescale by it.
+    """
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    norm = np.linalg.norm(v)
+    if abs(norm - 1.0) > tol.NORMALIZATION:
+        raise NotNormalized(f"vector norm {norm} is not 1 within {tol.NORMALIZATION}")
+    return v, norm
 
 
 def frozen_array(a: np.ndarray) -> np.ndarray:
@@ -85,7 +102,7 @@ def hermitian_eig(m: np.ndarray, tolerance: float = tol.HERMITICITY) -> tuple[np
     m = np.asarray(m, dtype=complex)
     if not is_hermitian(m, tolerance):
         raise NotHermitian(f"matrix deviates from its adjoint by more than {tolerance}")
-    w, v = np.linalg.eigh((m + dag(m)) / 2.0)
+    w, v = np.linalg.eigh(hermitize(m))
     return w, v
 
 
@@ -179,3 +196,21 @@ def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-like random unit vector in C^dim."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+__all__ = [
+    "TensorStructure",
+    "dag",
+    "frob",
+    "kron",
+    "basis_vector",
+    "is_hermitian",
+    "is_unitary",
+    "is_projector",
+    "hermitian_eig",
+    "partial_trace",
+    "partial_inner",
+    "complete_isometry",
+    "random_unitary",
+    "random_state_vector",
+]

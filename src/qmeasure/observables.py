@@ -15,13 +15,18 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .errors import (
-    DimensionMismatch,
-    NotDensityOperator,
-    NotNormalized,
-    ValidationError,
+from .errors import DimensionMismatch, NotDensityOperator, ValidationError
+from .linalg import (
+    basis_vector,
+    check_unit_norm,
+    dag,
+    frob,
+    frozen_array,
+    hermitian_eig,
+    hermitize,
+    is_hermitian,
+    kron,
 )
-from .linalg import basis_vector, dag, frob, frozen_array, hermitian_eig, is_hermitian, kron
 
 
 @dataclass(frozen=True)
@@ -88,10 +93,7 @@ class PureState:
     vector: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.vector, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > tol.NORMALIZATION:
-            raise NotNormalized(f"state vector norm {norm} is not 1 within {tol.NORMALIZATION}")
+        v, _ = check_unit_norm(self.vector)
         object.__setattr__(self, "vector", frozen_array(v))
 
     @property
@@ -117,7 +119,7 @@ class DensityOperator:
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > tol.HERMITICITY:
             raise NotDensityOperator(f"trace {trace} is not 1 within {tol.HERMITICITY}")
-        smallest = float(np.linalg.eigvalsh((m + dag(m)) / 2.0)[0])
+        smallest = float(np.linalg.eigvalsh(hermitize(m))[0])
         if smallest < tol.ENTROPY_NEG_FLOOR:
             raise NotDensityOperator(f"smallest eigenvalue {smallest} is below {tol.ENTROPY_NEG_FLOOR}")
         object.__setattr__(self, "matrix", frozen_array(m))
@@ -144,10 +146,6 @@ def density_matrix(state: State) -> np.ndarray:
     return state.matrix
 
 
-def state_dim(state: State) -> int:
-    return state.dim
-
-
 def observable_from_matrix(h: np.ndarray) -> Observable:
     """Spectral form of a Hermitian matrix.
 
@@ -171,7 +169,7 @@ def observable_from_matrix(h: np.ndarray) -> Observable:
         eigenvalue = float(np.mean(w[cluster]))
         block = v[:, cluster]
         projector = block @ dag(block)
-        terms.append((eigenvalue, (projector + dag(projector)) / 2.0))
+        terms.append((eigenvalue, hermitize(projector)))
     return Observable(tuple(terms), h.shape[0])
 
 
@@ -188,14 +186,15 @@ def embed_observable(obs: Observable, structure: Sequence[int], factor: int) -> 
     return Observable(tuple(terms), int(np.prod(dims)))
 
 
-def _check_dims(obs: Observable, state: State) -> None:
-    if obs.dim != state_dim(state):
-        raise DimensionMismatch(f"observable dim {obs.dim} != state dim {state_dim(state)}")
+def check_dims(obs: Observable, state: State) -> None:
+    """Raise DimensionMismatch unless observable and state act on the same space."""
+    if obs.dim != state.dim:
+        raise DimensionMismatch(f"observable dim {obs.dim} != state dim {state.dim}")
 
 
 def probabilities(obs: Observable, state: State) -> np.ndarray:
     """Outcome probabilities <P_k> in term order."""
-    _check_dims(obs, state)
+    check_dims(obs, state)
     if isinstance(state, PureState):
         v = state.vector
         return np.array([float(np.real(np.vdot(v, p @ v))) for _, p in obs.terms])
@@ -213,12 +212,12 @@ def classify_outcomes(obs: Observable, state: State) -> tuple[tuple[int, ...], t
 
 def luders_update(obs: Observable, state: State) -> DensityOperator:
     """Projective (Lüders) state update sum_k P_k rho P_k over all terms."""
-    _check_dims(obs, state)
+    check_dims(obs, state)
     rho = density_matrix(state)
     out = np.zeros_like(rho)
     for _, p in obs.terms:
         out += p @ rho @ p
-    return DensityOperator((out + dag(out)) / 2.0)
+    return DensityOperator(hermitize(out))
 
 
 def purify(rho: DensityOperator | np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:

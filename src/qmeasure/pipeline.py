@@ -1,20 +1,26 @@
 """End-to-end verification pipeline and report emission.
 
-``run_pipeline`` drives a scenario through: observable/state validation,
-transformer construction, repeatability check, dilation, evolution, and
-the full stack of numeric identity checks. Every check lands in the
-report as a verdict carrying its deviation and tolerance, so failures are
-diagnosable from the report alone. Checks that only make sense for
-repeatable instruments are listed as not applicable when the instrument
-is not repeatable, rather than counted as failures.
+``run_pipeline`` works in two parts. ``_Run`` holds the artefacts of one
+run: the transformer family, the repeatability flag, the dilated model,
+the final vector, the Born vector, the initial commutator norm, the Schmidt
+form, the entropy report, the definite-value report, the lifted observable
+and the tripartite pointer reading. Each is computed once, on first use.
+``CHECKS`` is the ordered table of verdicts; each entry compares two
+routes to one identity, read from those artefacts. Every check lands in
+the report as a verdict carrying its deviation and tolerance, so failures
+are diagnosable from the report alone. Checks that presume a repeatable
+instrument are listed as not applicable when the instrument is not
+repeatable, rather than counted as failures.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import Any
+from functools import cached_property
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -24,42 +30,29 @@ from .information import (
     EntropyReport,
     Verdict,
     commutator_norm,
+    final_state_identity,
     incompatibility_entropy,
     mutual_information,
     post_reading_state,
     read_pointer_tripartite,
     shannon_entropy,
-    verify_entanglement_as_incompatibility,
-    verify_incompatibility_transfer,
+    transfer_identity,
     von_neumann_entropy,
 )
 from .instruments import (
+    conditional_state_gap,
     dilate,
     evolve,
     is_repeatable,
+    probability_gap,
     repeat_measurement_check,
-    verify_conditional_states,
-    verify_probability_reproducibility,
 )
-from .linalg import partial_trace
+from .linalg import hermitize, partial_trace
 from .observables import PureState, embed_observable, probabilities
 from .scenario import Scenario
 from .schmidt import reconstruct, reduced_states, schmidt_decompose, twin_observables, verify_definite_values
 
-# Checks that presume a repeatable instrument, in report order.
-_REPEATABLE_ONLY = (
-    "repeat_certainty",
-    "definite_values",
-    "schmidt_probability_match",
-    "twin_diagonality",
-    "compatibility_migration",
-    "entropy_ledger",
-    "entanglement_incompatibility_final",
-    "entanglement_incompatibility_initial",
-    "pointer_reading_marginals",
-    "pointer_reading_commutators",
-    "pointer_reading_incompatibility",
-)
+_FAILURES = (QMeasureError, np.linalg.LinAlgError, FloatingPointError)
 
 
 @dataclass(frozen=True)
@@ -78,222 +71,244 @@ class VerificationReport:
     duration_seconds: float
 
 
-def _verdict(label: str, lhs: float, rhs: float, deviation: float, tolerance: float, override: float | None) -> Verdict:
-    applied = tolerance if override is None else override
-    return Verdict.from_deviation(label, lhs, rhs, deviation, applied)
+class _Halt(Exception):
+    """An artefact was needed after an earlier stage had failed."""
+
+
+def _failure(stage: str, exc: Exception) -> str:
+    if isinstance(exc, QMeasureError):
+        return f"{stage}: {type(exc).__name__}: {exc}"
+    return f"{stage}: numerical failure: {exc}"
+
+
+def _artefact(stage: str, compute: Callable[[_Run], Any]) -> cached_property:
+    """Artefact computed on first use; a failure is recorded under ``stage`` and halts the run."""
+
+    def once(run: _Run) -> Any:
+        if run.error is not None:
+            raise _Halt
+        try:
+            return compute(run)
+        except _FAILURES as exc:
+            run.error = _failure(stage, exc)
+            raise _Halt from exc
+
+    return cached_property(once)
+
+
+class _Run:
+    """The artefacts of one run, each computed once, on first use.
+
+    ``error`` holds the first failure as "<stage>: <what went wrong>". Once
+    it is set, reading an artefact that was not computed raises _Halt.
+    """
+
+    def __init__(self, scenario: Scenario) -> None:
+        self.scenario = scenario
+        self.obs = scenario.observable
+        self.psi = scenario.initial_state
+        self.error: str | None = None
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.model.composite_dims
+
+    ts = _artefact("transformers", lambda run: run.scenario.build_transformers())
+    repeatability = _artefact("repeatability", lambda run: is_repeatable(run.ts))
+    model = _artefact("dilation", lambda run: dilate(run.ts))
+    final = _artefact("evolution", lambda run: evolve(run.model, run.psi))
+    born = _artefact("evolution", lambda run: probabilities(run.obs, run.psi))
+    initial_commutator = _artefact("evolution", lambda run: commutator_norm(run.obs, run.psi))
+    schmidt = _artefact("schmidt", lambda run: schmidt_decompose(run.final, run.dims))
+    entropies = _artefact("entropies", lambda run: mutual_information(run.final, run.dims))
+    definite = _artefact(
+        "definite_values", lambda run: verify_definite_values(run.schmidt, run.obs, run.model.pointer_observable)
+    )
+    h_born = _artefact("born_entropy", lambda run: shannon_entropy(np.clip(run.born, 0.0, None)))
+    lifted = _artefact("lifted_observable", lambda run: embed_observable(run.obs, run.dims, 0))
+    reading = _artefact("pointer_reading", lambda run: read_pointer_tripartite(run.final, run.model))
+
+
+# What every report carries, computed in this order before the checks run.
+_REPORTED = ("repeatability", "final", "born", "initial_commutator", "schmidt", "entropies")
+
+
+class Check(NamedTuple):
+    """One verdict: its label, whether it presumes a repeatable instrument, and its computation.
+
+    ``fn`` reads the run's artefacts and returns (lhs, rhs, deviation, tolerance).
+    """
+
+    label: str
+    needs_repeatable: bool
+    fn: Callable[[_Run], tuple[float, float, float, float]]
+
+
+def _repeatability_condition(run: _Run):
+    violation = run.repeatability[1]
+    return violation, 0.0, violation, tol.REPEATABILITY
+
+
+def _probability_reproducibility(run: _Run):
+    gap = probability_gap(run.model, run.born, run.final)
+    return gap, 0.0, gap, tol.PRC
+
+
+def _conditional_states(run: _Run):
+    gap = conditional_state_gap(run.model, run.ts, run.psi, run.final)
+    return gap, 0.0, gap, tol.KRAUS_CONSISTENCY
+
+
+def _schmidt_reconstruction(run: _Run):
+    overlap = abs(complex(np.vdot(run.final, reconstruct(run.schmidt))))
+    return overlap, 1.0, 1.0 - overlap, tol.RECONSTRUCTION
+
+
+def _repeat_certainty(run: _Run):
+    smallest = repeat_measurement_check(run.model, run.ts, run.psi)
+    return smallest, 1.0, 1.0 - smallest, tol.REPEAT_CERTAINTY
+
+
+def _definite_values(run: _Run):
+    left, right = run.definite.max_left_violation, run.definite.max_right_violation
+    return left, right, max(left, right), tol.RECONSTRUCTION
+
+
+def _schmidt_probability_match(run: _Run):
+    canonical = run.definite.schmidt_form
+    match = max(
+        abs(float(c) ** 2 - float(run.born[pairing.term_index]))
+        for c, pairing in zip(canonical.coefficients, run.definite.assignment)
+    )
+    return match, 0.0, match, tol.THEOREM
+
+
+def _twin_diagonality(run: _Run):
+    canonical, assignment = run.definite.schmidt_form, run.definite.assignment
+    twins = twin_observables(canonical, assignment)
+    object_matrix = twins.object_matrix()
+    pointer_matrix = twins.pointer_matrix()
+    twin_object = max(
+        float(np.linalg.norm(object_matrix @ l - pairing.object_eigenvalue * l))
+        for l, pairing in zip(canonical.left_vectors, assignment)
+    )
+    twin_pointer = max(
+        float(np.linalg.norm(pointer_matrix @ r - pairing.pointer_eigenvalue * r))
+        for r, pairing in zip(canonical.right_vectors, assignment)
+    )
+    return twin_object, twin_pointer, max(twin_object, twin_pointer), tol.RECONSTRUCTION
+
+
+def _compatibility_migration(run: _Run):
+    rho1, rho2 = reduced_states(run.final, run.dims)
+    object_comm = commutator_norm(run.obs, rho1)
+    pointer_comm = commutator_norm(run.model.pointer_observable, rho2)
+    return object_comm, pointer_comm, max(object_comm, pointer_comm), tol.COMMUTATOR
+
+
+def _entropy_ledger(run: _Run):
+    e, h_born = run.entropies, run.h_born
+    ledger = max(abs(e.s1 - e.s2), e.s12, abs(e.mutual_information - 2.0 * h_born))
+    return e.mutual_information, 2.0 * h_born, ledger, tol.THEOREM
+
+
+# The entropy report's S1 is the entanglement of the final vector, so both
+# entanglement checks read it rather than trace the final vector again.
+def _entanglement_incompatibility_final(run: _Run):
+    return (*final_state_identity(run.entropies.s1, run.lifted, run.final, run.h_born), tol.THEOREM)
+
+
+def _entanglement_incompatibility_initial(run: _Run):
+    return (*transfer_identity(run.obs, run.psi, run.entropies.s1), tol.THEOREM)
+
+
+def _pointer_reading_marginals(run: _Run):
+    tri, dims3 = run.reading
+    rho_tri = np.outer(tri, np.conj(tri))
+    marginal_entropies = [von_neumann_entropy(hermitize(partial_trace(rho_tri, dims3, keep=m))) for m in range(3)]
+    deviation = max(abs(s - run.h_born) for s in marginal_entropies)
+    return min(marginal_entropies), run.h_born, deviation, tol.THEOREM
+
+
+def _pointer_reading_commutators(run: _Run):
+    rho12 = post_reading_state(*run.reading)
+    obj_after = commutator_norm(run.lifted, rho12)
+    ptr_after = commutator_norm(embed_observable(run.model.pointer_observable, run.dims, 1), rho12)
+    return obj_after, ptr_after, max(obj_after, ptr_after), tol.COMMUTATOR
+
+
+def _pointer_reading_incompatibility(run: _Run):
+    tri, dims3 = run.reading
+    reappeared = incompatibility_entropy(embed_observable(run.obs, dims3, 0), PureState(tri))
+    return reappeared, run.h_born, abs(reappeared - run.h_born), tol.THEOREM
+
+
+# Report order. The two routes of each check are listed in README.md.
+CHECKS = (
+    Check("repeatability_condition", False, _repeatability_condition),
+    Check("probability_reproducibility", False, _probability_reproducibility),
+    Check("conditional_states", False, _conditional_states),
+    Check("schmidt_reconstruction", False, _schmidt_reconstruction),
+    Check("repeat_certainty", True, _repeat_certainty),
+    Check("definite_values", True, _definite_values),
+    Check("schmidt_probability_match", True, _schmidt_probability_match),
+    Check("twin_diagonality", True, _twin_diagonality),
+    Check("compatibility_migration", True, _compatibility_migration),
+    Check("entropy_ledger", True, _entropy_ledger),
+    Check("entanglement_incompatibility_final", True, _entanglement_incompatibility_final),
+    Check("entanglement_incompatibility_initial", True, _entanglement_incompatibility_initial),
+    Check("pointer_reading_marginals", True, _pointer_reading_marginals),
+    Check("pointer_reading_commutators", True, _pointer_reading_commutators),
+    Check("pointer_reading_incompatibility", True, _pointer_reading_incompatibility),
+)
 
 
 def run_pipeline(scenario: Scenario) -> VerificationReport:
-    """Run every check the scenario supports and collect the verdicts."""
+    """Run every check the scenario supports and collect the verdicts.
+
+    A failure ends the run at the first check that needs an artefact which
+    could not be computed; the verdicts before it are kept.
+    """
     started = time.perf_counter()
-    override = scenario.tolerance
-    verdicts: list[Verdict] = []
-    not_applicable: list[str] = []
-    error: str | None = None
-    born: np.ndarray | None = None
-    coefficients: tuple[float, ...] | None = None
-    initial_commutator: float | None = None
-    entropies: EntropyReport | None = None
-
-    stage = "transformers"
+    run = _Run(scenario)
     try:
-        obs = scenario.observable
-        psi = scenario.initial_state
-        ts = scenario.build_transformers()
+        for name in _REPORTED:
+            getattr(run, name)
+    except _Halt:
+        pass
 
-        stage = "repeatability"
-        repeatable, violation = is_repeatable(ts)
-        verdicts.append(_verdict("repeatability_condition", violation, 0.0, violation, tol.REPEATABILITY, override))
+    verdicts: list[Verdict] = []
+    for check in CHECKS:
+        try:
+            if check.needs_repeatable and not run.repeatability[0]:
+                continue
+            lhs, rhs, deviation, tolerance = check.fn(run)
+        except _Halt:
+            break
+        except _FAILURES as exc:
+            run.error = run.error or _failure(check.label, exc)
+            break
+        if scenario.tolerance is not None:
+            tolerance = scenario.tolerance
+        verdicts.append(Verdict.from_deviation(check.label, lhs, rhs, deviation, tolerance))
 
-        stage = "dilation"
-        model = dilate(ts)
-        dims = model.composite_dims
-
-        stage = "evolution"
-        final = evolve(model, psi)
-        born = probabilities(obs, psi)
-        initial_commutator = commutator_norm(obs, psi)
-
-        stage = "probability_reproducibility"
-        prc = verify_probability_reproducibility(model, psi)
-        verdicts.append(_verdict("probability_reproducibility", prc, 0.0, prc, tol.PRC, override))
-
-        stage = "conditional_states"
-        kraus = verify_conditional_states(model, ts, psi)
-        verdicts.append(_verdict("conditional_states", kraus, 0.0, kraus, tol.KRAUS_CONSISTENCY, override))
-
-        stage = "schmidt"
-        sf = schmidt_decompose(final, dims)
-        coefficients = tuple(float(c) for c in sf.coefficients)
-        overlap = abs(complex(np.vdot(final, reconstruct(sf))))
-        verdicts.append(
-            _verdict("schmidt_reconstruction", overlap, 1.0, 1.0 - overlap, tol.RECONSTRUCTION, override)
-        )
-
-        stage = "entropies"
-        entropies = mutual_information(final, dims)
-
-        if not repeatable:
-            not_applicable.extend(_REPEATABLE_ONLY)
-        else:
-            stage = "repeat_certainty"
-            smallest = repeat_measurement_check(model, ts, psi)
-            verdicts.append(
-                _verdict("repeat_certainty", smallest, 1.0, 1.0 - smallest, tol.REPEAT_CERTAINTY, override)
-            )
-
-            stage = "definite_values"
-            definite = verify_definite_values(sf, obs, model.pointer_observable)
-            canonical = definite.schmidt_form
-            worst = max(definite.max_left_violation, definite.max_right_violation)
-            verdicts.append(
-                _verdict(
-                    "definite_values",
-                    definite.max_left_violation,
-                    definite.max_right_violation,
-                    worst,
-                    tol.RECONSTRUCTION,
-                    override,
-                )
-            )
-
-            stage = "schmidt_probability_match"
-            match = max(
-                abs(float(c) ** 2 - float(born[pairing.term_index]))
-                for c, pairing in zip(canonical.coefficients, definite.assignment)
-            )
-            verdicts.append(_verdict("schmidt_probability_match", match, 0.0, match, tol.THEOREM, override))
-
-            stage = "twins"
-            twins = twin_observables(canonical, definite.assignment)
-            object_matrix = twins.object_matrix()
-            pointer_matrix = twins.pointer_matrix()
-            twin_object = max(
-                float(np.linalg.norm(object_matrix @ l - pairing.object_eigenvalue * l))
-                for l, pairing in zip(canonical.left_vectors, definite.assignment)
-            )
-            twin_pointer = max(
-                float(np.linalg.norm(pointer_matrix @ r - pairing.pointer_eigenvalue * r))
-                for r, pairing in zip(canonical.right_vectors, definite.assignment)
-            )
-            verdicts.append(
-                _verdict(
-                    "twin_diagonality",
-                    twin_object,
-                    twin_pointer,
-                    max(twin_object, twin_pointer),
-                    tol.RECONSTRUCTION,
-                    override,
-                )
-            )
-
-            stage = "compatibility_migration"
-            rho1, rho2 = reduced_states(final, dims)
-            object_comm = commutator_norm(obs, rho1)
-            pointer_comm = commutator_norm(model.pointer_observable, rho2)
-            verdicts.append(
-                _verdict(
-                    "compatibility_migration",
-                    object_comm,
-                    pointer_comm,
-                    max(object_comm, pointer_comm),
-                    tol.COMMUTATOR,
-                    override,
-                )
-            )
-
-            stage = "entropy_ledger"
-            h_born = shannon_entropy(np.clip(born, 0.0, None))
-            ledger = max(
-                abs(entropies.s1 - entropies.s2),
-                entropies.s12,
-                abs(entropies.mutual_information - 2.0 * h_born),
-            )
-            verdicts.append(
-                _verdict("entropy_ledger", entropies.mutual_information, 2.0 * h_born, ledger, tol.THEOREM, override)
-            )
-
-            stage = "entanglement_incompatibility_final"
-            final_identity = verify_entanglement_as_incompatibility(model, ts, psi)
-            verdicts.append(
-                _verdict(
-                    final_identity.label,
-                    final_identity.lhs,
-                    final_identity.rhs,
-                    final_identity.deviation,
-                    final_identity.tolerance,
-                    override,
-                )
-            )
-
-            stage = "entanglement_incompatibility_initial"
-            transfer = verify_incompatibility_transfer(ts, psi, model)
-            verdicts.append(
-                _verdict(transfer.label, transfer.lhs, transfer.rhs, transfer.deviation, transfer.tolerance, override)
-            )
-
-            stage = "pointer_reading"
-            tri, dims3 = read_pointer_tripartite(final, model)
-            rho_tri = np.outer(tri, np.conj(tri))
-            marginal_entropies = [
-                von_neumann_entropy(_sym(partial_trace(rho_tri, dims3, keep=m))) for m in range(3)
-            ]
-            marginal_dev = max(abs(s - h_born) for s in marginal_entropies)
-            verdicts.append(
-                _verdict(
-                    "pointer_reading_marginals", min(marginal_entropies), h_born, marginal_dev, tol.THEOREM, override
-                )
-            )
-
-            rho12 = post_reading_state(tri, dims3)
-            pair_dims = (dims3[0], dims3[1])
-            obj_after = commutator_norm(embed_observable(obs, pair_dims, 0), rho12)
-            ptr_after = commutator_norm(embed_observable(model.pointer_observable, pair_dims, 1), rho12)
-            verdicts.append(
-                _verdict(
-                    "pointer_reading_commutators",
-                    obj_after,
-                    ptr_after,
-                    max(obj_after, ptr_after),
-                    tol.COMMUTATOR,
-                    override,
-                )
-            )
-
-            lifted = embed_observable(obs, dims3, 0)
-            reappeared = incompatibility_entropy(lifted, PureState(tri))
-            verdicts.append(
-                _verdict(
-                    "pointer_reading_incompatibility",
-                    reappeared,
-                    h_born,
-                    abs(reappeared - h_born),
-                    tol.THEOREM,
-                    override,
-                )
-            )
-    except QMeasureError as exc:
-        error = f"{stage}: {type(exc).__name__}: {exc}"
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
-        error = f"{stage}: numerical failure: {exc}"
-
-    overall = error is None and all(v.passed for v in verdicts)
+    computed = vars(run)  # cached_property keeps each computed artefact here
+    born = computed.get("born")
+    sf = computed.get("schmidt")
+    # when repeatability is unknown, nothing is listed as not applicable
+    repeatable, _ = computed.get("repeatability", (True, None))
     return VerificationReport(
         scenario=scenario.to_dict(),
         probabilities=None if born is None else tuple(float(p) for p in born),
-        schmidt_coefficients=coefficients,
-        initial_commutator_norm=initial_commutator,
-        entropies=entropies,
+        schmidt_coefficients=None if sf is None else tuple(float(c) for c in sf.coefficients),
+        initial_commutator_norm=computed.get("initial_commutator"),
+        entropies=computed.get("entropies"),
         verdicts=tuple(verdicts),
-        not_applicable=tuple(not_applicable),
-        error=error,
-        overall_pass=overall,
+        not_applicable=() if repeatable else tuple(c.label for c in CHECKS if c.needs_repeatable),
+        error=run.error,
+        overall_pass=run.error is None and all(v.passed for v in verdicts),
         duration_seconds=time.perf_counter() - started,
     )
-
-
-def _sym(m: np.ndarray) -> np.ndarray:
-    return (m + np.conj(m).T) / 2.0
 
 
 def report_to_dict(report: VerificationReport, include_timing: bool = False) -> dict[str, Any]:
@@ -360,7 +375,7 @@ def report_to_text(report: VerificationReport, verbosity: str = "normal") -> str
                 f"H(p)={e.shannon_pk:.10f}"
             )
     lines.append("")
-    width = max((len(v.label) for v in report.verdicts), default=10)
+    width = max((len(label) for label in [*(v.label for v in report.verdicts), *report.not_applicable]), default=10)
     for v in report.verdicts:
         status = "PASS" if v.passed else "FAIL"
         lines.append(f"{v.label:<{width}}  deviation={v.deviation:.3e}  tolerance={v.tolerance:.1e}  {status}")

@@ -36,7 +36,7 @@ from .errors import (
     QMeasureError,
     ValidationError,
 )
-from .linalg import random_state_vector, random_unitary
+from .linalg import hermitize, random_state_vector, random_unitary
 from .observables import Observable, PureState, observable_from_matrix, uniform_superposition
 from .instruments import StateTransformerSet, make_ideal_transformers, make_repeatable_transformers
 
@@ -282,8 +282,8 @@ def generate_random_instance(seed: int, d1_max: int, outcomes_max: int) -> Scena
 
     diagonal = np.concatenate([np.full(m, v) for v, m in zip(eigenvalues, multiplicities)])
     basis = random_unitary(dim, rng)
-    hermitian = basis @ np.diag(diagonal).astype(complex) @ np.conj(basis).T
-    obs = observable_from_matrix((hermitian + np.conj(hermitian).T) / 2.0)
+    hermitian = hermitize(basis @ np.diag(diagonal).astype(complex) @ np.conj(basis).T)
+    obs = observable_from_matrix(hermitian)
 
     support = sorted(rng.choice(n_outcomes, size=int(rng.integers(1, n_outcomes + 1)), replace=False))
     projector = np.sum([obs.terms[int(k)][1] for k in support], axis=0)
@@ -297,7 +297,7 @@ def generate_random_instance(seed: int, d1_max: int, outcomes_max: int) -> Scena
     instrument_seed = int(rng.integers(0, 2**31))
     doc = {
         "object_dim": dim,
-        "observable": {"matrix": _matrix_pairs((hermitian + np.conj(hermitian).T) / 2.0)},
+        "observable": {"matrix": _matrix_pairs(hermitian)},
         "initial_state": {"amplitudes": _pairs(state.vector)},
         "instrument": {"kind": "repeatable", "seed": instrument_seed},
         "options": {"tolerance": None, "verbosity": "normal"},

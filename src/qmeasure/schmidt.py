@@ -22,13 +22,9 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionMismatch, NoDefiniteValue, NotNormalized
-from .linalg import frozen_array, hermitian_eig, kron, partial_inner, partial_trace
+from .errors import DimensionMismatch, NoDefiniteValue
+from .linalg import check_unit_norm, frozen_array, hermitian_eig, hermitize, kron, partial_inner, partial_trace
 from .observables import DensityOperator, Observable
-
-
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + np.conj(m).T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -38,7 +34,6 @@ class SchmidtForm:
     coefficients: np.ndarray
     left_vectors: tuple[np.ndarray, ...]
     right_vectors: tuple[np.ndarray, ...]
-    outcome_labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
         coeffs = np.array(self.coefficients, dtype=float)
@@ -92,10 +87,7 @@ class TwinObservables:
 
 def schmidt_decompose(psi: np.ndarray, structure: Sequence[int]) -> SchmidtForm:
     """Schmidt canonical form of a normalized bipartite vector."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > tol.NORMALIZATION:
-        raise NotNormalized(f"vector norm {norm} is not 1 within {tol.NORMALIZATION}")
+    psi, _ = check_unit_norm(psi)
     dims = tuple(int(d) for d in structure)
     if len(dims) != 2:
         raise DimensionMismatch(f"Schmidt decomposition is bipartite, got structure {dims}")
@@ -108,11 +100,7 @@ def schmidt_decompose(psi: np.ndarray, structure: Sequence[int]) -> SchmidtForm:
     lefts = []
     rights = []
     for i in order:
-        left = vectors[:, i].copy()
-        pivot_candidates = np.nonzero(np.abs(left) > tol.PHASE_PIVOT)[0]
-        if pivot_candidates.size:
-            pivot = left[pivot_candidates[0]]
-            left = left * np.conj(pivot / abs(pivot))
+        left = vectors[:, i] * np.conj(_pivot_phase(vectors[:, i]))
         right = partial_inner(left, psi, dims)
         right = right / np.linalg.norm(right)
         coefficients.append(float(np.sqrt(weights[i])))
@@ -122,7 +110,6 @@ def schmidt_decompose(psi: np.ndarray, structure: Sequence[int]) -> SchmidtForm:
         coefficients=np.array(coefficients),
         left_vectors=tuple(lefts),
         right_vectors=tuple(rights),
-        outcome_labels=tuple(range(len(coefficients))),
     )
 
 
@@ -134,17 +121,14 @@ def reconstruct(sf: SchmidtForm) -> np.ndarray:
 
 def reduced_states(psi: np.ndarray, structure: Sequence[int]) -> tuple[DensityOperator, DensityOperator]:
     """Both subsystem states of a normalized bipartite vector."""
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > tol.NORMALIZATION:
-        raise NotNormalized(f"vector norm {norm} is not 1 within {tol.NORMALIZATION}")
+    psi, _ = check_unit_norm(psi)
     dims = tuple(int(d) for d in structure)
     if len(dims) != 2:
         raise DimensionMismatch(f"reduced states need a bipartite structure, got {dims}")
     rho = np.outer(psi, np.conj(psi))
     rho1 = partial_trace(rho, dims, keep=0)
     rho2 = partial_trace(rho, dims, keep=1)
-    return DensityOperator(_hermitize(rho1)), DensityOperator(_hermitize(rho2))
+    return DensityOperator(hermitize(rho1)), DensityOperator(hermitize(rho2))
 
 
 def _joint_residuals(object_obs: Observable, pointer_obs: Observable, left, right, k):
@@ -153,12 +137,12 @@ def _joint_residuals(object_obs: Observable, pointer_obs: Observable, left, righ
     return lv, rv
 
 
-def _pivot_phase(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pivot_phase(left: np.ndarray) -> complex:
+    """Unit phase of the first component of left above PHASE_PIVOT (1 if there is none)."""
     candidates = np.nonzero(np.abs(left) > tol.PHASE_PIVOT)[0]
     if candidates.size:
-        phase = left[candidates[0]] / abs(left[candidates[0]])
-        return left * np.conj(phase), right * phase
-    return left, right
+        return left[candidates[0]] / abs(left[candidates[0]])
+    return 1.0
 
 
 def _split_degenerate_group(
@@ -197,7 +181,8 @@ def _split_degenerate_group(
         right = right / np.linalg.norm(right)
         if np.linalg.norm(u - weight * kron(left, right)) >= tol.DEFINITE_VALUE:
             raise NoDefiniteValue(f"projection onto outcome {k} is not a product vector")
-        left, right = _pivot_phase(left, right)
+        phase = _pivot_phase(left)
+        left, right = left * np.conj(phase), right * phase
         pieces.append((weight, left, right, k))
         recombined += weight * kron(left, right)
 
@@ -286,7 +271,6 @@ def verify_definite_values(
             coefficients=np.array([entry[0] for entry in final]),
             left_vectors=tuple(entry[1] for entry in final),
             right_vectors=tuple(entry[2] for entry in final),
-            outcome_labels=tuple(range(len(final))),
         )
 
     outcome_indices = [entry[3] for entry in final]

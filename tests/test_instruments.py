@@ -139,7 +139,6 @@ class TestDilate:
         assert model.object_dim == 2 and model.pointer_dim == 2
         assert np.allclose(model.pointer_initial.vector, basis_vector(2, 0))
         assert model.pointer_observable.eigenvalues == (0.0, 1.0)
-        assert model.outcome_map == (0.0, 1.0)
 
     def test_unitarity(self):
         rng = np.random.default_rng(22)

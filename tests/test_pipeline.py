@@ -11,6 +11,30 @@ from qmeasure import (
     report_to_text,
     run_pipeline,
 )
+from qmeasure import pipeline as pipeline_module
+from qmeasure.errors import NoDefiniteValue, NonRepeatableInput
+
+# Report order of the verdicts: the checks every run makes, then those that
+# presume a repeatable instrument.
+ALWAYS = (
+    "repeatability_condition",
+    "probability_reproducibility",
+    "conditional_states",
+    "schmidt_reconstruction",
+)
+REPEATABLE_ONLY = (
+    "repeat_certainty",
+    "definite_values",
+    "schmidt_probability_match",
+    "twin_diagonality",
+    "compatibility_migration",
+    "entropy_ledger",
+    "entanglement_incompatibility_final",
+    "entanglement_incompatibility_initial",
+    "pointer_reading_marginals",
+    "pointer_reading_commutators",
+    "pointer_reading_incompatibility",
+)
 
 IDEAL_Z_UNIFORM = json.dumps({
     "object_dim": 2,
@@ -47,23 +71,7 @@ class TestRunPipeline:
         # coherence present before measurement, gone from the object after
         assert report.initial_commutator_norm == pytest.approx(np.sqrt(2.0), abs=1e-12)
         assert report.not_applicable == ()
-        assert {v.label for v in report.verdicts} >= {
-            "repeatability_condition",
-            "probability_reproducibility",
-            "conditional_states",
-            "schmidt_reconstruction",
-            "repeat_certainty",
-            "definite_values",
-            "schmidt_probability_match",
-            "twin_diagonality",
-            "compatibility_migration",
-            "entropy_ledger",
-            "entanglement_incompatibility_final",
-            "entanglement_incompatibility_initial",
-            "pointer_reading_marginals",
-            "pointer_reading_commutators",
-            "pointer_reading_incompatibility",
-        }
+        assert tuple(v.label for v in report.verdicts) == ALWAYS + REPEATABLE_ONLY
 
     def test_ideal_z_on_eigenstate(self):
         report = run_pipeline(parse_scenario(IDEAL_Z_BASIS0))
@@ -90,9 +98,31 @@ class TestRunPipeline:
         by_label = {v.label: v for v in report.verdicts}
         assert not by_label["repeatability_condition"].passed
         assert by_label["probability_reproducibility"].passed
-        assert "entanglement_incompatibility_final" in report.not_applicable
-        assert "entanglement_incompatibility_initial" in report.not_applicable
-        assert "definite_values" in report.not_applicable
+        assert tuple(v.label for v in report.verdicts) == ALWAYS
+        assert report.not_applicable == REPEATABLE_ONLY
+
+    def test_failing_schmidt_stage_keeps_the_verdicts_before_it(self, monkeypatch):
+        def explode(*args, **kwargs):
+            raise NoDefiniteValue("synthetic")
+
+        monkeypatch.setattr(pipeline_module, "schmidt_decompose", explode)
+        report = run_pipeline(parse_scenario(IDEAL_Z_UNIFORM))
+        assert tuple(v.label for v in report.verdicts) == ALWAYS[:3]
+        assert report.probabilities == pytest.approx((0.5, 0.5), abs=1e-12)
+        assert report.initial_commutator_norm == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert report.schmidt_coefficients is None and report.entropies is None
+        assert report.error == "schmidt: NoDefiniteValue: synthetic"
+        assert not report.overall_pass
+
+    def test_failing_pointer_reading_keeps_the_verdicts_before_it(self, monkeypatch):
+        def explode(*args, **kwargs):
+            raise NonRepeatableInput("synthetic")
+
+        monkeypatch.setattr(pipeline_module, "read_pointer_tripartite", explode)
+        report = run_pipeline(parse_scenario(IDEAL_Z_UNIFORM))
+        assert tuple(v.label for v in report.verdicts) == ALWAYS + REPEATABLE_ONLY[:8]
+        assert report.entropies is not None and report.schmidt_coefficients is not None
+        assert report.error == "pointer_reading: NonRepeatableInput: synthetic"
 
     def test_overall_pass_matches_verdicts(self):
         for text in (IDEAL_Z_UNIFORM, SWAP):
@@ -134,6 +164,12 @@ class TestReportSerialization:
         assert "duration_seconds" not in report_to_dict(report)
         assert "duration_seconds" in report_to_dict(report, include_timing=True)
         assert report.duration_seconds > 0
+
+    def test_text_columns_line_up_with_not_applicable_labels(self):
+        text = report_to_text(run_pipeline(parse_scenario(SWAP)))
+        verdict_columns = {line.index("deviation=") for line in text.splitlines() if "deviation=" in line}
+        skipped_columns = {line.index("not applicable") for line in text.splitlines() if "not applicable" in line}
+        assert len(verdict_columns) == 1 and verdict_columns == skipped_columns
 
     def test_json_round_trip(self):
         report = run_pipeline(parse_scenario(IDEAL_Z_UNIFORM))
