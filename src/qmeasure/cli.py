@@ -1,7 +1,8 @@
 """Command line interface.
 
 Exit codes: 0 every verdict passed, 1 some verdict failed, 2 scenario
-parse/validation error, 3 internal numerical error.
+parse/validation error, invalid option or unwritable --out path, 3 internal
+numerical error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 
 from .errors import ParseError, QMeasureError, ValidationError
 from .pipeline import VerificationReport, report_to_dict, report_to_json, report_to_text, run_pipeline
-from .scenario import generate_random_instance, load_scenario
+from .scenario import check_tolerance, generate_random_instance, load_scenario
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -50,12 +51,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None) -> bool:
+    """Write the report to stdout or ``out``; False, after a one-line message, if ``out`` cannot be written."""
     if out is None:
         sys.stdout.write(text)
-    else:
+        return True
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _exit_code(report: VerificationReport) -> int:
@@ -78,9 +85,11 @@ def _run_command(args: argparse.Namespace) -> int:
         scenario = _with_tolerance(scenario, args.tolerance)
     report = run_pipeline(scenario)
     if args.format == "json":
-        _emit(report_to_json(report, include_timing=args.include_timing), args.out)
+        text = report_to_json(report, include_timing=args.include_timing)
     else:
-        _emit(report_to_text(report, verbosity=scenario.verbosity), args.out)
+        text = report_to_text(report, verbosity=scenario.verbosity)
+    if not _emit(text, args.out):
+        return EXIT_INVALID
     return _exit_code(report)
 
 
@@ -140,7 +149,7 @@ def _batch_command(args: argparse.Namespace) -> int:
                 for seed, report in reports
             ],
         }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
         lines = []
         for seed, report in reports:
@@ -153,7 +162,9 @@ def _batch_command(args: argparse.Namespace) -> int:
             f"campaign: {len(reports)} scenarios, {len(reports) - len(failed)} passed, "
             f"{len(failed)} failed, {len(errored)} errored"
         )
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join(lines) + "\n"
+    if not _emit(text, args.out):
+        return EXIT_INVALID
 
     if errored:
         return EXIT_NUMERICAL
@@ -162,6 +173,12 @@ def _batch_command(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.tolerance is not None:
+        try:
+            check_tolerance(args.tolerance, "--tolerance")
+        except ValidationError as exc:
+            print(f"invalid option: {exc}", file=sys.stderr)
+            return EXIT_INVALID
     if args.command == "run":
         return _run_command(args)
     return _batch_command(args)

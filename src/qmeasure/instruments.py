@@ -22,13 +22,14 @@ import numpy as np
 from . import tolerances as tol
 from .errors import DimensionMismatch, InvalidTransformers, NotOrthonormal, NullOutcome
 from .linalg import (
+    apply_on_factor,
     basis_vector,
     complete_isometry,
     dag,
     frob,
     frozen_array,
     kron,
-    partial_trace,
+    pure_marginal,
     random_unitary,
 )
 from .observables import Observable, PureState, probabilities
@@ -185,11 +186,6 @@ def evolve(model: MeasurementModel, psi: PureState) -> np.ndarray:
     return model.unitary @ kron(psi.vector, model.pointer_initial.vector)
 
 
-def _lifted_pointer_projectors(model: MeasurementModel) -> list[np.ndarray]:
-    eye = np.eye(model.object_dim, dtype=complex)
-    return [kron(eye, q) for q in model.pointer_observable.projectors]
-
-
 def verify_probability_reproducibility(model: MeasurementModel, psi: PureState) -> float:
     """Worst gap between Born probabilities and pointer-readout probabilities."""
     return probability_gap(model, probabilities(model.observable, psi), evolve(model, psi))
@@ -198,8 +194,8 @@ def verify_probability_reproducibility(model: MeasurementModel, psi: PureState) 
 def probability_gap(model: MeasurementModel, born: np.ndarray, final: np.ndarray) -> float:
     """Worst |p_k - <final|1 ⊗ Q_k|final>| over the outcomes, for a given final vector."""
     worst = 0.0
-    for k, q in enumerate(_lifted_pointer_projectors(model)):
-        read = float(np.real(np.vdot(final, q @ final)))
+    for k, q in enumerate(model.pointer_observable.projectors):
+        read = float(np.real(np.vdot(final, apply_on_factor(q, final, model.composite_dims, 1))))
         worst = max(worst, abs(born[k] - read))
     return worst
 
@@ -219,13 +215,13 @@ def conditional_state_gap(
     """Worst gap between the two conditional-state routes, for a given final vector |Psi>."""
     if model.object_dim != ts.observable.dim:
         raise DimensionMismatch("model and transformer family disagree on the object dimension")
-    rho_final = np.outer(final, np.conj(final))
     dims = model.composite_dims
     worst = 0.0
-    for k, q in enumerate(_lifted_pointer_projectors(model)):
+    for k, q in enumerate(model.pointer_observable.projectors):
         a = ts.transformers[k]
         direct = a @ psi.projector() @ dag(a)
-        via_pointer = partial_trace(q @ rho_final @ q, dims, keep=0)
+        # Tr_2 of (1 ⊗ Q_k)|Psi><Psi|(1 ⊗ Q_k) is the marginal of the pure vector (1 ⊗ Q_k)|Psi>
+        via_pointer = pure_marginal(apply_on_factor(q, final, dims, 1), dims, keep=0)
         worst = max(worst, frob(direct - via_pointer))
     return worst
 

@@ -1,9 +1,12 @@
 """Dense complex linear algebra for small quantum systems.
 
-Everything operates on plain numpy arrays of complex dtype. Dimensions stay
-small (tens, not thousands), so the code favours clarity and determinism
-over asymptotic performance. All functions are pure; nothing mutates its
-arguments.
+Everything operates on plain numpy arrays of complex dtype. Factor
+dimensions are small (tens), but composite spaces are their products and
+reach thousands after a pointer reading. Operators that act on one factor
+are therefore applied to that factor of a vector (``apply_on_factor``), and
+marginals of pure vectors are taken from the reshaped vector
+(``pure_marginal``), so no product-space operator is built. All functions
+are pure; nothing mutates its arguments.
 """
 
 from __future__ import annotations
@@ -106,6 +109,17 @@ def hermitian_eig(m: np.ndarray, tolerance: float = tol.HERMITICITY) -> tuple[np
     return w, v
 
 
+def _kept_factors(dims: TensorStructure, keep: int | Sequence[int]) -> tuple[int, ...]:
+    """Ascending factor indices named by ``keep`` (one index or a collection)."""
+    if isinstance(keep, (int, np.integer)):
+        kept = (int(keep),)
+    else:
+        kept = tuple(int(k) for k in keep)
+    if not kept or len(set(kept)) != len(kept) or any(k < 0 or k >= len(dims) for k in kept):
+        raise DimensionMismatch(f"keep={kept} is not a set of factor indices for {dims}")
+    return tuple(sorted(kept))
+
+
 def partial_trace(m: np.ndarray, structure: Sequence[int], keep: int | Sequence[int]) -> np.ndarray:
     """Trace out every tensor factor not listed in ``keep``.
 
@@ -118,13 +132,7 @@ def partial_trace(m: np.ndarray, structure: Sequence[int], keep: int | Sequence[
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"partial trace needs a square matrix, got shape {m.shape}")
     dims = _check_structure(m.shape[0], structure)
-    if isinstance(keep, (int, np.integer)):
-        kept = (int(keep),)
-    else:
-        kept = tuple(int(k) for k in keep)
-    if not kept or len(set(kept)) != len(kept) or any(k < 0 or k >= len(dims) for k in kept):
-        raise DimensionMismatch(f"keep={kept} is not a set of factor indices for {dims}")
-    kept = tuple(sorted(kept))
+    kept = _kept_factors(dims, keep)
 
     t = m.reshape(dims + dims)
     n_factors = len(dims)
@@ -133,6 +141,37 @@ def partial_trace(m: np.ndarray, structure: Sequence[int], keep: int | Sequence[
         t = np.trace(t, axis1=axis, axis2=axis + t.ndim // 2)
     d_kept = int(np.prod([dims[k] for k in kept]))
     return t.reshape(d_kept, d_kept)
+
+
+def apply_on_factor(op: np.ndarray, vec: np.ndarray, structure: Sequence[int], factor: int) -> np.ndarray:
+    """(1 ⊗ .. ⊗ op ⊗ .. ⊗ 1) @ vec, with op acting on one tensor factor only.
+
+    ``vec`` is a vector on the product space described by ``structure``, or
+    a matrix whose columns are such vectors. The lifted operator is never
+    formed: op is contracted with the factor's axis of the reshaped array.
+    """
+    vec = np.asarray(vec, dtype=complex)
+    op = np.asarray(op, dtype=complex)
+    dims = _check_structure(vec.shape[0], structure, min_factors=1)
+    if not 0 <= factor < len(dims) or op.shape != (dims[factor], dims[factor]):
+        raise DimensionMismatch(f"operator of shape {op.shape} does not act on factor {factor} of {dims}")
+    t = vec.reshape(dims + vec.shape[1:])
+    t = np.moveaxis(np.tensordot(op, t, axes=([1], [factor])), 0, factor)
+    return t.reshape(vec.shape)
+
+
+def pure_marginal(vec: np.ndarray, structure: Sequence[int], keep: int | Sequence[int]) -> np.ndarray:
+    """Tr_rest |vec><vec| as M M†, where M is vec reshaped to (kept factors, the rest).
+
+    Equals ``partial_trace(outer(vec, conj(vec)), structure, keep)`` for
+    any vector, normalised or not, without forming the outer product.
+    """
+    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    dims = _check_structure(vec.size, structure)
+    kept = _kept_factors(dims, keep)
+    d_kept = int(np.prod([dims[k] for k in kept]))
+    m = np.moveaxis(vec.reshape(dims), kept, tuple(range(len(kept)))).reshape(d_kept, -1)
+    return m @ dag(m)
 
 
 def partial_inner(a: np.ndarray, psi: np.ndarray, structure: Sequence[int]) -> np.ndarray:
@@ -167,21 +206,29 @@ def complete_isometry(columns: Sequence[np.ndarray], dim: int) -> np.ndarray:
             if abs(np.vdot(cols[j], ci) - expected) > tol.ORTHONORMALITY:
                 raise NotOrthonormal(f"columns {j} and {i} are not orthonormal within {tol.ORTHONORMALITY}")
 
-    basis = [c.copy() for c in cols]
+    # Accepted vectors are the rows of `rows`, and their conjugates the rows
+    # of `conj_rows`, so that projecting onto the first m of them reads two
+    # contiguous row blocks and copies nothing.
+    rows = np.zeros((dim, dim), dtype=complex)
+    conj_rows = np.zeros((dim, dim), dtype=complex)
+    m = len(cols)
+    rows[:m] = np.reshape(cols, (m, dim))
+    conj_rows[:m] = np.conj(rows[:m])
     for index in range(dim):
-        if len(basis) == dim:
+        if m == dim:
             break
         v = basis_vector(dim, index)
         for _ in range(2):  # second pass keeps the completion orthogonal to ~1e-15
-            for b in basis:
-                v = v - b * np.vdot(b, v)
+            v -= (conj_rows[:m] @ v) @ rows[:m]
         residual = np.linalg.norm(v)
         if residual < tol.GS_SKIP:
             continue
-        basis.append(v / residual)
-    if len(basis) != dim:
+        rows[m] = v / residual
+        conj_rows[m] = np.conj(rows[m])
+        m += 1
+    if m != dim:
         raise NotOrthonormal("standard basis sweep could not complete the isometry")
-    return np.column_stack(basis)
+    return rows.T.copy()
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -209,6 +256,8 @@ __all__ = [
     "is_projector",
     "hermitian_eig",
     "partial_trace",
+    "apply_on_factor",
+    "pure_marginal",
     "partial_inner",
     "complete_isometry",
     "random_unitary",

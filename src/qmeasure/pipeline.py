@@ -3,8 +3,8 @@
 ``run_pipeline`` works in two parts. ``_Run`` holds the artefacts of one
 run: the transformer family, the repeatability flag, the dilated model,
 the final vector, the Born vector, the initial commutator norm, the Schmidt
-form, the entropy report, the definite-value report, the lifted observable
-and the tripartite pointer reading. Each is computed once, on first use.
+form, the entropy report, the definite-value report and the tripartite
+pointer reading. Each is computed once, on first use.
 ``CHECKS`` is the ordered table of verdicts; each entry compares two
 routes to one identity, read from those artefacts. Every check lands in
 the report as a verdict carrying its deviation and tolerance, so failures
@@ -31,7 +31,8 @@ from .information import (
     Verdict,
     commutator_norm,
     final_state_identity,
-    incompatibility_entropy,
+    lifted_commutator_norm,
+    lifted_incompatibility_entropy,
     mutual_information,
     post_reading_state,
     read_pointer_tripartite,
@@ -47,8 +48,8 @@ from .instruments import (
     probability_gap,
     repeat_measurement_check,
 )
-from .linalg import hermitize, partial_trace
-from .observables import PureState, embed_observable, probabilities
+from .linalg import hermitize, pure_marginal
+from .observables import probabilities
 from .scenario import Scenario
 from .schmidt import reconstruct, reduced_states, schmidt_decompose, twin_observables, verify_definite_values
 
@@ -125,7 +126,6 @@ class _Run:
         "definite_values", lambda run: verify_definite_values(run.schmidt, run.obs, run.model.pointer_observable)
     )
     h_born = _artefact("born_entropy", lambda run: shannon_entropy(np.clip(run.born, 0.0, None)))
-    lifted = _artefact("lifted_observable", lambda run: embed_observable(run.obs, run.dims, 0))
     reading = _artefact("pointer_reading", lambda run: read_pointer_tripartite(run.final, run.model))
 
 
@@ -215,7 +215,7 @@ def _entropy_ledger(run: _Run):
 # The entropy report's S1 is the entanglement of the final vector, so both
 # entanglement checks read it rather than trace the final vector again.
 def _entanglement_incompatibility_final(run: _Run):
-    return (*final_state_identity(run.entropies.s1, run.lifted, run.final, run.h_born), tol.THEOREM)
+    return (*final_state_identity(run.entropies.s1, run.obs, run.final, run.dims, run.h_born), tol.THEOREM)
 
 
 def _entanglement_incompatibility_initial(run: _Run):
@@ -224,22 +224,21 @@ def _entanglement_incompatibility_initial(run: _Run):
 
 def _pointer_reading_marginals(run: _Run):
     tri, dims3 = run.reading
-    rho_tri = np.outer(tri, np.conj(tri))
-    marginal_entropies = [von_neumann_entropy(hermitize(partial_trace(rho_tri, dims3, keep=m))) for m in range(3)]
+    marginal_entropies = [von_neumann_entropy(hermitize(pure_marginal(tri, dims3, keep=m))) for m in range(3)]
     deviation = max(abs(s - run.h_born) for s in marginal_entropies)
     return min(marginal_entropies), run.h_born, deviation, tol.THEOREM
 
 
 def _pointer_reading_commutators(run: _Run):
     rho12 = post_reading_state(*run.reading)
-    obj_after = commutator_norm(run.lifted, rho12)
-    ptr_after = commutator_norm(embed_observable(run.model.pointer_observable, run.dims, 1), rho12)
+    obj_after = lifted_commutator_norm(run.obs, rho12, run.dims, 0)
+    ptr_after = lifted_commutator_norm(run.model.pointer_observable, rho12, run.dims, 1)
     return obj_after, ptr_after, max(obj_after, ptr_after), tol.COMMUTATOR
 
 
 def _pointer_reading_incompatibility(run: _Run):
     tri, dims3 = run.reading
-    reappeared = incompatibility_entropy(embed_observable(run.obs, dims3, 0), PureState(tri))
+    reappeared = lifted_incompatibility_entropy(run.obs, tri, dims3, 0)
     return reappeared, run.h_born, abs(reappeared - run.h_born), tol.THEOREM
 
 

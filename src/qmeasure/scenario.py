@@ -22,6 +22,7 @@ list of "transformers" matrices.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -81,10 +82,30 @@ class Scenario:
         return StateTransformerSet(self.instrument.transformers, self.observable)
 
 
+def _is_number(value: Any) -> bool:
+    """A JSON number. bool is a subclass of int in Python, but true and false are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_tolerance(value: float, where: str) -> float:
+    """A tolerance override must be a finite number >= 0; any other value cannot decide a verdict."""
+    try:
+        tolerance = float(value)
+    except OverflowError:  # an integer beyond the float range
+        tolerance = math.inf
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValidationError(f"{where}: expected a finite number >= 0, got {value!r}")
+    return tolerance
+
+
 def _complex_entry(value: Any, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if isinstance(value, list) and len(value) == 2 and all(isinstance(x, (int, float)) for x in value):
+    if isinstance(value, list) and len(value) == 2 and all(_is_number(x) for x in value):
         return complex(value[0], value[1])
     raise ParseError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
@@ -134,7 +155,7 @@ def _parse_observable(spec: Any, object_dim: int) -> Observable:
         return observable_from_matrix(_PAULI[preset])
     if preset == "diag":
         values = spec.get("values")
-        if not isinstance(values, list) or not all(isinstance(v, (int, float)) for v in values):
+        if not isinstance(values, list) or not all(_is_number(v) for v in values):
             raise ParseError("observable.values: expected a list of numbers for the diag preset")
         if len(values) != object_dim:
             raise ValidationError(f"diag preset has {len(values)} values for object_dim {object_dim}")
@@ -156,7 +177,7 @@ def _parse_state(spec: Any, object_dim: int) -> PureState:
     preset = spec.get("preset")
     if preset == "basis":
         index = spec.get("index")
-        if not isinstance(index, int) or not 0 <= index < object_dim:
+        if not _is_integer(index) or not 0 <= index < object_dim:
             raise ValidationError(f"initial_state basis index {index!r} is not in [0, {object_dim})")
         vec = np.zeros(object_dim, dtype=complex)
         vec[index] = 1.0
@@ -174,7 +195,7 @@ def _parse_instrument(spec: Any, obs: Observable) -> InstrumentSpec:
         return InstrumentSpec("ideal")
     if kind == "repeatable":
         seed = spec.get("seed")
-        if not isinstance(seed, int):
+        if not _is_integer(seed):
             raise ParseError("instrument.seed: expected an integer for the repeatable kind")
         return InstrumentSpec("repeatable", seed=seed)
     if kind == "custom":
@@ -200,7 +221,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     if unknown:
         raise ParseError(f"scenario: unknown fields {sorted(unknown)}")
     object_dim = doc.get("object_dim")
-    if not isinstance(object_dim, int) or object_dim < 2:
+    if not _is_integer(object_dim) or object_dim < 2:
         raise ParseError(f"object_dim: expected an integer >= 2, got {object_dim!r}")
 
     try:
@@ -216,8 +237,10 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     if not isinstance(options, dict):
         raise ParseError("options: expected an object")
     tolerance = options.get("tolerance")
-    if tolerance is not None and not isinstance(tolerance, (int, float)):
-        raise ParseError(f"options.tolerance: expected a number, got {tolerance!r}")
+    if tolerance is not None:
+        if not _is_number(tolerance):
+            raise ParseError(f"options.tolerance: expected a number, got {tolerance!r}")
+        tolerance = check_tolerance(tolerance, "options.tolerance")
     verbosity = options.get("verbosity", "normal")
     if verbosity not in _VERBOSITIES:
         raise ParseError(f"options.verbosity: expected one of {_VERBOSITIES}, got {verbosity!r}")
@@ -227,7 +250,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         observable=obs,
         initial_state=state,
         instrument=instrument,
-        tolerance=None if tolerance is None else float(tolerance),
+        tolerance=tolerance,
         verbosity=verbosity,
         source=doc,
     )
@@ -317,5 +340,6 @@ __all__ = [
     "scenario_from_dict",
     "parse_scenario",
     "load_scenario",
+    "check_tolerance",
     "generate_random_instance",
 ]

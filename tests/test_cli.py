@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from qmeasure import cli
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -73,6 +75,21 @@ class TestRunCommand:
                        "--tolerance", "0.25", "--out", out) == 0
         doc = json.loads(out.read_text())
         assert all(v["tolerance"] == 0.25 for v in doc["verdicts"])
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1"])
+    def test_tolerance_that_cannot_decide_exits_two(self, tolerance, capsys):
+        assert run_cli("run", SCENARIOS / "ideal_z_uniform.json", "--tolerance", tolerance) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--tolerance" in captured.err
+
+    def test_out_into_a_missing_directory_exits_two(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "report.json"
+        assert run_cli("run", SCENARIOS / "ideal_z_uniform.json", "--out", target) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cannot write report" in err
+        assert run_cli("batch", "--seeds", "0..1", "--out", target) == 2
+        assert not target.parent.exists()
 
     def test_include_timing_flag(self, tmp_path):
         out = tmp_path / "timed.json"

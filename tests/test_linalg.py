@@ -3,6 +3,7 @@ import pytest
 
 from qmeasure import (
     DimensionMismatch,
+    generate_random_instance,
     NotHermitian,
     NotOrthonormal,
     basis_vector,
@@ -14,6 +15,7 @@ from qmeasure import (
     partial_trace,
     random_unitary,
 )
+from qmeasure import tolerances as tol
 from conftest import bell_vector, random_hermitian
 
 
@@ -166,6 +168,31 @@ class TestPartialInner:
             partial_inner(np.ones(2), np.ones(5), (2, 2))
 
 
+def complete_isometry_by_loops(columns, dim: int) -> np.ndarray:
+    # Reference sweep: modified Gram-Schmidt over the standard basis, one
+    # accepted vector at a time, twice per candidate.
+    basis = [np.asarray(c, dtype=complex) for c in columns]
+    for index in range(dim):
+        if len(basis) == dim:
+            break
+        v = basis_vector(dim, index)
+        for _ in range(2):
+            for b in basis:
+                v = v - b * np.vdot(b, v)
+        residual = np.linalg.norm(v)
+        if residual < tol.GS_SKIP:
+            continue
+        basis.append(v / residual)
+    return np.column_stack(basis)
+
+
+def dilation_images(seed: int) -> tuple[list[np.ndarray], int]:
+    # The columns dilate() completes: the image of each |i> ⊗ e_0.
+    ts = generate_random_instance(seed, 6, 4).build_transformers()
+    d, n = ts.observable.dim, ts.n_outcomes
+    return [np.stack([a[:, i] for a in ts.transformers], axis=1).reshape(-1) for i in range(d)], d * n
+
+
 class TestCompleteIsometry:
     def test_full_basis_gives_identity(self):
         cols = [basis_vector(3, i) for i in range(3)]
@@ -195,3 +222,17 @@ class TestCompleteIsometry:
             complete_isometry([np.array([1.0, 1.0], dtype=complex)], 2)
         with pytest.raises(NotOrthonormal):
             complete_isometry([basis_vector(2, 0), np.array([1.0, 1e-3], dtype=complex)], 2)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_loop_sweep(self, seed):
+        # The block projection sums in another order than the loop, so
+        # completion columns agree to a tolerance fixed from double precision.
+        if seed < 4:
+            cols, dim = dilation_images(seed)  # many candidates are skipped
+        else:
+            dim = 3 * seed
+            base = random_unitary(dim, np.random.default_rng(seed))
+            cols = [base[:, k] for k in range(seed - 3)]
+        u, reference = complete_isometry(cols, dim), complete_isometry_by_loops(cols, dim)
+        assert np.array_equal(u[:, : len(cols)], np.column_stack(cols))
+        assert np.max(np.abs(u - reference)) < 1e-12

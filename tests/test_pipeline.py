@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,21 @@ class TestRunPipeline:
         loose = dataclasses.replace(scenario, tolerance=0.5)
         report = run_pipeline(loose)
         assert all(v.tolerance == 0.5 for v in report.verdicts)
+
+    def test_large_object_stays_within_a_memory_budget(self):
+        # d = 36 with 9 outcomes: one dense operator on the tripartite space
+        # after the pointer reading (D = 36 * 9 * 9) takes 130 MiB, so this
+        # budget keeps every lifted identity on the factors.
+        scenario = generate_random_instance(13, 40, 9)
+        tracemalloc.start()
+        try:
+            report = run_pipeline(scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.error is None and report.overall_pass
+        assert tuple(v.label for v in report.verdicts) == ALWAYS + REPEATABLE_ONLY
+        assert peak < 32 * 2**20
 
 
 class TestReportSerialization:

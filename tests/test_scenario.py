@@ -94,6 +94,32 @@ class TestParseScenario:
         with pytest.raises(ParseError, match="verbosity"):
             parse_scenario(scenario_text(options={"verbosity": "loud"}))
 
+    # bool is a subclass of int in Python: each field below once read true as 1.
+    def test_boolean_tolerance_is_not_a_number(self):
+        with pytest.raises(ParseError, match="options.tolerance"):
+            parse_scenario(scenario_text(options={"tolerance": True}))
+
+    def test_boolean_seed_is_not_an_integer(self):
+        with pytest.raises(ParseError, match="instrument.seed"):
+            parse_scenario(scenario_text(instrument={"kind": "repeatable", "seed": True}))
+
+    @pytest.mark.parametrize("entry", [True, [True, 0], [0, False]])
+    def test_boolean_complex_entry_is_not_a_number(self, entry):
+        with pytest.raises(ParseError, match="re, im"):
+            parse_scenario(scenario_text(initial_state={"amplitudes": [entry, [0, 0]]}))
+
+    def test_boolean_diag_value_and_basis_index(self):
+        with pytest.raises(ParseError, match="observable.values"):
+            parse_scenario(scenario_text(observable={"preset": "diag", "values": [True, 2]}))
+        with pytest.raises(ValidationError, match="basis index"):
+            parse_scenario(scenario_text(initial_state={"preset": "basis", "index": True}))
+
+    @pytest.mark.parametrize("tolerance", ["-1e-9", "NaN", "Infinity", "1" + "0" * 400])
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        text = scenario_text(options={"tolerance": 0}).replace('"tolerance": 0', f'"tolerance": {tolerance}')
+        with pytest.raises(ValidationError, match="options.tolerance"):
+            parse_scenario(text)
+
 
 class TestGenerateRandomInstance:
     def test_deterministic(self):
