@@ -29,7 +29,6 @@ from .observables import (
     luders_update,
     probabilities,
 )
-from .schmidt import schmidt_decompose
 
 # Not used here. It stays importable from this module because bench/selftest.py
 # checks that tracing restores this name in this namespace.
@@ -92,46 +91,36 @@ def von_neumann_entropy(rho: DensityOperator | np.ndarray) -> float:
 def entanglement_of_pure_state(psi: np.ndarray, structure: Sequence[int]) -> float:
     """Entropy of the first marginal of a normalized bipartite vector."""
     psi, norm = check_unit_norm(psi)
-    psi = psi / norm
     dims = tuple(int(d) for d in structure)
     if len(dims) != 2:
         raise DimensionMismatch(f"entanglement needs a bipartite structure, got {dims}")
-    rho1 = partial_trace(np.outer(psi, np.conj(psi)), dims, keep=0)
-    return von_neumann_entropy(hermitize(rho1))
+    return von_neumann_entropy(hermitize(pure_marginal(psi / norm, dims, keep=0)))
 
 
 def mutual_information(state: np.ndarray | DensityOperator, structure: Sequence[int]) -> EntropyReport:
-    """Full entropy report for a bipartite pure vector or density operator."""
+    """Full entropy report for a bipartite pure vector or density operator.
+
+    A pure vector is read from its reshaped matrix: S1 and S2 from its two
+    marginals, S12 from its 1 x 1 Gram matrix <v|v>. A density operator is traced.
+    """
     dims = tuple(int(d) for d in structure)
     if len(dims) != 2:
         raise DimensionMismatch(f"mutual information needs a bipartite structure, got {dims}")
+    if not isinstance(state, DensityOperator) and np.ndim(state) == 1:
+        v, norm = check_unit_norm(state)
+        v = v / norm  # pure_marginal raises DimensionMismatch if dims do not factor v
+        s1, s2 = (von_neumann_entropy(hermitize(pure_marginal(v, dims, keep=k))) for k in (0, 1))
+        s12 = _gram_entropy(v[:, None])
+        # The squared Schmidt coefficients are the spectrum of either marginal, so the
+        # entanglement, the quasi-classical information and their Shannon entropy are all S1.
+        return EntropyReport(s1, s2, s12, s1 + s2 - s12, s1, s1, s1)
 
-    pure_vector: np.ndarray | None = None
-    if isinstance(state, DensityOperator):
-        rho = state.matrix
-    else:
-        arr = np.asarray(state, dtype=complex)
-        if arr.ndim == 1:
-            arr, norm = check_unit_norm(arr)
-            pure_vector = arr / norm
-            rho = np.outer(pure_vector, np.conj(pure_vector))
-        else:
-            rho = DensityOperator(arr).matrix
+    rho = (state if isinstance(state, DensityOperator) else DensityOperator(state)).matrix
     if rho.shape[0] != int(np.prod(dims)):
         raise DimensionMismatch(f"state dim {rho.shape[0]} does not match structure {dims}")
-
-    s1 = von_neumann_entropy(hermitize(partial_trace(rho, dims, keep=0)))
-    s2 = von_neumann_entropy(hermitize(partial_trace(rho, dims, keep=1)))
+    s1, s2 = (von_neumann_entropy(hermitize(partial_trace(rho, dims, keep=k))) for k in (0, 1))
     s12 = von_neumann_entropy(hermitize(rho))
-    info = s1 + s2 - s12
-
-    entanglement = quasi_classical = shannon_pk = None
-    if pure_vector is not None:
-        entanglement = entanglement_of_pure_state(pure_vector, dims)
-        quasi_classical = s1
-        sf = schmidt_decompose(pure_vector, dims)
-        shannon_pk = shannon_entropy(sf.coefficients**2)
-    return EntropyReport(s1, s2, s12, info, entanglement, quasi_classical, shannon_pk)
+    return EntropyReport(s1, s2, s12, s1 + s2 - s12, None, None, None)
 
 
 def incompatibility_entropy(obs: Observable, state: State) -> float:

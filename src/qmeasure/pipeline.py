@@ -1,7 +1,7 @@
 """End-to-end verification pipeline and report emission.
 
 ``run_pipeline`` works in two parts. ``_Run`` holds the artefacts of one
-run: the transformer family, the repeatability flag, the dilated model,
+run: the transformer family, the repeatability violation, the dilated model,
 the final vector, the Born vector, the initial commutator norm, the Schmidt
 form, the entropy report, the definite-value report and the tripartite
 pointer reading. Each is computed once, on first use.
@@ -9,8 +9,8 @@ pointer reading. Each is computed once, on first use.
 routes to one identity, read from those artefacts. Every check lands in
 the report as a verdict carrying its deviation and tolerance, so failures
 are diagnosable from the report alone. Checks that presume a repeatable
-instrument are listed as not applicable when the instrument is not
-repeatable, rather than counted as failures.
+instrument are listed as not applicable when the repeatability verdict
+fails, rather than counted as failures.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ class _Run:
         return self.model.composite_dims
 
     ts = _artefact("transformers", lambda run: run.scenario.build_transformers())
-    repeatability = _artefact("repeatability", lambda run: is_repeatable(run.ts))
+    repeatability_violation = _artefact("repeatability", lambda run: is_repeatable(run.ts)[1])
     model = _artefact("dilation", lambda run: dilate(run.ts))
     final = _artefact("evolution", lambda run: evolve(run.model, run.psi))
     born = _artefact("evolution", lambda run: probabilities(run.obs, run.psi))
@@ -130,7 +130,7 @@ class _Run:
 
 
 # What every report carries, computed in this order before the checks run.
-_REPORTED = ("repeatability", "final", "born", "initial_commutator", "schmidt", "entropies")
+_REPORTED = ("repeatability_violation", "final", "born", "initial_commutator", "schmidt", "entropies")
 
 
 class Check(NamedTuple):
@@ -145,7 +145,7 @@ class Check(NamedTuple):
 
 
 def _repeatability_condition(run: _Run):
-    violation = run.repeatability[1]
+    violation = run.repeatability_violation
     return violation, 0.0, violation, tol.REPEATABILITY
 
 
@@ -242,9 +242,12 @@ def _pointer_reading_incompatibility(run: _Run):
     return reappeared, run.h_born, abs(reappeared - run.h_born), tol.THEOREM
 
 
+# Its verdict, under the tolerance override too, decides whether needs_repeatable checks apply.
+_REPEATABILITY = Check("repeatability_condition", False, _repeatability_condition)
+
 # Report order. The two routes of each check are listed in README.md.
 CHECKS = (
-    Check("repeatability_condition", False, _repeatability_condition),
+    _REPEATABILITY,
     Check("probability_reproducibility", False, _probability_reproducibility),
     Check("conditional_states", False, _conditional_states),
     Check("schmidt_reconstruction", False, _schmidt_reconstruction),
@@ -277,10 +280,11 @@ def run_pipeline(scenario: Scenario) -> VerificationReport:
         pass
 
     verdicts: list[Verdict] = []
+    repeatable = True  # until the repeatability verdict decides; unknown lists nothing as not applicable
     for check in CHECKS:
+        if check.needs_repeatable and not repeatable:
+            continue
         try:
-            if check.needs_repeatable and not run.repeatability[0]:
-                continue
             lhs, rhs, deviation, tolerance = check.fn(run)
         except _Halt:
             break
@@ -290,12 +294,12 @@ def run_pipeline(scenario: Scenario) -> VerificationReport:
         if scenario.tolerance is not None:
             tolerance = scenario.tolerance
         verdicts.append(Verdict.from_deviation(check.label, lhs, rhs, deviation, tolerance))
+        if check is _REPEATABILITY:
+            repeatable = verdicts[-1].passed
 
     computed = vars(run)  # cached_property keeps each computed artefact here
     born = computed.get("born")
     sf = computed.get("schmidt")
-    # when repeatability is unknown, nothing is listed as not applicable
-    repeatable, _ = computed.get("repeatability", (True, None))
     return VerificationReport(
         scenario=scenario.to_dict(),
         probabilities=None if born is None else tuple(float(p) for p in born),

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -82,9 +83,14 @@ class Scenario:
         return StateTransformerSet(self.instrument.transformers, self.observable)
 
 
-def _is_number(value: Any) -> bool:
+def _is_json_number(value: Any) -> bool:
     """A JSON number. bool is a subclass of int in Python, but true and false are not numbers."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    """A JSON number that is finite as a float: NaN, infinities and integers past the float range are not."""
+    return _is_json_number(value) and abs(value) <= sys.float_info.max
 
 
 def _is_integer(value: Any) -> bool:
@@ -238,7 +244,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         raise ParseError("options: expected an object")
     tolerance = options.get("tolerance")
     if tolerance is not None:
-        if not _is_number(tolerance):
+        if not _is_json_number(tolerance):
             raise ParseError(f"options.tolerance: expected a number, got {tolerance!r}")
         tolerance = check_tolerance(tolerance, "options.tolerance")
     verbosity = options.get("verbosity", "normal")

@@ -2,11 +2,12 @@
 
 The decomposition is built from the eigendecomposition of the first
 marginal rather than a general SVD: left vectors are eigenvectors of
-Tr_2 |psi><psi|, right vectors are partial scalar products of those with
-the full vector. A deterministic phase convention makes the output stable
-enough for golden tests: the first component of each left vector above the
-pivot tolerance is rotated to the positive real axis, with the
-compensating phase absorbed into the matching right vector.
+M M†, with M the vector reshaped to d1 x d2, and right vectors are partial
+scalar products of those with the full vector. A deterministic phase
+convention makes the output stable enough for golden tests: the first
+component of each left vector above the pivot tolerance is rotated to the
+positive real axis, with the compensating phase absorbed into the
+matching right vector.
 
 For degenerate Schmidt coefficients the individual vectors are basis
 dependent (the form is not unique there); only basis-independent facts
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, NoDefiniteValue
-from .linalg import check_unit_norm, frozen_array, hermitian_eig, hermitize, kron, partial_inner, partial_trace
+from .linalg import apply_on_factor, check_unit_norm, frozen_array, hermitian_eig, hermitize, kron, partial_inner, pure_marginal
 from .observables import DensityOperator, Observable
 
 
@@ -92,8 +93,7 @@ def schmidt_decompose(psi: np.ndarray, structure: Sequence[int]) -> SchmidtForm:
     if len(dims) != 2:
         raise DimensionMismatch(f"Schmidt decomposition is bipartite, got structure {dims}")
 
-    rho1 = partial_trace(np.outer(psi, np.conj(psi)), dims, keep=0)
-    weights, vectors = hermitian_eig(rho1)
+    weights, vectors = hermitian_eig(pure_marginal(psi, dims, keep=0))
     order = [int(i) for i in np.argsort(-weights, kind="stable") if weights[i] > tol.SCHMIDT_CUTOFF]
 
     coefficients = []
@@ -125,10 +125,7 @@ def reduced_states(psi: np.ndarray, structure: Sequence[int]) -> tuple[DensityOp
     dims = tuple(int(d) for d in structure)
     if len(dims) != 2:
         raise DimensionMismatch(f"reduced states need a bipartite structure, got {dims}")
-    rho = np.outer(psi, np.conj(psi))
-    rho1 = partial_trace(rho, dims, keep=0)
-    rho2 = partial_trace(rho, dims, keep=1)
-    return DensityOperator(hermitize(rho1)), DensityOperator(hermitize(rho2))
+    return tuple(DensityOperator(hermitize(pure_marginal(psi, dims, keep=k))) for k in (0, 1))
 
 
 def _joint_residuals(object_obs: Observable, pointer_obs: Observable, left, right, k):
@@ -155,11 +152,11 @@ def _split_degenerate_group(
     """Rotate one equal-coefficient group into spectral alignment.
 
     The group component chi = sum_t c_t (left_t ⊗ right_t) is split with
-    the joint projectors P_k ⊗ Q_k. When the definite-value structure
-    really holds, each nonzero projection is a product vector, the pieces
-    reassemble chi, and their weights equal the shared coefficient; any
-    shortfall means there is no aligned form and is reported as
-    NoDefiniteValue.
+    the joint projectors P_k ⊗ Q_k, P_k and Q_k each applied to its own
+    factor. When the definite-value structure really holds, each nonzero
+    projection is a product vector, the pieces reassemble chi, and their
+    weights equal the shared coefficient; any shortfall means there is no
+    aligned form and is reported as NoDefiniteValue.
     """
     d1, d2 = sf.left_vectors[0].size, sf.right_vectors[0].size
     chi = np.zeros(d1 * d2, dtype=complex)
@@ -169,8 +166,8 @@ def _split_degenerate_group(
     pieces: list[tuple[float, np.ndarray, np.ndarray, int]] = []
     recombined = np.zeros_like(chi)
     for k in free_outcomes:
-        joint = kron(object_obs.terms[k][1], pointer_obs.terms[k][1])
-        u = joint @ chi
+        u = apply_on_factor(pointer_obs.terms[k][1], chi, (d1, d2), 1)
+        u = apply_on_factor(object_obs.terms[k][1], u, (d1, d2), 0)
         weight = float(np.linalg.norm(u))
         if weight**2 <= tol.SCHMIDT_CUTOFF:
             continue

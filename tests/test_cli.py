@@ -91,6 +91,26 @@ class TestRunCommand:
         assert run_cli("batch", "--seeds", "0..1", "--out", target) == 2
         assert not target.parent.exists()
 
+    @pytest.mark.parametrize("amplitude", ["NaN", "1" + "0" * 400], ids=["nan", "400-digit"])
+    def test_amplitude_that_is_not_a_finite_float_exits_two(self, amplitude, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(
+            '{"object_dim": 2, "observable": {"preset": "pauli_z"}, "instrument": {"kind": "ideal"},'
+            f' "initial_state": {{"amplitudes": [{amplitude}, 0]}}}}'
+        )
+        assert run_cli("run", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "initial_state.amplitudes[0]" in captured.err
+
+    def test_tolerance_override_also_decides_repeatability(self, capsys):
+        # The repeatability verdict passes under the override, so the checks that
+        # presume a repeatable instrument run (and fail) rather than being skipped.
+        assert run_cli("run", SCENARIOS / "swap_nonrepeatable.json", "--tolerance", "2") != 0
+        out = capsys.readouterr().out
+        assert "overall: FAIL" in out
+        assert "not applicable" not in out
+
     def test_include_timing_flag(self, tmp_path):
         out = tmp_path / "timed.json"
         assert run_cli("run", SCENARIOS / "ideal_z_uniform.json", "--format", "json",

@@ -3,7 +3,8 @@
 Each kernel acts on one tensor factor, or on a component set, without
 forming a product-space operator. The references below build that operator
 explicitly (``kron``, ``embed_observable``, ``luders_update``,
-``partial_trace`` of an outer product) and must agree with the kernel.
+``partial_trace`` of an outer product, ``eigvalsh`` of the whole outer
+product) and must agree with the kernel.
 """
 
 from functools import reduce
@@ -24,10 +25,17 @@ from qmeasure import (
     kron,
     lifted_incompatibility_entropy,
     luders_update,
+    make_ideal_transformers,
+    mutual_information,
+    observable_from_matrix,
     partial_trace,
     pure_marginal,
     random_state_vector,
+    random_unitary,
     read_pointer_tripartite,
+    reduced_states,
+    schmidt_decompose,
+    verify_definite_values,
     von_neumann_entropy,
 )
 from qmeasure.information import _gram_entropy
@@ -52,6 +60,13 @@ def dense_incompatibility(obs, vector: np.ndarray, dims: tuple[int, ...]) -> flo
     state = PureState(vector)
     after = luders_update(embed_observable(obs, dims, 0), state)
     return von_neumann_entropy(after) - von_neumann_entropy(DensityOperator.from_pure(state))
+
+
+def dense_entropy(m: np.ndarray) -> float:
+    """Entropy in bits of the eigvalsh spectrum of a dense matrix, weights below 1e-12 dropped."""
+    w = np.linalg.eigvalsh(m)
+    w = w[w > 1e-12]
+    return float(-np.sum(w * np.log2(w)))
 
 
 class TestApplyOnFactor:
@@ -124,3 +139,53 @@ class TestGramRoute:
         weights_only = -sum(p * np.log2(p) for p in (0.6, 0.4))
         assert abs(_gram_entropy(components) - dense) < ENTROPY_TOL
         assert abs(_gram_entropy(components) - weights_only) > 0.1
+
+
+class TestBipartiteRoute:
+    """Analyses of the final vector from its reshaped matrix, against |Ψ><Ψ| and partial_trace."""
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_the_outer_product_route(self, seed):
+        scenario = generate_random_instance(seed, 6, 4)
+        model = dilate(scenario.build_transformers())
+        final = evolve(model, scenario.initial_state)
+        dims = model.composite_dims
+        rho = np.outer(final, np.conj(final))
+        rho1, rho2 = partial_trace(rho, dims, 0), partial_trace(rho, dims, 1)
+
+        report = mutual_information(final, dims)
+        s1, s2, s12 = dense_entropy(rho1), dense_entropy(rho2), dense_entropy(rho)
+        assert abs(report.s1 - s1) < ENTROPY_TOL
+        assert abs(report.s2 - s2) < ENTROPY_TOL
+        assert abs(report.s12 - s12) < ENTROPY_TOL
+        assert abs(report.mutual_information - (s1 + s2 - s12)) < ENTROPY_TOL
+
+        marginals = reduced_states(final, dims)
+        assert np.linalg.norm(marginals[0].matrix - rho1) < KERNEL_TOL
+        assert np.linalg.norm(marginals[1].matrix - rho2) < KERNEL_TOL
+
+        weights = np.sort(np.linalg.eigvalsh(rho1))[::-1]
+        expected = np.sqrt(weights[weights > 1e-12])
+        coefficients = schmidt_decompose(final, dims).coefficients
+        assert coefficients.shape == expected.shape
+        assert np.max(np.abs(coefficients - expected)) < KERNEL_TOL
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_degenerate_split_matches_the_joint_kron_projectors(self, n):
+        # Equal Born weights give one degenerate Schmidt group; the eigenbasis of
+        # the marginal I/n is oblique to the rotated observable, so the group is split.
+        u = random_unitary(n, np.random.default_rng(320 + n))
+        obs = observable_from_matrix(u @ np.diag(np.arange(1.0, n + 1)) @ np.conj(u).T)
+        model = dilate(make_ideal_transformers(obs))
+        final = evolve(model, PureState(u @ np.full(n, 1 / np.sqrt(n))))
+        sf = schmidt_decompose(final, model.composite_dims)
+        report = verify_definite_values(sf, obs, model.pointer_observable)
+        assert report.schmidt_form is not sf
+
+        aligned = report.schmidt_form
+        for c, left, right, pairing in zip(
+            aligned.coefficients, aligned.left_vectors, aligned.right_vectors, report.assignment
+        ):
+            k = pairing.term_index
+            joint = kron(obs.terms[k][1], model.pointer_observable.terms[k][1])
+            assert np.linalg.norm(c * kron(left, right) - joint @ final) < KERNEL_TOL

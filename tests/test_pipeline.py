@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,12 @@ from qmeasure import (
 )
 from qmeasure import pipeline as pipeline_module
 from qmeasure.errors import NoDefiniteValue, NonRepeatableInput
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# `qmeasure run <scenario> --format json` for each committed scenario. A change
+# of route may move the last bits of a float (by up to ~5e-14 so far), nothing else.
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_FLOAT_TOL = 1e-12
 
 # Report order of the verdicts: the checks every run makes, then those that
 # presume a repeatable instrument.
@@ -192,3 +199,25 @@ class TestReportSerialization:
         doc = json.loads(report_to_json(report))
         assert doc["overall_pass"] is True
         assert doc["scenario"]["observable"] == {"preset": "pauli_z"}
+
+
+def assert_matches_golden(actual, expected, where="report"):
+    """Floats within GOLDEN_FLOAT_TOL; key sets, labels, flags, strings and nulls exactly."""
+    if isinstance(expected, float):
+        assert isinstance(actual, float) and abs(actual - expected) <= GOLDEN_FLOAT_TOL, (where, actual, expected)
+    elif isinstance(expected, dict):
+        assert isinstance(actual, dict) and actual.keys() == expected.keys(), where
+        for key, value in expected.items():
+            assert_matches_golden(actual[key], value, f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            assert_matches_golden(a, e, f"{where}[{i}]")
+    else:
+        assert type(actual) is type(expected) and actual == expected, (where, actual, expected)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SCENARIOS.glob("*.json")))
+def test_committed_scenario_matches_its_golden_report(name):
+    report = run_pipeline(parse_scenario((SCENARIOS / f"{name}.json").read_text()))
+    assert_matches_golden(json.loads(report_to_json(report)), json.loads((GOLDEN / f"{name}.json").read_text()))

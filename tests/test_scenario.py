@@ -108,6 +108,32 @@ class TestParseScenario:
         with pytest.raises(ParseError, match="re, im"):
             parse_scenario(scenario_text(initial_state={"amplitudes": [entry, [0, 0]]}))
 
+    # json.loads reads NaN, Infinity and -Infinity, and integers of any length.
+    @pytest.mark.parametrize(
+        "token", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400], ids=["nan", "inf", "-inf", "400-digit"]
+    )
+    @pytest.mark.parametrize(
+        "template, where",
+        [
+            pytest.param('"initial_state": {"amplitudes": [X, 0]}', "initial_state.amplitudes[0]", id="amplitude"),
+            pytest.param('"initial_state": {"amplitudes": [[1, X], 0]}', "initial_state.amplitudes[0]", id="pair"),
+            pytest.param('"observable": {"matrix": [[X, 0], [0, -1]]}', "observable.matrix[0][0]", id="matrix"),
+            pytest.param('"observable": {"preset": "diag", "values": [X, 2]}', "observable.values", id="diag"),
+            pytest.param(
+                '"instrument": {"kind": "custom", "transformers": [[[X, 0], [0, 0]], [[0, 0], [0, 1]]]}',
+                "instrument.transformers[0][0][0]",
+                id="transformer",
+            ),
+        ],
+    )
+    def test_number_that_is_not_a_finite_float_is_rejected(self, token, template, where):
+        doc = {**MINIMAL}
+        del doc[template.split('"')[1]]
+        text = json.dumps(doc)[:-1] + ", " + template.replace("X", token) + "}"
+        with pytest.raises(ParseError) as excinfo:
+            parse_scenario(text)
+        assert where in str(excinfo.value)
+
     def test_boolean_diag_value_and_basis_index(self):
         with pytest.raises(ParseError, match="observable.values"):
             parse_scenario(scenario_text(observable={"preset": "diag", "values": [True, 2]}))
