@@ -77,7 +77,8 @@ def shannon_entropy(p: Sequence[float]) -> float:
     if abs(total - 1.0) > tol.DISTRIBUTION_SUM:
         raise NotADistribution(f"entries sum to {total}, not 1 within {tol.DISTRIBUTION_SUM}")
     kept = arr[arr > tol.ENTROPY_CUTOFF]
-    return float(-np.sum(kept * np.log2(kept)))
+    # a weight rounded above 1 gives a term of about -1e-16, and one weight of 1 gives -0.0
+    return max(0.0, float(-np.sum(kept * np.log2(kept))))
 
 
 def von_neumann_entropy(rho: DensityOperator | np.ndarray) -> float:
@@ -278,6 +279,19 @@ def post_reading_state(tri: np.ndarray, structure: Sequence[int]) -> DensityOper
     return DensityOperator(hermitize(pure_marginal(tri, dims, keep=(0, 1))))
 
 
+def low_rank_commutator_norm(obs: Observable, w: np.ndarray, structure: Sequence[int], factor: int) -> float:
+    """Frobenius norm of [X, W W†] for X = obs ⊗ 1, with obs on one tensor factor, from the D×K matrix W.
+
+    With Q R = [W, XW] and R = [R_W R_Y], [X, W W†] = Q (R_Y R_W† - R_W R_Y†) Q†,
+    and Q's orthonormal columns drop out of the norm. This costs O(D K²).
+    The trace formula for the same norm loses about 1e-8 to cancellation.
+    """
+    k = w.shape[1]
+    r = np.linalg.qr(np.hstack([w, apply_on_factor(obs.matrix(), w, structure, factor)]), mode="r")
+    m = r[:, k:] @ dag(r[:, :k])
+    return frob(m - dag(m))
+
+
 __all__ = [
     "EntropyReport",
     "Verdict",
@@ -293,4 +307,5 @@ __all__ = [
     "verify_incompatibility_transfer",
     "read_pointer_tripartite",
     "post_reading_state",
+    "low_rank_commutator_norm",
 ]

@@ -8,7 +8,9 @@ A measurement of an observable is described in two equivalent ways:
 * a unitary evolution on object ⊗ pointer that writes the outcome into an
   orthonormal pointer basis.
 
-``dilate`` turns the first description into the second; the verify_*
+``dilate`` turns the first description into the second. A model holds
+the unitary's restriction to object ⊗ (initial pointer state), an
+isometry, and completes the unitary only when it is read. The verify_*
 helpers check that the two descriptions agree and that predicted
 probabilities are reproduced on the pointer.
 """
@@ -24,11 +26,11 @@ from .errors import DimensionMismatch, InvalidTransformers, NotOrthonormal, Null
 from .linalg import (
     apply_on_factor,
     basis_vector,
+    check_orthonormal_columns,
     complete_isometry,
     dag,
     frob,
     frozen_array,
-    kron,
     pure_marginal,
     random_unitary,
 )
@@ -63,24 +65,50 @@ class StateTransformerSet:
         return len(self.transformers)
 
 
+class _CompletedOnRead:
+    """``MeasurementModel.unitary``: as given, or completed from the isometry when first read.
+
+    Isometry column i goes to the slot of |i> ⊗ e_0, and the completion's columns fill the rest in order.
+    """
+
+    def __get__(self, model, owner=None):
+        if model is None:
+            return None  # the field's default
+        if model.__dict__["unitary"] is None:
+            d, n = model.composite_dims
+            slots = np.arange(d * n).reshape(d, n)
+            order = np.argsort(np.concatenate([slots[:, 0], slots[:, 1:].reshape(-1)]))
+            model.__dict__["unitary"] = frozen_array(complete_isometry(list(model.isometry.T), d * n)[:, order])
+        return model.__dict__["unitary"]
+
+    def __set__(self, model, value):
+        model.__dict__["unitary"] = None if value is None else frozen_array(value)
+
+
 @dataclass(frozen=True)
 class MeasurementModel:
-    """Dilated instrument: pointer space, initial pointer state, unitary, pointer observable.
+    """Dilated instrument: pointer space, initial pointer state, evolution, pointer observable.
 
     Outcome k (term index of the measured observable) is read as pointer
-    term k. No invariants are enforced at construction so that tests can build
-    deliberately corrupted instruments; ``dilate`` always returns a valid one.
+    term k. A model evolves through ``isometry``, the D×d matrix of
+    |i> -> U(|i> ⊗ pointer_initial). A ``unitary`` passed in is the source
+    of truth and the isometry is read from it; ``dilate`` passes only the
+    isometry. No invariants are enforced at construction so that tests can
+    build deliberately corrupted instruments; ``dilate`` always returns a valid one.
     """
 
     observable: Observable
     object_dim: int
     pointer_dim: int
     pointer_initial: PureState
-    unitary: np.ndarray
     pointer_observable: Observable
+    isometry: np.ndarray | None = None
+    unitary: np.ndarray | None = _CompletedOnRead()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "unitary", frozen_array(self.unitary))
+        given, (d, n) = self.__dict__["unitary"], self.composite_dims
+        isometry = self.isometry if given is None else given.reshape(d * n, d, n) @ self.pointer_initial.vector
+        object.__setattr__(self, "isometry", frozen_array(isometry))
 
     @property
     def composite_dims(self) -> tuple[int, int]:
@@ -132,58 +160,42 @@ def post_state(ts: StateTransformerSet, psi: PureState, k: int) -> PureState:
 
 
 def dilate(ts: StateTransformerSet) -> MeasurementModel:
-    """Build a unitary instrument realizing the transformer family.
+    """Build an instrument realizing the transformer family.
 
     The pointer space has one dimension per outcome, starts in the first
     pointer basis vector, and the pointer observable has eigenvalue k on
-    basis vector k. On the subspace object ⊗ e_0 the unitary acts as
-    |v> ⊗ e_0 -> sum_k (A_k|v>) ⊗ e_k; the action elsewhere is a
-    deterministic isometry completion and never affects measurements.
+    basis vector k. The model holds the isometry |v> -> sum_k (A_k|v>) ⊗ e_k,
+    the unitary's action on object ⊗ e_0, whose columns are checked to be
+    orthonormal. The action elsewhere is a deterministic completion, made
+    only when ``unitary`` is read, and never affects measurements.
     """
     obs = ts.observable
-    d = obs.dim
     n = ts.n_outcomes
-    total = d * n
-
-    images = []
-    for i in range(d):
-        img = np.zeros((d, n), dtype=complex)
-        for k, a in enumerate(ts.transformers):
-            img[:, k] = a[:, i]
-        images.append(img.reshape(total))
+    # isometry[j * n + k, i] = A_k[j, i]: column i is sum_k (A_k|i>) ⊗ e_k
+    isometry = np.stack(ts.transformers, axis=1).reshape(obs.dim * n, obs.dim)
     try:
-        packed = complete_isometry(images, total)
+        check_orthonormal_columns(isometry)
     except NotOrthonormal as exc:
         raise InvalidTransformers(f"transformer family does not dilate to a unitary: {exc}") from exc
-
-    # column i of `packed` is the image of |i> ⊗ e_0, which lives at
-    # composite index i*n; completion columns fill the remaining slots in
-    # lexicographic order.
-    slots = [i * n for i in range(d)] + [i * n + m for i in range(d) for m in range(1, n)]
-    unitary = np.zeros((total, total), dtype=complex)
-    for j, slot in enumerate(slots):
-        unitary[:, slot] = packed[:, j]
 
     pointer_terms = tuple(
         (float(k), np.outer(basis_vector(n, k), np.conj(basis_vector(n, k)))) for k in range(n)
     )
     return MeasurementModel(
         observable=obs,
-        object_dim=d,
+        object_dim=obs.dim,
         pointer_dim=n,
         pointer_initial=PureState(basis_vector(n, 0)),
-        unitary=unitary,
         pointer_observable=Observable(pointer_terms, n),
+        isometry=isometry,
     )
 
 
 def evolve(model: MeasurementModel, psi: PureState) -> np.ndarray:
-    """Final bipartite vector U (psi ⊗ pointer_initial)."""
+    """Final bipartite vector U (psi ⊗ pointer_initial), through the model's isometry."""
     if psi.dim != model.object_dim:
         raise DimensionMismatch(f"state dim {psi.dim} != object dim {model.object_dim}")
-    if model.pointer_initial.dim != model.pointer_dim:
-        raise DimensionMismatch("pointer initial state does not match pointer dim")
-    return model.unitary @ kron(psi.vector, model.pointer_initial.vector)
+    return model.isometry @ psi.vector
 
 
 def verify_probability_reproducibility(model: MeasurementModel, psi: PureState) -> float:

@@ -62,18 +62,6 @@ def is_hermitian(m: np.ndarray, tolerance: float = tol.HERMITICITY) -> bool:
     return m.ndim == 2 and m.shape[0] == m.shape[1] and frob(m - dag(m)) <= tolerance
 
 
-def is_unitary(m: np.ndarray, tolerance: float = tol.UNITARITY) -> bool:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return frob(dag(m) @ m - np.eye(m.shape[0])) <= tolerance
-
-
-def is_projector(m: np.ndarray, tolerance: float = tol.ORTHONORMALITY) -> bool:
-    m = np.asarray(m)
-    return is_hermitian(m, tolerance) and frob(m @ m - m) <= tolerance
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, (a ⊗ b)[i*rb+k, j*cb+l] = a[i,j] b[k,l]."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
@@ -189,6 +177,14 @@ def partial_inner(a: np.ndarray, psi: np.ndarray, structure: Sequence[int]) -> n
     return np.conj(a) @ psi.reshape(dims)
 
 
+def check_orthonormal_columns(m: np.ndarray) -> None:
+    """Raise NotOrthonormal unless |<m_j|m_i> - delta_ij| <= ORTHONORMALITY, naming the first failing j <= i."""
+    failing = np.argwhere(np.tril(np.abs(m.T @ np.conj(m) - np.eye(m.shape[1])) > tol.ORTHONORMALITY))
+    if failing.size:
+        i, j = failing[0]
+        raise NotOrthonormal(f"columns {j} and {i} are not orthonormal within {tol.ORTHONORMALITY}")
+
+
 def complete_isometry(columns: Sequence[np.ndarray], dim: int) -> np.ndarray:
     """Extend orthonormal columns to a full dim x dim unitary.
 
@@ -200,32 +196,20 @@ def complete_isometry(columns: Sequence[np.ndarray], dim: int) -> np.ndarray:
     cols = [np.asarray(c, dtype=complex).reshape(-1) for c in columns]
     if len(cols) > dim or any(c.size != dim for c in cols):
         raise DimensionMismatch(f"{len(cols)} columns of dims {[c.size for c in cols]} do not fit dim {dim}")
-    for i, ci in enumerate(cols):
-        for j in range(i + 1):
-            expected = 1.0 if i == j else 0.0
-            if abs(np.vdot(cols[j], ci) - expected) > tol.ORTHONORMALITY:
-                raise NotOrthonormal(f"columns {j} and {i} are not orthonormal within {tol.ORTHONORMALITY}")
-
-    # Accepted vectors are the rows of `rows`, and their conjugates the rows
-    # of `conj_rows`, so that projecting onto the first m of them reads two
-    # contiguous row blocks and copies nothing.
-    rows = np.zeros((dim, dim), dtype=complex)
-    conj_rows = np.zeros((dim, dim), dtype=complex)
+    rows = np.zeros((dim, dim), dtype=complex)  # the accepted vectors
     m = len(cols)
     rows[:m] = np.reshape(cols, (m, dim))
-    conj_rows[:m] = np.conj(rows[:m])
+    check_orthonormal_columns(rows[:m].T)
     for index in range(dim):
         if m == dim:
             break
         v = basis_vector(dim, index)
         for _ in range(2):  # second pass keeps the completion orthogonal to ~1e-15
-            v -= (conj_rows[:m] @ v) @ rows[:m]
+            v -= np.conj(rows[:m] @ np.conj(v)) @ rows[:m]
         residual = np.linalg.norm(v)
-        if residual < tol.GS_SKIP:
-            continue
-        rows[m] = v / residual
-        conj_rows[m] = np.conj(rows[m])
-        m += 1
+        if residual >= tol.GS_SKIP:
+            rows[m] = v / residual
+            m += 1
     if m != dim:
         raise NotOrthonormal("standard basis sweep could not complete the isometry")
     return rows.T.copy()
@@ -252,13 +236,12 @@ __all__ = [
     "kron",
     "basis_vector",
     "is_hermitian",
-    "is_unitary",
-    "is_projector",
     "hermitian_eig",
     "partial_trace",
     "apply_on_factor",
     "pure_marginal",
     "partial_inner",
+    "check_orthonormal_columns",
     "complete_isometry",
     "random_unitary",
     "random_state_vector",

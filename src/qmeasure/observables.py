@@ -73,14 +73,19 @@ def validate_observable(obs: Observable) -> None:
     for lo, hi in zip(values, values[1:]):
         if hi - lo <= tol.DEGENERACY_GAP:
             raise ValidationError(f"eigenvalues {lo} and {hi} are not separated beyond {tol.DEGENERACY_GAP}")
+    # Hermitian idempotents within ORTHONORMALITY that sum to 1 within it can
+    # still overlap by more than it, so the pairs are checked too.
+    column = np.array(obs.projectors).reshape(-1, obs.dim)  # P_0 over P_1 over ...
     for i, (_, p) in enumerate(obs.terms):
         if not is_hermitian(p, tol.ORTHONORMALITY):
             raise ValidationError(f"projector {i} violates hermiticity within {tol.ORTHONORMALITY}")
         if frob(p @ p - p) > tol.ORTHONORMALITY:
             raise ValidationError(f"projector {i} violates idempotence within {tol.ORTHONORMALITY}")
-        for j in range(i):
-            if frob(obs.terms[j][1] @ p) > tol.ORTHONORMALITY:
-                raise ValidationError(f"projectors {j} and {i} violate orthogonality within {tol.ORTHONORMALITY}")
+        products = column[: i * obs.dim] @ p  # P_j P_i for every j < i, one above the other
+        overlapping = np.linalg.norm(products.reshape(-1, obs.dim**2), axis=1) > tol.ORTHONORMALITY
+        if overlapping.any():
+            j = int(np.argmax(overlapping))
+            raise ValidationError(f"projectors {j} and {i} violate orthogonality within {tol.ORTHONORMALITY}")
     total = sum(p for _, p in obs.terms)
     if frob(total - np.eye(obs.dim)) > tol.ORTHONORMALITY:
         raise ValidationError(f"spectral family violates completeness within {tol.ORTHONORMALITY}")
@@ -119,17 +124,20 @@ class DensityOperator:
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > tol.HERMITICITY:
             raise NotDensityOperator(f"trace {trace} is not 1 within {tol.HERMITICITY}")
-        smallest = float(np.linalg.eigvalsh(hermitize(m))[0])
-        if smallest < tol.ENTROPY_NEG_FLOOR:
-            raise NotDensityOperator(f"smallest eigenvalue {smallest} is below {tol.ENTROPY_NEG_FLOOR}")
+        spectrum = np.linalg.eigvalsh(hermitize(m))
+        if spectrum[0] < tol.ENTROPY_NEG_FLOOR:
+            raise NotDensityOperator(f"smallest eigenvalue {float(spectrum[0])} is below {tol.ENTROPY_NEG_FLOOR}")
+        spectrum.setflags(write=False)
         object.__setattr__(self, "matrix", frozen_array(m))
+        object.__setattr__(self, "_spectrum", spectrum)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        """Ascending eigenvalues of the Hermitian part, as found by the positivity check."""
+        return self._spectrum
 
     @classmethod
     def from_pure(cls, state: PureState) -> "DensityOperator":

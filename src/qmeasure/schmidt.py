@@ -77,7 +77,6 @@ class TwinObservables:
 
     object_terms: tuple[tuple[float, np.ndarray], ...]
     pointer_terms: tuple[tuple[float, np.ndarray], ...]
-    correspondence: tuple[tuple[float, float], ...]
 
     def object_matrix(self) -> np.ndarray:
         return sum(a * p for a, p in self.object_terms)
@@ -292,12 +291,10 @@ def twin_observables(sf: SchmidtForm, assignment: Sequence[OutcomePairing]) -> T
         raise DimensionMismatch(f"assignment covers {len(assignment)} of {sf.n_terms} Schmidt terms")
     object_terms = []
     pointer_terms = []
-    correspondence = []
     for pairing, left, right in zip(assignment, sf.left_vectors, sf.right_vectors):
         object_terms.append((pairing.object_eigenvalue, np.outer(left, np.conj(left))))
         pointer_terms.append((pairing.pointer_eigenvalue, np.outer(right, np.conj(right))))
-        correspondence.append((pairing.object_eigenvalue, pairing.pointer_eigenvalue))
-    return TwinObservables(tuple(object_terms), tuple(pointer_terms), tuple(correspondence))
+    return TwinObservables(tuple(object_terms), tuple(pointer_terms))
 
 
 __all__ = [

@@ -7,8 +7,6 @@ suite has a single knob per kind of check.
 HERMITICITY = 1e-10      # |m - m†| for inputs required to be Hermitian
 ORTHONORMALITY = 1e-9    # pairwise <v_i|v_j> deviation from delta_ij
 RECONSTRUCTION = 1e-9    # spectral / Schmidt reconstruction residuals
-TRACE = 1e-12            # trace preservation of partial traces
-UNITARITY = 1e-9         # |U†U - I|_F for constructed unitaries
 NORMALIZATION = 1e-10    # | ||v|| - 1 | for state vectors
 
 DEGENERACY_GAP = 1e-8    # eigenvalue gap below which a cluster is one eigenvalue

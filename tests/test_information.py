@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -308,3 +310,18 @@ class TestPostReadingState:
         h = shannon_entropy(np.clip(probabilities(obs, psi), 0, None))
         lifted = embed_observable(obs, dims, 0)
         assert incompatibility_entropy(lifted, PureState(tri)) == pytest.approx(h, abs=1e-9)
+
+
+class TestEntropyIsNeverNegative:
+    def test_point_mass_is_positive_zero(self):
+        assert math.copysign(1.0, shannon_entropy([1.0])) == 1.0
+
+    def test_weight_rounded_above_one_gives_zero(self):
+        # -p log2 p is about -3e-16 for p one ulp above 1
+        assert math.copysign(1.0, shannon_entropy([1.0 + 2.0**-52])) == 1.0
+        assert shannon_entropy([1.0 + 2.0**-52]) == 0.0
+
+    def test_pure_state_entropies_are_positive_zero(self):
+        e = mutual_information(kron(basis_vector(2, 0), basis_vector(3, 1)), (2, 3))
+        for value in (e.s1, e.s2, e.s12, e.mutual_information):
+            assert math.copysign(1.0, value) == 1.0

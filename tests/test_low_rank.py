@@ -1,0 +1,174 @@
+"""The dilation's isometry and the post-reading factor against the dense D×D routes they replace.
+
+``evolve`` multiplies by the D×d isometry of the dilation, and the
+pointer-reading commutators come from the QR factorisation of the D×K
+matrix W with post-reading state W W†. The references complete the D×D
+unitary and build the D×D post-reading state.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qmeasure import (
+    InvalidTransformers,
+    NotDensityOperator,
+    NotOrthonormal,
+    PureState,
+    StateTransformerSet,
+    check_orthonormal_columns,
+    dag,
+    dilate,
+    evolve,
+    frob,
+    generate_random_instance,
+    kron,
+    lifted_commutator_norm,
+    low_rank_commutator_norm,
+    observable_from_matrix,
+    post_reading_state,
+    random_state_vector,
+    random_unitary,
+    read_pointer_tripartite,
+    run_pipeline,
+)
+from qmeasure import instruments as instruments_module
+from qmeasure import pipeline as pipeline_module
+from conftest import random_hermitian
+
+# Set before the tests were run. The QR route and the dense route round
+# differently; both stay within a few ulps of the size of the commutator's terms.
+RELATIVE_TOL = 1e-12
+SEEDED = [(s, 6, 4) for s in range(40)] + [(s, 16, 6) for s in range(10)]
+
+
+def dense_commutator(obs, w: np.ndarray, dims: tuple[int, int], factor: int) -> float:
+    """||[obs ⊗ 1, rho_12]||_F from the D×D post-reading state."""
+    rho12 = post_reading_state(w.reshape(-1), (*dims, w.shape[1]))
+    return lifted_commutator_norm(obs, rho12, dims, factor)
+
+
+def term_scale(obs, w: np.ndarray) -> float:
+    """||X||_F ||W W†||_F, the size of the terms of [X, W W†]; ||W W†||_F = ||W†W||_F."""
+    return frob(obs.matrix()) * frob(dag(w) @ w)
+
+
+def seeded_reading(seed: int, d1_max: int, outcomes_max: int):
+    scenario = generate_random_instance(seed, d1_max, outcomes_max)
+    model = dilate(scenario.build_transformers())
+    tri, (d1, d2, d3) = read_pointer_tripartite(evolve(model, scenario.initial_state), model)
+    return scenario, model, tri.reshape(d1 * d2, d3)
+
+
+class TestLowRankCommutator:
+    def test_matches_the_dense_route_on_random_noncommuting_cases(self):
+        rng = np.random.default_rng(600)
+        for case in range(240):
+            dims = tuple(int(x) for x in rng.integers(2, 6, size=2))
+            total = dims[0] * dims[1]
+            k = int(rng.integers(1, total + 1))  # K > D/2 makes [W, XW] wider than tall
+            w = rng.standard_normal((total, k)) + 1j * rng.standard_normal((total, k))
+            w /= frob(w)
+            factor = case % 2
+            obs = observable_from_matrix(random_hermitian(dims[factor], rng))
+            dense = dense_commutator(obs, w, dims, factor)
+            assert dense > 1e-3 * term_scale(obs, w), case  # the pair does not commute
+            assert abs(low_rank_commutator_norm(obs, w, dims, factor) - dense) <= RELATIVE_TOL * dense, case
+
+    @pytest.mark.parametrize("seed,d1_max,outcomes_max", SEEDED)
+    def test_matches_the_dense_route_on_seeded_readings(self, seed, d1_max, outcomes_max):
+        scenario, model, w = seeded_reading(seed, d1_max, outcomes_max)
+        dims = model.composite_dims
+        # The measured observables commute with rho_12: both routes return rounding noise.
+        for obs, factor in ((scenario.observable, 0), (model.pointer_observable, 1)):
+            gap = abs(low_rank_commutator_norm(obs, w, dims, factor) - dense_commutator(obs, w, dims, factor))
+            assert gap <= RELATIVE_TOL * term_scale(obs, w)
+        # An unrelated object observable does not commute with it.
+        other = observable_from_matrix(random_hermitian(dims[0], np.random.default_rng(seed)))
+        dense = dense_commutator(other, w, dims, 0)
+        assert abs(low_rank_commutator_norm(other, w, dims, 0) - dense) <= RELATIVE_TOL * dense
+
+    def test_pipeline_checks_the_post_reading_state_on_its_gram_matrix(self):
+        scenario = generate_random_instance(4, 6, 4)
+        run = pipeline_module._Run(scenario)
+        tri, dims3 = run.reading
+        run.__dict__["reading"] = (1.1 * tri, dims3)  # trace 1.21
+        with pytest.raises(NotDensityOperator):
+            post_reading_state(1.1 * tri, dims3)
+        with pytest.raises(NotDensityOperator):
+            pipeline_module._pointer_reading_commutators(run)
+
+
+class TestIsometryRoute:
+    def test_dilate_evolve_and_the_pipeline_never_complete_the_unitary(self, monkeypatch):
+        calls = []
+        complete = instruments_module.complete_isometry
+        monkeypatch.setattr(instruments_module, "complete_isometry", lambda *args: calls.append(1) or complete(*args))
+        scenario = generate_random_instance(3, 16, 6)
+        model = dilate(scenario.build_transformers())
+        evolve(model, scenario.initial_state)
+        assert run_pipeline(scenario).overall_pass
+        assert calls == []
+        first = model.unitary
+        assert calls == [1] and model.unitary is first  # completed on first read, then kept
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_evolve_matches_the_completed_unitary(self, seed):
+        scenario = generate_random_instance(seed, 8, 4)
+        model = dilate(scenario.build_transformers())
+        psi = scenario.initial_state
+        for vector in (psi.vector, random_state_vector(psi.dim, np.random.default_rng(seed))):
+            state = PureState(vector)
+            expected = model.unitary @ kron(state.vector, model.pointer_initial.vector)
+            assert frob(evolve(model, state) - expected) < 1e-14
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_completed_unitary_is_unitary_and_keeps_the_isometry(self, seed):
+        model = dilate(generate_random_instance(seed, 8, 4).build_transformers())
+        u = model.unitary
+        assert frob(dag(u) @ u - np.eye(u.shape[0])) < 1e-9
+        # column i of the isometry is the image of |i> ⊗ e_0, at composite index i * n
+        assert np.array_equal(u[:, :: model.pointer_dim], model.isometry)
+
+    def test_a_unitary_passed_in_is_the_source_of_truth(self):
+        rng = np.random.default_rng(610)
+        scenario = generate_random_instance(5, 6, 4)
+        model = dilate(scenario.build_transformers())
+        other = random_unitary(model.object_dim * model.pointer_dim, rng)
+        replaced = dataclasses.replace(model, unitary=other)
+        assert np.array_equal(replaced.unitary, other)
+        expected = other @ kron(scenario.initial_state.vector, model.pointer_initial.vector)
+        assert frob(evolve(replaced, scenario.initial_state) - expected) < 1e-14
+
+    def test_dilate_rejects_columns_that_are_not_orthonormal(self, pauli_z):
+        ts = StateTransformerSet(tuple(pauli_z.projectors), pauli_z)
+        object.__setattr__(ts, "transformers", (np.eye(2, dtype=complex), np.eye(2, dtype=complex)))
+        with pytest.raises(InvalidTransformers, match="columns 0 and 0"):
+            dilate(ts)
+
+    def test_orthonormality_check_names_the_first_failing_pair(self):
+        m = np.eye(4, 3, dtype=complex)
+        m[:, 2] += 1e-3 * m[:, 0]  # pair (0, 2) fails
+        with pytest.raises(NotOrthonormal, match="columns 0 and 2"):
+            check_orthonormal_columns(m)
+        m[:, 1] *= 1.01  # pair (1, 1) fails, and i = 1 comes before i = 2
+        with pytest.raises(NotOrthonormal, match="columns 1 and 1"):
+            check_orthonormal_columns(m)
+        check_orthonormal_columns(np.eye(4, 3, dtype=complex))
+
+
+def test_seed_0_at_d1_max_128_stays_within_16_mib():
+    # d = 110 with 11 outcomes (D = 1210). A D×D unitary alone takes 22 MiB;
+    # the dense route peaks at 114 MiB here.
+    scenario = generate_random_instance(0, 128, 16)
+    assert (scenario.object_dim, scenario.observable.n_outcomes) == (110, 11)
+    tracemalloc.start()
+    try:
+        report = run_pipeline(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.error is None and report.overall_pass
+    assert peak < 16 * 2**20

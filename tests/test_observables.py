@@ -216,3 +216,44 @@ class TestEmbedObservable:
     def test_dimension_mismatch(self, pauli_z):
         with pytest.raises(DimensionMismatch):
             embed_observable(pauli_z, (3, 3), 0)
+
+
+class TestPairwiseOrthogonality:
+    # P_0 + P_1 = I up to 9e-10 and each is a Hermitian idempotent up to 9e-10,
+    # yet ||P_0 P_1||_F = 1.1e-9: only the pairwise check rejects the pair.
+    E = 0.9e-9 / np.sqrt(2.0)
+    C = E / 2.0
+    P0 = np.array([[1 - E, C], [C, E]], dtype=complex)
+    P1 = np.array([[E, C], [C, 1 - E]], dtype=complex)
+
+    def test_overlap_hides_below_every_other_tolerance(self):
+        for p in (self.P0, self.P1):
+            assert np.linalg.norm(p - dag(p)) == 0.0
+            assert np.linalg.norm(p @ p - p) < 1e-9
+        assert np.linalg.norm(self.P0 + self.P1 - np.eye(2)) < 1e-9
+        assert np.linalg.norm(self.P0 @ self.P1) > 1e-9
+
+    def test_overlapping_projectors_are_rejected(self):
+        with pytest.raises(ValidationError, match="projectors 0 and 1 violate orthogonality"):
+            Observable(((0.0, self.P0), (1.0, self.P1)), 2)
+
+    def test_first_failing_pair_is_named(self):
+        # term 0 is exact and orthogonal to the rest; the overlap sits in terms (1, 2)
+        exact = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        p0, p1 = (np.pad(p, ((1, 0), (1, 0))) for p in (self.P0, self.P1))
+        with pytest.raises(ValidationError, match="projectors 1 and 2 violate orthogonality"):
+            Observable(((0.0, exact), (1.0, p0), (2.0, p1)), 3)
+
+
+class TestDensityOperatorSpectrum:
+    def test_constructor_spectrum_is_returned_without_a_second_eigensolve(self, monkeypatch):
+        m = random_density(5, np.random.default_rng(700))
+        expected = np.linalg.eigvalsh((m + dag(m)) / 2)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+        rho = DensityOperator(m)
+        first, second = rho.eigenvalues(), rho.eigenvalues()
+        assert len(calls) == 1
+        assert np.array_equal(first, expected) and second is first
+        assert not first.flags.writeable
