@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, NonRepeatableInput, NotADistribution
-from .linalg import apply_on_factor, check_unit_norm, dag, frob, hermitize, partial_trace, pure_marginal
+from .linalg import apply_on_factor, check_unit_norm, dag, frob, partial_trace, pure_marginal
 from .instruments import MeasurementModel, StateTransformerSet, evolve
 from .observables import (
     DensityOperator,
@@ -95,7 +95,7 @@ def entanglement_of_pure_state(psi: np.ndarray, structure: Sequence[int]) -> flo
     dims = tuple(int(d) for d in structure)
     if len(dims) != 2:
         raise DimensionMismatch(f"entanglement needs a bipartite structure, got {dims}")
-    return von_neumann_entropy(hermitize(pure_marginal(psi / norm, dims, keep=0)))
+    return von_neumann_entropy(pure_marginal(psi / norm, dims, keep=0))
 
 
 def mutual_information(state: np.ndarray | DensityOperator, structure: Sequence[int]) -> EntropyReport:
@@ -110,17 +110,17 @@ def mutual_information(state: np.ndarray | DensityOperator, structure: Sequence[
     if not isinstance(state, DensityOperator) and np.ndim(state) == 1:
         v, norm = check_unit_norm(state)
         v = v / norm  # pure_marginal raises DimensionMismatch if dims do not factor v
-        s1, s2 = (von_neumann_entropy(hermitize(pure_marginal(v, dims, keep=k))) for k in (0, 1))
+        s1, s2 = (von_neumann_entropy(pure_marginal(v, dims, keep=k)) for k in (0, 1))
         s12 = _gram_entropy(v[:, None])
         # The squared Schmidt coefficients are the spectrum of either marginal, so the
         # entanglement, the quasi-classical information and their Shannon entropy are all S1.
         return EntropyReport(s1, s2, s12, s1 + s2 - s12, s1, s1, s1)
 
-    rho = (state if isinstance(state, DensityOperator) else DensityOperator(state)).matrix
-    if rho.shape[0] != int(np.prod(dims)):
-        raise DimensionMismatch(f"state dim {rho.shape[0]} does not match structure {dims}")
-    s1, s2 = (von_neumann_entropy(hermitize(partial_trace(rho, dims, keep=k))) for k in (0, 1))
-    s12 = von_neumann_entropy(hermitize(rho))
+    rho = state if isinstance(state, DensityOperator) else DensityOperator(state)
+    if rho.dim != int(np.prod(dims)):
+        raise DimensionMismatch(f"state dim {rho.dim} does not match structure {dims}")
+    s1, s2 = (von_neumann_entropy(partial_trace(rho.matrix, dims, keep=k)) for k in (0, 1))
+    s12 = von_neumann_entropy(rho)
     return EntropyReport(s1, s2, s12, s1 + s2 - s12, None, None, None)
 
 
@@ -161,7 +161,7 @@ def _gram_entropy(components: np.ndarray) -> float:
     so on an update's components this is a second route to H(p), not a
     restatement of it.
     """
-    return von_neumann_entropy(hermitize(dag(components) @ components))
+    return von_neumann_entropy(dag(components) @ components)
 
 
 def commutator_norm(obs: Observable, state: State) -> float:
@@ -276,7 +276,7 @@ def post_reading_state(tri: np.ndarray, structure: Sequence[int]) -> DensityOper
     dims = tuple(int(d) for d in structure)
     if len(dims) != 3:
         raise DimensionMismatch(f"post-reading state needs a tripartite structure, got {dims}")
-    return DensityOperator(hermitize(pure_marginal(tri, dims, keep=(0, 1))))
+    return DensityOperator(pure_marginal(tri, dims, keep=(0, 1)))
 
 
 def low_rank_commutator_norm(obs: Observable, w: np.ndarray, structure: Sequence[int], factor: int) -> float:

@@ -111,7 +111,11 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian, positive semidefinite, unit-trace matrix."""
+    """Hermitian, positive semidefinite, unit-trace matrix.
+
+    The given matrix must be Hermitian within HERMITICITY; its Hermitian part
+    is what is stored and diagonalised.
+    """
 
     matrix: np.ndarray
 
@@ -124,7 +128,8 @@ class DensityOperator:
         trace = complex(np.trace(m))
         if abs(trace - 1.0) > tol.HERMITICITY:
             raise NotDensityOperator(f"trace {trace} is not 1 within {tol.HERMITICITY}")
-        spectrum = np.linalg.eigvalsh(hermitize(m))
+        m = hermitize(m)
+        spectrum = np.linalg.eigvalsh(m)
         if spectrum[0] < tol.ENTROPY_NEG_FLOOR:
             raise NotDensityOperator(f"smallest eigenvalue {float(spectrum[0])} is below {tol.ENTROPY_NEG_FLOOR}")
         spectrum.setflags(write=False)
@@ -136,7 +141,7 @@ class DensityOperator:
         return self.matrix.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of the Hermitian part, as found by the positivity check."""
+        """Ascending eigenvalues, as found by the positivity check."""
         return self._spectrum
 
     @classmethod
@@ -225,7 +230,7 @@ def luders_update(obs: Observable, state: State) -> DensityOperator:
     out = np.zeros_like(rho)
     for _, p in obs.terms:
         out += p @ rho @ p
-    return DensityOperator(hermitize(out))
+    return DensityOperator(out)
 
 
 def purify(rho: DensityOperator | np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:

@@ -47,7 +47,7 @@ from .instruments import (
     probability_gap,
     repeat_measurement_check,
 )
-from .linalg import dag, hermitize, pure_marginal
+from .linalg import dag, pure_marginal
 from .observables import DensityOperator, probabilities
 from .scenario import Scenario
 from .schmidt import reconstruct, reduced_states, schmidt_decompose, twin_observables, verify_definite_values
@@ -223,7 +223,7 @@ def _entanglement_incompatibility_initial(run: _Run):
 
 def _pointer_reading_marginals(run: _Run):
     tri, dims3 = run.reading
-    marginal_entropies = [von_neumann_entropy(hermitize(pure_marginal(tri, dims3, keep=m))) for m in range(3)]
+    marginal_entropies = [von_neumann_entropy(pure_marginal(tri, dims3, keep=m)) for m in range(3)]
     deviation = max(abs(s - run.h_born) for s in marginal_entropies)
     return min(marginal_entropies), run.h_born, deviation, tol.THEOREM
 
@@ -231,7 +231,7 @@ def _pointer_reading_marginals(run: _Run):
 def _pointer_reading_commutators(run: _Run):
     tri, (d1, d2, d3) = run.reading
     w = tri.reshape(d1 * d2, d3)  # the post-reading state is W W†
-    DensityOperator(hermitize(dag(w) @ w))  # W†W shares its nonzero spectrum; raises NotDensityOperator
+    DensityOperator(dag(w) @ w)  # W†W shares its nonzero spectrum; raises NotDensityOperator
     obj_after = low_rank_commutator_norm(run.obs, w, run.dims, 0)
     ptr_after = low_rank_commutator_norm(run.model.pointer_observable, w, run.dims, 1)
     return obj_after, ptr_after, max(obj_after, ptr_after), tol.COMMUTATOR
@@ -302,7 +302,7 @@ def run_pipeline(scenario: Scenario) -> VerificationReport:
     born = computed.get("born")
     sf = computed.get("schmidt")
     return VerificationReport(
-        scenario=scenario.to_dict(),
+        scenario=scenario.source,
         probabilities=None if born is None else tuple(float(p) for p in born),
         schmidt_coefficients=None if sf is None else tuple(float(c) for c in sf.coefficients),
         initial_commutator_norm=computed.get("initial_commutator"),

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, NoDefiniteValue
-from .linalg import apply_on_factor, check_unit_norm, frozen_array, hermitian_eig, hermitize, kron, partial_inner, pure_marginal
+from .linalg import check_unit_norm, dag, frozen_array, hermitian_eig, kron, partial_inner, pure_marginal
 from .observables import DensityOperator, Observable
 
 
@@ -60,8 +60,8 @@ class DefiniteValueReport(NamedTuple):
     max_left_violation: float
     max_right_violation: float
     assignment: tuple[OutcomePairing, ...]
-    # the input form, or an equivalent one whose degenerate-coefficient
-    # groups were rotated into spectral alignment
+    # the input form with each degenerate-coefficient group re-based on
+    # the outcome index
     schmidt_form: "SchmidtForm"
 
 
@@ -124,7 +124,7 @@ def reduced_states(psi: np.ndarray, structure: Sequence[int]) -> tuple[DensityOp
     dims = tuple(int(d) for d in structure)
     if len(dims) != 2:
         raise DimensionMismatch(f"reduced states need a bipartite structure, got {dims}")
-    return tuple(DensityOperator(hermitize(pure_marginal(psi, dims, keep=k))) for k in (0, 1))
+    return tuple(DensityOperator(pure_marginal(psi, dims, keep=k)) for k in (0, 1))
 
 
 def _joint_residuals(object_obs: Observable, pointer_obs: Observable, left, right, k):
@@ -141,54 +141,32 @@ def _pivot_phase(left: np.ndarray) -> complex:
     return 1.0
 
 
-def _split_degenerate_group(
-    sf: SchmidtForm,
-    group: list[int],
-    free_outcomes: list[int],
-    object_obs: Observable,
-    pointer_obs: Observable,
-) -> list[tuple[float, np.ndarray, np.ndarray, int]]:
-    """Rotate one equal-coefficient group into spectral alignment.
+def _rebase_group(
+    sf: SchmidtForm, group: list[int], outcome_index: np.ndarray
+) -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """Re-express one equal-coefficient group in the eigenbasis of the outcome index.
 
-    The group component chi = sum_t c_t (left_t ⊗ right_t) is split with
-    the joint projectors P_k ⊗ Q_k, P_k and Q_k each applied to its own
-    factor. When the definite-value structure really holds, each nonzero
-    projection is a product vector, the pieces reassemble chi, and their
-    weights equal the shared coefficient; any shortfall means there is no
-    aligned form and is reported as NoDefiniteValue.
+    With L and R the group's left and right vectors as columns and c its
+    coefficients, the new left vectors are L u_s for the eigenvectors u_s of
+    L† N L, N = sum_k k P_k. Each right vector and weight come from
+    w_s = R (c ∘ conj(u_s)), which is <L u_s| ⊗ 1 applied to the group's
+    component, so the group still sums to that component. N is used rather
+    than the observable because outcome indices are at least 1 apart. Terms
+    keep the order of the input term each overlaps most, so an aligned group
+    comes back in its own order.
     """
-    d1, d2 = sf.left_vectors[0].size, sf.right_vectors[0].size
-    chi = np.zeros(d1 * d2, dtype=complex)
-    for t in group:
-        chi += sf.coefficients[t] * kron(sf.left_vectors[t], sf.right_vectors[t])
-
-    pieces: list[tuple[float, np.ndarray, np.ndarray, int]] = []
-    recombined = np.zeros_like(chi)
-    for k in free_outcomes:
-        u = apply_on_factor(pointer_obs.terms[k][1], chi, (d1, d2), 1)
-        u = apply_on_factor(object_obs.terms[k][1], u, (d1, d2), 0)
-        weight = float(np.linalg.norm(u))
-        if weight**2 <= tol.SCHMIDT_CUTOFF:
-            continue
-        m = u.reshape(d1, d2)
-        column = int(np.argmax(np.linalg.norm(m, axis=0)))
-        left = m[:, column] / np.linalg.norm(m[:, column])
-        right = np.conj(left) @ m
-        right = right / np.linalg.norm(right)
-        if np.linalg.norm(u - weight * kron(left, right)) >= tol.DEFINITE_VALUE:
-            raise NoDefiniteValue(f"projection onto outcome {k} is not a product vector")
+    lefts = np.column_stack([sf.left_vectors[t] for t in group])
+    rights = np.column_stack([sf.right_vectors[t] for t in group])
+    coefficients = sf.coefficients[group]
+    _, u = hermitian_eig(dag(lefts) @ outcome_index @ lefts)
+    terms = []
+    for s in np.argsort(np.argmax(np.abs(u), axis=0), kind="stable"):
+        left = lefts @ u[:, s]
         phase = _pivot_phase(left)
-        left, right = left * np.conj(phase), right * phase
-        pieces.append((weight, left, right, k))
-        recombined += weight * kron(left, right)
-
-    if len(pieces) != len(group):
-        raise NoDefiniteValue(
-            f"degenerate coefficient group of size {len(group)} splits into {len(pieces)} spectral terms"
-        )
-    if np.linalg.norm(chi - recombined) >= tol.DEFINITE_VALUE:
-        raise NoDefiniteValue("degenerate coefficient group has weight outside the joint spectral terms")
-    return pieces
+        right = rights @ (coefficients * np.conj(u[:, s])) * phase
+        weight = float(np.linalg.norm(right))
+        terms.append((weight, left * np.conj(phase), right / weight))
+    return terms
 
 
 def verify_definite_values(
@@ -205,84 +183,56 @@ def verify_definite_values(
 
     Equal Schmidt coefficients make the decomposition non-unique, so a
     numerically chosen basis may sit obliquely to the spectral projectors
-    even though an aligned form exists. Terms that fail the direct match
-    are therefore regrouped by coefficient and split with the joint
-    projectors P_k ⊗ Q_k; the report carries the (possibly rotated)
-    equivalent form. Inputs without any aligned form, i.e. from
-    non-repeatable instruments, raise NoDefiniteValue.
+    even though an aligned form exists. Every group of consecutive
+    coefficients within the degeneracy gap is therefore re-based on the
+    outcome index before the terms are fitted; single terms are kept as
+    they are. The report carries the re-based equivalent form. Inputs
+    without any aligned form, i.e. from non-repeatable instruments, raise
+    NoDefiniteValue.
     """
     if object_obs.n_outcomes != pointer_obs.n_outcomes:
         raise DimensionMismatch("object and pointer observables have different outcome counts")
     n_outcomes = object_obs.n_outcomes
 
-    matches: list[tuple[float, float, int] | None] = []
-    for t in range(sf.n_terms):
-        best = None
-        for k in range(n_outcomes):
-            lv, rv = _joint_residuals(object_obs, pointer_obs, sf.left_vectors[t], sf.right_vectors[t], k)
-            if best is None or max(lv, rv) < max(best[0], best[1]):
-                best = (lv, rv, k)
-        matches.append(best if max(best[0], best[1]) < tol.DEFINITE_VALUE else None)
+    groups: list[list[int]] = [[0]]
+    for t in range(1, sf.n_terms):
+        if sf.coefficients[t - 1] - sf.coefficients[t] <= tol.DEGENERACY_GAP:
+            groups[-1].append(t)
+        else:
+            groups.append([t])
+    outcome_index = sum(k * p for k, p in enumerate(object_obs.projectors))
+    terms = []
+    for group in groups:
+        if len(group) > 1:
+            terms.extend(_rebase_group(sf, group, outcome_index))
+        else:
+            t = group[0]
+            terms.append((float(sf.coefficients[t]), sf.left_vectors[t], sf.right_vectors[t]))
 
-    claimed = [m[2] for m in matches if m is not None]
-    if None not in matches and len(set(claimed)) == sf.n_terms:
-        aligned = sf
-        final = [
-            (float(sf.coefficients[t]), sf.left_vectors[t], sf.right_vectors[t],
-             matches[t][2], matches[t][0], matches[t][1])
-            for t in range(sf.n_terms)
-        ]
-    else:
-        # group consecutive equal coefficients and re-split the failing groups
-        groups: list[list[int]] = [[0]]
-        for t in range(1, sf.n_terms):
-            if sf.coefficients[t - 1] - sf.coefficients[t] <= tol.DEGENERACY_GAP:
-                groups[-1].append(t)
-            else:
-                groups.append([t])
-        healthy = [g for g in groups if all(matches[t] is not None for t in g)
-                   and len({matches[t][2] for t in g}) == len(g)]
-        taken = {matches[t][2] for g in healthy for t in g}
-        if len(taken) != sum(len(g) for g in healthy):
-            raise NoDefiniteValue("spectral term claimed by two non-degenerate Schmidt terms")
-        free = [k for k in range(n_outcomes) if k not in taken]
-
-        final = []
-        for group in groups:
-            if group in healthy:
-                for t in group:
-                    lv, rv, k = matches[t]
-                    final.append((sf.coefficients[t], sf.left_vectors[t], sf.right_vectors[t], k, lv, rv))
-                continue
-            if len(group) == 1:
-                t = group[0]
-                raise NoDefiniteValue(
-                    f"Schmidt term {t} fits no joint spectral term within {tol.DEFINITE_VALUE}"
-                )
-            for weight, left, right, k in _split_degenerate_group(sf, group, free, object_obs, pointer_obs):
-                free.remove(k)
-                lv, rv = _joint_residuals(object_obs, pointer_obs, left, right, k)
-                final.append((weight, left, right, k, lv, rv))
-        aligned = SchmidtForm(
-            coefficients=np.array([entry[0] for entry in final]),
-            left_vectors=tuple(entry[1] for entry in final),
-            right_vectors=tuple(entry[2] for entry in final),
-        )
-
-    outcome_indices = [entry[3] for entry in final]
-    if len(set(outcome_indices)) != len(outcome_indices):
+    fits = []
+    for t, (_, left, right) in enumerate(terms):
+        residuals = [_joint_residuals(object_obs, pointer_obs, left, right, k) for k in range(n_outcomes)]
+        k = min(range(n_outcomes), key=lambda k: max(residuals[k]))
+        if max(residuals[k]) >= tol.DEFINITE_VALUE:
+            raise NoDefiniteValue(f"Schmidt term {t} fits no joint spectral term within {tol.DEFINITE_VALUE}")
+        fits.append((k, *residuals[k]))
+    if len({k for k, _, _ in fits}) != len(fits):
         raise NoDefiniteValue("spectral term claimed by two Schmidt terms")
+
     assignment = tuple(
         OutcomePairing(
             term_index=k,
             object_eigenvalue=object_obs.terms[k][0],
             pointer_eigenvalue=pointer_obs.terms[k][0],
         )
-        for (_, _, _, k, _, _) in final
+        for k, _, _ in fits
     )
-    max_left = max(entry[4] for entry in final)
-    max_right = max(entry[5] for entry in final)
-    return DefiniteValueReport(max_left, max_right, assignment, aligned)
+    aligned = SchmidtForm(
+        coefficients=np.array([weight for weight, _, _ in terms]),
+        left_vectors=tuple(left for _, left, _ in terms),
+        right_vectors=tuple(right for _, _, right in terms),
+    )
+    return DefiniteValueReport(max(lv for _, lv, _ in fits), max(rv for _, _, rv in fits), assignment, aligned)
 
 
 def twin_observables(sf: SchmidtForm, assignment: Sequence[OutcomePairing]) -> TwinObservables:

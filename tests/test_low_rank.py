@@ -13,11 +13,9 @@ import numpy as np
 import pytest
 
 from qmeasure import (
-    InvalidTransformers,
     NotDensityOperator,
     NotOrthonormal,
     PureState,
-    StateTransformerSet,
     check_orthonormal_columns,
     dag,
     dilate,
@@ -141,12 +139,6 @@ class TestIsometryRoute:
         assert np.array_equal(replaced.unitary, other)
         expected = other @ kron(scenario.initial_state.vector, model.pointer_initial.vector)
         assert frob(evolve(replaced, scenario.initial_state) - expected) < 1e-14
-
-    def test_dilate_rejects_columns_that_are_not_orthonormal(self, pauli_z):
-        ts = StateTransformerSet(tuple(pauli_z.projectors), pauli_z)
-        object.__setattr__(ts, "transformers", (np.eye(2, dtype=complex), np.eye(2, dtype=complex)))
-        with pytest.raises(InvalidTransformers, match="columns 0 and 0"):
-            dilate(ts)
 
     def test_orthonormality_check_names_the_first_failing_pair(self):
         m = np.eye(4, 3, dtype=complex)

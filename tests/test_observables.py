@@ -74,6 +74,15 @@ class TestStates:
             DensityOperator(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
         DensityOperator(np.diag([0.3, 0.7]).astype(complex))
 
+    def test_density_operator_stores_its_hermitian_part(self):
+        rho = random_density(3, np.random.default_rng(71))
+        skew = np.array([[0, 1, 2], [-1, 0, 1j], [-2, 1j, 0]], dtype=complex)
+        m = rho + 1e-12 * skew  # anti-Hermitian part within HERMITICITY
+        assert not np.array_equal(m, dag(m))
+        stored = DensityOperator(m).matrix
+        assert np.array_equal(stored, dag(stored))
+        assert np.max(np.abs(stored - rho)) < 1e-15
+
     def test_arrays_are_frozen(self, pauli_z, plus_state):
         with pytest.raises(ValueError):
             plus_state.vector[0] = 0.0
