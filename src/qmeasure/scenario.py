@@ -57,7 +57,7 @@ class InstrumentSpec:
 
     kind: str  # "ideal" | "repeatable" | "custom"
     seed: int | None = None
-    transformers: tuple[np.ndarray, ...] | None = None
+    transformers: StateTransformerSet | None = None  # the checked custom family
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ class Scenario:
             return make_ideal_transformers(self.observable)
         if self.instrument.kind == "repeatable":
             return make_repeatable_transformers(self.observable, self.instrument.seed)
-        return StateTransformerSet(self.instrument.transformers, self.observable)
+        return self.instrument.transformers
 
 
 def _is_json_number(value: Any) -> bool:
@@ -212,10 +212,9 @@ def _parse_instrument(spec: Any, obs: Observable) -> InstrumentSpec:
             _complex_matrix(entry, f"instrument.transformers[{i}]") for i, entry in enumerate(raw)
         )
         try:
-            StateTransformerSet(mats, obs)  # validate now; the pipeline rebuilds cheaply
+            return InstrumentSpec("custom", transformers=StateTransformerSet(mats, obs))
         except (InvalidTransformers, DimensionMismatch) as exc:
             raise ValidationError(f"instrument.transformers: {exc}") from exc
-        return InstrumentSpec("custom", transformers=mats)
     raise ParseError("instrument.kind: expected 'ideal', 'repeatable' or 'custom'")
 
 

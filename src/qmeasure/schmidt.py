@@ -60,8 +60,7 @@ class DefiniteValueReport(NamedTuple):
     max_left_violation: float
     max_right_violation: float
     assignment: tuple[OutcomePairing, ...]
-    # the input form with each degenerate-coefficient group re-based on
-    # the outcome index
+    # the input form re-based on the outcome index
     schmidt_form: "SchmidtForm"
 
 
@@ -127,46 +126,12 @@ def reduced_states(psi: np.ndarray, structure: Sequence[int]) -> tuple[DensityOp
     return tuple(DensityOperator(pure_marginal(psi, dims, keep=k)) for k in (0, 1))
 
 
-def _joint_residuals(object_obs: Observable, pointer_obs: Observable, left, right, k):
-    lv = float(np.linalg.norm(object_obs.terms[k][1] @ left - left))
-    rv = float(np.linalg.norm(pointer_obs.terms[k][1] @ right - right))
-    return lv, rv
-
-
 def _pivot_phase(left: np.ndarray) -> complex:
     """Unit phase of the first component of left above PHASE_PIVOT (1 if there is none)."""
     candidates = np.nonzero(np.abs(left) > tol.PHASE_PIVOT)[0]
     if candidates.size:
         return left[candidates[0]] / abs(left[candidates[0]])
     return 1.0
-
-
-def _rebase_group(
-    sf: SchmidtForm, group: list[int], outcome_index: np.ndarray
-) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """Re-express one equal-coefficient group in the eigenbasis of the outcome index.
-
-    With L and R the group's left and right vectors as columns and c its
-    coefficients, the new left vectors are L u_s for the eigenvectors u_s of
-    L† N L, N = sum_k k P_k. Each right vector and weight come from
-    w_s = R (c ∘ conj(u_s)), which is <L u_s| ⊗ 1 applied to the group's
-    component, so the group still sums to that component. N is used rather
-    than the observable because outcome indices are at least 1 apart. Terms
-    keep the order of the input term each overlaps most, so an aligned group
-    comes back in its own order.
-    """
-    lefts = np.column_stack([sf.left_vectors[t] for t in group])
-    rights = np.column_stack([sf.right_vectors[t] for t in group])
-    coefficients = sf.coefficients[group]
-    _, u = hermitian_eig(dag(lefts) @ outcome_index @ lefts)
-    terms = []
-    for s in np.argsort(np.argmax(np.abs(u), axis=0), kind="stable"):
-        left = lefts @ u[:, s]
-        phase = _pivot_phase(left)
-        right = rights @ (coefficients * np.conj(u[:, s])) * phase
-        weight = float(np.linalg.norm(right))
-        terms.append((weight, left * np.conj(phase), right / weight))
-    return terms
 
 
 def verify_definite_values(
@@ -181,58 +146,52 @@ def verify_definite_values(
     (equivalently, when both expectation values are 1). The assignment must
     use the same outcome index on both sides and be a bijection.
 
-    Equal Schmidt coefficients make the decomposition non-unique, so a
-    numerically chosen basis may sit obliquely to the spectral projectors
-    even though an aligned form exists. Every group of consecutive
-    coefficients within the degeneracy gap is therefore re-based on the
-    outcome index before the terms are fitted; single terms are kept as
-    they are. The report carries the re-based equivalent form. Inputs
-    without any aligned form, i.e. from non-repeatable instruments, raise
-    NoDefiniteValue.
+    Equal or nearly equal coefficients leave the form non-unique, and eigh
+    mixes their vectors by about eps/gap, so the whole form is re-based on
+    the outcome index N = sum_k k P_k first: with L, R the vectors as
+    columns and c the coefficients, the left vectors become L u_s for the
+    eigenvectors u_s of L† N L, and each right vector and weight come from
+    w_s = R (c ∘ conj(u_s)), i.e. <L u_s| ⊗ 1 applied to the vector. Term s
+    is fitted to the outcome rint(λ_s) alone; the integer spacing of N keeps
+    that rounding safe. Terms keep the order of the input term each
+    overlaps most, so an aligned form comes back in its own order. Where
+    span(L) is invariant under N the left residuals are small by
+    construction, and the right residuals test the pairing. The report
+    carries the re-based form; inputs without an aligned form, i.e. from
+    non-repeatable instruments, raise NoDefiniteValue.
     """
     if object_obs.n_outcomes != pointer_obs.n_outcomes:
         raise DimensionMismatch("object and pointer observables have different outcome counts")
     n_outcomes = object_obs.n_outcomes
 
-    groups: list[list[int]] = [[0]]
-    for t in range(1, sf.n_terms):
-        if sf.coefficients[t - 1] - sf.coefficients[t] <= tol.DEGENERACY_GAP:
-            groups[-1].append(t)
-        else:
-            groups.append([t])
+    lefts = np.column_stack(sf.left_vectors)
+    rights = np.column_stack(sf.right_vectors)
     outcome_index = sum(k * p for k, p in enumerate(object_obs.projectors))
-    terms = []
-    for group in groups:
-        if len(group) > 1:
-            terms.extend(_rebase_group(sf, group, outcome_index))
-        else:
-            t = group[0]
-            terms.append((float(sf.coefficients[t]), sf.left_vectors[t], sf.right_vectors[t]))
+    indices, u = hermitian_eig(dag(lefts) @ outcome_index @ lefts)
 
     fits = []
-    for t, (_, left, right) in enumerate(terms):
-        residuals = [_joint_residuals(object_obs, pointer_obs, left, right, k) for k in range(n_outcomes)]
-        k = min(range(n_outcomes), key=lambda k: max(residuals[k]))
-        if max(residuals[k]) >= tol.DEFINITE_VALUE:
+    for t, s in enumerate(np.argsort(np.argmax(np.abs(u), axis=0), kind="stable")):
+        left = lefts @ u[:, s]
+        phase = _pivot_phase(left)
+        left = left * np.conj(phase)
+        right = rights @ (sf.coefficients * np.conj(u[:, s])) * phase
+        weight = float(np.linalg.norm(right))
+        right = right / weight
+        k = int(np.rint(indices[s]))
+        if not 0 <= k < n_outcomes:
+            raise NoDefiniteValue(f"Schmidt term {t} has outcome index {indices[s]:.3g} outside 0..{n_outcomes - 1}")
+        lv = float(np.linalg.norm(object_obs.terms[k][1] @ left - left))
+        rv = float(np.linalg.norm(pointer_obs.terms[k][1] @ right - right))
+        if max(lv, rv) >= tol.DEFINITE_VALUE:
             raise NoDefiniteValue(f"Schmidt term {t} fits no joint spectral term within {tol.DEFINITE_VALUE}")
-        fits.append((k, *residuals[k]))
-    if len({k for k, _, _ in fits}) != len(fits):
+        fits.append((weight, left, right, k, lv, rv))
+    weights, new_lefts, new_rights, outcomes, left_residuals, right_residuals = zip(*fits)
+    if len(set(outcomes)) != len(outcomes):
         raise NoDefiniteValue("spectral term claimed by two Schmidt terms")
 
-    assignment = tuple(
-        OutcomePairing(
-            term_index=k,
-            object_eigenvalue=object_obs.terms[k][0],
-            pointer_eigenvalue=pointer_obs.terms[k][0],
-        )
-        for k, _, _ in fits
-    )
-    aligned = SchmidtForm(
-        coefficients=np.array([weight for weight, _, _ in terms]),
-        left_vectors=tuple(left for _, left, _ in terms),
-        right_vectors=tuple(right for _, _, right in terms),
-    )
-    return DefiniteValueReport(max(lv for _, lv, _ in fits), max(rv for _, _, rv in fits), assignment, aligned)
+    assignment = tuple(OutcomePairing(k, object_obs.terms[k][0], pointer_obs.terms[k][0]) for k in outcomes)
+    aligned = SchmidtForm(np.array(weights), new_lefts, new_rights)
+    return DefiniteValueReport(max(left_residuals), max(right_residuals), assignment, aligned)
 
 
 def twin_observables(sf: SchmidtForm, assignment: Sequence[OutcomePairing]) -> TwinObservables:

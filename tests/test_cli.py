@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from qmeasure import cli
+from qmeasure import StateTransformerSet, cli
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -110,6 +110,15 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "overall: FAIL" in out
         assert "not applicable" not in out
+
+    def test_custom_instrument_is_checked_once(self, tmp_path, monkeypatch):
+        # The parser keeps the family it checked; the pipeline does not build it again.
+        calls = []
+        check = StateTransformerSet.__post_init__
+        monkeypatch.setattr(StateTransformerSet, "__post_init__", lambda ts: calls.append(1) or check(ts))
+        out = tmp_path / "swap.json"
+        assert run_cli("run", SCENARIOS / "swap_nonrepeatable.json", "--format", "json", "--out", out) == 1
+        assert len(calls) == 1
 
     def test_include_timing_flag(self, tmp_path):
         out = tmp_path / "timed.json"

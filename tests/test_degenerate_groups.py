@@ -1,11 +1,13 @@
 """The definite-value check on Schmidt forms with equal or nearly equal coefficients.
 
-Equal Born weights give a group of Schmidt terms whose coefficients lie
-within DEGENERACY_GAP of each other. ``verify_definite_values`` re-bases
-every such group on the outcome index before it fits the terms. These
-families cover it: nearly balanced two-level measurements, equal-weight
-supports of random observables, and non-repeatable instruments on equal
-weights, which have no definite-value form at all.
+Equal or nearly equal Born weights give Schmidt coefficients whose vectors
+eigh mixes by about eps/gap. ``verify_definite_values`` re-bases every term
+on the outcome index before it fits the terms, whatever the coefficients.
+These families cover it: nearly balanced two-level measurements on both
+sides of DEGENERACY_GAP, equal-weight supports of random observables,
+non-repeatable instruments on equal weights, which have no definite-value
+form at all, and well-separated coefficients, whose aligned form must come
+back as it went in.
 """
 
 import numpy as np
@@ -26,7 +28,6 @@ from qmeasure import (
     schmidt_decompose,
     verify_definite_values,
 )
-from qmeasure import schmidt as schmidt_module
 from qmeasure.linalg import hermitize
 
 N_CHECKS = 15
@@ -76,20 +77,6 @@ def equal_weight_scenario(seed: int, perturbation: float, kind: str) -> Scenario
     )
 
 
-@pytest.fixture
-def rebase_calls(monkeypatch):
-    """Number of groups re-based since the test started."""
-    calls = []
-    original = schmidt_module._rebase_group
-
-    def spy(*args):
-        calls.append(args[1])
-        return original(*args)
-
-    monkeypatch.setattr(schmidt_module, "_rebase_group", spy)
-    return calls
-
-
 def failures(report) -> list[str]:
     failed = [f"{v.label}: {v.deviation:.3e} > {v.tolerance:.1e}" for v in report.verdicts if not v.passed]
     if report.error is not None:
@@ -97,26 +84,24 @@ def failures(report) -> list[str]:
     return failed
 
 
-@pytest.mark.parametrize("delta", [5e-10, 1e-9, 3e-9, 5e-9])
-def test_nearly_balanced_qubit_passes_every_check(delta, rebase_calls):
-    # The two coefficients differ by about 2 delta, within DEGENERACY_GAP,
-    # so they form one group, and the fitted vectors must meet RECONSTRUCTION.
+@pytest.mark.parametrize("delta", [5e-10, 1e-9, 3e-9, 5e-9, 1e-8, 1.5e-8, 2e-8, 5e-8, 1e-7])
+def test_nearly_balanced_qubit_passes_every_check(delta):
+    # The two coefficients differ by about 2 delta, inside DEGENERACY_GAP for
+    # the first four and outside it for the rest, where eigh still mixes the
+    # vectors by about eps/delta. The fitted vectors must meet RECONSTRUCTION.
     for seed in range(50):
         report = run_pipeline(nearly_balanced_qubit(delta, seed))
         assert len(report.verdicts) == N_CHECKS, (seed, report.error)
         assert report.overall_pass, (seed, failures(report))
-    assert len(rebase_calls) == 50
 
 
 @pytest.mark.parametrize("kind", ["ideal", "repeatable"])
 @pytest.mark.parametrize("perturbation", [0.0, 1e-14, 1e-12, 1e-10, 3e-9])
-def test_equal_weight_family_passes_every_check(kind, perturbation, rebase_calls):
+def test_equal_weight_family_passes_every_check(kind, perturbation):
     for seed in range(40):
-        before = len(rebase_calls)
         report = run_pipeline(equal_weight_scenario(seed, perturbation, kind))
         assert len(report.verdicts) == N_CHECKS, (seed, report.error)
         assert report.overall_pass, (seed, failures(report))
-        assert len(rebase_calls) > before, seed
 
 
 @pytest.mark.parametrize("per_outcome", [False, True], ids=["U_P_k", "U_k_P_k"])
@@ -135,12 +120,14 @@ def test_non_repeatable_families_on_equal_weights_have_no_definite_values(per_ou
             verify_definite_values(sf, obs, model.pointer_observable)
 
 
-def test_singleton_terms_pass_through_unchanged(rebase_calls):
-    scenario = nearly_balanced_qubit(0.1, 3)  # coefficients far apart
+def test_separated_terms_come_back_in_their_own_order():
+    # Re-basing rounds, so an aligned form with coefficients far apart comes
+    # back in its own order and equal to the input to rounding, not bit for bit.
+    scenario = nearly_balanced_qubit(0.1, 3)
     model = dilate(scenario.build_transformers())
     sf = schmidt_decompose(evolve(model, scenario.initial_state), model.composite_dims)
     aligned = verify_definite_values(sf, scenario.observable, model.pointer_observable).schmidt_form
-    assert rebase_calls == []
-    assert np.array_equal(aligned.coefficients, sf.coefficients)
+    assert aligned.n_terms == sf.n_terms == 2
+    assert np.allclose(aligned.coefficients, sf.coefficients, rtol=0, atol=1e-13)
     for new, old in zip(aligned.left_vectors + aligned.right_vectors, sf.left_vectors + sf.right_vectors):
-        assert np.array_equal(new, old)
+        assert np.allclose(new, old, rtol=0, atol=1e-13)

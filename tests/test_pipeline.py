@@ -6,14 +6,17 @@ import numpy as np
 import pytest
 
 from qmeasure import (
+    SchmidtForm,
     generate_random_instance,
     parse_scenario,
     report_to_dict,
     report_to_json,
     report_to_text,
     run_pipeline,
+    verify_definite_values,
 )
 from qmeasure import pipeline as pipeline_module
+from qmeasure import tolerances as tol
 from qmeasure.errors import NoDefiniteValue, NonRepeatableInput
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -237,3 +240,82 @@ def test_no_report_has_a_negative_or_negative_zero_entropy():
     for path in sorted(SCENARIOS.glob("*.json")):
         doc = json.loads(report_to_json(run_pipeline(parse_scenario(path.read_text()))))
         assert _negative_or_negative_zero(doc) == [], path.name
+
+
+def _multi_term_runs(count: int = 20):
+    """Fresh runs of seeded scenarios whose final vector has at least two Schmidt terms."""
+    runs = []
+    for seed in range(200):
+        run = pipeline_module._Run(generate_random_instance(seed, 8, 4))
+        if run.schmidt.n_terms >= 2:
+            runs.append((seed, run))
+        if len(runs) == count:
+            return runs
+    raise AssertionError("too few seeds with two Schmidt terms")
+
+
+def _rotated_rights(sf: SchmidtForm, angle: float) -> SchmidtForm:
+    """The form with its first two right vectors rotated into each other by ``angle``."""
+    rights = list(sf.right_vectors)
+    c, s = np.cos(angle), np.sin(angle)
+    rights[0], rights[1] = c * rights[0] + s * rights[1], c * rights[1] - s * rights[0]
+    return SchmidtForm(sf.coefficients, sf.left_vectors, tuple(rights))
+
+
+class TestReBasedFormControls:
+    """Each verdict that reads the re-based Schmidt form flags a corrupted one.
+
+    The corrupted artefact is written into the run before the check reads it.
+    """
+
+    CHECK = {check.label: check for check in pipeline_module.CHECKS}
+
+    def test_schmidt_probability_match_sees_a_scaled_coefficient(self):
+        for seed, run in _multi_term_runs():
+            definite = run.definite
+            canonical = definite.schmidt_form
+            coefficients = canonical.coefficients.copy()
+            coefficients[np.argmax(coefficients)] *= 1 + 1e-4
+            scaled = SchmidtForm(coefficients, canonical.left_vectors, canonical.right_vectors)
+            run.__dict__["definite"] = definite._replace(schmidt_form=scaled)
+            _, _, deviation, _ = self.CHECK["schmidt_probability_match"].fn(run)
+            assert deviation >= 1e3 * tol.THEOREM, seed
+
+    def test_twin_diagonality_sees_a_tilted_left_vector(self):
+        for seed, run in _multi_term_runs():
+            definite = run.definite
+            canonical = definite.schmidt_form
+            lefts = list(canonical.left_vectors)
+            lefts[0] = lefts[0] + 1e-4 * lefts[1]
+            tilted = SchmidtForm(canonical.coefficients, tuple(lefts), canonical.right_vectors)
+            run.__dict__["definite"] = definite._replace(schmidt_form=tilted)
+            _, _, deviation, _ = self.CHECK["twin_diagonality"].fn(run)
+            assert deviation >= 1e3 * tol.RECONSTRUCTION, seed
+
+    def test_definite_values_fails_on_right_vectors_rotated_inside_the_fail_band(self):
+        # Residuals between RECONSTRUCTION and DEFINITE_VALUE are the only FAIL band.
+        for seed, run in _multi_term_runs():
+            run.__dict__["schmidt"] = _rotated_rights(run.schmidt, 3e-9)
+            _, _, deviation, tolerance = self.CHECK["definite_values"].fn(run)
+            assert tolerance < deviation < tol.DEFINITE_VALUE, seed
+
+    def test_definite_values_halts_on_right_vectors_rotated_beyond_it(self):
+        for seed, run in _multi_term_runs():
+            run.__dict__["schmidt"] = _rotated_rights(run.schmidt, 1e-6)
+            with pytest.raises(pipeline_module._Halt):
+                self.CHECK["definite_values"].fn(run)
+            assert run.error.startswith("definite_values: NoDefiniteValue:"), seed
+
+    def test_left_vectors_of_twice_unit_norm_have_no_definite_values(self):
+        # The outcome index of a term then reads 4k, outside 0..K-1 for K = 2.
+        scenario = parse_scenario(IDEAL_Z_UNIFORM)
+        run = pipeline_module._Run(scenario)
+        sf = run.schmidt
+        doubled = SchmidtForm(sf.coefficients, tuple(2 * l for l in sf.left_vectors), sf.right_vectors)
+        with pytest.raises(NoDefiniteValue, match="outside 0..1"):
+            verify_definite_values(doubled, scenario.observable, run.model.pointer_observable)
+        for seed, run in _multi_term_runs():
+            sf = run.schmidt
+            doubled = SchmidtForm(sf.coefficients, tuple(2 * l for l in sf.left_vectors), sf.right_vectors)
+            with pytest.raises(NoDefiniteValue):
+                verify_definite_values(doubled, run.obs, run.model.pointer_observable)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,11 @@ class TestParseScenario:
             parse_scenario(scenario_text(instrument={"kind": "exotic"}))
         with pytest.raises(ParseError, match="re, im"):
             parse_scenario(scenario_text(initial_state={"amplitudes": [[1, 0, 0], [0, 0]]}))
+        with pytest.raises(ParseError, match=re.escape("observable.matrix[1]: expected an array row")):
+            parse_scenario(scenario_text(observable={"matrix": [[1, 0], 5]}))
+        custom = {"kind": "custom", "transformers": [[[1, 0], [0, 0]], [[0, 0], 5]]}
+        with pytest.raises(ParseError, match=re.escape("instrument.transformers[1][1]: expected an array row")):
+            parse_scenario(scenario_text(instrument=custom))
 
     def test_dimension_validation(self):
         with pytest.raises(ValidationError, match="object_dim"):
