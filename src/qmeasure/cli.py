@@ -1,8 +1,8 @@
 """Command line interface.
 
-Exit codes: 0 every verdict passed, 1 some verdict failed, 2 scenario
-parse/validation error, invalid option or unwritable --out path, 3 internal
-numerical error.
+Exit codes: 0 every verdict passed, 1 some verdict failed or no aligned
+Schmidt form exists, 2 scenario parse/validation error, invalid option or
+unwritable --out path, 3 internal numerical error.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ def _emit(text: str, out: str | None) -> bool:
 
 
 def _exit_code(report: VerificationReport) -> int:
-    if report.error is not None:
+    # NoDefiniteValue at definite_values is that check's own finding (no aligned Schmidt form), not a failed computation
+    if report.error is not None and not report.error.startswith("definite_values: NoDefiniteValue: "):
         return EXIT_NUMERICAL
     return EXIT_PASS if report.overall_pass else EXIT_FAIL
 
@@ -166,9 +167,7 @@ def _batch_command(args: argparse.Namespace) -> int:
     if not _emit(text, args.out):
         return EXIT_INVALID
 
-    if errored:
-        return EXIT_NUMERICAL
-    return EXIT_PASS if not failed else EXIT_FAIL
+    return max(_exit_code(report) for _, report in reports)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -148,8 +148,8 @@ def lifted_incompatibility_entropy(
     D-dimensional vector, where the update itself costs O(D^3).
     """
     v = np.asarray(vector, dtype=complex).reshape(-1)
-    components = np.column_stack([apply_on_factor(p, v, structure, factor) for p in obs.projectors])
-    return _gram_entropy(components) - _gram_entropy(v[:, None])
+    components = apply_on_factor(obs.projectors, v, structure, factor)  # row k is v_k
+    return _gram_entropy(components.T) - _gram_entropy(v[:, None])
 
 
 def _gram_entropy(components: np.ndarray) -> float:
@@ -252,22 +252,16 @@ def read_pointer_tripartite(
     if final.size != dims[0] * dims[1]:
         raise DimensionMismatch(f"vector of dim {final.size} does not match {dims}")
 
-    rho2 = pure_marginal(final, dims, keep=1)
-    updated = sum(q @ rho2 @ q for q in model.pointer_observable.projectors)
-    damage = frob(rho2 - updated)
+    components = apply_on_factor(model.pointer_observable.projectors, final, dims, 1)  # row k is (1 ⊗ Q_k) final
+    # The update sum_k Q_k rho2 Q_k is the pointer marginal of the components taken together.
+    rows = components.reshape(-1, dims[1])
+    damage = frob(pure_marginal(final, dims, keep=1) - rows.T @ np.conj(rows))
     if damage >= tol.DEFINITE_VALUE:
-        raise NonRepeatableInput(
-            f"pointer marginal has coherence {damage:.3e} across pointer outcomes"
-        )
+        raise NonRepeatableInput(f"pointer marginal has coherence {damage:.3e} across pointer outcomes")
 
-    components = []
-    for q in model.pointer_observable.projectors:
-        v = apply_on_factor(q, final, dims, 1)
-        if float(np.real(np.vdot(v, v))) > tol.DETECTABILITY:
-            components.append(v)
-    # tri[i * d3 + j] = components[j][i], i.e. sum_j components[j] ⊗ e_j
-    tri = np.array(components, dtype=complex).T.reshape(-1)
-    return tri, (dims[0], dims[1], len(components))
+    detectable = components[np.linalg.norm(components, axis=1) ** 2 > tol.DETECTABILITY]
+    # tri[i * d3 + j] = detectable[j][i], i.e. sum_j detectable[j] ⊗ e_j
+    return detectable.T.reshape(-1), (dims[0], dims[1], len(detectable))
 
 
 def post_reading_state(tri: np.ndarray, structure: Sequence[int]) -> DensityOperator:

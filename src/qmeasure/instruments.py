@@ -18,6 +18,7 @@ probabilities are reproduced on the pointer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .linalg import (
     dag,
     frob,
     frozen_array,
-    pure_marginal,
     random_unitary,
 )
 from .observables import Observable, PureState, probabilities
@@ -49,13 +49,14 @@ class StateTransformerSet:
         obs = self.observable
         if len(ops) != obs.n_outcomes:
             raise InvalidTransformers(f"{len(ops)} transformers for {obs.n_outcomes} spectral terms")
-        for k, a in enumerate(ops):
+        total = np.zeros((obs.dim, obs.dim), dtype=complex)
+        for k, (a, p) in enumerate(zip(ops, obs.projectors)):
             if a.shape != (obs.dim, obs.dim):
                 raise DimensionMismatch(f"transformer {k} has shape {a.shape}, expected {(obs.dim, obs.dim)}")
             gram = dag(a) @ a
-            if frob(gram - obs.terms[k][1]) > tol.TRANSFORMER:
+            if frob(gram - p) > tol.TRANSFORMER:
                 raise InvalidTransformers(f"A_{k}†A_{k} deviates from its projector beyond {tol.TRANSFORMER}")
-        total = sum(dag(a) @ a for a in ops)
+            total += gram
         if frob(total - np.eye(obs.dim)) > tol.TRANSFORMER:
             raise InvalidTransformers(f"sum A_k†A_k deviates from identity beyond {tol.TRANSFORMER}")
 
@@ -173,18 +174,22 @@ def dilate(ts: StateTransformerSet) -> MeasurementModel:
     n = ts.n_outcomes
     # isometry[j * n + k, i] = A_k[j, i]: column i is sum_k (A_k|i>) ⊗ e_k
     isometry = np.stack(ts.transformers, axis=1).reshape(obs.dim * n, obs.dim)
-
-    pointer_terms = tuple(
-        (float(k), np.outer(basis_vector(n, k), np.conj(basis_vector(n, k)))) for k in range(n)
-    )
+    pointer_initial, pointer_observable = _pointer(n)
     return MeasurementModel(
         observable=obs,
         object_dim=obs.dim,
         pointer_dim=n,
-        pointer_initial=PureState(basis_vector(n, 0)),
-        pointer_observable=Observable(pointer_terms, n),
+        pointer_initial=pointer_initial,
+        pointer_observable=pointer_observable,
         isometry=isometry,
     )
+
+
+@lru_cache(maxsize=32)
+def _pointer(n: int) -> tuple[PureState, Observable]:
+    """Initial state e_0 and observable sum_k k |e_k><e_k| of an n-dim pointer, shared as both are immutable."""
+    terms = tuple((float(k), np.diag(basis_vector(n, k))) for k in range(n))
+    return PureState(basis_vector(n, 0)), Observable(terms, n)
 
 
 def evolve(model: MeasurementModel, psi: PureState) -> np.ndarray:
@@ -201,11 +206,9 @@ def verify_probability_reproducibility(model: MeasurementModel, psi: PureState) 
 
 def probability_gap(model: MeasurementModel, born: np.ndarray, final: np.ndarray) -> float:
     """Worst |p_k - <final|1 ⊗ Q_k|final>| over the outcomes, for a given final vector."""
-    worst = 0.0
-    for k, q in enumerate(model.pointer_observable.projectors):
-        read = float(np.real(np.vdot(final, apply_on_factor(q, final, model.composite_dims, 1))))
-        worst = max(worst, abs(born[k] - read))
-    return worst
+    components = apply_on_factor(model.pointer_observable.projectors, final, model.composite_dims, 1)
+    read = np.real(components @ np.conj(final))
+    return float(np.max(np.abs(born - read)))
 
 
 def verify_conditional_states(model: MeasurementModel, ts: StateTransformerSet, psi: PureState) -> float:
@@ -224,13 +227,12 @@ def conditional_state_gap(
     if model.object_dim != ts.observable.dim:
         raise DimensionMismatch("model and transformer family disagree on the object dimension")
     dims = model.composite_dims
+    # Tr_2 of (1 ⊗ Q_k)|Psi><Psi|(1 ⊗ Q_k) is M_k M_k†, with M_k the vector (1 ⊗ Q_k)|Psi> reshaped to d x n
+    components = apply_on_factor(model.pointer_observable.projectors, final, dims, 1).reshape(-1, *dims)
+    rho = psi.projector()
     worst = 0.0
-    for k, q in enumerate(model.pointer_observable.projectors):
-        a = ts.transformers[k]
-        direct = a @ psi.projector() @ dag(a)
-        # Tr_2 of (1 ⊗ Q_k)|Psi><Psi|(1 ⊗ Q_k) is the marginal of the pure vector (1 ⊗ Q_k)|Psi>
-        via_pointer = pure_marginal(apply_on_factor(q, final, dims, 1), dims, keep=0)
-        worst = max(worst, frob(direct - via_pointer))
+    for a, m in zip(ts.transformers, components):
+        worst = max(worst, frob(a @ rho @ dag(a) - m @ dag(m)))
     return worst
 
 
@@ -247,12 +249,11 @@ def repeat_measurement_check(model: MeasurementModel, ts: StateTransformerSet, p
         raise DimensionMismatch("model and transformer family disagree on the object dimension")
     born = probabilities(ts.observable, psi)
     smallest = 1.0
-    for k in range(ts.n_outcomes):
+    for k, (_, p) in enumerate(ts.observable.terms):
         if born[k] <= tol.DETECTABILITY:
             continue
-        after = post_state(ts, psi, k)
-        repeated = probabilities(ts.observable, after)
-        smallest = min(smallest, float(repeated[k]))
+        after = post_state(ts, psi, k).vector
+        smallest = min(smallest, float(np.real(np.vdot(after, p @ after))))
     return smallest
 
 

@@ -135,17 +135,18 @@ def apply_on_factor(op: np.ndarray, vec: np.ndarray, structure: Sequence[int], f
     """(1 ⊗ .. ⊗ op ⊗ .. ⊗ 1) @ vec, with op acting on one tensor factor only.
 
     ``vec`` is a vector on the product space described by ``structure``, or
-    a matrix whose columns are such vectors. The lifted operator is never
-    formed: op is contracted with the factor's axis of the reshaped array.
+    a matrix whose columns are such vectors; ``op`` is one operator, or a
+    (K, d_f, d_f) stack whose K results come back along a new first axis.
+    The lifted operator is never formed: one broadcast product applies op to
+    the factor's axis of the reshaped vector.
     """
     vec = np.asarray(vec, dtype=complex)
     op = np.asarray(op, dtype=complex)
     dims = _check_structure(vec.shape[0], structure, min_factors=1)
-    if not 0 <= factor < len(dims) or op.shape != (dims[factor], dims[factor]):
+    if not 0 <= factor < len(dims) or op.ndim not in (2, 3) or op.shape[-2:] != (dims[factor], dims[factor]):
         raise DimensionMismatch(f"operator of shape {op.shape} does not act on factor {factor} of {dims}")
-    t = vec.reshape(dims + vec.shape[1:])
-    t = np.moveaxis(np.tensordot(op, t, axes=([1], [factor])), 0, factor)
-    return t.reshape(vec.shape)
+    out = op[..., None, :, :] @ vec.reshape(int(np.prod(dims[:factor])), dims[factor], -1)
+    return out.reshape(op.shape[:-2] + vec.shape)
 
 
 def pure_marginal(vec: np.ndarray, structure: Sequence[int], keep: int | Sequence[int]) -> np.ndarray:

@@ -37,9 +37,15 @@ class Observable:
     dim: int
 
     def __post_init__(self) -> None:
-        frozen_terms = tuple((float(a), frozen_array(p)) for a, p in self.terms)
-        object.__setattr__(self, "terms", frozen_terms)
         object.__setattr__(self, "dim", int(self.dim))
+        if not self.terms:
+            raise ValidationError("observable has no spectral terms")
+        for _, p in self.terms:
+            if np.shape(p) != (self.dim, self.dim):
+                raise DimensionMismatch(f"projector shape {np.shape(p)} does not match dim {self.dim}")
+        stack = frozen_array([p for _, p in self.terms])
+        object.__setattr__(self, "terms", tuple((float(a), p) for (a, _), p in zip(self.terms, stack)))
+        object.__setattr__(self, "_projectors", stack)
         validate_observable(self)
 
     @property
@@ -47,8 +53,9 @@ class Observable:
         return tuple(a for a, _ in self.terms)
 
     @property
-    def projectors(self) -> tuple[np.ndarray, ...]:
-        return tuple(p for _, p in self.terms)
+    def projectors(self) -> np.ndarray:
+        """The projectors in term order, stored once as one read-only (K, dim, dim) stack that the terms view."""
+        return self._projectors
 
     @property
     def n_outcomes(self) -> int:
@@ -64,30 +71,27 @@ class Observable:
 
 def validate_observable(obs: Observable) -> None:
     """Check every spectral-family invariant, raising ValidationError."""
-    if obs.n_outcomes == 0:
-        raise ValidationError("observable has no spectral terms")
-    for a, p in obs.terms:
-        if p.shape != (obs.dim, obs.dim):
-            raise DimensionMismatch(f"projector shape {p.shape} does not match dim {obs.dim}")
     values = sorted(obs.eigenvalues)
     for lo, hi in zip(values, values[1:]):
         if hi - lo <= tol.DEGENERACY_GAP:
             raise ValidationError(f"eigenvalues {lo} and {hi} are not separated beyond {tol.DEGENERACY_GAP}")
+    stack = obs.projectors
+    hermiticity = np.linalg.norm((stack - np.conj(stack).swapaxes(1, 2)).reshape(obs.n_outcomes, -1), axis=1)
+    idempotence = np.linalg.norm((stack @ stack - stack).reshape(obs.n_outcomes, -1), axis=1)
     # Hermitian idempotents within ORTHONORMALITY that sum to 1 within it can
     # still overlap by more than it, so the pairs are checked too.
-    column = np.array(obs.projectors).reshape(-1, obs.dim)  # P_0 over P_1 over ...
-    for i, (_, p) in enumerate(obs.terms):
-        if not is_hermitian(p, tol.ORTHONORMALITY):
+    column = stack.reshape(-1, obs.dim)  # P_0 over P_1 over ...
+    for i, p in enumerate(stack):
+        if not hermiticity[i] <= tol.ORTHONORMALITY:
             raise ValidationError(f"projector {i} violates hermiticity within {tol.ORTHONORMALITY}")
-        if frob(p @ p - p) > tol.ORTHONORMALITY:
+        if idempotence[i] > tol.ORTHONORMALITY:
             raise ValidationError(f"projector {i} violates idempotence within {tol.ORTHONORMALITY}")
         products = column[: i * obs.dim] @ p  # P_j P_i for every j < i, one above the other
         overlapping = np.linalg.norm(products.reshape(-1, obs.dim**2), axis=1) > tol.ORTHONORMALITY
         if overlapping.any():
             j = int(np.argmax(overlapping))
             raise ValidationError(f"projectors {j} and {i} violate orthogonality within {tol.ORTHONORMALITY}")
-    total = sum(p for _, p in obs.terms)
-    if frob(total - np.eye(obs.dim)) > tol.ORTHONORMALITY:
+    if frob(stack.sum(axis=0) - np.eye(obs.dim)) > tol.ORTHONORMALITY:
         raise ValidationError(f"spectral family violates completeness within {tol.ORTHONORMALITY}")
 
 

@@ -69,6 +69,12 @@ class TestRunCommand:
         assert code == 3
         assert "schmidt: NoDefiniteValue" in out
 
+    def test_no_aligned_schmidt_form_exits_one(self, capsys):
+        # SWAP passes the repeatability verdict under this override, and definite_values
+        # then finds that no Schmidt term pairs with a joint spectral term.
+        assert run_cli("run", SCENARIOS / "swap_nonrepeatable.json", "--tolerance", "2") == 1
+        assert "error: definite_values: NoDefiniteValue" in capsys.readouterr().out
+
     def test_tolerance_flag_overrides_scenario(self, tmp_path):
         out = tmp_path / "report.json"
         assert run_cli("run", SCENARIOS / "ideal_z_uniform.json", "--format", "json",
@@ -143,6 +149,19 @@ class TestBatchCommand:
         assert doc["campaign"]["total"] == 4
         assert [entry["seed"] for entry in doc["results"]] == [0, 1, 2, 3]
         assert all(entry["overall_pass"] for entry in doc["results"])
+
+    @pytest.mark.parametrize("target, code", [("verify_definite_values", 1), ("schmidt_decompose", 3)])
+    def test_a_halted_run_sets_the_campaign_exit_code(self, target, code, tmp_path, monkeypatch):
+        from qmeasure import pipeline as pipeline_module
+        from qmeasure.errors import NoDefiniteValue
+
+        def explode(*args, **kwargs):
+            raise NoDefiniteValue("synthetic failure")
+
+        monkeypatch.setattr(pipeline_module, target, explode)
+        out = tmp_path / "campaign.json"
+        assert run_cli("batch", "--seeds", "0..1", "--format", "json", "--out", out) == code
+        assert json.loads(out.read_text())["campaign"]["errored_seeds"] == [0, 1]
 
     def test_bad_seed_range_exits_two(self, capsys):
         assert run_cli("batch", "--seeds", "nope") == 2

@@ -140,6 +140,29 @@ class TestDilate:
         assert np.allclose(model.pointer_initial.vector, basis_vector(2, 0))
         assert model.pointer_observable.eigenvalues == (0.0, 1.0)
 
+    def test_models_with_the_same_outcome_count_share_one_pointer(self, pauli_z, degenerate_observable):
+        first = dilate(make_ideal_transformers(pauli_z))
+        second = dilate(make_repeatable_transformers(degenerate_observable, 3))
+        assert first.pointer_dim == second.pointer_dim == 2
+        assert second.pointer_observable is first.pointer_observable
+        assert second.pointer_initial is first.pointer_initial
+
+    def test_the_shared_pointer_cannot_be_changed(self, pauli_z):
+        model = dilate(make_ideal_transformers(pauli_z))
+        pointer = model.pointer_observable
+        before = pointer.projectors.copy()
+        with pytest.raises(ValueError):
+            pointer.projectors[0, 0, 0] = 5.0
+        with pytest.raises(ValueError):
+            pointer.terms[1][1][1, 1] = 5.0
+        with pytest.raises(ValueError):
+            model.pointer_initial.vector[0] = 0.0
+        replaced = dataclasses.replace(model, pointer_observable=observable_from_matrix(np.diag([5.0, 7.0])))
+        assert replaced.pointer_observable is not pointer
+        again = dilate(make_ideal_transformers(pauli_z))
+        assert again.pointer_observable is pointer and pointer.eigenvalues == (0.0, 1.0)
+        assert np.array_equal(pointer.projectors, before)
+
     def test_unitarity(self):
         rng = np.random.default_rng(22)
         for seed in range(5):

@@ -7,10 +7,14 @@ explicitly (``kron``, ``embed_observable``, ``luders_update``,
 product) and must agree with the kernel.
 """
 
+import sys
+from collections import Counter
 from functools import reduce
 
 import numpy as np
 import pytest
+
+import qmeasure
 
 from qmeasure import (
     DensityOperator,
@@ -34,6 +38,7 @@ from qmeasure import (
     random_unitary,
     read_pointer_tripartite,
     reduced_states,
+    run_pipeline,
     schmidt_decompose,
     verify_definite_values,
     von_neumann_entropy,
@@ -97,6 +102,58 @@ class TestApplyOnFactor:
     def test_bad_factor_or_dims(self, op_dim, dims, factor):
         with pytest.raises(DimensionMismatch):
             apply_on_factor(np.eye(op_dim), np.ones(24), dims, factor)
+
+
+class TestStackedApplyOnFactor:
+    """A (K, d_f, d_f) stack against the per-operator loop and the lifted operators."""
+
+    @pytest.mark.parametrize("factor", [0, 1, 2])
+    @pytest.mark.parametrize("shape", [(24,), (24, 5)])
+    def test_matches_the_loop_and_the_lifted_operators(self, factor, shape):
+        rng = np.random.default_rng(330 + factor)
+        d = TRI_DIMS[factor]
+        stack = np.array([random_hermitian(d, rng) + 1j * random_hermitian(d, rng) for _ in range(4)])
+        vec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = apply_on_factor(stack, vec, TRI_DIMS, factor)
+        assert out.shape == (4, *shape)
+        for op, row in zip(stack, out):
+            assert np.linalg.norm(row - apply_on_factor(op, vec, TRI_DIMS, factor)) < KERNEL_TOL
+            assert np.linalg.norm(row - lifted(op, TRI_DIMS, factor) @ vec) < KERNEL_TOL
+
+    @pytest.mark.parametrize("op_shape", [(4, 4, 4), (4, 3, 4), (2, 4, 3, 3), (3,)])
+    def test_rejects_a_stack_of_the_wrong_shape_or_a_4d_operator(self, op_shape):
+        # factor 0 of TRI_DIMS has dimension 3
+        with pytest.raises(DimensionMismatch):
+            apply_on_factor(np.zeros(op_shape), np.ones(24), TRI_DIMS, 0)
+
+
+class TestKernelCounts:
+    def test_kernel_calls_per_run_do_not_grow_with_the_outcome_count(self, monkeypatch):
+        # Each sum over outcomes is one stacked product, so a run with 6 outcomes
+        # makes as many kernel calls as one with 2.
+        counts = Counter()
+        namespaces = [m for name, m in sys.modules.items() if name == "qmeasure" or name.startswith("qmeasure.")]
+        for name in ("apply_on_factor", "pure_marginal"):
+            original = getattr(qmeasure.linalg, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in namespaces:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, spy)
+
+        per_run = {}
+        for seed, n in ((3, 2), (4, 6)):
+            scenario = generate_random_instance(seed, 16, 6)
+            assert scenario.observable.n_outcomes == n
+            counts.clear()
+            report = run_pipeline(scenario)
+            assert report.overall_pass and not report.not_applicable
+            per_run[n] = dict(counts)
+        assert per_run[2]["apply_on_factor"] > 0 and per_run[2]["pure_marginal"] > 0
+        assert per_run[2] == per_run[6]
 
 
 class TestPureMarginal:

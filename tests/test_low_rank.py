@@ -151,9 +151,10 @@ class TestIsometryRoute:
         check_orthonormal_columns(np.eye(4, 3, dtype=complex))
 
 
-def test_seed_0_at_d1_max_128_stays_within_16_mib():
+def test_seed_0_at_d1_max_128_stays_within_12_mib():
     # d = 110 with 11 outcomes (D = 1210). A D×D unitary alone takes 22 MiB;
-    # the dense route peaks at 114 MiB here.
+    # the dense route peaks at 114 MiB here, the factor route at 8 MiB, and one
+    # that stacks the K d×d products of each per-outcome loop at 14 MiB.
     scenario = generate_random_instance(0, 128, 16)
     assert (scenario.object_dim, scenario.observable.n_outcomes) == (110, 11)
     tracemalloc.start()
@@ -163,4 +164,4 @@ def test_seed_0_at_d1_max_128_stays_within_16_mib():
     finally:
         tracemalloc.stop()
     assert report.error is None and report.overall_pass
-    assert peak < 16 * 2**20
+    assert peak < 12 * 2**20

@@ -83,6 +83,12 @@ class TestStates:
         assert np.array_equal(stored, dag(stored))
         assert np.max(np.abs(stored - rho)) < 1e-15
 
+    def test_terms_are_views_of_one_projector_stack(self, degenerate_observable):
+        stack = degenerate_observable.projectors
+        assert stack.shape == (2, 3, 3) and not stack.flags.writeable
+        for (_, p), q in zip(degenerate_observable.terms, stack):
+            assert p.base is stack and np.array_equal(p, q)
+
     def test_arrays_are_frozen(self, pauli_z, plus_state):
         with pytest.raises(ValueError):
             plus_state.vector[0] = 0.0
