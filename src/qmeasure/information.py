@@ -1,11 +1,12 @@
-"""Entropy functionals, incompatibility entropy, and identity verifiers.
+"""Entropy functionals, incompatibility entropy, and the ideal pointer reading.
 
 All entropies are in bits (base-2 logarithms). The incompatibility (or
 coherence) entropy of an observable in a state is the entropy increase
 under the projective Lüders update; it vanishes exactly when observable
-and state commute. The two verify_* functions check, through disjoint
-numeric routes, that for repeatable instruments this quantity equals the
-entanglement of the final object-pointer vector.
+and state commute. ``final_state_identity`` and ``transfer_identity``
+compare, through disjoint numeric routes, this quantity with the
+entanglement of the final object-pointer vector, which it equals for
+repeatable instruments; the pipeline's checks read them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import DimensionMismatch, NonRepeatableInput, NotADistribution
 from .linalg import apply_on_factor, check_unit_norm, dag, frob, partial_trace, pure_marginal
-from .instruments import MeasurementModel, StateTransformerSet, evolve
+from .instruments import MeasurementModel
 from .observables import (
     DensityOperator,
     Observable,
@@ -27,7 +28,6 @@ from .observables import (
     check_dims,
     density_matrix,
     luders_update,
-    probabilities,
 )
 
 # Not used here. It stays importable from this module because bench/selftest.py
@@ -87,15 +87,6 @@ def von_neumann_entropy(rho: DensityOperator | np.ndarray) -> float:
         rho = DensityOperator(np.asarray(rho, dtype=complex))  # raises NotDensityOperator
     values = np.clip(rho.eigenvalues(), 0.0, None)
     return shannon_entropy(values)
-
-
-def entanglement_of_pure_state(psi: np.ndarray, structure: Sequence[int]) -> float:
-    """Entropy of the first marginal of a normalized bipartite vector."""
-    psi, norm = check_unit_norm(psi)
-    dims = tuple(int(d) for d in structure)
-    if len(dims) != 2:
-        raise DimensionMismatch(f"entanglement needs a bipartite structure, got {dims}")
-    return von_neumann_entropy(pure_marginal(psi / norm, dims, keep=0))
 
 
 def mutual_information(state: np.ndarray | DensityOperator, structure: Sequence[int]) -> EntropyReport:
@@ -172,39 +163,6 @@ def commutator_norm(obs: Observable, state: State) -> float:
     return frob(a @ rho - rho @ a)
 
 
-def lifted_commutator_norm(obs: Observable, rho: DensityOperator, structure: Sequence[int], factor: int) -> float:
-    """Frobenius norm of [obs ⊗ 1, rho], with obs on one tensor factor of rho's space.
-
-    (obs ⊗ 1) rho is formed on that factor alone. Both operators are
-    Hermitian, so rho (obs ⊗ 1) is its adjoint.
-    """
-    left = apply_on_factor(obs.matrix(), rho.matrix, structure, factor)
-    return frob(left - dag(left))
-
-
-def verify_entanglement_as_incompatibility(
-    model: MeasurementModel,
-    ts: StateTransformerSet,
-    psi: PureState,
-) -> Verdict:
-    """Entanglement of the final vector vs incompatibility entropy in it.
-
-    Three disjoint routes must agree: the marginal entropy of the evolved
-    vector, the incompatibility entropy of the lifted observable in the
-    evolved vector, and the Shannon entropy of the Born probabilities.
-    """
-    final = evolve(model, psi)
-    dims = model.composite_dims
-    lhs, rhs, deviation = final_state_identity(
-        entanglement_of_pure_state(final, dims),
-        ts.observable,
-        final,
-        dims,
-        shannon_entropy(np.clip(probabilities(ts.observable, psi), 0.0, None)),
-    )
-    return Verdict.from_deviation("entanglement_incompatibility_final", lhs, rhs, deviation, tol.THEOREM)
-
-
 def final_state_identity(
     entanglement: float, obs: Observable, final: np.ndarray, structure: Sequence[int], h_born: float
 ) -> tuple[float, float, float]:
@@ -212,19 +170,6 @@ def final_state_identity(
     rhs = lifted_incompatibility_entropy(obs, final, structure, 0)
     deviation = max(abs(entanglement - rhs), abs(entanglement - h_born), abs(rhs - h_born))
     return entanglement, rhs, deviation
-
-
-def verify_incompatibility_transfer(
-    ts: StateTransformerSet,
-    psi: PureState,
-    model: MeasurementModel,
-) -> Verdict:
-    """Incompatibility entropy in the initial state vs final entanglement."""
-    final = evolve(model, psi)
-    lhs, rhs, deviation = transfer_identity(
-        ts.observable, psi, entanglement_of_pure_state(final, model.composite_dims)
-    )
-    return Verdict.from_deviation("entanglement_incompatibility_initial", lhs, rhs, deviation, tol.THEOREM)
 
 
 def transfer_identity(obs: Observable, psi: PureState, entanglement: float) -> tuple[float, float, float]:
@@ -264,15 +209,6 @@ def read_pointer_tripartite(
     return detectable.T.reshape(-1), (dims[0], dims[1], len(detectable))
 
 
-def post_reading_state(tri: np.ndarray, structure: Sequence[int]) -> DensityOperator:
-    """Joint object-pointer state after the reading: trace over the reader."""
-    tri = np.asarray(tri, dtype=complex).reshape(-1)
-    dims = tuple(int(d) for d in structure)
-    if len(dims) != 3:
-        raise DimensionMismatch(f"post-reading state needs a tripartite structure, got {dims}")
-    return DensityOperator(pure_marginal(tri, dims, keep=(0, 1)))
-
-
 def low_rank_commutator_norm(obs: Observable, w: np.ndarray, structure: Sequence[int], factor: int) -> float:
     """Frobenius norm of [X, W W†] for X = obs ⊗ 1, with obs on one tensor factor, from the D×K matrix W.
 
@@ -291,15 +227,10 @@ __all__ = [
     "Verdict",
     "shannon_entropy",
     "von_neumann_entropy",
-    "entanglement_of_pure_state",
     "mutual_information",
     "incompatibility_entropy",
     "lifted_incompatibility_entropy",
     "commutator_norm",
-    "lifted_commutator_norm",
-    "verify_entanglement_as_incompatibility",
-    "verify_incompatibility_transfer",
     "read_pointer_tripartite",
-    "post_reading_state",
     "low_rank_commutator_norm",
 ]

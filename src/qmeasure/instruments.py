@@ -10,9 +10,10 @@ A measurement of an observable is described in two equivalent ways:
 
 ``dilate`` turns the first description into the second. A model holds
 the unitary's restriction to object ⊗ (initial pointer state), an
-isometry, and completes the unitary only when it is read. The verify_*
-helpers check that the two descriptions agree and that predicted
-probabilities are reproduced on the pointer.
+isometry, and completes the unitary only when it is read.
+``probability_gap`` and ``conditional_state_gap`` measure, for a given
+final vector, how far the pointer reproduces the predicted probabilities
+and the transformers' conditional states.
 """
 
 from __future__ import annotations
@@ -199,25 +200,11 @@ def evolve(model: MeasurementModel, psi: PureState) -> np.ndarray:
     return model.isometry @ psi.vector
 
 
-def verify_probability_reproducibility(model: MeasurementModel, psi: PureState) -> float:
-    """Worst gap between Born probabilities and pointer-readout probabilities."""
-    return probability_gap(model, probabilities(model.observable, psi), evolve(model, psi))
-
-
 def probability_gap(model: MeasurementModel, born: np.ndarray, final: np.ndarray) -> float:
     """Worst |p_k - <final|1 ⊗ Q_k|final>| over the outcomes, for a given final vector."""
     components = apply_on_factor(model.pointer_observable.projectors, final, model.composite_dims, 1)
     read = np.real(components @ np.conj(final))
     return float(np.max(np.abs(born - read)))
-
-
-def verify_conditional_states(model: MeasurementModel, ts: StateTransformerSet, psi: PureState) -> float:
-    """Worst gap between the two conditional-state routes.
-
-    For every outcome k the unnormalized object state after reading the
-    pointer, Tr_2(Q_k |Psi><Psi| Q_k), must equal A_k |psi><psi| A_k†.
-    """
-    return conditional_state_gap(model, ts, psi, evolve(model, psi))
 
 
 def conditional_state_gap(
@@ -266,7 +253,5 @@ __all__ = [
     "post_state",
     "dilate",
     "evolve",
-    "verify_probability_reproducibility",
-    "verify_conditional_states",
     "repeat_measurement_check",
 ]

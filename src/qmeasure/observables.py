@@ -17,7 +17,6 @@ import numpy as np
 from . import tolerances as tol
 from .errors import DimensionMismatch, NotDensityOperator, ValidationError
 from .linalg import (
-    basis_vector,
     check_unit_norm,
     dag,
     frob,
@@ -219,14 +218,6 @@ def probabilities(obs: Observable, state: State) -> np.ndarray:
     return np.array([float(np.real(np.trace(p @ rho))) for _, p in obs.terms])
 
 
-def classify_outcomes(obs: Observable, state: State) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split term indices into detectable (positive probability) and null."""
-    p = probabilities(obs, state)
-    detectable = tuple(int(k) for k in range(p.size) if p[k] > tol.DETECTABILITY)
-    null = tuple(int(k) for k in range(p.size) if p[k] <= tol.DETECTABILITY)
-    return detectable, null
-
-
 def luders_update(obs: Observable, state: State) -> DensityOperator:
     """Projective (Lüders) state update sum_k P_k rho P_k over all terms."""
     check_dims(obs, state)
@@ -235,27 +226,6 @@ def luders_update(obs: Observable, state: State) -> DensityOperator:
     for _, p in obs.terms:
         out += p @ rho @ p
     return DensityOperator(out)
-
-
-def purify(rho: DensityOperator | np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
-    """Pure bipartite vector whose first marginal is the given state.
-
-    Built as sum_i sqrt(l_i) v_i ⊗ e_i over the eigenpairs of rho with
-    eigenvalue at least the detectability cutoff; the ancilla keeps the
-    full dimension of rho.
-    """
-    if not isinstance(rho, DensityOperator):
-        rho = DensityOperator(np.asarray(rho, dtype=complex))  # raises NotDensityOperator
-    d = rho.dim
-    w, v = hermitian_eig(rho.matrix)
-    vec = np.zeros(d * d, dtype=complex)
-    ancilla = 0
-    for i in range(d):
-        if w[i] < tol.DETECTABILITY:
-            continue
-        vec += np.sqrt(w[i]) * kron(v[:, i], basis_vector(d, ancilla))
-        ancilla += 1
-    return vec, (d, d)
 
 
 def uniform_superposition(dim: int) -> PureState:
@@ -272,9 +242,7 @@ __all__ = [
     "observable_from_matrix",
     "embed_observable",
     "probabilities",
-    "classify_outcomes",
     "luders_update",
-    "purify",
     "density_matrix",
     "uniform_superposition",
 ]

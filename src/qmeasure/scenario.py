@@ -201,8 +201,8 @@ def _parse_instrument(spec: Any, obs: Observable) -> InstrumentSpec:
         return InstrumentSpec("ideal")
     if kind == "repeatable":
         seed = spec.get("seed")
-        if not _is_integer(seed):
-            raise ParseError("instrument.seed: expected an integer for the repeatable kind")
+        if not _is_integer(seed) or seed < 0:
+            raise ParseError(f"instrument.seed: expected an integer >= 0 for the repeatable kind, got {seed!r}")
         return InstrumentSpec("repeatable", seed=seed)
     if kind == "custom":
         raw = spec.get("transformers")
@@ -238,9 +238,12 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     except QMeasureError as exc:
         raise ValidationError(str(exc)) from exc
 
-    options = doc.get("options") or {}
+    options = {} if doc.get("options") is None else doc["options"]
     if not isinstance(options, dict):
         raise ParseError("options: expected an object")
+    unknown = set(options) - {"tolerance", "verbosity"}
+    if unknown:
+        raise ParseError(f"options: unknown fields {sorted(unknown)}")
     tolerance = options.get("tolerance")
     if tolerance is not None:
         if not _is_json_number(tolerance):

@@ -1,0 +1,150 @@
+"""Reference routes for the tests: dense forms and one-call wrappers of pipeline checks.
+
+The pipeline never runs these. The dense references (``post_reading_state``,
+``lifted_commutator_norm``, ``purify``) form the D×D operators that the
+library's kernels avoid, so a kernel test still compares two routes. The
+``verify_*`` wrappers evolve the instrument themselves and then call the
+same comparison a ``pipeline.CHECKS`` entry reads, so acceptance tests can
+check one identity at a time. ``entanglement_of_pure_state`` and
+``classify_outcomes`` read one field of ``mutual_information`` and of
+``probabilities``.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+
+import numpy as np
+
+from qmeasure import (
+    DensityOperator,
+    DimensionMismatch,
+    MeasurementModel,
+    Observable,
+    PureState,
+    State,
+    StateTransformerSet,
+    Verdict,
+    apply_on_factor,
+    basis_vector,
+    dag,
+    evolve,
+    frob,
+    hermitian_eig,
+    kron,
+    probabilities,
+    pure_marginal,
+    shannon_entropy,
+    von_neumann_entropy,
+)
+from qmeasure import tolerances as tol
+from qmeasure.information import final_state_identity, transfer_identity
+from qmeasure.instruments import conditional_state_gap, probability_gap
+from qmeasure.linalg import check_unit_norm
+
+
+def classify_outcomes(obs: Observable, state: State) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split term indices into detectable (positive probability) and null."""
+    p = probabilities(obs, state)
+    detectable = tuple(int(k) for k in range(p.size) if p[k] > tol.DETECTABILITY)
+    null = tuple(int(k) for k in range(p.size) if p[k] <= tol.DETECTABILITY)
+    return detectable, null
+
+
+def purify(rho: DensityOperator | np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
+    """Pure bipartite vector whose first marginal is the given state.
+
+    Built as sum_i sqrt(l_i) v_i ⊗ e_i over the eigenpairs of rho with
+    eigenvalue at least the detectability cutoff; the ancilla keeps the
+    full dimension of rho.
+    """
+    if not isinstance(rho, DensityOperator):
+        rho = DensityOperator(np.asarray(rho, dtype=complex))  # raises NotDensityOperator
+    d = rho.dim
+    w, v = hermitian_eig(rho.matrix)
+    vec = np.zeros(d * d, dtype=complex)
+    ancilla = 0
+    for i in range(d):
+        if w[i] < tol.DETECTABILITY:
+            continue
+        vec += np.sqrt(w[i]) * kron(v[:, i], basis_vector(d, ancilla))
+        ancilla += 1
+    return vec, (d, d)
+
+
+def entanglement_of_pure_state(psi: np.ndarray, structure: Sequence[int]) -> float:
+    """Entropy of the first marginal of a normalized bipartite vector."""
+    psi, norm = check_unit_norm(psi)
+    dims = tuple(int(d) for d in structure)
+    if len(dims) != 2:
+        raise DimensionMismatch(f"entanglement needs a bipartite structure, got {dims}")
+    return von_neumann_entropy(pure_marginal(psi / norm, dims, keep=0))
+
+
+def lifted_commutator_norm(obs: Observable, rho: DensityOperator, structure: Sequence[int], factor: int) -> float:
+    """Frobenius norm of [obs ⊗ 1, rho], with obs on one tensor factor of rho's space.
+
+    (obs ⊗ 1) rho is formed on that factor alone. Both operators are
+    Hermitian, so rho (obs ⊗ 1) is its adjoint.
+    """
+    left = apply_on_factor(obs.matrix(), rho.matrix, structure, factor)
+    return frob(left - dag(left))
+
+
+def post_reading_state(tri: np.ndarray, structure: Sequence[int]) -> DensityOperator:
+    """Joint object-pointer state after the reading: trace over the reader."""
+    tri = np.asarray(tri, dtype=complex).reshape(-1)
+    dims = tuple(int(d) for d in structure)
+    if len(dims) != 3:
+        raise DimensionMismatch(f"post-reading state needs a tripartite structure, got {dims}")
+    return DensityOperator(pure_marginal(tri, dims, keep=(0, 1)))
+
+
+def verify_probability_reproducibility(model: MeasurementModel, psi: PureState) -> float:
+    """Worst gap between Born probabilities and pointer-readout probabilities."""
+    return probability_gap(model, probabilities(model.observable, psi), evolve(model, psi))
+
+
+def verify_conditional_states(model: MeasurementModel, ts: StateTransformerSet, psi: PureState) -> float:
+    """Worst gap between the two conditional-state routes.
+
+    For every outcome k the unnormalized object state after reading the
+    pointer, Tr_2(Q_k |Psi><Psi| Q_k), must equal A_k |psi><psi| A_k†.
+    """
+    return conditional_state_gap(model, ts, psi, evolve(model, psi))
+
+
+def verify_entanglement_as_incompatibility(
+    model: MeasurementModel,
+    ts: StateTransformerSet,
+    psi: PureState,
+) -> Verdict:
+    """Entanglement of the final vector vs incompatibility entropy in it.
+
+    Three disjoint routes must agree: the marginal entropy of the evolved
+    vector, the incompatibility entropy of the lifted observable in the
+    evolved vector, and the Shannon entropy of the Born probabilities.
+    """
+    final = evolve(model, psi)
+    dims = model.composite_dims
+    lhs, rhs, deviation = final_state_identity(
+        entanglement_of_pure_state(final, dims),
+        ts.observable,
+        final,
+        dims,
+        shannon_entropy(np.clip(probabilities(ts.observable, psi), 0.0, None)),
+    )
+    return Verdict.from_deviation("entanglement_incompatibility_final", lhs, rhs, deviation, tol.THEOREM)
+
+
+def verify_incompatibility_transfer(
+    ts: StateTransformerSet,
+    psi: PureState,
+    model: MeasurementModel,
+) -> Verdict:
+    """Incompatibility entropy in the initial state vs final entanglement."""
+    final = evolve(model, psi)
+    lhs, rhs, deviation = transfer_identity(
+        ts.observable, psi, entanglement_of_pure_state(final, model.composite_dims)
+    )
+    return Verdict.from_deviation("entanglement_incompatibility_initial", lhs, rhs, deviation, tol.THEOREM)

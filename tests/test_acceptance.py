@@ -21,7 +21,6 @@ from qmeasure import (
     commutator_norm,
     dilate,
     embed_observable,
-    entanglement_of_pure_state,
     evolve,
     generate_random_instance,
     incompatibility_entropy,
@@ -30,9 +29,7 @@ from qmeasure import (
     mutual_information,
     observable_from_matrix,
     partial_trace,
-    post_reading_state,
     probabilities,
-    purify,
     read_pointer_tripartite,
     reconstruct,
     reduced_states,
@@ -40,14 +37,19 @@ from qmeasure import (
     schmidt_decompose,
     shannon_entropy,
     uniform_superposition,
-    verify_conditional_states,
     verify_definite_values,
-    verify_entanglement_as_incompatibility,
-    verify_incompatibility_transfer,
-    verify_probability_reproducibility,
     von_neumann_entropy,
 )
 from qmeasure import StateTransformerSet, cli
+from reference import (
+    entanglement_of_pure_state,
+    post_reading_state,
+    purify,
+    verify_conditional_states,
+    verify_entanglement_as_incompatibility,
+    verify_incompatibility_transfer,
+    verify_probability_reproducibility,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 N_INSTANCES = 100

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,6 +91,34 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "--tolerance" in captured.err
+
+    @pytest.mark.parametrize(
+        "change, where",
+        [
+            ({"instrument": {"kind": "repeatable", "seed": -1}}, "instrument.seed"),
+            ({"options": {"tolerence": 0}}, "options: unknown fields"),
+        ],
+        ids=["negative-seed", "misspelled-option"],
+    )
+    def test_rejected_document_exits_two_without_a_traceback(self, tmp_path, change, where):
+        doc = {
+            "object_dim": 2,
+            "observable": {"preset": "pauli_z"},
+            "initial_state": {"preset": "uniform"},
+            "instrument": {"kind": "ideal"},
+            **change,
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run(
+            [sys.executable, "-m", "qmeasure", "run", str(path)], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.count("\n") == 1 and where in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_out_into_a_missing_directory_exits_two(self, tmp_path, capsys):
         target = tmp_path / "missing" / "report.json"

