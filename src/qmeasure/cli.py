@@ -106,6 +106,8 @@ def _parse_seed_range(text: str) -> range:
         start, stop = int(first), int(last)
     except ValueError as exc:
         raise ValueError(f"--seeds expects A..B, got {text!r}") from exc
+    if start < 0:
+        raise ValueError(f"--seeds expects non-negative A..B, got {text!r}")
     if stop < start:
         raise ValueError(f"--seeds range {text!r} is empty")
     return range(start, stop + 1)

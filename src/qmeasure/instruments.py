@@ -8,9 +8,9 @@ A measurement of an observable is described in two equivalent ways:
 * a unitary evolution on object ⊗ pointer that writes the outcome into an
   orthonormal pointer basis.
 
-``dilate`` turns the first description into the second. A model holds
-the unitary's restriction to object ⊗ (initial pointer state), an
-isometry, and completes the unitary only when it is read.
+``dilate`` turns the first description into the second. The pointer
+starts in e_0, so a model is the unitary's restriction to object ⊗ e_0:
+an isometry, which is all of the instrument that any check reads.
 ``probability_gap`` and ``conditional_state_gap`` measure, for a given
 final vector, how far the pointer reproduces the predicted probabilities
 and the transformers' conditional states.
@@ -28,7 +28,6 @@ from .errors import DimensionMismatch, InvalidTransformers, NullOutcome
 from .linalg import (
     apply_on_factor,
     basis_vector,
-    complete_isometry,
     dag,
     frob,
     frozen_array,
@@ -66,50 +65,32 @@ class StateTransformerSet:
         return len(self.transformers)
 
 
-class _CompletedOnRead:
-    """``MeasurementModel.unitary``: as given, or completed from the isometry when first read.
-
-    Isometry column i goes to the slot of |i> ⊗ e_0, and the completion's columns fill the rest in order.
-    """
-
-    def __get__(self, model, owner=None):
-        if model is None:
-            return None  # the field's default
-        if model.__dict__["unitary"] is None:
-            d, n = model.composite_dims
-            slots = np.arange(d * n).reshape(d, n)
-            order = np.argsort(np.concatenate([slots[:, 0], slots[:, 1:].reshape(-1)]))
-            model.__dict__["unitary"] = frozen_array(complete_isometry(list(model.isometry.T), d * n)[:, order])
-        return model.__dict__["unitary"]
-
-    def __set__(self, model, value):
-        model.__dict__["unitary"] = None if value is None else frozen_array(value)
-
-
 @dataclass(frozen=True)
 class MeasurementModel:
-    """Dilated instrument: pointer space, initial pointer state, evolution, pointer observable.
+    """Dilated instrument: the evolution's isometry and the pointer observable.
 
     Outcome k (term index of the measured observable) is read as pointer
-    term k. A model evolves through ``isometry``, the D×d matrix of
-    |i> -> U(|i> ⊗ pointer_initial). A ``unitary`` passed in is the source
-    of truth and the isometry is read from it; ``dilate`` passes only the
-    isometry. No invariants are enforced at construction so that tests can
-    build deliberately corrupted instruments; ``dilate`` always returns a valid one.
+    term k. ``isometry`` is the D×d matrix of |i> -> U(|i> ⊗ e_0), with
+    row j·n + k for object index j and pointer index k, so the dimensions
+    are read from it and from the pointer. No invariants are enforced at
+    construction so that tests can build deliberately corrupted
+    instruments; ``dilate`` always returns a valid one.
     """
 
     observable: Observable
-    object_dim: int
-    pointer_dim: int
-    pointer_initial: PureState
+    isometry: np.ndarray
     pointer_observable: Observable
-    isometry: np.ndarray | None = None
-    unitary: np.ndarray | None = _CompletedOnRead()
 
     def __post_init__(self) -> None:
-        given, (d, n) = self.__dict__["unitary"], self.composite_dims
-        isometry = self.isometry if given is None else given.reshape(d * n, d, n) @ self.pointer_initial.vector
-        object.__setattr__(self, "isometry", frozen_array(isometry))
+        object.__setattr__(self, "isometry", frozen_array(self.isometry))
+
+    @property
+    def object_dim(self) -> int:
+        return self.isometry.shape[1]
+
+    @property
+    def pointer_dim(self) -> int:
+        return self.pointer_observable.dim
 
     @property
     def composite_dims(self) -> tuple[int, int]:
@@ -168,33 +149,23 @@ def dilate(ts: StateTransformerSet) -> MeasurementModel:
     basis vector k. The model holds the isometry |v> -> sum_k (A_k|v>) ⊗ e_k,
     the unitary's action on object ⊗ e_0. Its Gram matrix is sum_k A_k†A_k,
     which the family's constructor already holds to 1, so its columns are
-    orthonormal. The action elsewhere is a deterministic completion, made
-    only when ``unitary`` is read, and never affects measurements.
+    orthonormal. The unitary's action elsewhere never affects measurements.
     """
     obs = ts.observable
     n = ts.n_outcomes
     # isometry[j * n + k, i] = A_k[j, i]: column i is sum_k (A_k|i>) ⊗ e_k
     isometry = np.stack(ts.transformers, axis=1).reshape(obs.dim * n, obs.dim)
-    pointer_initial, pointer_observable = _pointer(n)
-    return MeasurementModel(
-        observable=obs,
-        object_dim=obs.dim,
-        pointer_dim=n,
-        pointer_initial=pointer_initial,
-        pointer_observable=pointer_observable,
-        isometry=isometry,
-    )
+    return MeasurementModel(observable=obs, isometry=isometry, pointer_observable=_pointer(n))
 
 
 @lru_cache(maxsize=32)
-def _pointer(n: int) -> tuple[PureState, Observable]:
-    """Initial state e_0 and observable sum_k k |e_k><e_k| of an n-dim pointer, shared as both are immutable."""
-    terms = tuple((float(k), np.diag(basis_vector(n, k))) for k in range(n))
-    return PureState(basis_vector(n, 0)), Observable(terms, n)
+def _pointer(n: int) -> Observable:
+    """Observable sum_k k |e_k><e_k| of an n-dim pointer, shared as it is immutable."""
+    return Observable(tuple((float(k), np.diag(basis_vector(n, k))) for k in range(n)), n)
 
 
 def evolve(model: MeasurementModel, psi: PureState) -> np.ndarray:
-    """Final bipartite vector U (psi ⊗ pointer_initial), through the model's isometry."""
+    """Final bipartite vector U (psi ⊗ e_0), through the model's isometry."""
     if psi.dim != model.object_dim:
         raise DimensionMismatch(f"state dim {psi.dim} != object dim {model.object_dim}")
     return model.isometry @ psi.vector

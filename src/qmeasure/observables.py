@@ -147,10 +147,6 @@ class DensityOperator:
         """Ascending eigenvalues, as found by the positivity check."""
         return self._spectrum
 
-    @classmethod
-    def from_pure(cls, state: PureState) -> "DensityOperator":
-        return cls(state.projector())
-
 
 State = PureState | DensityOperator
 

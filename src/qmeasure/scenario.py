@@ -50,6 +50,9 @@ _PAULI = {
 
 _VERBOSITIES = ("normal", "verbose")
 
+# Largest K×d×d projector stack a generated campaign may ask for: the one at d1_max=512, outcomes_max=32.
+CAMPAIGN_BYTES = 16 * 32 * 512**2
+
 
 @dataclass(frozen=True)
 class InstrumentSpec:
@@ -300,6 +303,12 @@ def generate_random_instance(seed: int, d1_max: int, outcomes_max: int) -> Scena
         raise ValueError(f"d1_max must be >= 2, got {d1_max}")
     if not 2 <= outcomes_max <= d1_max:
         raise ValueError(f"outcomes_max must be in [2, {d1_max}], got {outcomes_max}")
+    stack = 16 * outcomes_max * d1_max**2  # bytes of the largest K×d×d complex projector stack
+    if stack > CAMPAIGN_BYTES:
+        raise ValueError(
+            f"d1_max={d1_max}, outcomes_max={outcomes_max} needs a {stack} B projector stack, "
+            f"beyond the budget of {CAMPAIGN_BYTES} B"
+        )
 
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, d1_max + 1))

@@ -1,8 +1,9 @@
 """Reference routes for the tests: dense forms and one-call wrappers of pipeline checks.
 
 The pipeline never runs these. The dense references (``post_reading_state``,
-``lifted_commutator_norm``, ``purify``) form the D×D operators that the
-library's kernels avoid, so a kernel test still compares two routes. The
+``lifted_commutator_norm``, ``purify``, ``completed_unitary``) form the D×D
+operators that the library's kernels avoid, so a kernel test still compares
+two routes. The
 ``verify_*`` wrappers evolve the instrument themselves and then call the
 same comparison a ``pipeline.CHECKS`` entry reads, so acceptance tests can
 check one identity at a time. ``entanglement_of_pure_state`` and
@@ -27,6 +28,7 @@ from qmeasure import (
     Verdict,
     apply_on_factor,
     basis_vector,
+    complete_isometry,
     dag,
     evolve,
     frob,
@@ -98,6 +100,17 @@ def post_reading_state(tri: np.ndarray, structure: Sequence[int]) -> DensityOper
     if len(dims) != 3:
         raise DimensionMismatch(f"post-reading state needs a tripartite structure, got {dims}")
     return DensityOperator(pure_marginal(tri, dims, keep=(0, 1)))
+
+
+def completed_unitary(model: MeasurementModel) -> np.ndarray:
+    """A D×D unitary whose restriction to object ⊗ e_0 is the model's isometry.
+
+    Isometry column i goes to the slot of |i> ⊗ e_0, and the completion's columns fill the rest in order.
+    """
+    d, n = model.composite_dims
+    slots = np.arange(d * n).reshape(d, n)
+    order = np.argsort(np.concatenate([slots[:, 0], slots[:, 1:].reshape(-1)]))
+    return complete_isometry(list(model.isometry.T), d * n)[:, order]
 
 
 def verify_probability_reproducibility(model: MeasurementModel, psi: PureState) -> float:

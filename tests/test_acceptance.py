@@ -106,13 +106,13 @@ def test_criterion_02_initial_incompatibility_is_transferred(instances):
 
 def test_criterion_03_probability_reproducibility(instances):
     worst = max(verify_probability_reproducibility(x.model, x.psi) for x in instances)
-    # negative control: corrupt one prescribed column of a dilation unitary
+    # negative control: corrupt one prescribed column of a dilation, the image of |0> ⊗ e_0
     sample = next(x for x in instances if np.linalg.matrix_rank(x.ts.transformers[0], tol=1e-10) > 1)
-    corrupted = np.array(sample.model.unitary)
+    corrupted = np.array(sample.model.isometry)
     column = corrupted[:, 0].copy()
     column[int(np.argmax(np.abs(column)))] = 0.0
     corrupted[:, 0] = column / np.linalg.norm(column)
-    broken = dataclasses.replace(sample.model, unitary=corrupted)
+    broken = dataclasses.replace(sample.model, isometry=corrupted)
     control = verify_probability_reproducibility(broken, sample.psi)
     passed = worst < 1e-10 and control > 1e-6
     report("3 (probability reproducibility)", passed, f"worst {worst:.3e}, corrupted control {control:.3e}")

@@ -200,3 +200,21 @@ class TestBatchCommand:
 
     def test_bad_bounds_exit_two(self, capsys):
         assert run_cli("batch", "--seeds", "0..1", "--d1-max", "2", "--outcomes-max", "4") == 2
+
+    def test_negative_seed_bound_exits_two(self, capsys):
+        assert run_cli("batch", "--seeds=-3..-1") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seeds" in err
+
+    def test_campaign_beyond_the_size_budget_exits_two_before_drawing(self, monkeypatch, capsys):
+        from qmeasure import scenario as scenario_module
+
+        def never(*args, **kwargs):
+            raise AssertionError("drew a scenario beyond the size budget")
+
+        monkeypatch.setattr(scenario_module, "random_unitary", never)
+        monkeypatch.setattr(scenario_module.np.random, "default_rng", never)
+        assert run_cli("batch", "--seeds=0..1", "--d1-max", "100000", "--outcomes-max", "3") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "budget" in captured.err

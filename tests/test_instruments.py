@@ -23,7 +23,7 @@ from qmeasure import (
     uniform_superposition,
 )
 from conftest import random_hermitian
-from reference import verify_conditional_states, verify_probability_reproducibility
+from reference import completed_unitary, verify_conditional_states, verify_probability_reproducibility
 
 
 def random_observable(dim: int, rng: np.random.Generator):
@@ -126,17 +126,17 @@ class TestPostState:
 
 class TestDilate:
     def test_ideal_z_controlled_shift(self, pauli_z):
-        model = dilate(make_ideal_transformers(pauli_z))
+        unitary = completed_unitary(dilate(make_ideal_transformers(pauli_z)))
         # ascending term order: a=-1 writes pointer 0, a=+1 writes pointer 1
-        assert np.allclose(model.unitary @ kron(basis_vector(2, 0), basis_vector(2, 0)),
+        assert np.allclose(unitary @ kron(basis_vector(2, 0), basis_vector(2, 0)),
                            kron(basis_vector(2, 0), basis_vector(2, 1)))
-        assert np.allclose(model.unitary @ kron(basis_vector(2, 1), basis_vector(2, 0)),
+        assert np.allclose(unitary @ kron(basis_vector(2, 1), basis_vector(2, 0)),
                            kron(basis_vector(2, 1), basis_vector(2, 0)))
 
     def test_model_metadata(self, pauli_z):
         model = dilate(make_ideal_transformers(pauli_z))
         assert model.object_dim == 2 and model.pointer_dim == 2
-        assert np.allclose(model.pointer_initial.vector, basis_vector(2, 0))
+        assert model.isometry.shape == (4, 2) and not model.isometry.flags.writeable
         assert model.pointer_observable.eigenvalues == (0.0, 1.0)
 
     def test_models_with_the_same_outcome_count_share_one_pointer(self, pauli_z, degenerate_observable):
@@ -144,7 +144,7 @@ class TestDilate:
         second = dilate(make_repeatable_transformers(degenerate_observable, 3))
         assert first.pointer_dim == second.pointer_dim == 2
         assert second.pointer_observable is first.pointer_observable
-        assert second.pointer_initial is first.pointer_initial
+        assert not second.isometry.flags.writeable
 
     def test_the_shared_pointer_cannot_be_changed(self, pauli_z):
         model = dilate(make_ideal_transformers(pauli_z))
@@ -155,7 +155,7 @@ class TestDilate:
         with pytest.raises(ValueError):
             pointer.terms[1][1][1, 1] = 5.0
         with pytest.raises(ValueError):
-            model.pointer_initial.vector[0] = 0.0
+            model.isometry[0, 0] = 0.0
         replaced = dataclasses.replace(model, pointer_observable=observable_from_matrix(np.diag([5.0, 7.0])))
         assert replaced.pointer_observable is not pointer
         again = dilate(make_ideal_transformers(pauli_z))
@@ -167,8 +167,8 @@ class TestDilate:
         for seed in range(5):
             obs = random_observable(int(rng.integers(2, 6)), rng)
             model = dilate(make_repeatable_transformers(obs, seed))
-            dim = model.object_dim * model.pointer_dim
-            assert np.linalg.norm(dag(model.unitary) @ model.unitary - np.eye(dim)) < 1e-9
+            unitary, dim = completed_unitary(model), model.object_dim * model.pointer_dim
+            assert np.linalg.norm(dag(unitary) @ unitary - np.eye(dim)) < 1e-9
 
     def test_evolve_matches_transformer_sum(self):
         rng = np.random.default_rng(23)
@@ -214,11 +214,11 @@ class TestProbabilityReproducibility:
 
     def test_corrupted_unitary_is_flagged(self, degenerate_observable):
         model = dilate(make_repeatable_transformers(degenerate_observable, 7))
-        corrupted = np.array(model.unitary)
+        corrupted = np.array(model.isometry)  # column 0 is the unitary's image of |0> ⊗ e_0
         column = corrupted[:, 0].copy()
         column[int(np.argmax(np.abs(column)))] = 0.0
         corrupted[:, 0] = column / np.linalg.norm(column)
-        broken = dataclasses.replace(model, unitary=corrupted)
+        broken = dataclasses.replace(model, isometry=corrupted)
         assert verify_probability_reproducibility(broken, uniform_superposition(3)) > 1e-6
 
 

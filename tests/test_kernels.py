@@ -64,7 +64,7 @@ def dense_incompatibility(obs, vector: np.ndarray, dims: tuple[int, ...]) -> flo
     """Lüders-update entropy of the dense lifted observable, minus the pure-state term."""
     state = PureState(vector)
     after = luders_update(embed_observable(obs, dims, 0), state)
-    return von_neumann_entropy(after) - von_neumann_entropy(DensityOperator.from_pure(state))
+    return von_neumann_entropy(after) - von_neumann_entropy(DensityOperator(state.projector()))
 
 
 def dense_entropy(m: np.ndarray) -> float:
@@ -181,7 +181,7 @@ class TestGramRoute:
         dims = model.composite_dims
         assert abs(lifted_incompatibility_entropy(obs, final, dims, 0) - dense_incompatibility(obs, final, dims)) < ENTROPY_TOL
         assert abs(lifted_incompatibility_entropy(obs, tri, dims3, 0) - dense_incompatibility(obs, tri, dims3)) < ENTROPY_TOL
-        initial = von_neumann_entropy(luders_update(obs, psi)) - von_neumann_entropy(DensityOperator.from_pure(psi))
+        initial = von_neumann_entropy(luders_update(obs, psi)) - von_neumann_entropy(DensityOperator(psi.projector()))
         assert abs(incompatibility_entropy(obs, psi) - initial) < ENTROPY_TOL
 
     def test_takes_the_spectrum_of_a_non_diagonal_gram_matrix(self):

@@ -16,6 +16,7 @@ from qmeasure import (
     NotDensityOperator,
     NotOrthonormal,
     PureState,
+    basis_vector,
     check_orthonormal_columns,
     dag,
     dilate,
@@ -30,10 +31,9 @@ from qmeasure import (
     read_pointer_tripartite,
     run_pipeline,
 )
-from qmeasure import instruments as instruments_module
 from qmeasure import pipeline as pipeline_module
 from conftest import random_hermitian
-from reference import lifted_commutator_norm, post_reading_state
+from reference import completed_unitary, lifted_commutator_norm, post_reading_state
 
 # Set before the tests were run. The QR route and the dense route round
 # differently; both stay within a few ulps of the size of the commutator's terms.
@@ -99,18 +99,6 @@ class TestLowRankCommutator:
 
 
 class TestIsometryRoute:
-    def test_dilate_evolve_and_the_pipeline_never_complete_the_unitary(self, monkeypatch):
-        calls = []
-        complete = instruments_module.complete_isometry
-        monkeypatch.setattr(instruments_module, "complete_isometry", lambda *args: calls.append(1) or complete(*args))
-        scenario = generate_random_instance(3, 16, 6)
-        model = dilate(scenario.build_transformers())
-        evolve(model, scenario.initial_state)
-        assert run_pipeline(scenario).overall_pass
-        assert calls == []
-        first = model.unitary
-        assert calls == [1] and model.unitary is first  # completed on first read, then kept
-
     @pytest.mark.parametrize("seed", range(12))
     def test_evolve_matches_the_completed_unitary(self, seed):
         scenario = generate_random_instance(seed, 8, 4)
@@ -118,26 +106,27 @@ class TestIsometryRoute:
         psi = scenario.initial_state
         for vector in (psi.vector, random_state_vector(psi.dim, np.random.default_rng(seed))):
             state = PureState(vector)
-            expected = model.unitary @ kron(state.vector, model.pointer_initial.vector)
+            expected = completed_unitary(model) @ kron(state.vector, basis_vector(model.pointer_dim, 0))
             assert frob(evolve(model, state) - expected) < 1e-14
 
     @pytest.mark.parametrize("seed", range(12))
     def test_completed_unitary_is_unitary_and_keeps_the_isometry(self, seed):
         model = dilate(generate_random_instance(seed, 8, 4).build_transformers())
-        u = model.unitary
+        u = completed_unitary(model)
         assert frob(dag(u) @ u - np.eye(u.shape[0])) < 1e-9
         # column i of the isometry is the image of |i> ⊗ e_0, at composite index i * n
         assert np.array_equal(u[:, :: model.pointer_dim], model.isometry)
 
-    def test_a_unitary_passed_in_is_the_source_of_truth(self):
+    def test_an_isometry_passed_in_is_what_evolve_applies(self):
         rng = np.random.default_rng(610)
         scenario = generate_random_instance(5, 6, 4)
         model = dilate(scenario.build_transformers())
-        other = random_unitary(model.object_dim * model.pointer_dim, rng)
-        replaced = dataclasses.replace(model, unitary=other)
-        assert np.array_equal(replaced.unitary, other)
-        expected = other @ kron(scenario.initial_state.vector, model.pointer_initial.vector)
-        assert frob(evolve(replaced, scenario.initial_state) - expected) < 1e-14
+        d, n = model.composite_dims
+        other = random_unitary(d * n, rng)[:, :d]
+        replaced = dataclasses.replace(model, isometry=other)
+        assert np.array_equal(replaced.isometry, other) and not replaced.isometry.flags.writeable
+        assert replaced.composite_dims == (d, n)
+        assert frob(evolve(replaced, scenario.initial_state) - other @ scenario.initial_state.vector) < 1e-14
 
     def test_orthonormality_check_names_the_first_failing_pair(self):
         m = np.eye(4, 3, dtype=complex)

@@ -1,14 +1,21 @@
-"""Metamorphic relation: the same measurement written in rotated object coordinates.
+"""Metamorphic relations: the same measurement written in other coordinates or phases.
 
-A unitary V on the object maps the observable A to V A V†, the initial
-state ψ to Vψ and each transformer A_k to V A_k V†. The final vector then
-becomes (V ⊗ 1)Ψ, which has the same Born probabilities, Schmidt
-coefficients and marginal spectra, so a run must reach the same verdicts.
+* A unitary V on the object maps the observable A to V A V†, the initial
+  state ψ to Vψ and each transformer A_k to V A_k V†. The final vector then
+  becomes (V ⊗ 1)Ψ.
+* A global phase e^{iθ} on ψ multiplies the final vector by it.
+* A phase e^{iφ_k} on each transformer changes the dilation's isometry, and
+  the final vector becomes (1 ⊗ Φ)Ψ with Φ = sum_k e^{iφ_k} |e_k><e_k|,
+  which commutes with the pointer observable.
+
+Each follow-up has the same Born probabilities, Schmidt coefficients and
+marginal spectra as its source, so a run must reach the same verdicts.
 The source and follow-up runs are compared as in metamorphic testing
 (Chen et al., ACM Comput. Surv. 51(1):4, 2018): neither needs a known
 expected output, only their relation.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -39,22 +46,35 @@ COMMITTED = (
 NUMERIC_TOL = 1e-12
 
 
-def rotated(scenario: Scenario, v: np.ndarray) -> Scenario:
-    """The scenario in the object basis rotated by V, with its transformers as a custom family."""
+def rotated(scenario: Scenario, seed: int) -> Scenario:
+    """The scenario in the object basis rotated by a seeded V, with its transformers as a custom family."""
+    v = random_unitary(scenario.object_dim, np.random.default_rng(seed))
     obs = observable_from_matrix(v @ scenario.observable.matrix() @ dag(v))
     transformers = tuple(v @ a @ dag(v) for a in scenario.build_transformers().transformers)
-    return Scenario(
-        object_dim=scenario.object_dim,
+    return dataclasses.replace(
+        scenario,
         observable=obs,
         initial_state=PureState(v @ scenario.initial_state.vector),
         instrument=InstrumentSpec("custom", transformers=StateTransformerSet(transformers, obs)),
-        tolerance=scenario.tolerance,
     )
 
 
-def assert_same_physics(scenario: Scenario, seed: int) -> None:
-    v = random_unitary(scenario.object_dim, np.random.default_rng(seed))
-    source, follow_up = run_pipeline(scenario), run_pipeline(rotated(scenario, v))
+def global_phase(scenario: Scenario, seed: int) -> Scenario:
+    """The scenario with e^{iθ}ψ, θ seeded."""
+    phase = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi))
+    return dataclasses.replace(scenario, initial_state=PureState(phase * scenario.initial_state.vector))
+
+
+def phased_transformers(scenario: Scenario, seed: int) -> Scenario:
+    """The scenario with transformers e^{iφ_k} A_k, φ_k seeded, as a custom family."""
+    family = scenario.build_transformers().transformers
+    phases = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=len(family)))
+    transformers = StateTransformerSet(tuple(z * a for z, a in zip(phases, family)), scenario.observable)
+    return dataclasses.replace(scenario, instrument=InstrumentSpec("custom", transformers=transformers))
+
+
+def assert_same_physics(scenario: Scenario, follow_up_scenario: Scenario) -> None:
+    source, follow_up = run_pipeline(scenario), run_pipeline(follow_up_scenario)
 
     assert source.error is None and follow_up.error is None
     assert [x.label for x in follow_up.verdicts] == [x.label for x in source.verdicts]
@@ -65,6 +85,11 @@ def assert_same_physics(scenario: Scenario, seed: int) -> None:
     np.testing.assert_allclose(
         follow_up.schmidt_coefficients, source.schmidt_coefficients, rtol=0, atol=NUMERIC_TOL
     )
+    assert (source.initial_commutator_norm is None) == (follow_up.initial_commutator_norm is None)
+    if source.initial_commutator_norm is not None:
+        assert follow_up.initial_commutator_norm == pytest.approx(
+            source.initial_commutator_norm, rel=0, abs=NUMERIC_TOL
+        )
     for field, value in vars(source.entropies).items():
         other = getattr(follow_up.entropies, field)
         assert (value is None) == (other is None), field
@@ -72,13 +97,31 @@ def assert_same_physics(scenario: Scenario, seed: int) -> None:
             assert other == pytest.approx(value, rel=0, abs=NUMERIC_TOL), field
 
 
-@pytest.mark.parametrize(
-    "seed, d1_max, outcomes_max", [(s, 6, 4) for s in range(40)] + [(s, 16, 6) for s in range(20)]
-)
+SEEDED = [(s, 6, 4) for s in range(40)] + [(s, 16, 6) for s in range(20)]
+PHASES = {"global_phase": global_phase, "phased_transformers": phased_transformers}
+
+
+@pytest.mark.parametrize("seed, d1_max, outcomes_max", SEEDED)
 def test_rotating_the_object_basis_keeps_a_seeded_run(seed, d1_max, outcomes_max):
-    assert_same_physics(generate_random_instance(seed, d1_max, outcomes_max), seed)
+    scenario = generate_random_instance(seed, d1_max, outcomes_max)
+    assert_same_physics(scenario, rotated(scenario, seed))
 
 
 @pytest.mark.parametrize("name", COMMITTED)
 def test_rotating_the_object_basis_keeps_a_committed_scenario(name):
-    assert_same_physics(load_scenario(str(SCENARIOS / name)), COMMITTED.index(name))
+    scenario = load_scenario(str(SCENARIOS / name))
+    assert_same_physics(scenario, rotated(scenario, COMMITTED.index(name)))
+
+
+@pytest.mark.parametrize("relation", PHASES)
+@pytest.mark.parametrize("seed, d1_max, outcomes_max", SEEDED)
+def test_a_phase_keeps_a_seeded_run(relation, seed, d1_max, outcomes_max):
+    scenario = generate_random_instance(seed, d1_max, outcomes_max)
+    assert_same_physics(scenario, PHASES[relation](scenario, seed))
+
+
+@pytest.mark.parametrize("relation", PHASES)
+@pytest.mark.parametrize("name", COMMITTED)
+def test_a_phase_keeps_a_committed_scenario(relation, name):
+    scenario = load_scenario(str(SCENARIOS / name))
+    assert_same_physics(scenario, PHASES[relation](scenario, COMMITTED.index(name)))

@@ -2,7 +2,8 @@
 
 Dropping or renaming one of them, or one that the benchmark's tracer
 (bench/tracer.py) looks up, means editing the lists below. A name that
-only tests read belongs in tests/reference.py, not in the package.
+only tests read belongs in tests/reference.py, not in the package; so
+does a method or property that only tests read.
 """
 
 import ast
@@ -60,6 +61,15 @@ UNREAD_IN_SRC = {
     # bench/selftest.py asserts that qmeasure.information.embed_observable is
     # qmeasure.observables.embed_observable after tracing is undone.
     "embed_observable",
+    # bench/tracer.py resolves linalg.complete_isometry by name; the tests
+    # complete a model's unitary with it (tests/reference.py).
+    "complete_isometry",
+}
+
+# Methods and properties of classes in src/ that nothing there reads, each with the reason it stays.
+UNREAD_MEMBERS_IN_SRC = {
+    # bench/workloads.py writes each generated scenario to a document with it.
+    "Scenario.to_dict",
 }
 
 
@@ -118,3 +128,17 @@ def test_every_public_name_and_top_level_definition_is_read_in_src():
     }
     unread = (set(qmeasure.__all__) | defined) - _reads(trees)
     assert unread == UNREAD_IN_SRC
+
+
+def test_every_method_and_property_of_a_src_class_is_read_in_src():
+    trees = _src_trees()
+    members = {
+        (cls.name, node.name)
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("__")
+    }
+    reads = _reads(trees)
+    assert {f"{cls}.{name}" for cls, name in members if name not in reads} == UNREAD_MEMBERS_IN_SRC

@@ -207,3 +207,12 @@ class TestGenerateRandomInstance:
             generate_random_instance(0, 1, 2)
         with pytest.raises(ValueError):
             generate_random_instance(0, 4, 5)
+
+    def test_bounds_beyond_the_size_budget_are_rejected(self):
+        with pytest.raises(ValueError, match=r"480000000000 B .* budget of 134217728 B"):
+            generate_random_instance(0, 100000, 3)
+        with pytest.raises(ValueError, match="budget"):
+            generate_random_instance(0, 512, 33)
+
+    def test_the_largest_sweep_point_still_builds(self):
+        assert generate_random_instance(0, 512, 32).object_dim == 436
