@@ -85,8 +85,7 @@ def von_neumann_entropy(rho: DensityOperator | np.ndarray) -> float:
     """Entropy of the eigenvalue spectrum, negatives clamped to zero."""
     if not isinstance(rho, DensityOperator):
         rho = DensityOperator(np.asarray(rho, dtype=complex))  # raises NotDensityOperator
-    values = np.clip(rho.eigenvalues(), 0.0, None)
-    return shannon_entropy(values)
+    return shannon_entropy(np.maximum(rho.eigenvalues(), 0.0))
 
 
 def mutual_information(state: np.ndarray | DensityOperator, structure: Sequence[int]) -> EntropyReport:
@@ -150,9 +149,10 @@ def _gram_entropy(components: np.ndarray) -> float:
     is checked as a density operator and its eigenvalues give the entropy.
     They equal the weights <v_k|v_k> only when the columns are orthogonal,
     so on an update's components this is a second route to H(p), not a
-    restatement of it.
+    restatement of it. vecdot conjugates its first argument as it goes, so
+    no conjugate copy of the components is made.
     """
-    return von_neumann_entropy(dag(components) @ components)
+    return von_neumann_entropy(np.vecdot(components.T[:, None], components.T[None, :]))
 
 
 def commutator_norm(obs: Observable, state: State) -> float:

@@ -107,13 +107,14 @@ def make_repeatable_transformers(obs: Observable, seed: int) -> StateTransformer
 
     W_k acts as a random unitary inside the k-th eigenspace and as zero on
     its complement, so A_k†A_k = P_k exactly and P_k A_k = A_k. The same
-    seed always yields the same family.
+    seed always yields the same family. The eigenvectors of the outcome
+    index N = sum_k k P_k whose eigenvalue rounds to k span eigenspace k.
     """
     rng = np.random.default_rng(seed)
+    indices, basis = np.linalg.eigh(obs.outcome_index())
     ops = []
-    for _, p in obs.terms:
-        w, v = np.linalg.eigh(p)
-        inside = v[:, w > 0.5]  # orthonormal basis of the eigenspace
+    for k in range(obs.n_outcomes):
+        inside = basis[:, np.rint(indices) == k]
         u = random_unitary(inside.shape[1], rng)
         ops.append(inside @ u @ dag(inside))
     return StateTransformerSet(tuple(ops), obs)

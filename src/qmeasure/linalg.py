@@ -11,6 +11,7 @@ are pure; nothing mutates its arguments.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -39,7 +40,7 @@ def check_unit_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
     Returns the vector and its norm, so that a caller can rescale by it.
     """
     v = np.asarray(v, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(v)
+    norm = frob(v)
     if abs(norm - 1.0) > tol.NORMALIZATION:
         raise NotNormalized(f"vector norm {norm} is not 1 within {tol.NORMALIZATION}")
     return v, norm
@@ -53,8 +54,13 @@ def frozen_array(a: np.ndarray) -> np.ndarray:
 
 
 def frob(m: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(m))
+    """Frobenius norm, by the formula of np.linalg.norm (so with the same bits), without its dispatch."""
+    x = np.asarray(m).ravel(order="K")
+    if x.dtype.kind not in "fc":
+        x = x.astype(float)
+    if x.dtype.kind == "c":
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(x.dot(x))
 
 
 def is_hermitian(m: np.ndarray, tolerance: float = tol.HERMITICITY) -> bool:
@@ -75,10 +81,10 @@ def basis_vector(dim: int, index: int) -> np.ndarray:
 
 
 def _check_structure(total_dim: int, structure: Sequence[int], min_factors: int = 2) -> TensorStructure:
-    dims = tuple(int(d) for d in structure)
-    if len(dims) < min_factors or any(d <= 0 for d in dims):
+    dims = tuple(map(int, structure))
+    if len(dims) < min_factors or min(dims) <= 0:
         raise DimensionMismatch(f"tensor structure {dims} needs >= {min_factors} positive factors")
-    if int(np.prod(dims)) != total_dim:
+    if math.prod(dims) != total_dim:
         raise DimensionMismatch(f"tensor structure {dims} does not factor dimension {total_dim}")
     return dims
 
@@ -127,7 +133,7 @@ def partial_trace(m: np.ndarray, structure: Sequence[int], keep: int | Sequence[
     for axis in sorted(set(range(n_factors)) - set(kept), reverse=True):
         # bra-side partner of ket axis `axis` sits half the axes further right
         t = np.trace(t, axis1=axis, axis2=axis + t.ndim // 2)
-    d_kept = int(np.prod([dims[k] for k in kept]))
+    d_kept = math.prod(dims[k] for k in kept)
     return t.reshape(d_kept, d_kept)
 
 
@@ -138,14 +144,18 @@ def apply_on_factor(op: np.ndarray, vec: np.ndarray, structure: Sequence[int], f
     a matrix whose columns are such vectors; ``op`` is one operator, or a
     (K, d_f, d_f) stack whose K results come back along a new first axis.
     The lifted operator is never formed: one broadcast product applies op to
-    the factor's axis of the reshaped vector.
+    the factor's axis of the reshaped vector. A vector on its last factor
+    is one product of its rows with op transposed.
     """
     vec = np.asarray(vec, dtype=complex)
     op = np.asarray(op, dtype=complex)
     dims = _check_structure(vec.shape[0], structure, min_factors=1)
     if not 0 <= factor < len(dims) or op.ndim not in (2, 3) or op.shape[-2:] != (dims[factor], dims[factor]):
         raise DimensionMismatch(f"operator of shape {op.shape} does not act on factor {factor} of {dims}")
-    out = op[..., None, :, :] @ vec.reshape(int(np.prod(dims[:factor])), dims[factor], -1)
+    if vec.ndim == 1 and factor == len(dims) - 1:
+        out = vec.reshape(-1, dims[factor]) @ op.swapaxes(-1, -2)
+    else:
+        out = op[..., None, :, :] @ vec.reshape(math.prod(dims[:factor]), dims[factor], -1)
     return out.reshape(op.shape[:-2] + vec.shape)
 
 
@@ -158,24 +168,9 @@ def pure_marginal(vec: np.ndarray, structure: Sequence[int], keep: int | Sequenc
     vec = np.asarray(vec, dtype=complex).reshape(-1)
     dims = _check_structure(vec.size, structure)
     kept = _kept_factors(dims, keep)
-    d_kept = int(np.prod([dims[k] for k in kept]))
-    m = np.moveaxis(vec.reshape(dims), kept, tuple(range(len(kept)))).reshape(d_kept, -1)
+    rest = tuple(k for k in range(len(dims)) if k not in kept)
+    m = vec.reshape(dims).transpose(kept + rest).reshape(math.prod(dims[k] for k in kept), -1)
     return m @ dag(m)
-
-
-def partial_inner(a: np.ndarray, psi: np.ndarray, structure: Sequence[int]) -> np.ndarray:
-    """Partial scalar product <a| psi over the first tensor factor.
-
-    result[j] = sum_i conj(a[i]) psi[i*d2 + j], a vector on the second factor.
-    """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    dims = _check_structure(psi.size, structure)
-    if len(dims) != 2:
-        raise DimensionMismatch(f"partial inner product is bipartite, got structure {dims}")
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    if a.size != dims[0]:
-        raise DimensionMismatch(f"left vector has dim {a.size}, first factor has dim {dims[0]}")
-    return np.conj(a) @ psi.reshape(dims)
 
 
 def check_orthonormal_columns(m: np.ndarray) -> None:
@@ -207,7 +202,7 @@ def complete_isometry(columns: Sequence[np.ndarray], dim: int) -> np.ndarray:
         v = basis_vector(dim, index)
         for _ in range(2):  # second pass keeps the completion orthogonal to ~1e-15
             v -= np.conj(rows[:m] @ np.conj(v)) @ rows[:m]
-        residual = np.linalg.norm(v)
+        residual = frob(v)
         if residual >= tol.GS_SKIP:
             rows[m] = v / residual
             m += 1
@@ -227,7 +222,7 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-like random unit vector in C^dim."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+    return v / frob(v)
 
 
 __all__ = [
@@ -241,7 +236,6 @@ __all__ = [
     "partial_trace",
     "apply_on_factor",
     "pure_marginal",
-    "partial_inner",
     "check_orthonormal_columns",
     "complete_isometry",
     "random_unitary",

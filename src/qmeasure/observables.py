@@ -23,7 +23,6 @@ from .linalg import (
     frozen_array,
     hermitian_eig,
     hermitize,
-    is_hermitian,
     kron,
 )
 
@@ -61,10 +60,21 @@ class Observable:
         return len(self.terms)
 
     def matrix(self) -> np.ndarray:
-        """Reconstruct the Hermitian matrix sum_k a_k P_k."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for a, p in self.terms:
-            out += a * p
+        """The Hermitian matrix sum_k a_k P_k, built once and read-only."""
+        return self._weighted_sum("_matrix", self.eigenvalues)
+
+    def outcome_index(self) -> np.ndarray:
+        """N = sum_k k P_k, which is k on the k-th eigenspace; built once and read-only."""
+        return self._weighted_sum("_outcome_index", range(self.n_outcomes))
+
+    def _weighted_sum(self, name: str, weights) -> np.ndarray:
+        out = self.__dict__.get(name)
+        if out is None:
+            out = np.zeros((self.dim, self.dim), dtype=complex)
+            for w, p in zip(weights, self._projectors):
+                out += w * p
+            out.setflags(write=False)
+            object.__setattr__(self, name, out)
         return out
 
 
@@ -126,17 +136,19 @@ class DensityOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise NotDensityOperator(f"expected a square matrix, got shape {m.shape}")
-        if not is_hermitian(m, tol.HERMITICITY):
+        adjoint = dag(m)
+        if not frob(m - adjoint) <= tol.HERMITICITY:
             raise NotDensityOperator(f"matrix violates hermiticity within {tol.HERMITICITY}")
-        trace = complex(np.trace(m))
+        trace = complex(m.trace())
         if abs(trace - 1.0) > tol.HERMITICITY:
             raise NotDensityOperator(f"trace {trace} is not 1 within {tol.HERMITICITY}")
-        m = hermitize(m)
+        m = (m + adjoint) / 2.0  # the Hermitian part, a new array that nothing else holds
         spectrum = np.linalg.eigvalsh(m)
         if spectrum[0] < tol.ENTROPY_NEG_FLOOR:
             raise NotDensityOperator(f"smallest eigenvalue {float(spectrum[0])} is below {tol.ENTROPY_NEG_FLOOR}")
+        m.setflags(write=False)
         spectrum.setflags(write=False)
-        object.__setattr__(self, "matrix", frozen_array(m))
+        object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_spectrum", spectrum)
 
     @property

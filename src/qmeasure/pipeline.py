@@ -124,7 +124,7 @@ class _Run:
     definite = _artefact(
         "definite_values", lambda run: verify_definite_values(run.schmidt, run.obs, run.model.pointer_observable)
     )
-    h_born = _artefact("born_entropy", lambda run: shannon_entropy(np.clip(run.born, 0.0, None)))
+    h_born = _artefact("born_entropy", lambda run: shannon_entropy(np.maximum(run.born, 0.0)))
     reading = _artefact("pointer_reading", lambda run: read_pointer_tripartite(run.final, run.model))
 
 
@@ -185,16 +185,11 @@ def _schmidt_probability_match(run: _Run):
 def _twin_diagonality(run: _Run):
     canonical, assignment = run.definite.schmidt_form, run.definite.assignment
     twins = twin_observables(canonical, assignment)
-    object_matrix = twins.object_matrix()
-    pointer_matrix = twins.pointer_matrix()
-    twin_object = max(
-        float(np.linalg.norm(object_matrix @ l - pairing.object_eigenvalue * l))
-        for l, pairing in zip(canonical.left_vectors, assignment)
-    )
-    twin_pointer = max(
-        float(np.linalg.norm(pointer_matrix @ r - pairing.pointer_eigenvalue * r))
-        for r, pairing in zip(canonical.right_vectors, assignment)
-    )
+    lefts, rights = np.column_stack(canonical.left_vectors), np.column_stack(canonical.right_vectors)
+    a = np.array([pairing.object_eigenvalue for pairing in assignment])
+    b = np.array([pairing.pointer_eigenvalue for pairing in assignment])
+    twin_object = float(np.max(np.linalg.norm(twins.object_matrix() @ lefts - lefts * a, axis=0)))
+    twin_pointer = float(np.max(np.linalg.norm(twins.pointer_matrix() @ rights - rights * b, axis=0)))
     return twin_object, twin_pointer, max(twin_object, twin_pointer), tol.RECONSTRUCTION
 
 

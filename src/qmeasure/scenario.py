@@ -38,7 +38,7 @@ from .errors import (
     QMeasureError,
     ValidationError,
 )
-from .linalg import hermitize, random_state_vector, random_unitary
+from .linalg import frob, hermitize, random_state_vector, random_unitary
 from .observables import Observable, PureState, observable_from_matrix, uniform_superposition
 from .instruments import StateTransformerSet, make_ideal_transformers, make_repeatable_transformers
 
@@ -179,7 +179,7 @@ def _parse_state(spec: Any, object_dim: int) -> PureState:
         vec = _complex_vector(spec["amplitudes"], "initial_state.amplitudes")
         if vec.size != object_dim:
             raise ValidationError(f"initial_state has {vec.size} amplitudes for object_dim {object_dim}")
-        norm = float(np.linalg.norm(vec))
+        norm = frob(vec)
         if abs(norm - 1.0) > tol.STATE_RENORM:
             raise ValidationError(f"initial_state norm {norm} is not 1 within {tol.STATE_RENORM}")
         return PureState(vec / norm)
@@ -281,12 +281,9 @@ def load_scenario(path: str) -> Scenario:
         return parse_scenario(handle.read())
 
 
-def _pairs(vec: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in vec]
-
-
-def _matrix_pairs(mat: np.ndarray) -> list[list[list[float]]]:
-    return [_pairs(row) for row in mat]
+def _pairs(a: np.ndarray) -> list:
+    """[re, im] pairs of a complex vector or matrix, as nested lists of floats."""
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def generate_random_instance(seed: int, d1_max: int, outcomes_max: int) -> Scenario:
@@ -328,16 +325,16 @@ def generate_random_instance(seed: int, d1_max: int, outcomes_max: int) -> Scena
     support = sorted(rng.choice(n_outcomes, size=int(rng.integers(1, n_outcomes + 1)), replace=False))
     projector = np.sum([obs.terms[int(k)][1] for k in support], axis=0)
     vec = projector @ random_state_vector(dim, rng)
-    norm = float(np.linalg.norm(vec))
+    norm = frob(vec)
     if norm < 1e-6:  # astronomically unlikely; fall back to a supported eigenvector
         vec = obs.terms[int(support[0])][1][:, 0]
-        norm = float(np.linalg.norm(vec))
+        norm = frob(vec)
     state = PureState(vec / norm)
 
     instrument_seed = int(rng.integers(0, 2**31))
     doc = {
         "object_dim": dim,
-        "observable": {"matrix": _matrix_pairs(hermitian)},
+        "observable": {"matrix": _pairs(hermitian)},
         "initial_state": {"amplitudes": _pairs(state.vector)},
         "instrument": {"kind": "repeatable", "seed": instrument_seed},
         "options": {"tolerance": None, "verbosity": "normal"},

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, NoDefiniteValue
-from .linalg import check_unit_norm, dag, frozen_array, hermitian_eig, kron, partial_inner, pure_marginal
+from .linalg import check_unit_norm, dag, frob, frozen_array, hermitian_eig, pure_marginal
 from .observables import DensityOperator, Observable
 
 
@@ -92,29 +92,22 @@ def schmidt_decompose(psi: np.ndarray, structure: Sequence[int]) -> SchmidtForm:
         raise DimensionMismatch(f"Schmidt decomposition is bipartite, got structure {dims}")
 
     weights, vectors = hermitian_eig(pure_marginal(psi, dims, keep=0))
-    order = [int(i) for i in np.argsort(-weights, kind="stable") if weights[i] > tol.SCHMIDT_CUTOFF]
-
-    coefficients = []
-    lefts = []
-    rights = []
-    for i in order:
-        left = vectors[:, i] * np.conj(_pivot_phase(vectors[:, i]))
-        right = partial_inner(left, psi, dims)
-        right = right / np.linalg.norm(right)
-        coefficients.append(float(np.sqrt(weights[i])))
-        lefts.append(left)
-        rights.append(right)
+    order = np.argsort(-weights, kind="stable")
+    order = order[weights[order] > tol.SCHMIDT_CUTOFF]
+    lefts = vectors[:, order]
+    lefts = lefts * np.conj(_pivot_phases(lefts))
+    rights = dag(lefts) @ psi.reshape(dims)  # row s is (<left_s| ⊗ 1)|psi>
     return SchmidtForm(
-        coefficients=np.array(coefficients),
-        left_vectors=tuple(lefts),
-        right_vectors=tuple(rights),
+        coefficients=np.sqrt(weights[order]),
+        left_vectors=tuple(lefts.T),
+        right_vectors=tuple(r / frob(r) for r in rights),
     )
 
 
 def reconstruct(sf: SchmidtForm) -> np.ndarray:
-    """Explicit inverse of the decomposition: sum_k c_k (left_k ⊗ right_k)."""
-    terms = [c * kron(l, r) for c, l, r in zip(sf.coefficients, sf.left_vectors, sf.right_vectors)]
-    return np.sum(terms, axis=0)
+    """Explicit inverse of the decomposition: sum_k c_k (left_k ⊗ right_k), as the matrix (L·c) Rᵀ."""
+    lefts, rights = np.column_stack(sf.left_vectors), np.column_stack(sf.right_vectors)
+    return ((lefts * sf.coefficients) @ rights.T).reshape(-1)
 
 
 def reduced_states(psi: np.ndarray, structure: Sequence[int]) -> tuple[DensityOperator, DensityOperator]:
@@ -126,12 +119,12 @@ def reduced_states(psi: np.ndarray, structure: Sequence[int]) -> tuple[DensityOp
     return tuple(DensityOperator(pure_marginal(psi, dims, keep=k)) for k in (0, 1))
 
 
-def _pivot_phase(left: np.ndarray) -> complex:
-    """Unit phase of the first component of left above PHASE_PIVOT (1 if there is none)."""
-    candidates = np.nonzero(np.abs(left) > tol.PHASE_PIVOT)[0]
-    if candidates.size:
-        return left[candidates[0]] / abs(left[candidates[0]])
-    return 1.0
+def _pivot_phases(columns: np.ndarray) -> np.ndarray:
+    """Unit phase of the first component of each column above PHASE_PIVOT (1 where there is none)."""
+    above = np.abs(columns) > tol.PHASE_PIVOT
+    pivots = columns[np.argmax(above, axis=0), np.arange(columns.shape[1])]
+    pivots = np.where(above.any(axis=0), pivots, 1.0)
+    return pivots / np.abs(pivots)
 
 
 def verify_definite_values(
@@ -166,22 +159,23 @@ def verify_definite_values(
 
     lefts = np.column_stack(sf.left_vectors)
     rights = np.column_stack(sf.right_vectors)
-    outcome_index = sum(k * p for k, p in enumerate(object_obs.projectors))
-    indices, u = hermitian_eig(dag(lefts) @ outcome_index @ lefts)
+    indices, u = hermitian_eig(dag(lefts) @ object_obs.outcome_index() @ lefts)
+    order = np.argsort(np.argmax(np.abs(u), axis=0), kind="stable")
+    indices, u = indices[order], u[:, order]
+    lefts = lefts @ u
+    phases = _pivot_phases(lefts)
+    lefts = lefts * np.conj(phases)
+    rights = rights @ (sf.coefficients[:, None] * np.conj(u)) * phases  # column s is w_s
 
     fits = []
-    for t, s in enumerate(np.argsort(np.argmax(np.abs(u), axis=0), kind="stable")):
-        left = lefts @ u[:, s]
-        phase = _pivot_phase(left)
-        left = left * np.conj(phase)
-        right = rights @ (sf.coefficients * np.conj(u[:, s])) * phase
-        weight = float(np.linalg.norm(right))
+    for t, (left, right) in enumerate(zip(lefts.T, rights.T)):
+        weight = frob(right)
         right = right / weight
-        k = int(np.rint(indices[s]))
+        k = int(np.rint(indices[t]))
         if not 0 <= k < n_outcomes:
-            raise NoDefiniteValue(f"Schmidt term {t} has outcome index {indices[s]:.3g} outside 0..{n_outcomes - 1}")
-        lv = float(np.linalg.norm(object_obs.terms[k][1] @ left - left))
-        rv = float(np.linalg.norm(pointer_obs.terms[k][1] @ right - right))
+            raise NoDefiniteValue(f"Schmidt term {t} has outcome index {indices[t]:.3g} outside 0..{n_outcomes - 1}")
+        lv = frob(object_obs.projectors[k] @ left - left)
+        rv = frob(pointer_obs.projectors[k] @ right - right)
         if max(lv, rv) >= tol.DEFINITE_VALUE:
             raise NoDefiniteValue(f"Schmidt term {t} fits no joint spectral term within {tol.DEFINITE_VALUE}")
         fits.append((weight, left, right, k, lv, rv))

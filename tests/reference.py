@@ -3,7 +3,8 @@
 The pipeline never runs these. The dense references (``post_reading_state``,
 ``lifted_commutator_norm``, ``purify``, ``completed_unitary``) form the D×D
 operators that the library's kernels avoid, so a kernel test still compares
-two routes. The
+two routes. ``partial_inner`` is the one-vector form of the product
+``dag(L) @ psi.reshape(d1, d2)`` that ``schmidt_decompose`` takes. The
 ``verify_*`` wrappers evolve the instrument themselves and then call the
 same comparison a ``pipeline.CHECKS`` entry reads, so acceptance tests can
 check one identity at a time. ``entanglement_of_pure_state`` and
@@ -81,6 +82,21 @@ def entanglement_of_pure_state(psi: np.ndarray, structure: Sequence[int]) -> flo
     if len(dims) != 2:
         raise DimensionMismatch(f"entanglement needs a bipartite structure, got {dims}")
     return von_neumann_entropy(pure_marginal(psi / norm, dims, keep=0))
+
+
+def partial_inner(a: np.ndarray, psi: np.ndarray, structure: Sequence[int]) -> np.ndarray:
+    """Partial scalar product <a| psi over the first tensor factor.
+
+    result[j] = sum_i conj(a[i]) psi[i*d2 + j], a vector on the second factor.
+    """
+    psi = np.asarray(psi, dtype=complex).reshape(-1)
+    dims = tuple(int(d) for d in structure)
+    if len(dims) != 2 or dims[0] * dims[1] != psi.size:
+        raise DimensionMismatch(f"structure {dims} is not a bipartite factoring of dimension {psi.size}")
+    a = np.asarray(a, dtype=complex).reshape(-1)
+    if a.size != dims[0]:
+        raise DimensionMismatch(f"left vector has dim {a.size}, first factor has dim {dims[0]}")
+    return np.conj(a) @ psi.reshape(dims)
 
 
 def lifted_commutator_norm(obs: Observable, rho: DensityOperator, structure: Sequence[int], factor: int) -> float:

@@ -19,9 +19,11 @@ from qmeasure import (
     observable_from_matrix,
     post_state,
     random_state_vector,
+    random_unitary,
     repeat_measurement_check,
     uniform_superposition,
 )
+from qmeasure import tolerances as tol
 from conftest import random_hermitian
 from reference import completed_unitary, verify_conditional_states, verify_probability_reproducibility
 
@@ -88,6 +90,43 @@ class TestTransformerFamilies:
         with pytest.raises(InvalidTransformers):
             # completeness and PVM both broken
             StateTransformerSet((np.eye(2, dtype=complex), np.eye(2, dtype=complex)), pauli_z)
+
+
+def observable_with_multiplicities(multiplicities, rng: np.random.Generator):
+    """Observable whose k-th eigenvalue has the k-th multiplicity, in a seeded random basis."""
+    values = np.repeat(0.7 * np.arange(len(multiplicities)) - 1.0, multiplicities)
+    u = random_unitary(values.size, rng)
+    return observable_from_matrix(u @ np.diag(values) @ dag(u))
+
+
+class TestFamilyFromOneEigendecomposition:
+    """The seeded family takes its eigenspace bases from one eigh of the outcome index."""
+
+    MULTIPLICITIES = ((1, 1), (2, 1), (1, 3, 1), (2, 2, 1, 1), (1, 1, 1, 1, 2), (3, 1, 2, 1, 1, 2))
+
+    def observables(self):
+        rng = np.random.default_rng(81)
+        return [observable_with_multiplicities(m, rng) for m in self.MULTIPLICITIES]
+
+    def test_one_eigh_for_every_outcome_count(self, monkeypatch):
+        eigh = np.linalg.eigh
+        for multiplicities, obs in zip(self.MULTIPLICITIES, self.observables()):
+            calls = []
+            monkeypatch.setattr(np.linalg, "eigh", lambda m, *args: calls.append(m.shape) or eigh(m, *args))
+            make_repeatable_transformers(obs, seed=5)
+            monkeypatch.undo()
+            assert obs.n_outcomes == len(multiplicities)
+            assert calls == [(obs.dim, obs.dim)], multiplicities
+
+    def test_family_is_repeatable_and_seeded(self):
+        for obs in self.observables():
+            for seed in range(3):
+                ts = make_repeatable_transformers(obs, seed)
+                for a, p in zip(ts.transformers, obs.projectors):
+                    assert np.linalg.norm(dag(a) @ a - p) <= tol.TRANSFORMER
+                    assert np.linalg.norm(p @ a - a) <= tol.REPEATABILITY
+                again = make_repeatable_transformers(obs, seed)
+                assert all(np.array_equal(a, b) for a, b in zip(ts.transformers, again.transformers))
 
 
 class TestIsRepeatable:

@@ -6,17 +6,20 @@ from qmeasure import (
     generate_random_instance,
     NotHermitian,
     NotOrthonormal,
+    apply_on_factor,
     basis_vector,
     complete_isometry,
     dag,
+    frob,
     hermitian_eig,
     kron,
-    partial_inner,
     partial_trace,
+    pure_marginal,
     random_unitary,
 )
 from qmeasure import tolerances as tol
 from conftest import bell_vector, random_hermitian
+from reference import partial_inner
 
 
 def kron_by_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -131,6 +134,51 @@ class TestPartialTrace:
             partial_trace(np.eye(4), (4,), keep=0)
         with pytest.raises(DimensionMismatch):
             partial_trace(np.eye(4), (2, 2), keep=2)
+
+
+def _complex(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestKernelsAgreeWithNumpy:
+    """The small-matrix kernels against the numpy and library routes they replace."""
+
+    def test_frob_is_numpy_norm_bit_for_bit(self):
+        rng = np.random.default_rng(61)
+        base = _complex(rng, 7, 9)
+        cases = [base, base.T, base[::2, 1::3], base.real, base.real.T, base.imag[1::2, ::-1], base[3], base[:, 4]]
+        cases += [_complex(rng, 3, 4, 5).swapaxes(0, 2), np.zeros((2, 2), dtype=complex), np.arange(6.0)]
+        # integer and bool input is cast to float first, as np.linalg.norm does: no overflow, no logical dot
+        cases += [np.arange(-3, 7).reshape(2, 5).T, np.array([2**40, 3 * 2**40]), np.array([True, True, False])]
+        for x in cases:
+            assert frob(x) == float(np.linalg.norm(x)), x.shape
+            assert isinstance(frob(x), float)
+
+    def test_pure_marginal_is_the_partial_trace_of_the_outer_product(self):
+        rng = np.random.default_rng(62)
+        dims = (3, 4, 2)
+        vec = _complex(rng, 24)
+        rho = np.outer(vec, np.conj(vec))
+        for keep in (0, 1, 2, (0, 1), (0, 2), (1, 2)):
+            expected = partial_trace(rho, dims, keep=keep)
+            assert np.max(np.abs(pure_marginal(vec, dims, keep) - expected)) < 1e-13, keep
+
+    def test_last_factor_path_equals_the_broadcast_path(self):
+        # A one-column matrix takes the broadcast product; a vector on the last factor takes the row product.
+        rng = np.random.default_rng(63)
+        for dims in ((3, 4), (2, 3, 5), (6,)):
+            d_f = dims[-1]
+            vec = _complex(rng, int(np.prod(dims)))
+            vec /= frob(vec)
+            pointer = np.stack([np.diag(basis_vector(d_f, k)) for k in range(d_f)])
+            factor = len(dims) - 1
+            for op in (pointer, pointer[1]):
+                broadcast = apply_on_factor(op, vec[:, None], dims, factor)[..., 0]
+                assert np.array_equal(apply_on_factor(op, vec, dims, factor), broadcast), dims
+            general = np.stack([random_unitary(d_f, rng) for _ in range(3)])
+            for op in (general, general[0]):
+                broadcast = apply_on_factor(op, vec[:, None], dims, factor)[..., 0]
+                assert np.max(np.abs(apply_on_factor(op, vec, dims, factor) - broadcast)) < 1e-15, dims
 
 
 class TestPartialInner:

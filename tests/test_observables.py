@@ -88,6 +88,20 @@ class TestStates:
         for (_, p), q in zip(degenerate_observable.terms, stack):
             assert p.base is stack and np.array_equal(p, q)
 
+    def test_matrix_and_outcome_index_are_built_once_and_read_only(self, degenerate_observable):
+        obs = degenerate_observable
+        for build, expected in ((obs.matrix, np.diag([2.0, 2.0, 5.0])), (obs.outcome_index, np.diag([0.0, 0.0, 1.0]))):
+            first = build()
+            assert build() is first and not first.flags.writeable
+            assert np.max(np.abs(first - expected)) < 1e-15
+            with pytest.raises(ValueError):
+                first[0, 0] = 7.0
+
+    def test_density_operator_leaves_its_input_writeable(self):
+        rho = random_density(3, np.random.default_rng(72))
+        stored = DensityOperator(rho).matrix
+        assert rho.flags.writeable and not stored.flags.writeable and not np.shares_memory(rho, stored)
+
     def test_arrays_are_frozen(self, pauli_z, plus_state):
         with pytest.raises(ValueError):
             plus_state.vector[0] = 0.0

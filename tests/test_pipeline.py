@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qmeasure import (
+    DensityOperator,
     SchmidtForm,
     generate_random_instance,
     parse_scenario,
@@ -319,3 +320,56 @@ class TestReBasedFormControls:
             doubled = SchmidtForm(sf.coefficients, tuple(2 * l for l in sf.left_vectors), sf.right_vectors)
             with pytest.raises(NoDefiniteValue):
                 verify_definite_values(doubled, run.obs, run.model.pointer_observable)
+
+
+class TestRewrittenRouteControls:
+    """Checks that run through the stacked Schmidt products, the pointer-side product or the Gram entropy.
+
+    Each flags a corrupted artefact, written into the run before the check reads it.
+    """
+
+    CHECK = TestReBasedFormControls.CHECK
+
+    def test_schmidt_reconstruction_sees_swapped_right_vectors(self):
+        # Pairing each left vector with another term's right vector leaves a form orthogonal to the final vector.
+        for seed, run in _multi_term_runs():
+            sf = run.schmidt
+            rights = list(sf.right_vectors)
+            rights[0], rights[1] = rights[1], rights[0]
+            run.__dict__["schmidt"] = SchmidtForm(sf.coefficients, sf.left_vectors, tuple(rights))
+            _, _, deviation, _ = self.CHECK["schmidt_reconstruction"].fn(run)
+            assert deviation >= 1e3 * tol.RECONSTRUCTION, seed
+
+    def test_conditional_states_sees_a_final_vector_that_gained_norm(self):
+        # Each pointer-side state M_k M_k† grows by 2e-4 p_k; the transformer side does not move.
+        for seed, run in _multi_term_runs():
+            run.__dict__["final"] = run.final * (1 + 1e-4)
+            _, _, deviation, _ = self.CHECK["conditional_states"].fn(run)
+            assert deviation >= 1e3 * tol.KRAUS_CONSISTENCY, seed
+
+    def test_pointer_reading_incompatibility_sees_a_reweighted_reading(self):
+        # The reader doubles the weight of its first outcome, so the object's weights are no longer p.
+        for seed, run in _multi_term_runs():
+            tri, dims3 = run.reading
+            w = tri.reshape(-1, dims3[2]).copy()
+            w[:, 0] *= np.sqrt(2.0)
+            run.__dict__["reading"] = ((w / np.linalg.norm(w)).reshape(-1), dims3)
+            _, _, deviation, _ = self.CHECK["pointer_reading_incompatibility"].fn(run)
+            assert deviation >= 1e3 * tol.THEOREM, seed
+
+
+def test_a_six_outcome_run_makes_three_eigh_and_fifteen_density_checks(monkeypatch):
+    # One eigh each for the repeatable family (of the outcome index), the Schmidt form (of rho_1)
+    # and the definite values (of L† N L); fifteen density-operator checks of Gram matrices and marginals.
+    seed = next(s for s in range(100) if generate_random_instance(s, 16, 6).observable.n_outcomes == 6)
+    scenario = generate_random_instance(seed, 16, 6)
+    eigh, check = np.linalg.eigh, DensityOperator.__post_init__
+    eigh_shapes, density_checks = [], []
+    monkeypatch.setattr(np.linalg, "eigh", lambda m, *args: eigh_shapes.append(m.shape) or eigh(m, *args))
+    monkeypatch.setattr(DensityOperator, "__post_init__", lambda self: density_checks.append(1) or check(self))
+    report = run_pipeline(scenario)
+    monkeypatch.undo()
+    assert report.overall_pass
+    d, terms = scenario.object_dim, len(report.schmidt_coefficients)
+    assert eigh_shapes == [(d, d), (d, d), (terms, terms)]
+    assert len(density_checks) == 15
