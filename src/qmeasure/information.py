@@ -18,17 +18,9 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, NonRepeatableInput, NotADistribution
-from .linalg import apply_on_factor, check_unit_norm, dag, frob, partial_trace, pure_marginal
+from .linalg import apply_on_factor, check_unit_norm, dag, frob, pure_marginal
 from .instruments import MeasurementModel
-from .observables import (
-    DensityOperator,
-    Observable,
-    PureState,
-    State,
-    check_dims,
-    density_matrix,
-    luders_update,
-)
+from .observables import DensityOperator, Observable, PureState, check_dims
 
 # Not used here. It stays importable from this module because bench/selftest.py
 # checks that tracing restores this name in this namespace.
@@ -37,19 +29,15 @@ from .observables import embed_observable  # noqa: F401
 
 @dataclass(frozen=True)
 class EntropyReport:
-    """Entropy bookkeeping of a bipartite state, in bits.
-
-    The last three fields are only defined for pure input states and stay
-    None for mixed ones.
-    """
+    """Entropy bookkeeping of a bipartite pure vector, in bits."""
 
     s1: float
     s2: float
     s12: float
     mutual_information: float
-    entanglement: float | None
-    quasi_classical: float | None
-    shannon_pk: float | None
+    entanglement: float
+    quasi_classical: float
+    shannon_pk: float
 
 
 @dataclass(frozen=True)
@@ -88,44 +76,35 @@ def von_neumann_entropy(rho: DensityOperator | np.ndarray) -> float:
     return shannon_entropy(np.maximum(rho.eigenvalues(), 0.0))
 
 
-def mutual_information(state: np.ndarray | DensityOperator, structure: Sequence[int]) -> EntropyReport:
-    """Full entropy report for a bipartite pure vector or density operator.
+def mutual_information(state: np.ndarray, structure: Sequence[int]) -> EntropyReport:
+    """Full entropy report for a bipartite pure vector, read from its reshaped matrix.
 
-    A pure vector is read from its reshaped matrix: S1 and S2 from its two
-    marginals, S12 from its 1 x 1 Gram matrix <v|v>. A density operator is traced.
+    S1 and S2 come from its two marginals, S12 from its 1 x 1 Gram matrix <v|v>.
     """
     dims = tuple(int(d) for d in structure)
     if len(dims) != 2:
         raise DimensionMismatch(f"mutual information needs a bipartite structure, got {dims}")
-    if not isinstance(state, DensityOperator) and np.ndim(state) == 1:
-        v, norm = check_unit_norm(state)
-        v = v / norm  # pure_marginal raises DimensionMismatch if dims do not factor v
-        s1, s2 = (von_neumann_entropy(pure_marginal(v, dims, keep=k)) for k in (0, 1))
-        s12 = _gram_entropy(v[:, None])
-        # The squared Schmidt coefficients are the spectrum of either marginal, so the
-        # entanglement, the quasi-classical information and their Shannon entropy are all S1.
-        return EntropyReport(s1, s2, s12, s1 + s2 - s12, s1, s1, s1)
-
-    rho = state if isinstance(state, DensityOperator) else DensityOperator(state)
-    if rho.dim != int(np.prod(dims)):
-        raise DimensionMismatch(f"state dim {rho.dim} does not match structure {dims}")
-    s1, s2 = (von_neumann_entropy(partial_trace(rho.matrix, dims, keep=k)) for k in (0, 1))
-    s12 = von_neumann_entropy(rho)
-    return EntropyReport(s1, s2, s12, s1 + s2 - s12, None, None, None)
+    shape = np.shape(state.matrix if isinstance(state, DensityOperator) else state)
+    if len(shape) != 1:
+        raise DimensionMismatch(f"mutual information needs a pure vector, got an input of shape {shape}")
+    v, norm = check_unit_norm(state)
+    v = v / norm  # pure_marginal raises DimensionMismatch if dims do not factor v
+    s1, s2 = (von_neumann_entropy(pure_marginal(v, dims, keep=k)) for k in (0, 1))
+    s12 = _gram_entropy(v[:, None])
+    # The squared Schmidt coefficients are the spectrum of either marginal, so the
+    # entanglement, the quasi-classical information and their Shannon entropy are all S1.
+    return EntropyReport(s1, s2, s12, s1 + s2 - s12, s1, s1, s1)
 
 
-def incompatibility_entropy(obs: Observable, state: State) -> float:
+def incompatibility_entropy(obs: Observable, state: PureState) -> float:
     """Entropy increase under the projective update of the observable.
 
-    Zero exactly when the observable commutes with the state; for a pure
-    state it equals the Shannon entropy of the outcome probabilities. A
-    mixed state takes the entropy of its Lüders update; a pure state takes
-    the Gram-matrix route of ``lifted_incompatibility_entropy``.
+    Zero exactly when the state is an eigenvector of the observable, and
+    equal to the Shannon entropy of the outcome probabilities. It takes the
+    Gram-matrix route of ``lifted_incompatibility_entropy``.
     """
-    if isinstance(state, PureState):
-        check_dims(obs, state)
-        return lifted_incompatibility_entropy(obs, state.vector, (obs.dim,), 0)
-    return von_neumann_entropy(luders_update(obs, state)) - von_neumann_entropy(state)
+    check_dims(obs, state)
+    return lifted_incompatibility_entropy(obs, state.vector, (obs.dim,), 0)
 
 
 def lifted_incompatibility_entropy(
@@ -155,11 +134,12 @@ def _gram_entropy(components: np.ndarray) -> float:
     return von_neumann_entropy(np.vecdot(components.T[:, None], components.T[None, :]))
 
 
-def commutator_norm(obs: Observable, state: State) -> float:
+def commutator_norm(obs: Observable, state: PureState | DensityOperator) -> float:
     """Frobenius norm of [A, rho]."""
-    check_dims(obs, state)
+    if obs.dim != state.dim:
+        raise DimensionMismatch(f"observable dim {obs.dim} != state dim {state.dim}")
     a = obs.matrix()
-    rho = density_matrix(state)
+    rho = state.projector() if isinstance(state, PureState) else state.matrix
     return frob(a @ rho - rho @ a)
 
 

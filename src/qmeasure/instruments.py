@@ -38,21 +38,25 @@ from .observables import Observable, PureState, probabilities
 
 @dataclass(frozen=True)
 class StateTransformerSet:
-    """Outcome-labelled transformers {A_k}, aligned with observable terms."""
+    """Outcome-labelled transformers {A_k}, aligned with observable terms.
 
-    transformers: tuple[np.ndarray, ...]
+    The family is stored once, as one read-only (K, dim, dim) stack in term order.
+    """
+
+    transformers: np.ndarray
     observable: Observable
 
     def __post_init__(self) -> None:
-        ops = tuple(frozen_array(a) for a in self.transformers)
-        object.__setattr__(self, "transformers", ops)
         obs = self.observable
-        if len(ops) != obs.n_outcomes:
-            raise InvalidTransformers(f"{len(ops)} transformers for {obs.n_outcomes} spectral terms")
+        if len(self.transformers) != obs.n_outcomes:
+            raise InvalidTransformers(f"{len(self.transformers)} transformers for {obs.n_outcomes} spectral terms")
+        for k, a in enumerate(self.transformers):
+            if np.shape(a) != (obs.dim, obs.dim):
+                raise DimensionMismatch(f"transformer {k} has shape {np.shape(a)}, expected {(obs.dim, obs.dim)}")
+        ops = frozen_array(self.transformers)
+        object.__setattr__(self, "transformers", ops)
         total = np.zeros((obs.dim, obs.dim), dtype=complex)
         for k, (a, p) in enumerate(zip(ops, obs.projectors)):
-            if a.shape != (obs.dim, obs.dim):
-                raise DimensionMismatch(f"transformer {k} has shape {a.shape}, expected {(obs.dim, obs.dim)}")
             gram = dag(a) @ a
             if frob(gram - p) > tol.TRANSFORMER:
                 raise InvalidTransformers(f"A_{k}†A_{k} deviates from its projector beyond {tol.TRANSFORMER}")
@@ -99,7 +103,7 @@ class MeasurementModel:
 
 def make_ideal_transformers(obs: Observable) -> StateTransformerSet:
     """Ideal measurement: each transformer is the spectral projector itself."""
-    return StateTransformerSet(tuple(p.copy() for p in obs.projectors), obs)
+    return StateTransformerSet(obs.projectors, obs)
 
 
 def make_repeatable_transformers(obs: Observable, seed: int) -> StateTransformerSet:
@@ -112,12 +116,13 @@ def make_repeatable_transformers(obs: Observable, seed: int) -> StateTransformer
     """
     rng = np.random.default_rng(seed)
     indices, basis = np.linalg.eigh(obs.outcome_index())
-    ops = []
+    ops = np.empty((obs.n_outcomes, obs.dim, obs.dim), dtype=complex)
     for k in range(obs.n_outcomes):
         inside = basis[:, np.rint(indices) == k]
         u = random_unitary(inside.shape[1], rng)
-        ops.append(inside @ u @ dag(inside))
-    return StateTransformerSet(tuple(ops), obs)
+        ops[k] = inside @ u @ dag(inside)
+    ops.setflags(write=False)
+    return StateTransformerSet(ops, obs)
 
 
 def is_repeatable(ts: StateTransformerSet) -> tuple[bool, float]:
@@ -155,7 +160,9 @@ def dilate(ts: StateTransformerSet) -> MeasurementModel:
     obs = ts.observable
     n = ts.n_outcomes
     # isometry[j * n + k, i] = A_k[j, i]: column i is sum_k (A_k|i>) ⊗ e_k
-    isometry = np.stack(ts.transformers, axis=1).reshape(obs.dim * n, obs.dim)
+    isometry = np.empty((obs.dim * n, obs.dim), dtype=complex)
+    isometry.reshape(obs.dim, n, obs.dim)[...] = ts.transformers.swapaxes(0, 1)
+    isometry.setflags(write=False)
     return MeasurementModel(observable=obs, isometry=isometry, pointer_observable=_pointer(n))
 
 

@@ -25,8 +25,8 @@ TensorStructure = tuple[int, ...]
 
 
 def dag(m: np.ndarray) -> np.ndarray:
-    """Hermitian adjoint."""
-    return np.conj(m).T
+    """Hermitian adjoint of a matrix, or of each matrix in a stack."""
+    return np.conj(m).swapaxes(-1, -2)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -47,7 +47,9 @@ def check_unit_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def frozen_array(a: np.ndarray) -> np.ndarray:
-    """Complex copy with the writeable flag cleared."""
+    """Read-only complex array: ``a`` itself if it is one that owns its data, else a frozen copy."""
+    if isinstance(a, np.ndarray) and a.dtype == complex and a.flags.owndata and not a.flags.writeable:
+        return a
     out = np.array(a, dtype=complex)
     out.setflags(write=False)
     return out

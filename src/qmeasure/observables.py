@@ -1,4 +1,4 @@
-"""Discrete observables in spectral form, pure and mixed states.
+"""Discrete observables in spectral form, pure states and density operators.
 
 An observable is stored as its spectral family: an ordered list of
 (eigenvalue, projector) pairs with distinct eigenvalues, mutually
@@ -85,7 +85,7 @@ def validate_observable(obs: Observable) -> None:
         if hi - lo <= tol.DEGENERACY_GAP:
             raise ValidationError(f"eigenvalues {lo} and {hi} are not separated beyond {tol.DEGENERACY_GAP}")
     stack = obs.projectors
-    hermiticity = np.linalg.norm((stack - np.conj(stack).swapaxes(1, 2)).reshape(obs.n_outcomes, -1), axis=1)
+    hermiticity = np.linalg.norm((stack - dag(stack)).reshape(obs.n_outcomes, -1), axis=1)
     idempotence = np.linalg.norm((stack @ stack - stack).reshape(obs.n_outcomes, -1), axis=1)
     # Hermitian idempotents within ORTHONORMALITY that sum to 1 within it can
     # still overlap by more than it, so the pairs are checked too.
@@ -160,16 +160,6 @@ class DensityOperator:
         return self._spectrum
 
 
-State = PureState | DensityOperator
-
-
-def density_matrix(state: State) -> np.ndarray:
-    """Density matrix of a pure or mixed state."""
-    if isinstance(state, PureState):
-        return state.projector()
-    return state.matrix
-
-
 def observable_from_matrix(h: np.ndarray) -> Observable:
     """Spectral form of a Hermitian matrix.
 
@@ -210,30 +200,19 @@ def embed_observable(obs: Observable, structure: Sequence[int], factor: int) -> 
     return Observable(tuple(terms), int(np.prod(dims)))
 
 
-def check_dims(obs: Observable, state: State) -> None:
-    """Raise DimensionMismatch unless observable and state act on the same space."""
+def check_dims(obs: Observable, state: PureState) -> None:
+    """Raise unless the state is a PureState on the observable's space."""
+    if not isinstance(state, PureState):
+        raise ValidationError(f"expected a PureState, got {type(state).__name__}")
     if obs.dim != state.dim:
         raise DimensionMismatch(f"observable dim {obs.dim} != state dim {state.dim}")
 
 
-def probabilities(obs: Observable, state: State) -> np.ndarray:
-    """Outcome probabilities <P_k> in term order."""
+def probabilities(obs: Observable, state: PureState) -> np.ndarray:
+    """Outcome probabilities <psi|P_k|psi> in term order."""
     check_dims(obs, state)
-    if isinstance(state, PureState):
-        v = state.vector
-        return np.array([float(np.real(np.vdot(v, p @ v))) for _, p in obs.terms])
-    rho = state.matrix
-    return np.array([float(np.real(np.trace(p @ rho))) for _, p in obs.terms])
-
-
-def luders_update(obs: Observable, state: State) -> DensityOperator:
-    """Projective (Lüders) state update sum_k P_k rho P_k over all terms."""
-    check_dims(obs, state)
-    rho = density_matrix(state)
-    out = np.zeros_like(rho)
-    for _, p in obs.terms:
-        out += p @ rho @ p
-    return DensityOperator(out)
+    v = state.vector
+    return np.array([float(np.real(np.vdot(v, p @ v))) for _, p in obs.terms])
 
 
 def uniform_superposition(dim: int) -> PureState:
@@ -245,12 +224,9 @@ __all__ = [
     "Observable",
     "PureState",
     "DensityOperator",
-    "State",
     "validate_observable",
     "observable_from_matrix",
     "embed_observable",
     "probabilities",
-    "luders_update",
-    "density_matrix",
     "uniform_superposition",
 ]

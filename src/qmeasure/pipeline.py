@@ -349,11 +349,9 @@ def report_to_text(report: VerificationReport, verbosity: str = "normal") -> str
         lines.append(
             f"entropies (bits): S1={e.s1:.10f} S2={e.s2:.10f} S12={e.s12:.3e} I12={e.mutual_information:.10f}"
         )
-        if e.entanglement is not None:
-            lines.append(
-                f"entanglement={e.entanglement:.10f} quasi_classical={e.quasi_classical:.10f} "
-                f"H(p)={e.shannon_pk:.10f}"
-            )
+        lines.append(
+            f"entanglement={e.entanglement:.10f} quasi_classical={e.quasi_classical:.10f} H(p)={e.shannon_pk:.10f}"
+        )
     lines.append("")
     width = max((len(label) for label in [*(v.label for v in report.verdicts), *report.not_applicable]), default=10)
     for v in report.verdicts:

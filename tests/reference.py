@@ -1,9 +1,9 @@
 """Reference routes for the tests: dense forms and one-call wrappers of pipeline checks.
 
-The pipeline never runs these. The dense references (``post_reading_state``,
-``lifted_commutator_norm``, ``purify``, ``completed_unitary``) form the D×D
-operators that the library's kernels avoid, so a kernel test still compares
-two routes. ``partial_inner`` is the one-vector form of the product
+The pipeline never runs these. The dense references (``luders_update``,
+``post_reading_state``, ``lifted_commutator_norm``, ``purify``,
+``completed_unitary``) form the D×D operators that the library's kernels
+avoid, so a kernel test still compares two routes. ``partial_inner`` is the one-vector form of the product
 ``dag(L) @ psi.reshape(d1, d2)`` that ``schmidt_decompose`` takes. The
 ``verify_*`` wrappers evolve the instrument themselves and then call the
 same comparison a ``pipeline.CHECKS`` entry reads, so acceptance tests can
@@ -24,7 +24,6 @@ from qmeasure import (
     MeasurementModel,
     Observable,
     PureState,
-    State,
     StateTransformerSet,
     Verdict,
     apply_on_factor,
@@ -46,12 +45,23 @@ from qmeasure.instruments import conditional_state_gap, probability_gap
 from qmeasure.linalg import check_unit_norm
 
 
-def classify_outcomes(obs: Observable, state: State) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def classify_outcomes(obs: Observable, state: PureState) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split term indices into detectable (positive probability) and null."""
     p = probabilities(obs, state)
     detectable = tuple(int(k) for k in range(p.size) if p[k] > tol.DETECTABILITY)
     null = tuple(int(k) for k in range(p.size) if p[k] <= tol.DETECTABILITY)
     return detectable, null
+
+
+def luders_update(obs: Observable, state: PureState | DensityOperator) -> DensityOperator:
+    """Projective (Lüders) state update sum_k P_k rho P_k over all terms."""
+    if obs.dim != state.dim:
+        raise DimensionMismatch(f"observable dim {obs.dim} != state dim {state.dim}")
+    rho = state.projector() if isinstance(state, PureState) else state.matrix
+    out = np.zeros_like(rho)
+    for _, p in obs.terms:
+        out += p @ rho @ p
+    return DensityOperator(out)
 
 
 def purify(rho: DensityOperator | np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:

@@ -5,9 +5,11 @@ import pytest
 
 from qmeasure import (
     DensityOperator,
+    DimensionMismatch,
     NonRepeatableInput,
     NotADistribution,
     PureState,
+    QMeasureError,
     basis_vector,
     commutator_norm,
     dilate,
@@ -111,14 +113,12 @@ class TestMutualInformation:
         assert report.shannon_pk == pytest.approx(1.0, abs=1e-12)
         assert abs(report.s1 - report.s2) < 1e-12 and abs(report.s12) < 1e-12
 
-    def test_classically_correlated_mixture(self):
-        # rho = (|0,e0><0,e0| + |1,e1><1,e1|) / 2 keeps only 1 bit of correlation
-        p0 = np.outer(kron(basis_vector(2, 0), basis_vector(2, 0)), kron(basis_vector(2, 0), basis_vector(2, 0)).conj())
-        p1 = np.outer(kron(basis_vector(2, 1), basis_vector(2, 1)), kron(basis_vector(2, 1), basis_vector(2, 1)).conj())
-        rho = DensityOperator((p0 + p1) / 2)
-        report = mutual_information(rho, (2, 2))
-        assert report.mutual_information == pytest.approx(1.0, abs=1e-12)
-        assert report.entanglement is None and report.shannon_pk is None
+    def test_rejects_a_density_operator_or_matrix_naming_its_shape(self):
+        # A pure density matrix flattens to a unit vector, so only the shape check stops it.
+        bell = np.outer(bell_vector(), bell_vector().conj())
+        for state in (bell, DensityOperator(bell)):
+            with pytest.raises(DimensionMismatch, match=r"shape \(4, 4\)"):
+                mutual_information(state, (2, 2))
 
 
 class TestIncompatibilityEntropy:
@@ -144,13 +144,17 @@ class TestIncompatibilityEntropy:
         rng = np.random.default_rng(75)
         for _ in range(10):
             obs = observable_from_matrix(random_hermitian(3, rng))
-            rho = DensityOperator(random_density(3, rng))
-            gain = incompatibility_entropy(obs, rho)
-            assert gain >= -1e-9
-            assert (commutator_norm(obs, rho) < 1e-8) == (gain < 1e-9)
-        diagonal = DensityOperator(np.diag([0.2, 0.3, 0.5]).astype(complex))
+            eigenvector = PureState(np.linalg.eigh(obs.matrix())[1][:, int(rng.integers(3))])
+            for psi in (PureState(random_state_vector(3, rng)), eigenvector):
+                gain = incompatibility_entropy(obs, psi)
+                assert gain >= -1e-9
+                assert (commutator_norm(obs, psi) < 1e-8) == (gain < 1e-9)
         diag_obs = observable_from_matrix(np.diag([1.0, 2.0, 3.0]).astype(complex))
-        assert abs(incompatibility_entropy(diag_obs, diagonal)) < 1e-12
+        assert abs(incompatibility_entropy(diag_obs, PureState(basis_vector(3, 1)))) < 1e-12
+
+    def test_rejects_a_mixed_state(self, pauli_z):
+        with pytest.raises(QMeasureError, match="expected a PureState, got DensityOperator"):
+            incompatibility_entropy(pauli_z, DensityOperator(np.eye(2, dtype=complex) / 2))
 
 
 class TestCommutatorNorm:

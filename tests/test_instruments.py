@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,14 @@ class TestTransformerFamilies:
         with pytest.raises(InvalidTransformers):
             # completeness and PVM both broken
             StateTransformerSet((np.eye(2, dtype=complex), np.eye(2, dtype=complex)), pauli_z)
+
+    def test_family_is_one_read_only_stack_that_its_inputs_cannot_change(self, pauli_z):
+        expected = np.array([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])], dtype=complex)
+        for given in (tuple(expected.copy()), expected.copy()):
+            ts = StateTransformerSet(given, pauli_z)
+            assert ts.transformers.shape == (2, 2, 2) and not ts.transformers.flags.writeable
+            given[0][1, 1] = 5.0  # the caller's arrays stay writeable
+            assert np.array_equal(ts.transformers, expected)
 
 
 def observable_with_multiplicities(multiplicities, rng: np.random.Generator):
@@ -200,6 +209,19 @@ class TestDilate:
         again = dilate(make_ideal_transformers(pauli_z))
         assert again.pointer_observable is pointer and pointer.eigenvalues == (0.0, 1.0)
         assert np.array_equal(pointer.projectors, before)
+
+    def test_dilation_allocates_its_isometry_and_no_second_one(self):
+        # The isometry is the one array this stage needs; a stack frozen by copying would hold two at once.
+        ts = make_repeatable_transformers(observable_with_multiplicities((16, 16, 16, 16), np.random.default_rng(24)), 1)
+        dilate(ts)  # the four-outcome pointer is now cached
+        tracemalloc.start()
+        try:
+            model = dilate(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.isometry.shape == (256, 64)
+        assert peak < 1.5 * model.isometry.nbytes
 
     def test_unitarity(self):
         rng = np.random.default_rng(22)

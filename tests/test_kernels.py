@@ -28,7 +28,6 @@ from qmeasure import (
     incompatibility_entropy,
     kron,
     lifted_incompatibility_entropy,
-    luders_update,
     make_ideal_transformers,
     mutual_information,
     observable_from_matrix,
@@ -45,6 +44,7 @@ from qmeasure import (
 )
 from qmeasure.information import _gram_entropy
 from conftest import random_hermitian
+from reference import luders_update
 
 # Set before the tests were run: a few roundings of O(1) entries.
 KERNEL_TOL = 1e-13

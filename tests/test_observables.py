@@ -9,21 +9,22 @@ from qmeasure import (
     NotNormalized,
     Observable,
     PureState,
+    QMeasureError,
     ValidationError,
     basis_vector,
     dag,
     embed_observable,
     kron,
-    luders_update,
     observable_from_matrix,
     partial_trace,
     probabilities,
+    random_state_vector,
     random_unitary,
     uniform_superposition,
     von_neumann_entropy,
 )
 from conftest import random_density
-from reference import classify_outcomes, purify
+from reference import classify_outcomes, luders_update, purify
 
 
 class TestObservableFromMatrix:
@@ -129,14 +130,17 @@ class TestProbabilities:
             obs = observable_from_matrix(
                 (lambda z: (z + dag(z)) / 2)(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
             )
-            rho = DensityOperator(random_density(dim, rng))
-            p = probabilities(obs, rho)
+            p = probabilities(obs, PureState(random_state_vector(dim, rng)))
             assert abs(p.sum() - 1.0) < 1e-10
             assert np.all(p > -1e-12) and np.all(p < 1 + 1e-12)
 
     def test_dimension_mismatch(self, pauli_z):
         with pytest.raises(DimensionMismatch):
             probabilities(pauli_z, uniform_superposition(3))
+
+    def test_rejects_a_mixed_state(self, pauli_z):
+        with pytest.raises(QMeasureError, match="expected a PureState, got DensityOperator"):
+            probabilities(pauli_z, DensityOperator(np.eye(2, dtype=complex) / 2))
 
 
 class TestClassifyOutcomes:

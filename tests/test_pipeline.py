@@ -7,9 +7,13 @@ import pytest
 
 from qmeasure import (
     DensityOperator,
+    PureState,
     SchmidtForm,
+    apply_on_factor,
     generate_random_instance,
     parse_scenario,
+    random_state_vector,
+    random_unitary,
     report_to_dict,
     report_to_json,
     report_to_text,
@@ -17,6 +21,7 @@ from qmeasure import (
     verify_definite_values,
 )
 from qmeasure import pipeline as pipeline_module
+from qmeasure.cli import main as cli_main
 from qmeasure import tolerances as tol
 from qmeasure.errors import NoDefiniteValue, NonRepeatableInput
 
@@ -227,6 +232,15 @@ def test_committed_scenario_matches_its_golden_report(name):
     assert_matches_golden(json.loads(report_to_json(report)), json.loads((GOLDEN / f"{name}.json").read_text()))
 
 
+def test_seeded_campaign_matches_its_golden(capsys):
+    # `batch --seeds 0..19 --d1-max 16 --outcomes-max 6 --format json`, without each result's scenario block.
+    assert cli_main(["batch", "--seeds", "0..19", "--d1-max", "16", "--outcomes-max", "6", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for result in doc["results"]:
+        del result["scenario"]
+    assert_matches_golden(doc, json.loads((GOLDEN / "batch_seeds_0_19_d16_o6.json").read_text()))
+
+
 def _negative_or_negative_zero(doc) -> list[str]:
     """Entropy fields of a report document that are below 0 or are -0.0."""
     entropies = doc["entropies"] or {}
@@ -355,6 +369,47 @@ class TestRewrittenRouteControls:
             w[:, 0] *= np.sqrt(2.0)
             run.__dict__["reading"] = ((w / np.linalg.norm(w)).reshape(-1), dims3)
             _, _, deviation, _ = self.CHECK["pointer_reading_incompatibility"].fn(run)
+            assert deviation >= 1e3 * tol.THEOREM, seed
+
+
+class TestEntropyAndMarginalControls:
+    """Checks that read the entropy report, the marginals or the initial state.
+
+    Each flags a corrupted artefact, written into the run before the check reads it.
+    """
+
+    CHECK = TestReBasedFormControls.CHECK
+
+    def test_compatibility_migration_sees_a_rotated_pointer(self):
+        # A pointer unitary leaves rho_1 as it was, but rho_2 gains coherence across pointer outcomes.
+        for seed, run in _multi_term_runs():
+            rotation = random_unitary(run.dims[1], np.random.default_rng(seed))
+            run.__dict__["final"] = apply_on_factor(rotation, run.final, run.dims, 1)
+            _, _, deviation, _ = self.CHECK["compatibility_migration"].fn(run)
+            assert deviation >= 1e3 * tol.COMMUTATOR, seed
+
+    def test_entropy_ledger_sees_a_reweighted_branch(self):
+        # Doubling the weight of the likeliest pointer branch moves I12 away from 2 H(p).
+        for seed, run in _multi_term_runs():
+            branches = run.final.reshape(run.dims).copy()  # column k is the branch of pointer outcome k
+            branches[:, np.argmax(run.born)] *= np.sqrt(2.0)
+            run.__dict__["final"] = (branches / np.linalg.norm(branches)).reshape(-1)
+            _, _, deviation, _ = self.CHECK["entropy_ledger"].fn(run)
+            assert deviation >= 1e3 * tol.THEOREM, seed
+
+    def test_entanglement_incompatibility_final_sees_a_rotated_object(self):
+        # An object unitary keeps the entanglement at H(p) but moves the object's outcome weights.
+        for seed, run in _multi_term_runs():
+            rotation = random_unitary(run.dims[0], np.random.default_rng(seed))
+            run.__dict__["final"] = apply_on_factor(rotation, run.final, run.dims, 0)
+            _, _, deviation, _ = self.CHECK["entanglement_incompatibility_final"].fn(run)
+            assert deviation >= 1e3 * tol.THEOREM, seed
+
+    def test_entanglement_incompatibility_initial_sees_another_initial_state(self):
+        # The final vector came from the scenario's initial state, the incompatibility is read in another.
+        for seed, run in _multi_term_runs():
+            run.__dict__["psi"] = PureState(random_state_vector(run.dims[0], np.random.default_rng(seed)))
+            _, _, deviation, _ = self.CHECK["entanglement_incompatibility_initial"].fn(run)
             assert deviation >= 1e3 * tol.THEOREM, seed
 
 
