@@ -1,7 +1,7 @@
 """Numerical laboratory for repeatable quantum measurements.
 
-Builds instruments from state transformers, dilates them into unitary
-object-pointer evolutions, decomposes the final entangled vector into its
+Builds instruments from state transformers, evolves the object with them
+into an object-pointer vector, decomposes that final entangled vector into its
 Schmidt canonical form, and verifies that the entanglement produced by the
 measurement equals the incompatibility (coherence) entropy of the measured
 observable, both in the final and in the initial state.

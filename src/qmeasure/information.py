@@ -19,7 +19,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import DimensionMismatch, NonRepeatableInput, NotADistribution
 from .linalg import apply_on_factor, check_unit_norm, dag, frob, pure_marginal
-from .instruments import MeasurementModel
+from .instruments import StateTransformerSet
 from .observables import DensityOperator, Observable, PureState, check_dims
 
 # Not used here. It stays importable from this module because bench/selftest.py
@@ -158,10 +158,7 @@ def transfer_identity(obs: Observable, psi: PureState, entanglement: float) -> t
     return lhs, entanglement, abs(lhs - entanglement)
 
 
-def read_pointer_tripartite(
-    final: np.ndarray,
-    model: MeasurementModel,
-) -> tuple[np.ndarray, tuple[int, int, int]]:
+def read_pointer_tripartite(final: np.ndarray, ts: StateTransformerSet) -> tuple[np.ndarray, tuple[int, int, int]]:
     """Ideal pointer reading of the final vector, as a tripartite vector.
 
     A second pointer with one dimension per detectable outcome records the
@@ -173,11 +170,11 @@ def read_pointer_tripartite(
     pointer observable. Anything else is rejected.
     """
     final = np.asarray(final, dtype=complex).reshape(-1)
-    dims = model.composite_dims
+    dims = ts.composite_dims
     if final.size != dims[0] * dims[1]:
         raise DimensionMismatch(f"vector of dim {final.size} does not match {dims}")
 
-    components = apply_on_factor(model.pointer_observable.projectors, final, dims, 1)  # row k is (1 ⊗ Q_k) final
+    components = apply_on_factor(ts.pointer_observable.projectors, final, dims, 1)  # row k is (1 ⊗ Q_k) final
     # The update sum_k Q_k rho2 Q_k is the pointer marginal of the components taken together.
     rows = components.reshape(-1, dims[1])
     damage = frob(pure_marginal(final, dims, keep=1) - rows.T @ np.conj(rows))

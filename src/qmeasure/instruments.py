@@ -1,4 +1,4 @@
-"""State transformers, repeatability, and the dilated measurement evolution.
+"""State transformers, repeatability, and the measurement evolution they define.
 
 A measurement of an observable is described in two equivalent ways:
 
@@ -8,12 +8,13 @@ A measurement of an observable is described in two equivalent ways:
 * a unitary evolution on object ⊗ pointer that writes the outcome into an
   orthonormal pointer basis.
 
-``dilate`` turns the first description into the second. The pointer
-starts in e_0, so a model is the unitary's restriction to object ⊗ e_0:
-an isometry, which is all of the instrument that any check reads.
-``probability_gap`` and ``conditional_state_gap`` measure, for a given
-final vector, how far the pointer reproduces the predicted probabilities
-and the transformers' conditional states.
+The pointer starts in e_0, so all that any check reads of the unitary is
+its restriction to object ⊗ e_0, |v> -> sum_k A_k|v> ⊗ e_k: the
+transformer stack read in another index order. ``StateTransformerSet`` is
+therefore the one instrument object, and ``evolve`` applies it as that
+evolution. ``probability_gap`` and ``conditional_state_gap`` measure, for
+a given final vector, how far the pointer reproduces the predicted
+probabilities and the transformers' conditional states.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .linalg import (
     frozen_array,
     random_unitary,
 )
-from .observables import Observable, PureState, probabilities
+from .observables import Observable, PureState
 
 
 @dataclass(frozen=True)
@@ -68,37 +69,15 @@ class StateTransformerSet:
     def n_outcomes(self) -> int:
         return len(self.transformers)
 
-
-@dataclass(frozen=True)
-class MeasurementModel:
-    """Dilated instrument: the evolution's isometry and the pointer observable.
-
-    Outcome k (term index of the measured observable) is read as pointer
-    term k. ``isometry`` is the D×d matrix of |i> -> U(|i> ⊗ e_0), with
-    row j·n + k for object index j and pointer index k, so the dimensions
-    are read from it and from the pointer. No invariants are enforced at
-    construction so that tests can build deliberately corrupted
-    instruments; ``dilate`` always returns a valid one.
-    """
-
-    observable: Observable
-    isometry: np.ndarray
-    pointer_observable: Observable
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "isometry", frozen_array(self.isometry))
-
     @property
-    def object_dim(self) -> int:
-        return self.isometry.shape[1]
-
-    @property
-    def pointer_dim(self) -> int:
-        return self.pointer_observable.dim
+    def pointer_observable(self) -> Observable:
+        """The pointer observable sum_k k |e_k><e_k|: pointer term k records outcome k."""
+        return _pointer(self.n_outcomes)
 
     @property
     def composite_dims(self) -> tuple[int, int]:
-        return (self.object_dim, self.pointer_dim)
+        """(object dim, pointer dim) of the object ⊗ pointer space the family evolves into."""
+        return (self.observable.dim, self.n_outcomes)
 
 
 def make_ideal_transformers(obs: Observable) -> StateTransformerSet:
@@ -125,15 +104,9 @@ def make_repeatable_transformers(obs: Observable, seed: int) -> StateTransformer
     return StateTransformerSet(ops, obs)
 
 
-def is_repeatable(ts: StateTransformerSet) -> tuple[bool, float]:
-    """Check the repeatability condition A_k = P_k A_k for every outcome.
-
-    Returns (flag, worst Frobenius violation).
-    """
-    worst = 0.0
-    for a, (_, p) in zip(ts.transformers, ts.observable.terms):
-        worst = max(worst, frob(a - p @ a))
-    return worst < tol.REPEATABILITY, worst
+def repeatability_violation(ts: StateTransformerSet) -> float:
+    """Worst Frobenius violation of the repeatability condition A_k = P_k A_k over the outcomes."""
+    return max(frob(a - p @ a) for a, p in zip(ts.transformers, ts.observable.projectors))
 
 
 def post_state(ts: StateTransformerSet, psi: PureState, k: int) -> PureState:
@@ -147,54 +120,37 @@ def post_state(ts: StateTransformerSet, psi: PureState, k: int) -> PureState:
     return PureState(v / np.sqrt(p))
 
 
-def dilate(ts: StateTransformerSet) -> MeasurementModel:
-    """Build an instrument realizing the transformer family.
-
-    The pointer space has one dimension per outcome, starts in the first
-    pointer basis vector, and the pointer observable has eigenvalue k on
-    basis vector k. The model holds the isometry |v> -> sum_k (A_k|v>) ⊗ e_k,
-    the unitary's action on object ⊗ e_0. Its Gram matrix is sum_k A_k†A_k,
-    which the family's constructor already holds to 1, so its columns are
-    orthonormal. The unitary's action elsewhere never affects measurements.
-    """
-    obs = ts.observable
-    n = ts.n_outcomes
-    # isometry[j * n + k, i] = A_k[j, i]: column i is sum_k (A_k|i>) ⊗ e_k
-    isometry = np.empty((obs.dim * n, obs.dim), dtype=complex)
-    isometry.reshape(obs.dim, n, obs.dim)[...] = ts.transformers.swapaxes(0, 1)
-    isometry.setflags(write=False)
-    return MeasurementModel(observable=obs, isometry=isometry, pointer_observable=_pointer(n))
-
-
 @lru_cache(maxsize=32)
 def _pointer(n: int) -> Observable:
     """Observable sum_k k |e_k><e_k| of an n-dim pointer, shared as it is immutable."""
     return Observable(tuple((float(k), np.diag(basis_vector(n, k))) for k in range(n)), n)
 
 
-def evolve(model: MeasurementModel, psi: PureState) -> np.ndarray:
-    """Final bipartite vector U (psi ⊗ e_0), through the model's isometry."""
-    if psi.dim != model.object_dim:
-        raise DimensionMismatch(f"state dim {psi.dim} != object dim {model.object_dim}")
-    return model.isometry @ psi.vector
+def evolve(ts: StateTransformerSet, psi: PureState) -> np.ndarray:
+    """Final bipartite vector U (psi ⊗ e_0) = sum_k A_k|psi> ⊗ e_k, at index j·n + k.
+
+    The pointer has one dimension per outcome and starts in e_0. The
+    vector's norm is <psi| sum_k A_k†A_k |psi>, which the family's
+    constructor already holds to 1; the unitary's action off object ⊗ e_0
+    never affects a measurement.
+    """
+    if psi.dim != ts.observable.dim:
+        raise DimensionMismatch(f"state dim {psi.dim} != object dim {ts.observable.dim}")
+    return (ts.transformers @ psi.vector).T.reshape(-1)
 
 
-def probability_gap(model: MeasurementModel, born: np.ndarray, final: np.ndarray) -> float:
+def probability_gap(ts: StateTransformerSet, born: np.ndarray, final: np.ndarray) -> float:
     """Worst |p_k - <final|1 ⊗ Q_k|final>| over the outcomes, for a given final vector."""
-    components = apply_on_factor(model.pointer_observable.projectors, final, model.composite_dims, 1)
+    components = apply_on_factor(ts.pointer_observable.projectors, final, ts.composite_dims, 1)
     read = np.real(components @ np.conj(final))
     return float(np.max(np.abs(born - read)))
 
 
-def conditional_state_gap(
-    model: MeasurementModel, ts: StateTransformerSet, psi: PureState, final: np.ndarray
-) -> float:
+def conditional_state_gap(ts: StateTransformerSet, psi: PureState, final: np.ndarray) -> float:
     """Worst gap between the two conditional-state routes, for a given final vector |Psi>."""
-    if model.object_dim != ts.observable.dim:
-        raise DimensionMismatch("model and transformer family disagree on the object dimension")
-    dims = model.composite_dims
+    dims = ts.composite_dims
     # Tr_2 of (1 ⊗ Q_k)|Psi><Psi|(1 ⊗ Q_k) is M_k M_k†, with M_k the vector (1 ⊗ Q_k)|Psi> reshaped to d x n
-    components = apply_on_factor(model.pointer_observable.projectors, final, dims, 1).reshape(-1, *dims)
+    components = apply_on_factor(ts.pointer_observable.projectors, final, dims, 1).reshape(-1, *dims)
     rho = psi.projector()
     worst = 0.0
     for a, m in zip(ts.transformers, components):
@@ -202,18 +158,17 @@ def conditional_state_gap(
     return worst
 
 
-def repeat_measurement_check(model: MeasurementModel, ts: StateTransformerSet, psi: PureState) -> float:
+def repeat_measurement_check(ts: StateTransformerSet, psi: PureState, born: np.ndarray) -> float:
     """Smallest conditional probability of confirming an outcome on repetition.
 
-    For every detectable outcome: apply the transformer, then measure the
-    observable again on the post-measurement state and take the probability
-    of the eigenvalue certified by the pointer reading, which is term k
-    again because pointer term k records outcome k. Repeatable families give
-    1 for every outcome.
+    For every outcome detectable under the Born vector ``born``: apply the
+    transformer, then measure the observable again on the post-measurement
+    state and take the probability of the eigenvalue certified by the
+    pointer reading, which is term k again because pointer term k records
+    outcome k. Repeatable families give 1 for every outcome.
     """
-    if model.object_dim != ts.observable.dim:
-        raise DimensionMismatch("model and transformer family disagree on the object dimension")
-    born = probabilities(ts.observable, psi)
+    if len(born) != ts.n_outcomes:
+        raise DimensionMismatch(f"{len(born)} probabilities for {ts.n_outcomes} outcomes")
     smallest = 1.0
     for k, (_, p) in enumerate(ts.observable.terms):
         if born[k] <= tol.DETECTABILITY:
@@ -225,12 +180,10 @@ def repeat_measurement_check(model: MeasurementModel, ts: StateTransformerSet, p
 
 __all__ = [
     "StateTransformerSet",
-    "MeasurementModel",
     "make_ideal_transformers",
     "make_repeatable_transformers",
-    "is_repeatable",
+    "repeatability_violation",
     "post_state",
-    "dilate",
     "evolve",
     "repeat_measurement_check",
 ]

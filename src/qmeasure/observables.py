@@ -84,23 +84,24 @@ def validate_observable(obs: Observable) -> None:
     for lo, hi in zip(values, values[1:]):
         if hi - lo <= tol.DEGENERACY_GAP:
             raise ValidationError(f"eigenvalues {lo} and {hi} are not separated beyond {tol.DEGENERACY_GAP}")
-    stack = obs.projectors
-    hermiticity = np.linalg.norm((stack - dag(stack)).reshape(obs.n_outcomes, -1), axis=1)
-    idempotence = np.linalg.norm((stack @ stack - stack).reshape(obs.n_outcomes, -1), axis=1)
     # Hermitian idempotents within ORTHONORMALITY that sum to 1 within it can
-    # still overlap by more than it, so the pairs are checked too.
-    column = stack.reshape(-1, obs.dim)  # P_0 over P_1 over ...
+    # still overlap by more than it, so the pairs are checked too, one operator
+    # at a time. The earlier projectors passed, so they are mutually orthogonal
+    # and |S P_i|^2, with S their running sum, is the sum of the |P_j P_i|^2:
+    # only when it exceeds the tolerance are the pairs formed, to find the first that fails.
+    stack = obs.projectors
+    total = np.zeros((obs.dim, obs.dim), dtype=complex)
     for i, p in enumerate(stack):
-        if not hermiticity[i] <= tol.ORTHONORMALITY:
+        if not frob(p - dag(p)) <= tol.ORTHONORMALITY:
             raise ValidationError(f"projector {i} violates hermiticity within {tol.ORTHONORMALITY}")
-        if idempotence[i] > tol.ORTHONORMALITY:
+        if frob(p @ p - p) > tol.ORTHONORMALITY:
             raise ValidationError(f"projector {i} violates idempotence within {tol.ORTHONORMALITY}")
-        products = column[: i * obs.dim] @ p  # P_j P_i for every j < i, one above the other
-        overlapping = np.linalg.norm(products.reshape(-1, obs.dim**2), axis=1) > tol.ORTHONORMALITY
-        if overlapping.any():
-            j = int(np.argmax(overlapping))
-            raise ValidationError(f"projectors {j} and {i} violate orthogonality within {tol.ORTHONORMALITY}")
-    if frob(stack.sum(axis=0) - np.eye(obs.dim)) > tol.ORTHONORMALITY:
+        if frob(total @ p) > tol.ORTHONORMALITY:
+            for j in range(i):
+                if frob(stack[j] @ p) > tol.ORTHONORMALITY:
+                    raise ValidationError(f"projectors {j} and {i} violate orthogonality within {tol.ORTHONORMALITY}")
+        total += p
+    if frob(total - np.eye(obs.dim)) > tol.ORTHONORMALITY:
         raise ValidationError(f"spectral family violates completeness within {tol.ORTHONORMALITY}")
 
 

@@ -1,7 +1,7 @@
 """End-to-end verification pipeline and report emission.
 
 ``run_pipeline`` works in two parts. ``_Run`` holds the artefacts of one
-run: the transformer family, the repeatability violation, the dilated model,
+run: the transformer family (the instrument), the repeatability violation,
 the final vector, the Born vector, the initial commutator norm, the Schmidt
 form, the entropy report, the definite-value report and the tripartite
 pointer reading. Each is computed once, on first use.
@@ -41,11 +41,10 @@ from .information import (
 )
 from .instruments import (
     conditional_state_gap,
-    dilate,
     evolve,
-    is_repeatable,
     probability_gap,
     repeat_measurement_check,
+    repeatability_violation,
 )
 from .linalg import dag, pure_marginal
 from .observables import DensityOperator, probabilities
@@ -111,21 +110,20 @@ class _Run:
 
     @property
     def dims(self) -> tuple[int, int]:
-        return self.model.composite_dims
+        return self.ts.composite_dims
 
     ts = _artefact("transformers", lambda run: run.scenario.build_transformers())
-    repeatability_violation = _artefact("repeatability", lambda run: is_repeatable(run.ts)[1])
-    model = _artefact("dilation", lambda run: dilate(run.ts))
-    final = _artefact("evolution", lambda run: evolve(run.model, run.psi))
+    repeatability_violation = _artefact("repeatability", lambda run: repeatability_violation(run.ts))
+    final = _artefact("evolution", lambda run: evolve(run.ts, run.psi))
     born = _artefact("evolution", lambda run: probabilities(run.obs, run.psi))
     initial_commutator = _artefact("evolution", lambda run: commutator_norm(run.obs, run.psi))
     schmidt = _artefact("schmidt", lambda run: schmidt_decompose(run.final, run.dims))
     entropies = _artefact("entropies", lambda run: mutual_information(run.final, run.dims))
     definite = _artefact(
-        "definite_values", lambda run: verify_definite_values(run.schmidt, run.obs, run.model.pointer_observable)
+        "definite_values", lambda run: verify_definite_values(run.schmidt, run.obs, run.ts.pointer_observable)
     )
     h_born = _artefact("born_entropy", lambda run: shannon_entropy(np.maximum(run.born, 0.0)))
-    reading = _artefact("pointer_reading", lambda run: read_pointer_tripartite(run.final, run.model))
+    reading = _artefact("pointer_reading", lambda run: read_pointer_tripartite(run.final, run.ts))
 
 
 # What every report carries, computed in this order before the checks run.
@@ -149,12 +147,12 @@ def _repeatability_condition(run: _Run):
 
 
 def _probability_reproducibility(run: _Run):
-    gap = probability_gap(run.model, run.born, run.final)
+    gap = probability_gap(run.ts, run.born, run.final)
     return gap, 0.0, gap, tol.PRC
 
 
 def _conditional_states(run: _Run):
-    gap = conditional_state_gap(run.model, run.ts, run.psi, run.final)
+    gap = conditional_state_gap(run.ts, run.psi, run.final)
     return gap, 0.0, gap, tol.KRAUS_CONSISTENCY
 
 
@@ -164,7 +162,7 @@ def _schmidt_reconstruction(run: _Run):
 
 
 def _repeat_certainty(run: _Run):
-    smallest = repeat_measurement_check(run.model, run.ts, run.psi)
+    smallest = repeat_measurement_check(run.ts, run.psi, run.born)
     return smallest, 1.0, 1.0 - smallest, tol.REPEAT_CERTAINTY
 
 
@@ -196,7 +194,7 @@ def _twin_diagonality(run: _Run):
 def _compatibility_migration(run: _Run):
     rho1, rho2 = reduced_states(run.final, run.dims)
     object_comm = commutator_norm(run.obs, rho1)
-    pointer_comm = commutator_norm(run.model.pointer_observable, rho2)
+    pointer_comm = commutator_norm(run.ts.pointer_observable, rho2)
     return object_comm, pointer_comm, max(object_comm, pointer_comm), tol.COMMUTATOR
 
 
@@ -228,7 +226,7 @@ def _pointer_reading_commutators(run: _Run):
     w = tri.reshape(d1 * d2, d3)  # the post-reading state is W W†
     DensityOperator(dag(w) @ w)  # W†W shares its nonzero spectrum; raises NotDensityOperator
     obj_after = low_rank_commutator_norm(run.obs, w, run.dims, 0)
-    ptr_after = low_rank_commutator_norm(run.model.pointer_observable, w, run.dims, 1)
+    ptr_after = low_rank_commutator_norm(run.ts.pointer_observable, w, run.dims, 1)
     return obj_after, ptr_after, max(obj_after, ptr_after), tol.COMMUTATOR
 
 

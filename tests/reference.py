@@ -5,8 +5,8 @@ The pipeline never runs these. The dense references (``luders_update``,
 ``completed_unitary``) form the D×D operators that the library's kernels
 avoid, so a kernel test still compares two routes. ``partial_inner`` is the one-vector form of the product
 ``dag(L) @ psi.reshape(d1, d2)`` that ``schmidt_decompose`` takes. The
-``verify_*`` wrappers evolve the instrument themselves and then call the
-same comparison a ``pipeline.CHECKS`` entry reads, so acceptance tests can
+``verify_*`` wrappers evolve with the transformer family themselves and then
+call the same comparison a ``pipeline.CHECKS`` entry reads, so acceptance tests can
 check one identity at a time. ``entanglement_of_pure_state`` and
 ``classify_outcomes`` read one field of ``mutual_information`` and of
 ``probabilities``.
@@ -21,7 +21,6 @@ import numpy as np
 from qmeasure import (
     DensityOperator,
     DimensionMismatch,
-    MeasurementModel,
     Observable,
     PureState,
     StateTransformerSet,
@@ -128,44 +127,43 @@ def post_reading_state(tri: np.ndarray, structure: Sequence[int]) -> DensityOper
     return DensityOperator(pure_marginal(tri, dims, keep=(0, 1)))
 
 
-def completed_unitary(model: MeasurementModel) -> np.ndarray:
-    """A D×D unitary whose restriction to object ⊗ e_0 is the model's isometry.
+def completed_unitary(ts: StateTransformerSet) -> np.ndarray:
+    """A D×D unitary whose restriction to object ⊗ e_0 is the family's isometry.
 
-    Isometry column i goes to the slot of |i> ⊗ e_0, and the completion's columns fill the rest in order.
+    The isometry |v> -> sum_k A_k|v> ⊗ e_k is the D×d matrix whose row j·n + k
+    is row j of A_k, so its column i is the image of |i>. That column goes to
+    the slot of |i> ⊗ e_0, and the completion's columns fill the rest in order.
     """
-    d, n = model.composite_dims
+    d, n = ts.composite_dims
+    isometry = ts.transformers.swapaxes(0, 1).reshape(d * n, d)
     slots = np.arange(d * n).reshape(d, n)
     order = np.argsort(np.concatenate([slots[:, 0], slots[:, 1:].reshape(-1)]))
-    return complete_isometry(list(model.isometry.T), d * n)[:, order]
+    return complete_isometry(list(isometry.T), d * n)[:, order]
 
 
-def verify_probability_reproducibility(model: MeasurementModel, psi: PureState) -> float:
+def verify_probability_reproducibility(ts: StateTransformerSet, psi: PureState) -> float:
     """Worst gap between Born probabilities and pointer-readout probabilities."""
-    return probability_gap(model, probabilities(model.observable, psi), evolve(model, psi))
+    return probability_gap(ts, probabilities(ts.observable, psi), evolve(ts, psi))
 
 
-def verify_conditional_states(model: MeasurementModel, ts: StateTransformerSet, psi: PureState) -> float:
+def verify_conditional_states(ts: StateTransformerSet, psi: PureState) -> float:
     """Worst gap between the two conditional-state routes.
 
     For every outcome k the unnormalized object state after reading the
     pointer, Tr_2(Q_k |Psi><Psi| Q_k), must equal A_k |psi><psi| A_k†.
     """
-    return conditional_state_gap(model, ts, psi, evolve(model, psi))
+    return conditional_state_gap(ts, psi, evolve(ts, psi))
 
 
-def verify_entanglement_as_incompatibility(
-    model: MeasurementModel,
-    ts: StateTransformerSet,
-    psi: PureState,
-) -> Verdict:
+def verify_entanglement_as_incompatibility(ts: StateTransformerSet, psi: PureState) -> Verdict:
     """Entanglement of the final vector vs incompatibility entropy in it.
 
     Three disjoint routes must agree: the marginal entropy of the evolved
     vector, the incompatibility entropy of the lifted observable in the
     evolved vector, and the Shannon entropy of the Born probabilities.
     """
-    final = evolve(model, psi)
-    dims = model.composite_dims
+    final = evolve(ts, psi)
+    dims = ts.composite_dims
     lhs, rhs, deviation = final_state_identity(
         entanglement_of_pure_state(final, dims),
         ts.observable,
@@ -176,14 +174,8 @@ def verify_entanglement_as_incompatibility(
     return Verdict.from_deviation("entanglement_incompatibility_final", lhs, rhs, deviation, tol.THEOREM)
 
 
-def verify_incompatibility_transfer(
-    ts: StateTransformerSet,
-    psi: PureState,
-    model: MeasurementModel,
-) -> Verdict:
+def verify_incompatibility_transfer(ts: StateTransformerSet, psi: PureState) -> Verdict:
     """Incompatibility entropy in the initial state vs final entanglement."""
-    final = evolve(model, psi)
-    lhs, rhs, deviation = transfer_identity(
-        ts.observable, psi, entanglement_of_pure_state(final, model.composite_dims)
-    )
+    final = evolve(ts, psi)
+    lhs, rhs, deviation = transfer_identity(ts.observable, psi, entanglement_of_pure_state(final, ts.composite_dims))
     return Verdict.from_deviation("entanglement_incompatibility_initial", lhs, rhs, deviation, tol.THEOREM)

@@ -7,7 +7,6 @@ over 100 seeded random instances with object dimension up to 6 and up to
 4 outcomes.
 """
 
-import dataclasses
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,12 +18,10 @@ from qmeasure import (
     PureState,
     basis_vector,
     commutator_norm,
-    dilate,
     embed_observable,
     evolve,
     generate_random_instance,
     incompatibility_entropy,
-    is_repeatable,
     make_ideal_transformers,
     mutual_information,
     observable_from_matrix,
@@ -34,6 +31,7 @@ from qmeasure import (
     reconstruct,
     reduced_states,
     repeat_measurement_check,
+    repeatability_violation,
     schmidt_decompose,
     shannon_entropy,
     uniform_superposition,
@@ -41,6 +39,8 @@ from qmeasure import (
     von_neumann_entropy,
 )
 from qmeasure import StateTransformerSet, cli
+from qmeasure import tolerances as tol
+from qmeasure.instruments import probability_gap
 from reference import (
     entanglement_of_pure_state,
     post_reading_state,
@@ -65,17 +65,15 @@ def instances():
     for seed in range(N_INSTANCES):
         scenario = generate_random_instance(seed, 6, 4)
         ts = scenario.build_transformers()
-        model = dilate(ts)
-        final = evolve(model, scenario.initial_state)
+        final = evolve(ts, scenario.initial_state)
         prepared.append(
             SimpleNamespace(
                 seed=seed,
                 obs=scenario.observable,
                 psi=scenario.initial_state,
                 ts=ts,
-                model=model,
                 final=final,
-                dims=model.composite_dims,
+                dims=ts.composite_dims,
                 born=probabilities(scenario.observable, scenario.initial_state),
             )
         )
@@ -91,46 +89,43 @@ def swap_family():
 
 
 def test_criterion_01_entanglement_equals_final_incompatibility(instances):
-    worst = max(verify_entanglement_as_incompatibility(x.model, x.ts, x.psi).deviation for x in instances)
+    worst = max(verify_entanglement_as_incompatibility(x.ts, x.psi).deviation for x in instances)
     passed = worst < 1e-9
     report("1 (final-state identity)", passed, f"worst deviation {worst:.3e} over {len(instances)} instances")
     assert passed
 
 
 def test_criterion_02_initial_incompatibility_is_transferred(instances):
-    worst = max(verify_incompatibility_transfer(x.ts, x.psi, x.model).deviation for x in instances)
+    worst = max(verify_incompatibility_transfer(x.ts, x.psi).deviation for x in instances)
     passed = worst < 1e-9
     report("2 (initial-state identity)", passed, f"worst deviation {worst:.3e}")
     assert passed
 
 
 def test_criterion_03_probability_reproducibility(instances):
-    worst = max(verify_probability_reproducibility(x.model, x.psi) for x in instances)
-    # negative control: corrupt one prescribed column of a dilation, the image of |0> ⊗ e_0
-    sample = next(x for x in instances if np.linalg.matrix_rank(x.ts.transformers[0], tol=1e-10) > 1)
-    corrupted = np.array(sample.model.isometry)
-    column = corrupted[:, 0].copy()
-    column[int(np.argmax(np.abs(column)))] = 0.0
-    corrupted[:, 0] = column / np.linalg.norm(column)
-    broken = dataclasses.replace(sample.model, isometry=corrupted)
-    control = verify_probability_reproducibility(broken, sample.psi)
+    worst = max(verify_probability_reproducibility(x.ts, x.psi) for x in instances)
+    # negative control: drop the largest amplitude of a final vector and renormalise
+    sample = next(x for x in instances if np.sum(x.born > 1e-12) > 1)
+    corrupted = np.array(sample.final)
+    corrupted[int(np.argmax(np.abs(corrupted)))] = 0.0
+    control = probability_gap(sample.ts, sample.born, corrupted / np.linalg.norm(corrupted))
     passed = worst < 1e-10 and control > 1e-6
     report("3 (probability reproducibility)", passed, f"worst {worst:.3e}, corrupted control {control:.3e}")
     assert passed
 
 
 def test_criterion_04_conditional_state_consistency(instances):
-    worst = max(verify_conditional_states(x.model, x.ts, x.psi) for x in instances)
+    worst = max(verify_conditional_states(x.ts, x.psi) for x in instances)
     passed = worst < 1e-10
     report("4 (conditional-state consistency)", passed, f"worst deviation {worst:.3e}")
     assert passed
 
 
 def test_criterion_05_repeatability_equivalence(instances, swap_family):
-    flags = [is_repeatable(x.ts)[0] for x in instances]
-    smallest = min(repeat_measurement_check(x.model, x.ts, x.psi) for x in instances)
-    swap_model = dilate(swap_family)
-    counterexample = repeat_measurement_check(swap_model, swap_family, uniform_superposition(2))
+    flags = [repeatability_violation(x.ts) <= tol.REPEATABILITY for x in instances]
+    smallest = min(repeat_measurement_check(x.ts, x.psi, x.born) for x in instances)
+    plus = uniform_superposition(2)
+    counterexample = repeat_measurement_check(swap_family, plus, probabilities(swap_family.observable, plus))
     passed = all(flags) and smallest >= 1.0 - 1e-10 and counterexample == 0.0
     report(
         "5 (repeatability equivalence)",
@@ -149,7 +144,7 @@ def test_criterion_06_schmidt_canonical_form(instances):
         sf = schmidt_decompose(x.final, x.dims)
         overlap = abs(complex(np.vdot(x.final, reconstruct(sf))))
         worst_overlap_gap = max(worst_overlap_gap, 1.0 - overlap)
-        definite = verify_definite_values(sf, x.obs, x.model.pointer_observable)
+        definite = verify_definite_values(sf, x.obs, x.ts.pointer_observable)
         worst_definite = max(worst_definite, definite.max_left_violation, definite.max_right_violation)
         for c, pairing in zip(definite.schmidt_form.coefficients, definite.assignment):
             worst_match = max(worst_match, abs(float(c) ** 2 - float(x.born[pairing.term_index])))
@@ -184,7 +179,7 @@ def test_criterion_08_compatibility_migration(instances):
     worst = 0.0
     for x in instances:
         rho1, rho2 = reduced_states(x.final, x.dims)
-        worst = max(worst, commutator_norm(x.obs, rho1), commutator_norm(x.model.pointer_observable, rho2))
+        worst = max(worst, commutator_norm(x.obs, rho1), commutator_norm(x.ts.pointer_observable, rho2))
     passed = worst < 1e-10
     report("8 (compatibility migration)", passed, f"worst commutator norm {worst:.3e}")
     assert passed
@@ -195,7 +190,7 @@ def test_criterion_09_pointer_reading(instances):
     worst_commutator = 0.0
     worst_incompatibility = 0.0
     for x in instances:
-        tri, dims3 = read_pointer_tripartite(x.final, x.model)
+        tri, dims3 = read_pointer_tripartite(x.final, x.ts)
         h = shannon_entropy(np.clip(x.born, 0.0, None))
         rho = np.outer(tri, tri.conj())
         for factor in range(3):
@@ -207,7 +202,7 @@ def test_criterion_09_pointer_reading(instances):
         worst_commutator = max(
             worst_commutator,
             commutator_norm(embed_observable(x.obs, pair_dims, 0), rho12),
-            commutator_norm(embed_observable(x.model.pointer_observable, pair_dims, 1), rho12),
+            commutator_norm(embed_observable(x.ts.pointer_observable, pair_dims, 1), rho12),
         )
         lifted = embed_observable(x.obs, dims3, 0)
         worst_incompatibility = max(
@@ -225,17 +220,17 @@ def test_criterion_09_pointer_reading(instances):
 
 def test_criterion_10_closed_form_spot_values():
     z = observable_from_matrix(np.diag([1.0, -1.0]).astype(complex))
-    model = dilate(make_ideal_transformers(z))
+    ts = make_ideal_transformers(z)
 
-    balanced = evolve(model, uniform_superposition(2))
+    balanced = evolve(ts, uniform_superposition(2))
     e_balanced = entanglement_of_pure_state(balanced, (2, 2))
 
     unbalanced_state = PureState(np.array([np.sqrt(0.3), np.sqrt(0.7)], dtype=complex))
-    unbalanced = evolve(model, unbalanced_state)
+    unbalanced = evolve(ts, unbalanced_state)
     e_unbalanced = entanglement_of_pure_state(unbalanced, (2, 2))
     target = -(0.3 * np.log2(0.3) + 0.7 * np.log2(0.7))  # 0.8812908992...
 
-    eigen = evolve(model, PureState(basis_vector(2, 0)))
+    eigen = evolve(ts, PureState(basis_vector(2, 0)))
     e_eigen = entanglement_of_pure_state(eigen, (2, 2))
 
     passed = abs(e_balanced - 1.0) < 1e-12 and abs(e_unbalanced - target) < 1e-9 and abs(e_eigen) < 1e-12

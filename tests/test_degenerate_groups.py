@@ -20,7 +20,6 @@ from qmeasure import (
     Scenario,
     StateTransformerSet,
     dag,
-    dilate,
     evolve,
     observable_from_matrix,
     random_unitary,
@@ -114,19 +113,19 @@ def test_non_repeatable_families_on_equal_weights_have_no_definite_values(per_ou
         rng = np.random.default_rng(1000 + seed)
         shared = random_unitary(obs.dim, rng)
         ops = tuple((random_unitary(obs.dim, rng) if per_outcome else shared) @ p for p in obs.projectors)
-        model = dilate(StateTransformerSet(ops, obs))
-        sf = schmidt_decompose(evolve(model, scenario.initial_state), model.composite_dims)
+        ts = StateTransformerSet(ops, obs)
+        sf = schmidt_decompose(evolve(ts, scenario.initial_state), ts.composite_dims)
         with pytest.raises(NoDefiniteValue):
-            verify_definite_values(sf, obs, model.pointer_observable)
+            verify_definite_values(sf, obs, ts.pointer_observable)
 
 
 def test_separated_terms_come_back_in_their_own_order():
     # Re-basing rounds, so an aligned form with coefficients far apart comes
     # back in its own order and equal to the input to rounding, not bit for bit.
     scenario = nearly_balanced_qubit(0.1, 3)
-    model = dilate(scenario.build_transformers())
-    sf = schmidt_decompose(evolve(model, scenario.initial_state), model.composite_dims)
-    aligned = verify_definite_values(sf, scenario.observable, model.pointer_observable).schmidt_form
+    ts = scenario.build_transformers()
+    sf = schmidt_decompose(evolve(ts, scenario.initial_state), ts.composite_dims)
+    aligned = verify_definite_values(sf, scenario.observable, ts.pointer_observable).schmidt_form
     assert aligned.n_terms == sf.n_terms == 2
     assert np.allclose(aligned.coefficients, sf.coefficients, rtol=0, atol=1e-13)
     for new, old in zip(aligned.left_vectors + aligned.right_vectors, sf.left_vectors + sf.right_vectors):

@@ -12,7 +12,6 @@ from qmeasure import (
     QMeasureError,
     basis_vector,
     commutator_norm,
-    dilate,
     embed_observable,
     evolve,
     incompatibility_entropy,
@@ -91,9 +90,9 @@ class TestEntanglement:
         assert entanglement_of_pure_state(bell_vector(), (2, 2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_unbalanced_measurement_output(self, pauli_z):
-        model = dilate(make_ideal_transformers(pauli_z))
+        ts = make_ideal_transformers(pauli_z)
         psi = PureState(np.array([np.sqrt(0.3), np.sqrt(0.7)], dtype=complex))
-        final = evolve(model, psi)
+        final = evolve(ts, psi)
         assert entanglement_of_pure_state(final, (2, 2)) == pytest.approx(H_03_07, abs=1e-9)
 
 
@@ -171,47 +170,43 @@ class TestCommutatorNorm:
         rng = np.random.default_rng(76)
         obs = observable_from_matrix(random_hermitian(4, rng))
         ts = make_repeatable_transformers(obs, 3)
-        model = dilate(ts)
         psi = PureState(random_state_vector(4, rng))
-        rho1, rho2 = reduced_states(evolve(model, psi), model.composite_dims)
+        rho1, rho2 = reduced_states(evolve(ts, psi), ts.composite_dims)
         assert commutator_norm(obs, rho1) < 1e-10
-        assert commutator_norm(model.pointer_observable, rho2) < 1e-10
+        assert commutator_norm(ts.pointer_observable, rho2) < 1e-10
 
 
 class TestIdentityVerifiers:
     def test_balanced_case(self, pauli_z, plus_state):
         ts = make_ideal_transformers(pauli_z)
-        model = dilate(ts)
-        final_identity = verify_entanglement_as_incompatibility(model, ts, plus_state)
+        final_identity = verify_entanglement_as_incompatibility(ts, plus_state)
         assert final_identity.passed
         assert final_identity.lhs == pytest.approx(1.0, abs=1e-12)
         assert final_identity.rhs == pytest.approx(1.0, abs=1e-12)
-        transfer = verify_incompatibility_transfer(ts, plus_state, model)
+        transfer = verify_incompatibility_transfer(ts, plus_state)
         assert transfer.passed and transfer.lhs == pytest.approx(1.0, abs=1e-12)
 
     def test_eigenstate_case(self, pauli_z):
         ts = make_ideal_transformers(pauli_z)
-        model = dilate(ts)
         zero = PureState(basis_vector(2, 0))
-        assert verify_entanglement_as_incompatibility(model, ts, zero).lhs < 1e-12
-        assert verify_incompatibility_transfer(ts, zero, model).passed
+        assert verify_entanglement_as_incompatibility(ts, zero).lhs < 1e-12
+        assert verify_incompatibility_transfer(ts, zero).passed
 
     def test_random_instances(self):
         rng = np.random.default_rng(77)
         for seed in range(10):
             obs = observable_from_matrix(random_hermitian(int(rng.integers(2, 6)), rng))
             ts = make_repeatable_transformers(obs, seed)
-            model = dilate(ts)
             psi = PureState(random_state_vector(obs.dim, rng))
-            assert verify_entanglement_as_incompatibility(model, ts, psi).deviation < 1e-9
-            assert verify_incompatibility_transfer(ts, psi, model).deviation < 1e-9
+            assert verify_entanglement_as_incompatibility(ts, psi).deviation < 1e-9
+            assert verify_incompatibility_transfer(ts, psi).deviation < 1e-9
 
 
 class TestPointerReading:
     def test_bell_type_becomes_ghz_type(self, pauli_z, plus_state):
-        model = dilate(make_ideal_transformers(pauli_z))
-        final = evolve(model, plus_state)
-        tri, dims = read_pointer_tripartite(final, model)
+        ts = make_ideal_transformers(pauli_z)
+        final = evolve(ts, plus_state)
+        tri, dims = read_pointer_tripartite(final, ts)
         assert dims == (2, 2, 2)
         rho = np.outer(tri, tri.conj())
         for factor in range(3):
@@ -219,9 +214,9 @@ class TestPointerReading:
             assert von_neumann_entropy((marginal + marginal.conj().T) / 2) == pytest.approx(1.0, abs=1e-9)
 
     def test_single_term_is_product(self, pauli_z):
-        model = dilate(make_ideal_transformers(pauli_z))
-        final = evolve(model, PureState(basis_vector(2, 0)))
-        tri, dims = read_pointer_tripartite(final, model)
+        ts = make_ideal_transformers(pauli_z)
+        final = evolve(ts, PureState(basis_vector(2, 0)))
+        tri, dims = read_pointer_tripartite(final, ts)
         assert dims == (2, 2, 1)
         assert abs(np.linalg.norm(tri) - 1.0) < 1e-12
         rho1 = partial_trace(np.outer(tri, tri.conj()), dims, keep=0)
@@ -231,10 +226,9 @@ class TestPointerReading:
         rng = np.random.default_rng(78)
         obs = observable_from_matrix(random_hermitian(4, rng))
         ts = make_repeatable_transformers(obs, 6)
-        model = dilate(ts)
         psi = PureState(random_state_vector(4, rng))
-        final = evolve(model, psi)
-        tri, dims = read_pointer_tripartite(final, model)
+        final = evolve(ts, psi)
+        tri, dims = read_pointer_tripartite(final, ts)
         h = shannon_entropy(np.clip(probabilities(obs, psi), 0, None))
         rho = np.outer(tri, tri.conj())
         for factor in range(3):
@@ -243,21 +237,21 @@ class TestPointerReading:
             assert s == pytest.approx(h, abs=1e-9)
 
     def test_rejects_pointer_coherence(self, pauli_z):
-        model = dilate(make_ideal_transformers(pauli_z))
+        ts = make_ideal_transformers(pauli_z)
         # conditional object states overlap, so the pointer marginal keeps
         # coherence between the two readings: no definite-value form exists
         plus2 = (basis_vector(2, 0) + basis_vector(2, 1)) / np.sqrt(2)
         vec = (kron(basis_vector(2, 0), basis_vector(2, 0)) + kron(basis_vector(2, 1), plus2)) / np.sqrt(2)
         with pytest.raises(NonRepeatableInput):
-            read_pointer_tripartite(vec, model)
+            read_pointer_tripartite(vec, ts)
 
     def test_accepts_degenerate_but_aligned_input(self):
         # measuring X on a basis state: degenerate Schmidt coefficients whose
         # raw eigenbasis is oblique, yet a pointer-definite form exists
         x_obs = observable_from_matrix(np.array([[0, 1], [1, 0]], dtype=complex))
-        model = dilate(make_ideal_transformers(x_obs))
-        final = evolve(model, PureState(basis_vector(2, 0)))
-        tri, dims = read_pointer_tripartite(final, model)
+        ts = make_ideal_transformers(x_obs)
+        final = evolve(ts, PureState(basis_vector(2, 0)))
+        tri, dims = read_pointer_tripartite(final, ts)
         assert dims == (2, 2, 2)
         rho = np.outer(tri, tri.conj())
         for factor in range(3):
@@ -267,9 +261,9 @@ class TestPointerReading:
 
 class TestPostReadingState:
     def test_ghz_type_input(self, pauli_z, plus_state):
-        model = dilate(make_ideal_transformers(pauli_z))
-        final = evolve(model, plus_state)
-        tri, dims = read_pointer_tripartite(final, model)
+        ts = make_ideal_transformers(pauli_z)
+        final = evolve(ts, plus_state)
+        tri, dims = read_pointer_tripartite(final, ts)
         rho12 = post_reading_state(tri, dims)
         # the two branches |0,e1> and |1,e0> survive with weight 1/2 each
         expected = np.zeros((4, 4), dtype=complex)
@@ -279,9 +273,9 @@ class TestPostReadingState:
         assert np.allclose(rho12.matrix, expected, atol=1e-12)
 
     def test_single_term_stays_pure(self, pauli_z):
-        model = dilate(make_ideal_transformers(pauli_z))
-        final = evolve(model, PureState(basis_vector(2, 0)))
-        tri, dims = read_pointer_tripartite(final, model)
+        ts = make_ideal_transformers(pauli_z)
+        final = evolve(ts, PureState(basis_vector(2, 0)))
+        tri, dims = read_pointer_tripartite(final, ts)
         rho12 = post_reading_state(tri, dims)
         assert von_neumann_entropy(rho12) < 1e-9
 
@@ -289,12 +283,11 @@ class TestPostReadingState:
         rng = np.random.default_rng(79)
         obs = observable_from_matrix(random_hermitian(3, rng))
         ts = make_repeatable_transformers(obs, 11)
-        model = dilate(ts)
         psi = PureState(random_state_vector(3, rng))
-        final = evolve(model, psi)
-        tri, dims = read_pointer_tripartite(final, model)
+        final = evolve(ts, psi)
+        tri, dims = read_pointer_tripartite(final, ts)
         rho12 = post_reading_state(tri, dims)
-        sf = schmidt_decompose(final, model.composite_dims)
+        sf = schmidt_decompose(final, ts.composite_dims)
         expected = np.zeros_like(rho12.matrix)
         for c, left, right in zip(sf.coefficients, sf.left_vectors, sf.right_vectors):
             pair = kron(left, right)
@@ -305,13 +298,12 @@ class TestPostReadingState:
         rng = np.random.default_rng(80)
         obs = observable_from_matrix(random_hermitian(3, rng))
         ts = make_repeatable_transformers(obs, 12)
-        model = dilate(ts)
         psi = PureState(random_state_vector(3, rng))
-        tri, dims = read_pointer_tripartite(evolve(model, psi), model)
+        tri, dims = read_pointer_tripartite(evolve(ts, psi), ts)
         rho12 = post_reading_state(tri, dims)
         pair_dims = (dims[0], dims[1])
         assert commutator_norm(embed_observable(obs, pair_dims, 0), rho12) < 1e-10
-        assert commutator_norm(embed_observable(model.pointer_observable, pair_dims, 1), rho12) < 1e-10
+        assert commutator_norm(embed_observable(ts.pointer_observable, pair_dims, 1), rho12) < 1e-10
         # the same amount of incompatibility reappears against the reader
         h = shannon_entropy(np.clip(probabilities(obs, psi), 0, None))
         lifted = embed_observable(obs, dims, 0)

@@ -1,30 +1,29 @@
-import dataclasses
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from qmeasure import (
+    DimensionMismatch,
     InvalidTransformers,
     NullOutcome,
     PureState,
     StateTransformerSet,
     basis_vector,
     dag,
-    dilate,
     evolve,
-    is_repeatable,
     kron,
     make_ideal_transformers,
     make_repeatable_transformers,
     observable_from_matrix,
     post_state,
+    probabilities,
     random_state_vector,
     random_unitary,
     repeat_measurement_check,
+    repeatability_violation,
     uniform_superposition,
 )
 from qmeasure import tolerances as tol
+from qmeasure.instruments import probability_gap
 from conftest import random_hermitian
 from reference import completed_unitary, verify_conditional_states, verify_probability_reproducibility
 
@@ -34,7 +33,7 @@ def random_observable(dim: int, rng: np.random.Generator):
 
 
 def transformer_sum(ts, psi):
-    # Reference for the final vector that never touches the dilation unitary.
+    # Reference for the final vector, one kron per outcome.
     n = ts.n_outcomes
     out = np.zeros(ts.observable.dim * n, dtype=complex)
     for k, a in enumerate(ts.transformers):
@@ -47,8 +46,7 @@ class TestTransformerFamilies:
         ts = make_ideal_transformers(pauli_z)
         assert np.allclose(ts.transformers[0], np.diag([0.0, 1.0]))
         assert np.allclose(ts.transformers[1], np.diag([1.0, 0.0]))
-        flag, violation = is_repeatable(ts)
-        assert flag and violation < 1e-12
+        assert repeatability_violation(ts) < 1e-12
 
     def test_ideal_degenerate_ranks(self, degenerate_observable):
         ts = make_ideal_transformers(degenerate_observable)
@@ -140,15 +138,15 @@ class TestFamilyFromOneEigendecomposition:
 
 class TestIsRepeatable:
     def test_swap_family_violation(self, swap_transformers):
-        flag, violation = is_repeatable(swap_transformers)
-        assert not flag
+        violation = repeatability_violation(swap_transformers)
+        assert violation > tol.REPEATABILITY
         # hand oracle: P_0 A_0 = 0, so the violation is |A_0|_F = 1
         assert abs(violation - 1.0) < 1e-12
 
     def test_generated_families_pass(self, degenerate_observable):
         for seed in range(5):
-            flag, violation = is_repeatable(make_repeatable_transformers(degenerate_observable, seed))
-            assert flag and violation < 1e-10
+            violation = repeatability_violation(make_repeatable_transformers(degenerate_observable, seed))
+            assert violation < 1e-10
 
 
 class TestPostState:
@@ -174,7 +172,7 @@ class TestPostState:
 
 class TestDilate:
     def test_ideal_z_controlled_shift(self, pauli_z):
-        unitary = completed_unitary(dilate(make_ideal_transformers(pauli_z)))
+        unitary = completed_unitary(make_ideal_transformers(pauli_z))
         # ascending term order: a=-1 writes pointer 0, a=+1 writes pointer 1
         assert np.allclose(unitary @ kron(basis_vector(2, 0), basis_vector(2, 0)),
                            kron(basis_vector(2, 0), basis_vector(2, 1)))
@@ -182,145 +180,131 @@ class TestDilate:
                            kron(basis_vector(2, 1), basis_vector(2, 0)))
 
     def test_model_metadata(self, pauli_z):
-        model = dilate(make_ideal_transformers(pauli_z))
-        assert model.object_dim == 2 and model.pointer_dim == 2
-        assert model.isometry.shape == (4, 2) and not model.isometry.flags.writeable
-        assert model.pointer_observable.eigenvalues == (0.0, 1.0)
+        ts = make_ideal_transformers(pauli_z)
+        assert ts.composite_dims == (2, 2)
+        assert ts.pointer_observable.eigenvalues == (0.0, 1.0)
 
     def test_models_with_the_same_outcome_count_share_one_pointer(self, pauli_z, degenerate_observable):
-        first = dilate(make_ideal_transformers(pauli_z))
-        second = dilate(make_repeatable_transformers(degenerate_observable, 3))
-        assert first.pointer_dim == second.pointer_dim == 2
+        first = make_ideal_transformers(pauli_z)
+        second = make_repeatable_transformers(degenerate_observable, 3)
+        assert first.composite_dims[1] == second.composite_dims[1] == 2
         assert second.pointer_observable is first.pointer_observable
-        assert not second.isometry.flags.writeable
 
     def test_the_shared_pointer_cannot_be_changed(self, pauli_z):
-        model = dilate(make_ideal_transformers(pauli_z))
-        pointer = model.pointer_observable
+        ts = make_ideal_transformers(pauli_z)
+        pointer = ts.pointer_observable
         before = pointer.projectors.copy()
         with pytest.raises(ValueError):
             pointer.projectors[0, 0, 0] = 5.0
         with pytest.raises(ValueError):
             pointer.terms[1][1][1, 1] = 5.0
         with pytest.raises(ValueError):
-            model.isometry[0, 0] = 0.0
-        replaced = dataclasses.replace(model, pointer_observable=observable_from_matrix(np.diag([5.0, 7.0])))
-        assert replaced.pointer_observable is not pointer
-        again = dilate(make_ideal_transformers(pauli_z))
+            ts.transformers[0, 0, 0] = 5.0
+        with pytest.raises(AttributeError):
+            ts.pointer_observable = observable_from_matrix(np.diag([5.0, 7.0]))
+        again = make_ideal_transformers(pauli_z)
         assert again.pointer_observable is pointer and pointer.eigenvalues == (0.0, 1.0)
         assert np.array_equal(pointer.projectors, before)
-
-    def test_dilation_allocates_its_isometry_and_no_second_one(self):
-        # The isometry is the one array this stage needs; a stack frozen by copying would hold two at once.
-        ts = make_repeatable_transformers(observable_with_multiplicities((16, 16, 16, 16), np.random.default_rng(24)), 1)
-        dilate(ts)  # the four-outcome pointer is now cached
-        tracemalloc.start()
-        try:
-            model = dilate(ts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert model.isometry.shape == (256, 64)
-        assert peak < 1.5 * model.isometry.nbytes
 
     def test_unitarity(self):
         rng = np.random.default_rng(22)
         for seed in range(5):
             obs = random_observable(int(rng.integers(2, 6)), rng)
-            model = dilate(make_repeatable_transformers(obs, seed))
-            unitary, dim = completed_unitary(model), model.object_dim * model.pointer_dim
+            ts = make_repeatable_transformers(obs, seed)
+            unitary, dim = completed_unitary(ts), int(np.prod(ts.composite_dims))
             assert np.linalg.norm(dag(unitary) @ unitary - np.eye(dim)) < 1e-9
 
     def test_evolve_matches_transformer_sum(self):
         rng = np.random.default_rng(23)
         obs = random_observable(3, rng)
         ts = make_repeatable_transformers(obs, 9)
-        model = dilate(ts)
         for _ in range(20):
             psi = PureState(random_state_vector(3, rng))
-            assert np.linalg.norm(evolve(model, psi) - transformer_sum(ts, psi)) < 1e-10
+            assert np.linalg.norm(evolve(ts, psi) - transformer_sum(ts, psi)) < 1e-10
 
 
 class TestEvolve:
     def test_eigenstate_is_product(self, pauli_z):
-        model = dilate(make_ideal_transformers(pauli_z))
-        final = evolve(model, PureState(basis_vector(2, 0)))
+        final = evolve(make_ideal_transformers(pauli_z), PureState(basis_vector(2, 0)))
         assert np.allclose(final, kron(basis_vector(2, 0), basis_vector(2, 1)))
 
     def test_balanced_superposition_is_maximally_entangled(self, pauli_z, plus_state):
-        model = dilate(make_ideal_transformers(pauli_z))
-        final = evolve(model, plus_state)
+        final = evolve(make_ideal_transformers(pauli_z), plus_state)
         expected = (kron(basis_vector(2, 0), basis_vector(2, 1))
                     + kron(basis_vector(2, 1), basis_vector(2, 0))) / np.sqrt(2)
         assert np.allclose(final, expected)
 
     def test_normalized(self, degenerate_observable):
-        model = dilate(make_repeatable_transformers(degenerate_observable, 2))
-        final = evolve(model, uniform_superposition(3))
+        final = evolve(make_repeatable_transformers(degenerate_observable, 2), uniform_superposition(3))
         assert abs(np.linalg.norm(final) - 1.0) < 1e-10
+
+    def test_rejects_a_state_of_another_dimension(self, degenerate_observable):
+        with pytest.raises(DimensionMismatch, match="state dim 2 != object dim 3"):
+            evolve(make_ideal_transformers(degenerate_observable), uniform_superposition(2))
 
 
 class TestProbabilityReproducibility:
     def test_eigenstate(self, pauli_z):
-        model = dilate(make_ideal_transformers(pauli_z))
-        assert verify_probability_reproducibility(model, PureState(basis_vector(2, 0))) < 1e-12
+        ts = make_ideal_transformers(pauli_z)
+        assert verify_probability_reproducibility(ts, PureState(basis_vector(2, 0))) < 1e-12
 
     def test_random_instances(self):
         rng = np.random.default_rng(24)
         for seed in range(5):
             obs = random_observable(int(rng.integers(2, 6)), rng)
-            model = dilate(make_repeatable_transformers(obs, seed))
+            ts = make_repeatable_transformers(obs, seed)
             psi = PureState(random_state_vector(obs.dim, rng))
-            assert verify_probability_reproducibility(model, psi) < 1e-10
+            assert verify_probability_reproducibility(ts, psi) < 1e-10
 
     def test_corrupted_unitary_is_flagged(self, degenerate_observable):
-        model = dilate(make_repeatable_transformers(degenerate_observable, 7))
-        corrupted = np.array(model.isometry)  # column 0 is the unitary's image of |0> ⊗ e_0
-        column = corrupted[:, 0].copy()
-        column[int(np.argmax(np.abs(column)))] = 0.0
-        corrupted[:, 0] = column / np.linalg.norm(column)
-        broken = dataclasses.replace(model, isometry=corrupted)
-        assert verify_probability_reproducibility(broken, uniform_superposition(3)) > 1e-6
+        ts, psi = make_repeatable_transformers(degenerate_observable, 7), uniform_superposition(3)
+        corrupted = np.array(evolve(ts, psi))  # drop its largest amplitude and renormalise
+        corrupted[int(np.argmax(np.abs(corrupted)))] = 0.0
+        born = probabilities(degenerate_observable, psi)
+        assert probability_gap(ts, born, corrupted / np.linalg.norm(corrupted)) > 1e-6
 
 
 class TestConditionalStates:
     def test_hand_computed_case(self, pauli_z, plus_state):
         ts = make_ideal_transformers(pauli_z)
-        model = dilate(ts)
         # outcome a=+1 on |+>: both routes give the matrix |0><0| / 2
         direct = ts.transformers[1] @ plus_state.projector() @ dag(ts.transformers[1])
         assert np.allclose(direct, np.diag([0.5, 0.0]))
-        assert verify_conditional_states(model, ts, plus_state) < 1e-12
+        assert verify_conditional_states(ts, plus_state) < 1e-12
 
     def test_null_outcome_contributes_zero(self, pauli_z):
         ts = make_ideal_transformers(pauli_z)
-        model = dilate(ts)
-        assert verify_conditional_states(model, ts, PureState(basis_vector(2, 0))) < 1e-12
+        assert verify_conditional_states(ts, PureState(basis_vector(2, 0))) < 1e-12
 
     def test_random_instances(self):
         rng = np.random.default_rng(25)
         for seed in range(5):
             obs = random_observable(int(rng.integers(2, 6)), rng)
             ts = make_repeatable_transformers(obs, seed)
-            model = dilate(ts)
             psi = PureState(random_state_vector(obs.dim, rng))
-            assert verify_conditional_states(model, ts, psi) < 1e-10
+            assert verify_conditional_states(ts, psi) < 1e-10
 
 
 class TestRepeatMeasurementCheck:
     def test_ideal_z_on_plus(self, pauli_z, plus_state):
         ts = make_ideal_transformers(pauli_z)
-        assert repeat_measurement_check(dilate(ts), ts, plus_state) == pytest.approx(1.0, abs=1e-12)
+        born = probabilities(pauli_z, plus_state)
+        assert repeat_measurement_check(ts, plus_state, born) == pytest.approx(1.0, abs=1e-12)
 
     def test_random_repeatable_instances(self):
         rng = np.random.default_rng(26)
         for seed in range(5):
             obs = random_observable(int(rng.integers(2, 6)), rng)
             ts = make_repeatable_transformers(obs, seed)
-            model = dilate(ts)
             psi = PureState(random_state_vector(obs.dim, rng))
-            assert repeat_measurement_check(model, ts, psi) >= 1.0 - 1e-10
+            assert repeat_measurement_check(ts, psi, probabilities(obs, psi)) >= 1.0 - 1e-10
+
+    def test_born_vector_must_have_one_entry_per_outcome(self, pauli_z, plus_state):
+        ts = make_ideal_transformers(pauli_z)
+        for born in (np.array([1.0]), np.array([0.5, 0.5, 0.0])):
+            with pytest.raises(DimensionMismatch, match=f"{born.size} probabilities for 2 outcomes"):
+                repeat_measurement_check(ts, plus_state, born)
 
     def test_swap_family_never_confirms(self, swap_transformers, plus_state):
-        model = dilate(swap_transformers)
-        assert repeat_measurement_check(model, swap_transformers, plus_state) == pytest.approx(0.0, abs=1e-12)
+        born = probabilities(swap_transformers.observable, plus_state)
+        assert repeat_measurement_check(swap_transformers, plus_state, born) == pytest.approx(0.0, abs=1e-12)

@@ -21,7 +21,6 @@ from qmeasure import (
     DimensionMismatch,
     PureState,
     apply_on_factor,
-    dilate,
     embed_observable,
     evolve,
     generate_random_instance,
@@ -174,11 +173,11 @@ class TestGramRoute:
     def test_matches_dense_luders_in_final_and_tripartite_vectors(self, seed):
         scenario = generate_random_instance(seed, 6, 4)
         obs, psi = scenario.observable, scenario.initial_state
-        model = dilate(scenario.build_transformers())
-        final = evolve(model, psi)
-        tri, dims3 = read_pointer_tripartite(final, model)
+        ts = scenario.build_transformers()
+        final = evolve(ts, psi)
+        tri, dims3 = read_pointer_tripartite(final, ts)
 
-        dims = model.composite_dims
+        dims = ts.composite_dims
         assert abs(lifted_incompatibility_entropy(obs, final, dims, 0) - dense_incompatibility(obs, final, dims)) < ENTROPY_TOL
         assert abs(lifted_incompatibility_entropy(obs, tri, dims3, 0) - dense_incompatibility(obs, tri, dims3)) < ENTROPY_TOL
         initial = von_neumann_entropy(luders_update(obs, psi)) - von_neumann_entropy(DensityOperator(psi.projector()))
@@ -204,9 +203,9 @@ class TestBipartiteRoute:
     @pytest.mark.parametrize("seed", range(50))
     def test_matches_the_outer_product_route(self, seed):
         scenario = generate_random_instance(seed, 6, 4)
-        model = dilate(scenario.build_transformers())
-        final = evolve(model, scenario.initial_state)
-        dims = model.composite_dims
+        ts = scenario.build_transformers()
+        final = evolve(ts, scenario.initial_state)
+        dims = ts.composite_dims
         rho = np.outer(final, np.conj(final))
         rho1, rho2 = partial_trace(rho, dims, 0), partial_trace(rho, dims, 1)
 
@@ -233,10 +232,10 @@ class TestBipartiteRoute:
         # the marginal I/n is oblique to the rotated observable, so the group is split.
         u = random_unitary(n, np.random.default_rng(320 + n))
         obs = observable_from_matrix(u @ np.diag(np.arange(1.0, n + 1)) @ np.conj(u).T)
-        model = dilate(make_ideal_transformers(obs))
-        final = evolve(model, PureState(u @ np.full(n, 1 / np.sqrt(n))))
-        sf = schmidt_decompose(final, model.composite_dims)
-        report = verify_definite_values(sf, obs, model.pointer_observable)
+        ts = make_ideal_transformers(obs)
+        final = evolve(ts, PureState(u @ np.full(n, 1 / np.sqrt(n))))
+        sf = schmidt_decompose(final, ts.composite_dims)
+        report = verify_definite_values(sf, obs, ts.pointer_observable)
         assert report.schmidt_form is not sf
 
         aligned = report.schmidt_form
@@ -244,5 +243,5 @@ class TestBipartiteRoute:
             aligned.coefficients, aligned.left_vectors, aligned.right_vectors, report.assignment
         ):
             k = pairing.term_index
-            joint = kron(obs.terms[k][1], model.pointer_observable.terms[k][1])
+            joint = kron(obs.terms[k][1], ts.pointer_observable.terms[k][1])
             assert np.linalg.norm(c * kron(left, right) - joint @ final) < KERNEL_TOL

@@ -235,7 +235,7 @@ def complete_isometry_by_loops(columns, dim: int) -> np.ndarray:
 
 
 def dilation_images(seed: int) -> tuple[list[np.ndarray], int]:
-    # The columns dilate() completes: the image of each |i> ⊗ e_0.
+    # The columns of the transformer family's isometry: the image of each |i> ⊗ e_0.
     ts = generate_random_instance(seed, 6, 4).build_transformers()
     d, n = ts.observable.dim, ts.n_outcomes
     return [np.stack([a[:, i] for a in ts.transformers], axis=1).reshape(-1) for i in range(d)], d * n

@@ -1,12 +1,11 @@
 """The dilation's isometry and the post-reading factor against the dense D×D routes they replace.
 
-``evolve`` multiplies by the D×d isometry of the dilation, and the
-pointer-reading commutators come from the QR factorisation of the D×K
+``evolve`` applies the transformer stack as the dilation's D×d isometry
+|v> -> sum_k A_k|v> ⊗ e_k, and the pointer-reading commutators come from the QR factorisation of the D×K
 matrix W with post-reading state W W†. The references complete the D×D
 unitary and build the D×D post-reading state.
 """
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -19,7 +18,6 @@ from qmeasure import (
     basis_vector,
     check_orthonormal_columns,
     dag,
-    dilate,
     evolve,
     frob,
     generate_random_instance,
@@ -27,7 +25,6 @@ from qmeasure import (
     low_rank_commutator_norm,
     observable_from_matrix,
     random_state_vector,
-    random_unitary,
     read_pointer_tripartite,
     run_pipeline,
 )
@@ -54,9 +51,9 @@ def term_scale(obs, w: np.ndarray) -> float:
 
 def seeded_reading(seed: int, d1_max: int, outcomes_max: int):
     scenario = generate_random_instance(seed, d1_max, outcomes_max)
-    model = dilate(scenario.build_transformers())
-    tri, (d1, d2, d3) = read_pointer_tripartite(evolve(model, scenario.initial_state), model)
-    return scenario, model, tri.reshape(d1 * d2, d3)
+    ts = scenario.build_transformers()
+    tri, (d1, d2, d3) = read_pointer_tripartite(evolve(ts, scenario.initial_state), ts)
+    return scenario, ts, tri.reshape(d1 * d2, d3)
 
 
 class TestLowRankCommutator:
@@ -76,10 +73,10 @@ class TestLowRankCommutator:
 
     @pytest.mark.parametrize("seed,d1_max,outcomes_max", SEEDED)
     def test_matches_the_dense_route_on_seeded_readings(self, seed, d1_max, outcomes_max):
-        scenario, model, w = seeded_reading(seed, d1_max, outcomes_max)
-        dims = model.composite_dims
+        scenario, ts, w = seeded_reading(seed, d1_max, outcomes_max)
+        dims = ts.composite_dims
         # The measured observables commute with rho_12: both routes return rounding noise.
-        for obs, factor in ((scenario.observable, 0), (model.pointer_observable, 1)):
+        for obs, factor in ((scenario.observable, 0), (ts.pointer_observable, 1)):
             gap = abs(low_rank_commutator_norm(obs, w, dims, factor) - dense_commutator(obs, w, dims, factor))
             assert gap <= RELATIVE_TOL * term_scale(obs, w)
         # An unrelated object observable does not commute with it.
@@ -102,31 +99,22 @@ class TestIsometryRoute:
     @pytest.mark.parametrize("seed", range(12))
     def test_evolve_matches_the_completed_unitary(self, seed):
         scenario = generate_random_instance(seed, 8, 4)
-        model = dilate(scenario.build_transformers())
+        ts = scenario.build_transformers()
         psi = scenario.initial_state
         for vector in (psi.vector, random_state_vector(psi.dim, np.random.default_rng(seed))):
             state = PureState(vector)
-            expected = completed_unitary(model) @ kron(state.vector, basis_vector(model.pointer_dim, 0))
-            assert frob(evolve(model, state) - expected) < 1e-14
+            expected = completed_unitary(ts) @ kron(state.vector, basis_vector(ts.n_outcomes, 0))
+            assert frob(evolve(ts, state) - expected) < 1e-14
 
     @pytest.mark.parametrize("seed", range(12))
     def test_completed_unitary_is_unitary_and_keeps_the_isometry(self, seed):
-        model = dilate(generate_random_instance(seed, 8, 4).build_transformers())
-        u = completed_unitary(model)
+        ts = generate_random_instance(seed, 8, 4).build_transformers()
+        d, n = ts.composite_dims
+        u = completed_unitary(ts)
         assert frob(dag(u) @ u - np.eye(u.shape[0])) < 1e-9
-        # column i of the isometry is the image of |i> ⊗ e_0, at composite index i * n
-        assert np.array_equal(u[:, :: model.pointer_dim], model.isometry)
-
-    def test_an_isometry_passed_in_is_what_evolve_applies(self):
-        rng = np.random.default_rng(610)
-        scenario = generate_random_instance(5, 6, 4)
-        model = dilate(scenario.build_transformers())
-        d, n = model.composite_dims
-        other = random_unitary(d * n, rng)[:, :d]
-        replaced = dataclasses.replace(model, isometry=other)
-        assert np.array_equal(replaced.isometry, other) and not replaced.isometry.flags.writeable
-        assert replaced.composite_dims == (d, n)
-        assert frob(evolve(replaced, scenario.initial_state) - other @ scenario.initial_state.vector) < 1e-14
+        # the image of |i> ⊗ e_0, at composite index i * n, is what evolve gives for |i>
+        images = np.column_stack([evolve(ts, PureState(basis_vector(d, i))) for i in range(d)])
+        assert np.array_equal(u[:, ::n], images)
 
     def test_orthonormality_check_names_the_first_failing_pair(self):
         m = np.eye(4, 3, dtype=complex)
@@ -139,10 +127,12 @@ class TestIsometryRoute:
         check_orthonormal_columns(np.eye(4, 3, dtype=complex))
 
 
-def test_seed_0_at_d1_max_128_stays_within_12_mib():
+def test_seed_0_at_d1_max_128_stays_within_6_mib():
     # d = 110 with 11 outcomes (D = 1210). A D×D unitary alone takes 22 MiB;
-    # the dense route peaks at 114 MiB here, the factor route at 8 MiB, and one
-    # that stacks the K d×d products of each per-outcome loop at 14 MiB.
+    # the dense route peaks at 114 MiB here, the factor route at 4.7 MiB, the
+    # same route with a D×d isometry copied from the transformer stack at
+    # 6.8 MiB, and one that stacks the K d×d products of each per-outcome loop
+    # at 14 MiB.
     scenario = generate_random_instance(0, 128, 16)
     assert (scenario.object_dim, scenario.observable.n_outcomes) == (110, 11)
     tracemalloc.start()
@@ -152,4 +142,4 @@ def test_seed_0_at_d1_max_128_stays_within_12_mib():
     finally:
         tracemalloc.stop()
     assert report.error is None and report.overall_pass
-    assert peak < 12 * 2**20
+    assert peak < 6 * 2**20

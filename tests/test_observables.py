@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,22 @@ class TestPairwiseOrthogonality:
         p0, p1 = (np.pad(p, ((1, 0), (1, 0))) for p in (self.P0, self.P1))
         with pytest.raises(ValidationError, match="projectors 1 and 2 violate orthogonality"):
             Observable(((0.0, exact), (1.0, p0), (2.0, p1)), 3)
+
+
+    def test_validation_holds_one_operator_at_a_time(self):
+        # d = 128 with 16 eigenvalues of multiplicity 8. Stacking every P_j P_i of
+        # the pairwise check, as validation once did, peaks above 4x the stack.
+        u = random_unitary(128, np.random.default_rng(90))
+        values = np.repeat(np.arange(16, dtype=float), 8)
+        h = (u * values) @ dag(u)
+        tracemalloc.start()
+        try:
+            obs = observable_from_matrix((h + dag(h)) / 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert obs.n_outcomes == 16
+        assert peak < 3 * obs.projectors.nbytes
 
 
 class TestDensityOperatorSpectrum:

@@ -9,6 +9,7 @@ from qmeasure import (
     DensityOperator,
     PureState,
     SchmidtForm,
+    StateTransformerSet,
     apply_on_factor,
     generate_random_instance,
     parse_scenario,
@@ -328,12 +329,12 @@ class TestReBasedFormControls:
         sf = run.schmidt
         doubled = SchmidtForm(sf.coefficients, tuple(2 * l for l in sf.left_vectors), sf.right_vectors)
         with pytest.raises(NoDefiniteValue, match="outside 0..1"):
-            verify_definite_values(doubled, scenario.observable, run.model.pointer_observable)
+            verify_definite_values(doubled, scenario.observable, run.ts.pointer_observable)
         for seed, run in _multi_term_runs():
             sf = run.schmidt
             doubled = SchmidtForm(sf.coefficients, tuple(2 * l for l in sf.left_vectors), sf.right_vectors)
             with pytest.raises(NoDefiniteValue):
-                verify_definite_values(doubled, run.obs, run.model.pointer_observable)
+                verify_definite_values(doubled, run.obs, run.ts.pointer_observable)
 
 
 class TestRewrittenRouteControls:
@@ -411,6 +412,54 @@ class TestEntropyAndMarginalControls:
             run.__dict__["psi"] = PureState(random_state_vector(run.dims[0], np.random.default_rng(seed)))
             _, _, deviation, _ = self.CHECK["entanglement_incompatibility_initial"].fn(run)
             assert deviation >= 1e3 * tol.THEOREM, seed
+
+
+def _rotated_family(run, seed: int) -> StateTransformerSet:
+    """The family A_k = U P_k of the run's observable, with a seeded unitary U: valid but not repeatable."""
+    rotation = random_unitary(run.dims[0], np.random.default_rng(seed))
+    return StateTransformerSet(rotation @ run.obs.projectors, run.obs)
+
+
+class TestRepeatabilityAndReadingControls:
+    """Checks that read the transformer family or the tripartite reading.
+
+    Each flags a corrupted artefact, written into the run before the check reads it.
+    """
+
+    CHECK = TestReBasedFormControls.CHECK
+
+    def test_repeatability_condition_sees_a_rotated_family(self):
+        # U P_k passes every transformer check, but P_k U P_k != U P_k.
+        for seed, run in _multi_term_runs():
+            run.__dict__["ts"] = _rotated_family(run, seed)
+            _, _, deviation, _ = self.CHECK["repeatability_condition"].fn(run)
+            assert deviation >= 1e3 * tol.REPEATABILITY, seed
+
+    def test_repeat_certainty_sees_a_rotated_family(self):
+        # After U P_k the object no longer sits in eigenspace k, so a repetition can disagree.
+        for seed, run in _multi_term_runs():
+            run.__dict__["ts"] = _rotated_family(run, seed)
+            _, _, deviation, _ = self.CHECK["repeat_certainty"].fn(run)
+            assert deviation >= 1e3 * tol.REPEAT_CERTAINTY, seed
+
+    def test_pointer_reading_marginals_sees_a_reweighted_reader_branch(self):
+        # Doubling the weight of the reader's first outcome moves the reader's entropy away from H(p).
+        for seed, run in _multi_term_runs():
+            tri, dims3 = run.reading
+            w = tri.reshape(-1, dims3[2]).copy()
+            w[:, 0] *= np.sqrt(2.0)
+            run.__dict__["reading"] = ((w / np.linalg.norm(w)).reshape(-1), dims3)
+            _, _, deviation, _ = self.CHECK["pointer_reading_marginals"].fn(run)
+            assert deviation >= 1e3 * tol.THEOREM, seed
+
+    def test_pointer_reading_commutators_sees_a_rotated_object(self):
+        # An object unitary leaves the pointer and reader as they were, but rho_12 loses its commutation with A.
+        for seed, run in _multi_term_runs():
+            tri, dims3 = run.reading
+            rotation = random_unitary(dims3[0], np.random.default_rng(seed))
+            run.__dict__["reading"] = (apply_on_factor(rotation, tri, dims3, 0), dims3)
+            _, _, deviation, _ = self.CHECK["pointer_reading_commutators"].fn(run)
+            assert deviation >= 1e3 * tol.COMMUTATOR, seed
 
 
 def test_a_six_outcome_run_makes_three_eigh_and_fifteen_density_checks(monkeypatch):

@@ -28,9 +28,8 @@ PUBLIC_NAMES = (
     "Observable", "PureState", "DensityOperator", "validate_observable",
     "observable_from_matrix", "embed_observable", "probabilities", "uniform_superposition",
     # instruments
-    "StateTransformerSet", "MeasurementModel", "make_ideal_transformers",
-    "make_repeatable_transformers", "is_repeatable", "post_state", "dilate", "evolve",
-    "repeat_measurement_check",
+    "StateTransformerSet", "make_ideal_transformers", "make_repeatable_transformers",
+    "repeatability_violation", "post_state", "evolve", "repeat_measurement_check",
     # schmidt
     "SchmidtForm", "OutcomePairing", "DefiniteValueReport", "TwinObservables", "schmidt_decompose",
     "reconstruct", "reduced_states", "verify_definite_values", "twin_observables",
@@ -61,7 +60,8 @@ UNREAD_IN_SRC = {
     # qmeasure.observables.embed_observable after tracing is undone.
     "embed_observable",
     # bench/tracer.py resolves linalg.complete_isometry by name; the tests
-    # complete a model's unitary with it (tests/reference.py).
+    # complete the unitary of a transformer family's isometry with it
+    # (tests/reference.py).
     "complete_isometry",
     # bench/tracer.py resolves linalg.partial_trace by name; the tests take it
     # as the dense reference of pure_marginal.
@@ -81,7 +81,7 @@ def _resolve(dotted: str):
 
 
 def test_all_is_pinned_in_order():
-    assert len(PUBLIC_NAMES) == 75
+    assert len(PUBLIC_NAMES) == 73
     assert tuple(qmeasure.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(qmeasure, name), name

@@ -6,7 +6,6 @@ from qmeasure import (
     NotNormalized,
     PureState,
     basis_vector,
-    dilate,
     evolve,
     kron,
     make_ideal_transformers,
@@ -136,10 +135,10 @@ class TestReducedStates:
 
 class TestDefiniteValues:
     def test_ideal_z_on_plus(self, pauli_z, plus_state):
-        model = dilate(make_ideal_transformers(pauli_z))
-        final = evolve(model, plus_state)
+        ts = make_ideal_transformers(pauli_z)
+        final = evolve(ts, plus_state)
         sf = schmidt_decompose(final, (2, 2))
-        report = verify_definite_values(sf, pauli_z, model.pointer_observable)
+        report = verify_definite_values(sf, pauli_z, ts.pointer_observable)
         assert report.max_left_violation < 1e-12
         assert report.max_right_violation < 1e-12
         pairs = {(p.object_eigenvalue, p.pointer_eigenvalue) for p in report.assignment}
@@ -149,11 +148,10 @@ class TestDefiniteValues:
         rng = np.random.default_rng(69)
         obs = observable_from_matrix(random_hermitian(4, rng))
         ts = make_repeatable_transformers(obs, 8)
-        model = dilate(ts)
         psi = PureState(random_state_vector(4, rng))
-        final = evolve(model, psi)
-        sf = schmidt_decompose(final, model.composite_dims)
-        report = verify_definite_values(sf, obs, model.pointer_observable)
+        final = evolve(ts, psi)
+        sf = schmidt_decompose(final, ts.composite_dims)
+        report = verify_definite_values(sf, obs, ts.pointer_observable)
         assert max(report.max_left_violation, report.max_right_violation) < 1e-9
         terms = [p.term_index for p in report.assignment]
         assert len(terms) == len(set(terms))  # bijection
@@ -162,21 +160,20 @@ class TestDefiniteValues:
         assert sorted(terms) == list(detectable)
 
     def test_swap_family_has_no_definite_values(self, swap_transformers, plus_state):
-        model = dilate(swap_transformers)
-        final = evolve(model, plus_state)
+        final = evolve(swap_transformers, plus_state)
         sf = schmidt_decompose(final, (2, 2))
         with pytest.raises(NoDefiniteValue):
-            verify_definite_values(sf, swap_transformers.observable, model.pointer_observable)
+            verify_definite_values(sf, swap_transformers.observable, swap_transformers.pointer_observable)
 
     def test_degenerate_group_is_rotated_into_alignment(self):
         # measuring X on a basis state gives marginal I/2, whose numerically
         # chosen eigenbasis is oblique to the X eigenvectors; the matching
         # must rotate the degenerate pair instead of rejecting it
         x_obs = observable_from_matrix(np.array([[0, 1], [1, 0]], dtype=complex))
-        model = dilate(make_ideal_transformers(x_obs))
-        final = evolve(model, PureState(basis_vector(2, 0)))
+        ts = make_ideal_transformers(x_obs)
+        final = evolve(ts, PureState(basis_vector(2, 0)))
         sf = schmidt_decompose(final, (2, 2))
-        report = verify_definite_values(sf, x_obs, model.pointer_observable)
+        report = verify_definite_values(sf, x_obs, ts.pointer_observable)
         aligned = report.schmidt_form
         assert max(report.max_left_violation, report.max_right_violation) < 1e-9
         assert sorted(p.term_index for p in report.assignment) == [0, 1]
@@ -193,20 +190,19 @@ class TestDefiniteValues:
 
 class TestTwinObservables:
     def test_ideal_z_recovers_z(self, pauli_z, plus_state):
-        model = dilate(make_ideal_transformers(pauli_z))
-        final = evolve(model, plus_state)
+        ts = make_ideal_transformers(pauli_z)
+        final = evolve(ts, plus_state)
         sf = schmidt_decompose(final, (2, 2))
-        report = verify_definite_values(sf, pauli_z, model.pointer_observable)
+        report = verify_definite_values(sf, pauli_z, ts.pointer_observable)
         twins = twin_observables(sf, report.assignment)
         assert np.allclose(twins.object_matrix(), pauli_z.matrix(), atol=1e-12)
 
     def test_degenerate_observable_gets_rank_one_terms(self, degenerate_observable):
         ts = make_ideal_transformers(degenerate_observable)
-        model = dilate(ts)
         psi = uniform_superposition(3)
-        final = evolve(model, psi)
-        sf = schmidt_decompose(final, model.composite_dims)
-        report = verify_definite_values(sf, degenerate_observable, model.pointer_observable)
+        final = evolve(ts, psi)
+        sf = schmidt_decompose(final, ts.composite_dims)
+        report = verify_definite_values(sf, degenerate_observable, ts.pointer_observable)
         twins = twin_observables(sf, report.assignment)
         for a, p in twins.object_terms:
             assert np.linalg.matrix_rank(p, tol=1e-10) == 1
@@ -218,12 +214,11 @@ class TestTwinObservables:
 
     def test_commutes_with_first_marginal(self, degenerate_observable):
         ts = make_repeatable_transformers(degenerate_observable, 4)
-        model = dilate(ts)
         psi = uniform_superposition(3)
-        final = evolve(model, psi)
-        sf = schmidt_decompose(final, model.composite_dims)
-        report = verify_definite_values(sf, degenerate_observable, model.pointer_observable)
+        final = evolve(ts, psi)
+        sf = schmidt_decompose(final, ts.composite_dims)
+        report = verify_definite_values(sf, degenerate_observable, ts.pointer_observable)
         twins = twin_observables(sf, report.assignment)
-        rho1, _ = reduced_states(final, model.composite_dims)
+        rho1, _ = reduced_states(final, ts.composite_dims)
         a_mat = twins.object_matrix()
         assert np.linalg.norm(a_mat @ rho1.matrix - rho1.matrix @ a_mat) < 1e-10
