@@ -11,6 +11,7 @@ repeatable instruments; the pipeline's checks read them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -76,10 +77,11 @@ def von_neumann_entropy(rho: DensityOperator | np.ndarray) -> float:
     return shannon_entropy(np.maximum(rho.eigenvalues(), 0.0))
 
 
-def mutual_information(state: np.ndarray, structure: Sequence[int]) -> EntropyReport:
+def mutual_information(state: np.ndarray, structure: Sequence[int], shannon_pk: float) -> EntropyReport:
     """Full entropy report for a bipartite pure vector, read from its reshaped matrix.
 
     S1 and S2 come from its two marginals, S12 from its 1 x 1 Gram matrix <v|v>.
+    ``shannon_pk`` is H(p) of the Born vector, carried as given: it is S1 only for orthogonal A_k psi.
     """
     dims = tuple(int(d) for d in structure)
     if len(dims) != 2:
@@ -91,9 +93,9 @@ def mutual_information(state: np.ndarray, structure: Sequence[int]) -> EntropyRe
     v = v / norm  # pure_marginal raises DimensionMismatch if dims do not factor v
     s1, s2 = (von_neumann_entropy(pure_marginal(v, dims, keep=k)) for k in (0, 1))
     s12 = _gram_entropy(v[:, None])
-    # The squared Schmidt coefficients are the spectrum of either marginal, so the
-    # entanglement, the quasi-classical information and their Shannon entropy are all S1.
-    return EntropyReport(s1, s2, s12, s1 + s2 - s12, s1, s1, s1)
+    # I(1:2) >= 0, but <v|v> = 1 - 2e-16 gives S12 = 3e-16, which can exceed S1 + S2; the clamp
+    # drops at most S12, which the ledger reads itself. Entanglement and quasi-classical are S1.
+    return EntropyReport(s1, s2, s12, max(0.0, s1 + s2 - s12), s1, s1, float(shannon_pk))
 
 
 def incompatibility_entropy(obs: Observable, state: PureState) -> float:
@@ -112,13 +114,20 @@ def lifted_incompatibility_entropy(
 ) -> float:
     """Incompatibility entropy of obs ⊗ 1, with obs on one tensor factor, in a pure vector.
 
-    The Lüders update of |v><v| is sum_k |v_k><v_k| with v_k = (P_k ⊗ 1) v,
-    and |v><v| itself is the one-component case. This costs O(D K) for a
-    D-dimensional vector, where the update itself costs O(D^3).
+    The Lüders update of |v><v| is sum_k |v_k><v_k| with v_k = (P_k ⊗ 1) v = (V_k ⊗ 1) c_k, where
+    c = (V† ⊗ 1) v is taken on the factor, and |v><v| itself is the one-component case. The update's
+    entropy is that of the Gram matrix G_jk = <v_j|v_k> = sum_{a in j, b in k} (V†V)_ab S_ab, with
+    S = c̄ cᵀ summed over the other factors: V†V keeps the overlaps V_j†V_k, so G is not just the
+    diagonal of weights. This costs O(d D + d³) and stores no component; the update costs O(D^3).
     """
     v = np.asarray(vector, dtype=complex).reshape(-1)
-    components = apply_on_factor(obs.projectors, v, structure, factor)  # row k is v_k
-    return _gram_entropy(components.T) - _gram_entropy(v[:, None])
+    dims = tuple(int(d) for d in structure)
+    if not 0 <= factor < len(dims) or dims[factor] != obs.dim or math.prod(dims) != v.size:
+        raise DimensionMismatch(f"observable of dim {obs.dim} is not factor {factor} of {dims} for dim {v.size}")
+    vh = dag(obs.basis)
+    c = vh @ v.reshape(math.prod(dims[:factor]), obs.dim, -1).transpose(1, 0, 2).reshape(obs.dim, -1)
+    gram = obs.indicator.T @ ((vh @ obs.basis) * (np.conj(c) @ c.T)) @ obs.indicator
+    return von_neumann_entropy(gram) - _gram_entropy(v[:, None])
 
 
 def _gram_entropy(components: np.ndarray) -> float:
@@ -174,16 +183,18 @@ def read_pointer_tripartite(final: np.ndarray, ts: StateTransformerSet) -> tuple
     if final.size != dims[0] * dims[1]:
         raise DimensionMismatch(f"vector of dim {final.size} does not match {dims}")
 
-    components = apply_on_factor(ts.pointer_observable.projectors, final, dims, 1)  # row k is (1 ⊗ Q_k) final
-    # The update sum_k Q_k rho2 Q_k is the pointer marginal of the components taken together.
-    rows = components.reshape(-1, dims[1])
-    damage = frob(pure_marginal(final, dims, keep=1) - rows.T @ np.conj(rows))
+    # Q_k = |e_k><e_k|: the update sum_k Q_k rho2 Q_k is diag(rho2), and (1 ⊗ Q_k) final is column k of d × n final
+    rho2 = pure_marginal(final, dims, keep=1)
+    damage = frob(rho2 - np.diag(np.diagonal(rho2)))
     if damage >= tol.DEFINITE_VALUE:
         raise NonRepeatableInput(f"pointer marginal has coherence {damage:.3e} across pointer outcomes")
 
-    detectable = components[np.linalg.norm(components, axis=1) ** 2 > tol.DETECTABILITY]
-    # tri[i * d3 + j] = detectable[j][i], i.e. sum_j detectable[j] ⊗ e_j
-    return detectable.T.reshape(-1), (dims[0], dims[1], len(detectable))
+    columns = final.reshape(dims)
+    detectable = np.flatnonzero(np.vecdot(columns, columns, axis=0).real > tol.DETECTABILITY)
+    # tri[i, j, l] = columns[i, j] for j the l-th detectable outcome, i.e. sum_l (1 ⊗ Q_l) final ⊗ e_l
+    tri = np.zeros((*dims, detectable.size), dtype=complex)
+    tri[:, detectable, np.arange(detectable.size)] = columns[:, detectable]
+    return tri.reshape(-1), (dims[0], dims[1], detectable.size)
 
 
 def low_rank_commutator_norm(obs: Observable, w: np.ndarray, structure: Sequence[int], factor: int) -> float:

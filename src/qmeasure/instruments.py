@@ -1,24 +1,23 @@
 """State transformers, repeatability, and the measurement evolution they define.
 
-A measurement of an observable is described in two equivalent ways:
+A measurement is a family of state transformers (Kraus operators) A_k, one
+per spectral term, with A_k†A_k = P_k. That makes A_k vanish off eigenspace
+k, so A_k = B_k V_k† with V_k the observable's basis columns of eigenspace k
+and B_k = A_k V_k a d × r_k block: the family is one d × d matrix
+B = [B_0 | ... | B_{K-1}], checked as B_k†B_k = 1. Completeness,
+sum_k A_k†A_k = V (⊕_k B_k†B_k) V† = 1, follows.
 
-* a family of state transformers (Kraus operators) A_k, one per spectral
-  term, with sum_k A_k†A_k = 1 and A_k†A_k = P_k (projector-valued
-  measure);
-* a unitary evolution on object ⊗ pointer that writes the outcome into an
-  orthonormal pointer basis.
-
-The pointer starts in e_0, so all that any check reads of the unitary is
-its restriction to object ⊗ e_0, |v> -> sum_k A_k|v> ⊗ e_k: the
-transformer stack read in another index order. ``StateTransformerSet`` is
-therefore the one instrument object, and ``evolve`` applies it as that
-evolution. ``probability_gap`` and ``conditional_state_gap`` measure, for
-a given final vector, how far the pointer reproduces the predicted
-probabilities and the transformers' conditional states.
+The unitary evolution on object ⊗ pointer that writes the outcome into an
+orthonormal pointer basis starts the pointer in e_0, so all that any check
+reads of it is |v> -> sum_k A_k|v> ⊗ e_k, which ``evolve`` applies.
+``probability_gap`` and ``conditional_state_gap`` measure, for a given
+final vector, how far the pointer reproduces the predicted probabilities
+and the transformers' conditional states.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,48 +25,53 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, InvalidTransformers, NullOutcome
-from .linalg import (
-    apply_on_factor,
-    basis_vector,
-    dag,
-    frob,
-    frozen_array,
-    random_unitary,
-)
+from .linalg import dag, frob, frozen_array, random_unitary
 from .observables import Observable, PureState
 
 
 @dataclass(frozen=True)
 class StateTransformerSet:
-    """Outcome-labelled transformers {A_k}, aligned with observable terms.
+    """Outcome-labelled transformers A_k = B_k V_k†, as the read-only d × d matrix B of the blocks B_k."""
 
-    The family is stored once, as one read-only (K, dim, dim) stack in term order.
-    """
-
-    transformers: np.ndarray
+    blocks: np.ndarray
     observable: Observable
 
     def __post_init__(self) -> None:
         obs = self.observable
-        if len(self.transformers) != obs.n_outcomes:
-            raise InvalidTransformers(f"{len(self.transformers)} transformers for {obs.n_outcomes} spectral terms")
-        for k, a in enumerate(self.transformers):
+        b = frozen_array(self.blocks)
+        if b.shape != (obs.dim, obs.dim):
+            raise DimensionMismatch(f"transformer blocks of shape {b.shape}, expected {(obs.dim, obs.dim)}")
+        object.__setattr__(self, "blocks", b)
+        # |A_k†A_k - P_k| = |B_k†B_k - 1|: the diagonal blocks of B†B - 1, summed block by block
+        ind = obs.indicator
+        off = (dag(b) @ b - np.eye(obs.dim)) * (ind @ ind.T)
+        failing = np.flatnonzero(~(np.sqrt(np.vecdot(off, off, axis=0).real @ ind) <= tol.TRANSFORMER))
+        if failing.size:
+            k = failing[0]
+            raise InvalidTransformers(f"A_{k}†A_{k} deviates from its projector beyond {tol.TRANSFORMER}")
+
+    @classmethod
+    def from_transformers(cls, transformers: Sequence[np.ndarray], obs: Observable) -> StateTransformerSet:
+        """The dense transformers A_k, in term order, as B_k = A_k V_k.
+
+        Each needs |A_k - B_k V_k†| <= TRANSFORMER, taken as |A_k V| outside the columns of term k.
+        """
+        if len(transformers) != obs.n_outcomes:
+            raise InvalidTransformers(f"{len(transformers)} transformers for {obs.n_outcomes} spectral terms")
+        b = np.empty((obs.dim, obs.dim), dtype=complex)
+        for k, (a, cols) in enumerate(zip(transformers, obs.columns)):
             if np.shape(a) != (obs.dim, obs.dim):
                 raise DimensionMismatch(f"transformer {k} has shape {np.shape(a)}, expected {(obs.dim, obs.dim)}")
-        ops = frozen_array(self.transformers)
-        object.__setattr__(self, "transformers", ops)
-        total = np.zeros((obs.dim, obs.dim), dtype=complex)
-        for k, (a, p) in enumerate(zip(ops, obs.projectors)):
-            gram = dag(a) @ a
-            if frob(gram - p) > tol.TRANSFORMER:
-                raise InvalidTransformers(f"A_{k}†A_{k} deviates from its projector beyond {tol.TRANSFORMER}")
-            total += gram
-        if frob(total - np.eye(obs.dim)) > tol.TRANSFORMER:
-            raise InvalidTransformers(f"sum A_k†A_k deviates from identity beyond {tol.TRANSFORMER}")
+            image = a @ obs.basis
+            b[:, cols] = image[:, cols]
+            if frob(image * (obs.indicator[:, k] == 0)) > tol.TRANSFORMER:
+                raise InvalidTransformers(f"A_{k} acts off eigenspace {k} beyond {tol.TRANSFORMER}")
+        b.setflags(write=False)
+        return cls(b, obs)
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.transformers)
+        return self.observable.n_outcomes
 
     @property
     def pointer_observable(self) -> Observable:
@@ -81,39 +85,37 @@ class StateTransformerSet:
 
 
 def make_ideal_transformers(obs: Observable) -> StateTransformerSet:
-    """Ideal measurement: each transformer is the spectral projector itself."""
-    return StateTransformerSet(obs.projectors, obs)
+    """Ideal measurement: each transformer is the spectral projector itself, so B = V."""
+    return StateTransformerSet(obs.basis, obs)
 
 
 def make_repeatable_transformers(obs: Observable, seed: int) -> StateTransformerSet:
-    """Seeded random repeatable family A_k = W_k P_k.
+    """Seeded random repeatable family B_k = V_k U_k, so A_k = V_k U_k V_k† and P_k A_k = A_k.
 
-    W_k acts as a random unitary inside the k-th eigenspace and as zero on
-    its complement, so A_k†A_k = P_k exactly and P_k A_k = A_k. The same
-    seed always yields the same family. The eigenvectors of the outcome
-    index N = sum_k k P_k whose eigenvalue rounds to k span eigenspace k.
+    U_k is a random r_k × r_k unitary, drawn in term order. The same seed always yields the same family.
     """
     rng = np.random.default_rng(seed)
-    indices, basis = np.linalg.eigh(obs.outcome_index())
-    ops = np.empty((obs.n_outcomes, obs.dim, obs.dim), dtype=complex)
-    for k in range(obs.n_outcomes):
-        inside = basis[:, np.rint(indices) == k]
-        u = random_unitary(inside.shape[1], rng)
-        ops[k] = inside @ u @ dag(inside)
-    ops.setflags(write=False)
-    return StateTransformerSet(ops, obs)
+    b = np.empty((obs.dim, obs.dim), dtype=complex)
+    for r, cols in zip(obs.sizes, obs.columns):
+        b[:, cols] = obs.basis[:, cols] @ random_unitary(r, rng)
+    b.setflags(write=False)
+    return StateTransformerSet(b, obs)
 
 
 def repeatability_violation(ts: StateTransformerSet) -> float:
-    """Worst Frobenius violation of the repeatability condition A_k = P_k A_k over the outcomes."""
-    return max(frob(a - p @ a) for a, p in zip(ts.transformers, ts.observable.projectors))
+    """Worst Frobenius violation of A_k = P_k A_k over the outcomes, as |B_k - V_k (V_k† B_k)|."""
+    v, ind = ts.observable.basis, ts.observable.indicator
+    residual = ts.blocks - v @ ((dag(v) @ ts.blocks) * (ind @ ind.T))
+    return float(np.sqrt(np.max(np.vecdot(residual, residual, axis=0).real @ ind)))
 
 
 def post_state(ts: StateTransformerSet, psi: PureState, k: int) -> PureState:
-    """Normalized state after outcome k: A_k|psi> / sqrt(p_k)."""
-    if psi.dim != ts.observable.dim:
-        raise DimensionMismatch(f"state dim {psi.dim} != observable dim {ts.observable.dim}")
-    v = ts.transformers[k] @ psi.vector
+    """Normalized state after outcome k: A_k|psi> / sqrt(p_k), with A_k|psi> = B_k (V_k† psi)."""
+    obs = ts.observable
+    if psi.dim != obs.dim:
+        raise DimensionMismatch(f"state dim {psi.dim} != observable dim {obs.dim}")
+    cols = obs.columns[k]
+    v = ts.blocks[:, cols] @ (dag(obs.basis[:, cols]) @ psi.vector)
     p = float(np.real(np.vdot(v, v)))
     if p <= tol.DETECTABILITY:
         raise NullOutcome(f"outcome {k} has probability {p} <= {tol.DETECTABILITY}")
@@ -122,40 +124,43 @@ def post_state(ts: StateTransformerSet, psi: PureState, k: int) -> PureState:
 
 @lru_cache(maxsize=32)
 def _pointer(n: int) -> Observable:
-    """Observable sum_k k |e_k><e_k| of an n-dim pointer, shared as it is immutable."""
-    return Observable(tuple((float(k), np.diag(basis_vector(n, k))) for k in range(n)), n)
+    """Observable sum_k k |e_k><e_k| of an n-dim pointer, shared as it is immutable; its basis is the identity."""
+    return Observable(tuple(float(k) for k in range(n)), np.eye(n), (1,) * n)
 
 
 def evolve(ts: StateTransformerSet, psi: PureState) -> np.ndarray:
     """Final bipartite vector U (psi ⊗ e_0) = sum_k A_k|psi> ⊗ e_k, at index j·n + k.
 
-    The pointer has one dimension per outcome and starts in e_0. The
-    vector's norm is <psi| sum_k A_k†A_k |psi>, which the family's
-    constructor already holds to 1; the unitary's action off object ⊗ e_0
-    never affects a measurement.
+    Column k of its d × n matrix is A_k psi = B_k c_k with c = V† psi: the
+    columns of B scaled by c, summed within each term. The pointer has one
+    dimension per outcome. The vector's norm is <psi| sum_k A_k†A_k |psi> = 1.
     """
-    if psi.dim != ts.observable.dim:
-        raise DimensionMismatch(f"state dim {psi.dim} != object dim {ts.observable.dim}")
-    return (ts.transformers @ psi.vector).T.reshape(-1)
+    obs = ts.observable
+    if psi.dim != obs.dim:
+        raise DimensionMismatch(f"state dim {psi.dim} != object dim {obs.dim}")
+    return ((ts.blocks * (dag(obs.basis) @ psi.vector)) @ obs.indicator).reshape(-1)
 
 
 def probability_gap(ts: StateTransformerSet, born: np.ndarray, final: np.ndarray) -> float:
-    """Worst |p_k - <final|1 ⊗ Q_k|final>| over the outcomes, for a given final vector."""
-    components = apply_on_factor(ts.pointer_observable.projectors, final, ts.composite_dims, 1)
-    read = np.real(components @ np.conj(final))
+    """Worst |p_k - <final|1 ⊗ Q_k|final>|: with Q_k = |e_k><e_k|, column k of final as d × n, squared."""
+    columns = final.reshape(ts.composite_dims)
+    read = np.vecdot(columns, columns, axis=0).real
     return float(np.max(np.abs(born - read)))
 
 
 def conditional_state_gap(ts: StateTransformerSet, psi: PureState, final: np.ndarray) -> float:
-    """Worst gap between the two conditional-state routes, for a given final vector |Psi>."""
-    dims = ts.composite_dims
-    # Tr_2 of (1 ⊗ Q_k)|Psi><Psi|(1 ⊗ Q_k) is M_k M_k†, with M_k the vector (1 ⊗ Q_k)|Psi> reshaped to d x n
-    components = apply_on_factor(ts.pointer_observable.projectors, final, dims, 1).reshape(-1, *dims)
-    rho = psi.projector()
-    worst = 0.0
-    for a, m in zip(ts.transformers, components):
-        worst = max(worst, frob(a @ rho @ dag(a) - m @ dag(m)))
-    return worst
+    """Worst |A_k|psi><psi|A_k† - Tr_2((1 ⊗ Q_k)|Psi><Psi|(1 ⊗ Q_k))| over the outcomes, for a given final vector.
+
+    Both sides are rank one: v v† with v = A_k psi, from the blocks as B (diag(V† psi) indicator), and m m†
+    with m column k of |Psi> as d × n. With Q R = [v, m], |v v† - m m†| = |r_v r_v† - r_m r_m†|, so one
+    batched QR of the K pairs gives every norm; the trace formula loses about 1e-8 to cancellation.
+    """
+    obs = ts.observable
+    images = ts.blocks @ ((dag(obs.basis) @ psi.vector)[:, None] * obs.indicator)
+    r = np.linalg.qr(np.stack([images.T, final.reshape(ts.composite_dims).T], axis=-1), mode="r")
+    rv, rm = r[..., 0], r[..., 1]
+    gap = (rv[:, :, None] * np.conj(rv[:, None, :]) - rm[:, :, None] * np.conj(rm[:, None, :])).reshape(-1, 4)
+    return float(np.sqrt(np.max(np.vecdot(gap, gap).real)))
 
 
 def repeat_measurement_check(ts: StateTransformerSet, psi: PureState, born: np.ndarray) -> float:
@@ -163,18 +168,16 @@ def repeat_measurement_check(ts: StateTransformerSet, psi: PureState, born: np.n
 
     For every outcome detectable under the Born vector ``born``: apply the
     transformer, then measure the observable again on the post-measurement
-    state and take the probability of the eigenvalue certified by the
-    pointer reading, which is term k again because pointer term k records
-    outcome k. Repeatable families give 1 for every outcome.
+    state and take the probability |V_k† after|^2 of the eigenvalue
+    certified by the pointer reading, which is term k again because pointer
+    term k records outcome k. Repeatable families give 1 for every outcome.
     """
     if len(born) != ts.n_outcomes:
         raise DimensionMismatch(f"{len(born)} probabilities for {ts.n_outcomes} outcomes")
+    vh, columns = dag(ts.observable.basis), ts.observable.columns
     smallest = 1.0
-    for k, (_, p) in enumerate(ts.observable.terms):
-        if born[k] <= tol.DETECTABILITY:
-            continue
-        after = post_state(ts, psi, k).vector
-        smallest = min(smallest, float(np.real(np.vdot(after, p @ after))))
+    for k in np.flatnonzero(np.asarray(born) > tol.DETECTABILITY):
+        smallest = min(smallest, frob(vh[columns[k]] @ post_state(ts, psi, k).vector) ** 2)
     return smallest
 
 

@@ -143,22 +143,21 @@ def apply_on_factor(op: np.ndarray, vec: np.ndarray, structure: Sequence[int], f
     """(1 ⊗ .. ⊗ op ⊗ .. ⊗ 1) @ vec, with op acting on one tensor factor only.
 
     ``vec`` is a vector on the product space described by ``structure``, or
-    a matrix whose columns are such vectors; ``op`` is one operator, or a
-    (K, d_f, d_f) stack whose K results come back along a new first axis.
-    The lifted operator is never formed: one broadcast product applies op to
-    the factor's axis of the reshaped vector. A vector on its last factor
-    is one product of its rows with op transposed.
+    a matrix whose columns are such vectors. The lifted operator is never
+    formed: one broadcast product applies op to the factor's axis of the
+    reshaped vector. A vector on its last factor is one product of its rows
+    with op transposed.
     """
     vec = np.asarray(vec, dtype=complex)
     op = np.asarray(op, dtype=complex)
     dims = _check_structure(vec.shape[0], structure, min_factors=1)
-    if not 0 <= factor < len(dims) or op.ndim not in (2, 3) or op.shape[-2:] != (dims[factor], dims[factor]):
+    if not 0 <= factor < len(dims) or op.shape != (dims[factor], dims[factor]):
         raise DimensionMismatch(f"operator of shape {op.shape} does not act on factor {factor} of {dims}")
     if vec.ndim == 1 and factor == len(dims) - 1:
-        out = vec.reshape(-1, dims[factor]) @ op.swapaxes(-1, -2)
+        out = vec.reshape(-1, dims[factor]) @ op.T
     else:
-        out = op[..., None, :, :] @ vec.reshape(math.prod(dims[:factor]), dims[factor], -1)
-    return out.reshape(op.shape[:-2] + vec.shape)
+        out = op @ vec.reshape(math.prod(dims[:factor]), dims[factor], -1)
+    return out.reshape(vec.shape)
 
 
 def pure_marginal(vec: np.ndarray, structure: Sequence[int], keep: int | Sequence[int]) -> np.ndarray:
@@ -177,7 +176,7 @@ def pure_marginal(vec: np.ndarray, structure: Sequence[int], keep: int | Sequenc
 
 def check_orthonormal_columns(m: np.ndarray) -> None:
     """Raise NotOrthonormal unless |<m_j|m_i> - delta_ij| <= ORTHONORMALITY, naming the first failing j <= i."""
-    failing = np.argwhere(np.tril(np.abs(m.T @ np.conj(m) - np.eye(m.shape[1])) > tol.ORTHONORMALITY))
+    failing = np.argwhere(np.tril(~(np.abs(m.T @ np.conj(m) - np.eye(m.shape[1])) <= tol.ORTHONORMALITY)))  # NaN fails
     if failing.size:
         i, j = failing[0]
         raise NotOrthonormal(f"columns {j} and {i} are not orthonormal within {tol.ORTHONORMALITY}")

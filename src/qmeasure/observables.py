@@ -1,15 +1,17 @@
 """Discrete observables in spectral form, pure states and density operators.
 
-An observable is stored as its spectral family: an ordered list of
-(eigenvalue, projector) pairs with distinct eigenvalues, mutually
-orthogonal projectors and a complete resolution of the identity.
+An observable is stored as its eigenbasis: a unitary V whose columns come
+in one group V_k per distinct eigenvalue a_k, so that P_k = V_k V_k† is read
+as V_k (V_k† x) and never formed. It is validated by V†V = 1, which for a
+square V also makes sum_k P_k = 1, and by the eigenvalue-gap rule.
 Constructors produced by this module order terms by ascending eigenvalue.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property
 from collections.abc import Sequence
 
 import numpy as np
@@ -17,6 +19,7 @@ import numpy as np
 from . import tolerances as tol
 from .errors import DimensionMismatch, NotDensityOperator, ValidationError
 from .linalg import (
+    check_orthonormal_columns,
     check_unit_norm,
     dag,
     frob,
@@ -29,80 +32,63 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class Observable:
-    """Spectral family {(a_k, P_k)} of a discrete Hermitian observable."""
+    """Observable sum_k a_k V_k V_k†: the first ``sizes[0]`` columns of ``basis`` span eigenspace 0, and so on."""
 
-    terms: tuple[tuple[float, np.ndarray], ...]
-    dim: int
+    eigenvalues: tuple[float, ...]
+    basis: np.ndarray
+    sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dim", int(self.dim))
-        if not self.terms:
-            raise ValidationError("observable has no spectral terms")
-        for _, p in self.terms:
-            if np.shape(p) != (self.dim, self.dim):
-                raise DimensionMismatch(f"projector shape {np.shape(p)} does not match dim {self.dim}")
-        stack = frozen_array([p for _, p in self.terms])
-        object.__setattr__(self, "terms", tuple((float(a), p) for (a, _), p in zip(self.terms, stack)))
-        object.__setattr__(self, "_projectors", stack)
+        object.__setattr__(self, "eigenvalues", tuple(float(a) for a in self.eigenvalues))
+        object.__setattr__(self, "sizes", tuple(int(r) for r in self.sizes))
+        object.__setattr__(self, "basis", frozen_array(self.basis))
         validate_observable(self)
 
     @property
-    def eigenvalues(self) -> tuple[float, ...]:
-        return tuple(a for a, _ in self.terms)
-
-    @property
-    def projectors(self) -> np.ndarray:
-        """The projectors in term order, stored once as one read-only (K, dim, dim) stack that the terms view."""
-        return self._projectors
+    def dim(self) -> int:
+        return self.basis.shape[0]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.terms)
+        return len(self.eigenvalues)
+
+    @cached_property
+    def columns(self) -> tuple[slice, ...]:
+        """The slice of basis columns that spans each eigenspace, in term order."""
+        ends = np.cumsum(self.sizes).tolist()
+        return tuple(slice(end - r, end) for end, r in zip(ends, self.sizes))
+
+    @cached_property
+    def indicator(self) -> np.ndarray:
+        """Read-only dim × K matrix, 1 where basis column a lies in eigenspace k: X @ indicator sums X by term."""
+        out = np.repeat(np.eye(self.n_outcomes), self.sizes, axis=0)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        out = hermitize((self.basis * np.repeat(self.eigenvalues, self.sizes)) @ dag(self.basis))
+        out.setflags(write=False)
+        return out
 
     def matrix(self) -> np.ndarray:
-        """The Hermitian matrix sum_k a_k P_k, built once and read-only."""
-        return self._weighted_sum("_matrix", self.eigenvalues)
-
-    def outcome_index(self) -> np.ndarray:
-        """N = sum_k k P_k, which is k on the k-th eigenspace; built once and read-only."""
-        return self._weighted_sum("_outcome_index", range(self.n_outcomes))
-
-    def _weighted_sum(self, name: str, weights) -> np.ndarray:
-        out = self.__dict__.get(name)
-        if out is None:
-            out = np.zeros((self.dim, self.dim), dtype=complex)
-            for w, p in zip(weights, self._projectors):
-                out += w * p
-            out.setflags(write=False)
-            object.__setattr__(self, name, out)
-        return out
+        """The Hermitian matrix V diag(a) V†, built once and read-only."""
+        return self._matrix
 
 
 def validate_observable(obs: Observable) -> None:
-    """Check every spectral-family invariant, raising ValidationError."""
+    """Check the eigenbasis and eigenvalue invariants, raising ValidationError or NotOrthonormal."""
+    if not obs.eigenvalues:
+        raise ValidationError("observable has no spectral terms")
+    if obs.basis.ndim != 2 or obs.basis.shape[0] != obs.basis.shape[1]:
+        raise DimensionMismatch(f"eigenbasis of shape {obs.basis.shape} is not square")
+    if len(obs.sizes) != obs.n_outcomes or min(obs.sizes) < 1 or sum(obs.sizes) != obs.dim:
+        raise ValidationError(f"term sizes {obs.sizes} do not split {obs.dim} columns into {obs.n_outcomes} terms")
     values = sorted(obs.eigenvalues)
     for lo, hi in zip(values, values[1:]):
         if hi - lo <= tol.DEGENERACY_GAP:
             raise ValidationError(f"eigenvalues {lo} and {hi} are not separated beyond {tol.DEGENERACY_GAP}")
-    # Hermitian idempotents within ORTHONORMALITY that sum to 1 within it can
-    # still overlap by more than it, so the pairs are checked too, one operator
-    # at a time. The earlier projectors passed, so they are mutually orthogonal
-    # and |S P_i|^2, with S their running sum, is the sum of the |P_j P_i|^2:
-    # only when it exceeds the tolerance are the pairs formed, to find the first that fails.
-    stack = obs.projectors
-    total = np.zeros((obs.dim, obs.dim), dtype=complex)
-    for i, p in enumerate(stack):
-        if not frob(p - dag(p)) <= tol.ORTHONORMALITY:
-            raise ValidationError(f"projector {i} violates hermiticity within {tol.ORTHONORMALITY}")
-        if frob(p @ p - p) > tol.ORTHONORMALITY:
-            raise ValidationError(f"projector {i} violates idempotence within {tol.ORTHONORMALITY}")
-        if frob(total @ p) > tol.ORTHONORMALITY:
-            for j in range(i):
-                if frob(stack[j] @ p) > tol.ORTHONORMALITY:
-                    raise ValidationError(f"projectors {j} and {i} violate orthogonality within {tol.ORTHONORMALITY}")
-        total += p
-    if frob(total - np.eye(obs.dim)) > tol.ORTHONORMALITY:
-        raise ValidationError(f"spectral family violates completeness within {tol.ORTHONORMALITY}")
+    check_orthonormal_columns(obs.basis)  # a square V with V†V = 1 also has V V† = sum_k P_k = 1
 
 
 @dataclass(frozen=True)
@@ -166,26 +152,16 @@ def observable_from_matrix(h: np.ndarray) -> Observable:
 
     Eigenvalues closer than the degeneracy gap are merged into one
     (degenerate) spectral term whose eigenvalue is the cluster mean and
-    whose projector spans the clustered eigenvectors. Terms come out in
-    ascending eigenvalue order.
+    whose eigenspace is spanned by the clustered eigenvectors. Terms come
+    out in ascending eigenvalue order, and the eigenvectors of eigh are the
+    basis as they are.
     """
     h = np.asarray(h, dtype=complex)
     w, v = hermitian_eig(h)  # raises NotHermitian
-
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, w.size):
-        if w[i] - w[clusters[-1][-1]] <= tol.DEGENERACY_GAP:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-
-    terms = []
-    for cluster in clusters:
-        eigenvalue = float(np.mean(w[cluster]))
-        block = v[:, cluster]
-        projector = block @ dag(block)
-        terms.append((eigenvalue, hermitize(projector)))
-    return Observable(tuple(terms), h.shape[0])
+    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > tol.DEGENERACY_GAP)
+    sizes = np.diff(starts, append=w.size)
+    v.setflags(write=False)
+    return Observable(tuple((np.add.reduceat(w, starts) / sizes).tolist()), v, tuple(sizes.tolist()))
 
 
 def embed_observable(obs: Observable, structure: Sequence[int], factor: int) -> Observable:
@@ -193,12 +169,14 @@ def embed_observable(obs: Observable, structure: Sequence[int], factor: int) -> 
     dims = tuple(int(d) for d in structure)
     if factor < 0 or factor >= len(dims) or dims[factor] != obs.dim:
         raise DimensionMismatch(f"observable of dim {obs.dim} does not sit at factor {factor} of {dims}")
-    terms = []
-    for a, p in obs.terms:
-        factors = [np.eye(d, dtype=complex) for d in dims]
-        factors[factor] = p
-        terms.append((a, reduce(kron, factors)))
-    return Observable(tuple(terms), int(np.prod(dims)))
+    left, right = math.prod(dims[:factor]), math.prod(dims[factor + 1 :])
+    lifted = kron(kron(np.eye(left), obs.basis), np.eye(right))
+    terms = np.tile(np.repeat(obs.indicator @ np.arange(obs.n_outcomes), right), left)  # term of each column
+    return Observable(
+        obs.eigenvalues,
+        lifted[:, np.argsort(terms, kind="stable")],
+        tuple(r * left * right for r in obs.sizes),
+    )
 
 
 def check_dims(obs: Observable, state: PureState) -> None:
@@ -210,10 +188,10 @@ def check_dims(obs: Observable, state: PureState) -> None:
 
 
 def probabilities(obs: Observable, state: PureState) -> np.ndarray:
-    """Outcome probabilities <psi|P_k|psi> in term order."""
+    """Outcome probabilities <psi|P_k|psi> = |V_k† psi|^2 in term order."""
     check_dims(obs, state)
-    v = state.vector
-    return np.array([float(np.real(np.vdot(v, p @ v))) for _, p in obs.terms])
+    c = dag(obs.basis) @ state.vector
+    return (c.real**2 + c.imag**2) @ obs.indicator
 
 
 def uniform_superposition(dim: int) -> PureState:

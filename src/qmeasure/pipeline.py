@@ -118,7 +118,7 @@ class _Run:
     born = _artefact("evolution", lambda run: probabilities(run.obs, run.psi))
     initial_commutator = _artefact("evolution", lambda run: commutator_norm(run.obs, run.psi))
     schmidt = _artefact("schmidt", lambda run: schmidt_decompose(run.final, run.dims))
-    entropies = _artefact("entropies", lambda run: mutual_information(run.final, run.dims))
+    entropies = _artefact("entropies", lambda run: mutual_information(run.final, run.dims, run.h_born))
     definite = _artefact(
         "definite_values", lambda run: verify_definite_values(run.schmidt, run.obs, run.ts.pointer_observable)
     )
@@ -181,11 +181,9 @@ def _schmidt_probability_match(run: _Run):
 
 
 def _twin_diagonality(run: _Run):
-    canonical, assignment = run.definite.schmidt_form, run.definite.assignment
-    twins = twin_observables(canonical, assignment)
-    lefts, rights = np.column_stack(canonical.left_vectors), np.column_stack(canonical.right_vectors)
-    a = np.array([pairing.object_eigenvalue for pairing in assignment])
-    b = np.array([pairing.pointer_eigenvalue for pairing in assignment])
+    twins = twin_observables(run.definite.schmidt_form, run.definite.assignment)
+    lefts, rights = twins.object_vectors, twins.pointer_vectors
+    a, b = twins.object_values, twins.pointer_values
     twin_object = float(np.max(np.linalg.norm(twins.object_matrix() @ lefts - lefts * a, axis=0)))
     twin_pointer = float(np.max(np.linalg.norm(twins.pointer_matrix() @ rights - rights * b, axis=0)))
     return twin_object, twin_pointer, max(twin_object, twin_pointer), tol.RECONSTRUCTION

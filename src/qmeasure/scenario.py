@@ -38,7 +38,7 @@ from .errors import (
     QMeasureError,
     ValidationError,
 )
-from .linalg import frob, hermitize, random_state_vector, random_unitary
+from .linalg import dag, frob, hermitize, random_state_vector, random_unitary
 from .observables import Observable, PureState, observable_from_matrix, uniform_superposition
 from .instruments import StateTransformerSet, make_ideal_transformers, make_repeatable_transformers
 
@@ -50,7 +50,8 @@ _PAULI = {
 
 _VERBOSITIES = ("normal", "verbose")
 
-# Largest K×d×d projector stack a generated campaign may ask for: the one at d1_max=512, outcomes_max=32.
+# Size budget in bytes, 16·outcomes_max·d1_max² at 512/32; a campaign's 16·outcomes_max·d1_max² and a document's
+# 16·d² (one complex d × d matrix) stay within it.
 CAMPAIGN_BYTES = 16 * 32 * 512**2
 
 
@@ -215,7 +216,7 @@ def _parse_instrument(spec: Any, obs: Observable) -> InstrumentSpec:
             _complex_matrix(entry, f"instrument.transformers[{i}]") for i, entry in enumerate(raw)
         )
         try:
-            return InstrumentSpec("custom", transformers=StateTransformerSet(mats, obs))
+            return InstrumentSpec("custom", transformers=StateTransformerSet.from_transformers(mats, obs))
         except (InvalidTransformers, DimensionMismatch) as exc:
             raise ValidationError(f"instrument.transformers: {exc}") from exc
     raise ParseError("instrument.kind: expected 'ideal', 'repeatable' or 'custom'")
@@ -231,6 +232,11 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     object_dim = doc.get("object_dim")
     if not _is_integer(object_dim) or object_dim < 2:
         raise ParseError(f"object_dim: expected an integer >= 2, got {object_dim!r}")
+    if 16 * object_dim**2 > CAMPAIGN_BYTES:
+        raise ValidationError(
+            f"object_dim {object_dim} needs {16 * object_dim**2} B for one complex d × d matrix, "
+            f"beyond the budget of {CAMPAIGN_BYTES} B"
+        )
 
     try:
         obs = _parse_observable(doc.get("observable"), object_dim)
@@ -300,11 +306,11 @@ def generate_random_instance(seed: int, d1_max: int, outcomes_max: int) -> Scena
         raise ValueError(f"d1_max must be >= 2, got {d1_max}")
     if not 2 <= outcomes_max <= d1_max:
         raise ValueError(f"outcomes_max must be in [2, {d1_max}], got {outcomes_max}")
-    stack = 16 * outcomes_max * d1_max**2  # bytes of the largest K×d×d complex projector stack
-    if stack > CAMPAIGN_BYTES:
+    size = 16 * outcomes_max * d1_max**2
+    if size > CAMPAIGN_BYTES:
         raise ValueError(
-            f"d1_max={d1_max}, outcomes_max={outcomes_max} needs a {stack} B projector stack, "
-            f"beyond the budget of {CAMPAIGN_BYTES} B"
+            f"d1_max={d1_max}, outcomes_max={outcomes_max} needs {size} B for {outcomes_max} complex "
+            f"{d1_max} × {d1_max} matrices, beyond the budget of {CAMPAIGN_BYTES} B"
         )
 
     rng = np.random.default_rng(seed)
@@ -323,11 +329,11 @@ def generate_random_instance(seed: int, d1_max: int, outcomes_max: int) -> Scena
     obs = observable_from_matrix(hermitian)
 
     support = sorted(rng.choice(n_outcomes, size=int(rng.integers(1, n_outcomes + 1)), replace=False))
-    projector = np.sum([obs.terms[int(k)][1] for k in support], axis=0)
-    vec = projector @ random_state_vector(dim, rng)
+    inside = obs.indicator[:, support].sum(axis=1)  # 1 on the basis columns of the supported eigenspaces
+    vec = obs.basis @ (inside * (dag(obs.basis) @ random_state_vector(dim, rng)))
     norm = frob(vec)
     if norm < 1e-6:  # astronomically unlikely; fall back to a supported eigenvector
-        vec = obs.terms[int(support[0])][1][:, 0]
+        vec = obs.basis[:, obs.columns[int(support[0])].start]
         norm = frob(vec)
     state = PureState(vec / norm)
 

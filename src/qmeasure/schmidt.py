@@ -66,22 +66,21 @@ class DefiniteValueReport(NamedTuple):
 
 @dataclass(frozen=True)
 class TwinObservables:
-    """Subsystem observables diagonal in the two Schmidt bases.
+    """Subsystem observables sum_t a_t |x_t><x_t| over the Schmidt vectors x_t, kept as values and columns.
 
-    Both are spectral lists of rank-one terms; they are complete on the
-    ranges of the respective marginals but not necessarily on the full
-    factor spaces, so they are kept as plain term lists rather than
-    Observable instances.
+    They are complete on the ranges of the marginals only, so they are not Observable instances.
     """
 
-    object_terms: tuple[tuple[float, np.ndarray], ...]
-    pointer_terms: tuple[tuple[float, np.ndarray], ...]
+    object_values: np.ndarray
+    object_vectors: np.ndarray
+    pointer_values: np.ndarray
+    pointer_vectors: np.ndarray
 
     def object_matrix(self) -> np.ndarray:
-        return sum(a * p for a, p in self.object_terms)
+        return (self.object_vectors * self.object_values) @ dag(self.object_vectors)
 
     def pointer_matrix(self) -> np.ndarray:
-        return sum(b * q for b, q in self.pointer_terms)
+        return (self.pointer_vectors * self.pointer_values) @ dag(self.pointer_vectors)
 
 
 def schmidt_decompose(psi: np.ndarray, structure: Sequence[int]) -> SchmidtForm:
@@ -159,45 +158,50 @@ def verify_definite_values(
 
     lefts = np.column_stack(sf.left_vectors)
     rights = np.column_stack(sf.right_vectors)
-    indices, u = hermitian_eig(dag(lefts) @ object_obs.outcome_index() @ lefts)
+    coeffs = dag(object_obs.basis) @ lefts  # L† N L = (V†L)† diag(term of each column) (V†L)
+    index = object_obs.indicator @ np.arange(n_outcomes)
+    indices, u = hermitian_eig(dag(coeffs) @ (index[:, None] * coeffs))
     order = np.argsort(np.argmax(np.abs(u), axis=0), kind="stable")
     indices, u = indices[order], u[:, order]
     lefts = lefts @ u
     phases = _pivot_phases(lefts)
     lefts = lefts * np.conj(phases)
     rights = rights @ (sf.coefficients[:, None] * np.conj(u)) * phases  # column s is w_s
+    weights = np.sqrt(np.vecdot(rights, rights, axis=0).real)
+    rights = rights / weights
 
-    fits = []
-    for t, (left, right) in enumerate(zip(lefts.T, rights.T)):
-        weight = frob(right)
-        right = right / weight
-        k = int(np.rint(indices[t]))
-        if not 0 <= k < n_outcomes:
+    outcomes = np.rint(indices).astype(int)
+    fitted = outcomes % n_outcomes  # a term outside 0..K-1 fails below whatever it is fitted to
+    inside = outcomes == fitted
+    left_residuals = _off_eigenspace(object_obs, lefts, fitted)
+    right_residuals = _off_eigenspace(pointer_obs, rights, fitted)
+    failing = np.flatnonzero(~inside | (np.maximum(left_residuals, right_residuals) >= tol.DEFINITE_VALUE))
+    if failing.size:
+        t = failing[0]
+        if not inside[t]:
             raise NoDefiniteValue(f"Schmidt term {t} has outcome index {indices[t]:.3g} outside 0..{n_outcomes - 1}")
-        lv = frob(object_obs.projectors[k] @ left - left)
-        rv = frob(pointer_obs.projectors[k] @ right - right)
-        if max(lv, rv) >= tol.DEFINITE_VALUE:
-            raise NoDefiniteValue(f"Schmidt term {t} fits no joint spectral term within {tol.DEFINITE_VALUE}")
-        fits.append((weight, left, right, k, lv, rv))
-    weights, new_lefts, new_rights, outcomes, left_residuals, right_residuals = zip(*fits)
-    if len(set(outcomes)) != len(outcomes):
+        raise NoDefiniteValue(f"Schmidt term {t} fits no joint spectral term within {tol.DEFINITE_VALUE}")
+    if len(set(outcomes.tolist())) != outcomes.size:
         raise NoDefiniteValue("spectral term claimed by two Schmidt terms")
 
-    assignment = tuple(OutcomePairing(k, object_obs.terms[k][0], pointer_obs.terms[k][0]) for k in outcomes)
-    aligned = SchmidtForm(np.array(weights), new_lefts, new_rights)
-    return DefiniteValueReport(max(left_residuals), max(right_residuals), assignment, aligned)
+    assignment = tuple(OutcomePairing(int(k), object_obs.eigenvalues[k], pointer_obs.eigenvalues[k]) for k in outcomes)
+    aligned = SchmidtForm(weights, tuple(lefts.T), tuple(rights.T))
+    return DefiniteValueReport(float(left_residuals.max()), float(right_residuals.max()), assignment, aligned)
+
+
+def _off_eigenspace(obs: Observable, vectors: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """|P_k x - x| for each column x of ``vectors`` and its outcome k: the norm of V† x off the rows of term k."""
+    off = (dag(obs.basis) @ vectors) * (obs.indicator[:, outcomes] == 0)
+    return np.sqrt(np.vecdot(off, off, axis=0).real)
 
 
 def twin_observables(sf: SchmidtForm, assignment: Sequence[OutcomePairing]) -> TwinObservables:
     """Eigenvalue-weighted rank-one sums over the Schmidt vectors."""
     if len(assignment) != sf.n_terms:
         raise DimensionMismatch(f"assignment covers {len(assignment)} of {sf.n_terms} Schmidt terms")
-    object_terms = []
-    pointer_terms = []
-    for pairing, left, right in zip(assignment, sf.left_vectors, sf.right_vectors):
-        object_terms.append((pairing.object_eigenvalue, np.outer(left, np.conj(left))))
-        pointer_terms.append((pairing.pointer_eigenvalue, np.outer(right, np.conj(right))))
-    return TwinObservables(tuple(object_terms), tuple(pointer_terms))
+    a = np.array([pairing.object_eigenvalue for pairing in assignment])
+    b = np.array([pairing.pointer_eigenvalue for pairing in assignment])
+    return TwinObservables(a, np.column_stack(sf.left_vectors), b, np.column_stack(sf.right_vectors))
 
 
 __all__ = [

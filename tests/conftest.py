@@ -47,7 +47,7 @@ def swap_transformers(pauli_z) -> StateTransformerSet:
     # order (a=-1 first), A_0 = |0><1| and A_1 = |1><0|.
     a0 = np.array([[0, 1], [0, 0]], dtype=complex)
     a1 = np.array([[0, 0], [1, 0]], dtype=complex)
-    return StateTransformerSet((a0, a1), pauli_z)
+    return StateTransformerSet.from_transformers((a0, a1), pauli_z)
 
 
 @pytest.fixture

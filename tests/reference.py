@@ -1,6 +1,9 @@
 """Reference routes for the tests: dense forms and one-call wrappers of pipeline checks.
 
-The pipeline never runs these. The dense references (``luders_update``,
+The pipeline never runs these. ``projectors`` and ``transformer_stack`` give
+the dense (K, d, d) forms of an observable's spectral family and of a
+transformer family, which the library stores only as an eigenbasis and its
+blocks. The dense references (``luders_update``,
 ``post_reading_state``, ``lifted_commutator_norm``, ``purify``,
 ``completed_unitary``) form the D×D operators that the library's kernels
 avoid, so a kernel test still compares two routes. ``partial_inner`` is the one-vector form of the product
@@ -44,6 +47,17 @@ from qmeasure.instruments import conditional_state_gap, probability_gap
 from qmeasure.linalg import check_unit_norm
 
 
+def projectors(obs: Observable) -> np.ndarray:
+    """The spectral projectors P_k = V_k V_k† in term order, as one (K, d, d) stack."""
+    return np.array([obs.basis[:, cols] @ dag(obs.basis[:, cols]) for cols in obs.columns])
+
+
+def transformer_stack(ts: StateTransformerSet) -> np.ndarray:
+    """The dense transformers A_k = B_k V_k† in term order, as one (K, d, d) stack."""
+    obs = ts.observable
+    return np.array([ts.blocks[:, cols] @ dag(obs.basis[:, cols]) for cols in obs.columns])
+
+
 def classify_outcomes(obs: Observable, state: PureState) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Split term indices into detectable (positive probability) and null."""
     p = probabilities(obs, state)
@@ -58,7 +72,7 @@ def luders_update(obs: Observable, state: PureState | DensityOperator) -> Densit
         raise DimensionMismatch(f"observable dim {obs.dim} != state dim {state.dim}")
     rho = state.projector() if isinstance(state, PureState) else state.matrix
     out = np.zeros_like(rho)
-    for _, p in obs.terms:
+    for p in projectors(obs):
         out += p @ rho @ p
     return DensityOperator(out)
 
@@ -135,7 +149,7 @@ def completed_unitary(ts: StateTransformerSet) -> np.ndarray:
     the slot of |i> ⊗ e_0, and the completion's columns fill the rest in order.
     """
     d, n = ts.composite_dims
-    isometry = ts.transformers.swapaxes(0, 1).reshape(d * n, d)
+    isometry = transformer_stack(ts).swapaxes(0, 1).reshape(d * n, d)
     slots = np.arange(d * n).reshape(d, n)
     order = np.argsort(np.concatenate([slots[:, 0], slots[:, 1:].reshape(-1)]))
     return complete_isometry(list(isometry.T), d * n)[:, order]

@@ -85,7 +85,7 @@ def swap_family():
     z = observable_from_matrix(np.diag([1.0, -1.0]).astype(complex))
     a0 = np.array([[0, 1], [0, 0]], dtype=complex)
     a1 = np.array([[0, 0], [1, 0]], dtype=complex)
-    return StateTransformerSet((a0, a1), z)
+    return StateTransformerSet.from_transformers((a0, a1), z)
 
 
 def test_criterion_01_entanglement_equals_final_incompatibility(instances):
@@ -162,8 +162,8 @@ def test_criterion_06_schmidt_canonical_form(instances):
 def test_criterion_07_entropy_ledger(instances):
     worst = 0.0
     for x in instances:
-        entropies = mutual_information(x.final, x.dims)
         h = shannon_entropy(np.clip(x.born, 0.0, None))
+        entropies = mutual_information(x.final, x.dims, h)
         worst = max(
             worst,
             abs(entropies.s1 - entropies.s2),

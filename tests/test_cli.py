@@ -157,6 +157,29 @@ class TestRunCommand:
         assert run_cli("run", SCENARIOS / "swap_nonrepeatable.json", "--format", "json", "--out", out) == 1
         assert len(calls) == 1
 
+    def test_document_beyond_the_size_budget_exits_two(self, tmp_path, capsys):
+        doc = {
+            "object_dim": 4096,
+            "observable": {"preset": "diag", "values": list(range(4096))},
+            "initial_state": {"preset": "uniform"},
+            "instrument": {"kind": "ideal"},
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("run", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "268435456 B" in captured.err and "budget" in captured.err
+
+    def test_transformer_off_its_eigenspace_exits_two(self, tmp_path, capsys):
+        # Z in ascending order: A_0 = |1><1| and A_1 = |0><0|, plus 1e-6 |0><1| in A_1 (1e3 × TRANSFORMER)
+        doc = json.loads((SCENARIOS / "ideal_z_uniform.json").read_text())
+        doc["instrument"] = {"kind": "custom", "transformers": [[[0, 0], [0, 1]], [[1, 1e-6], [0, 0]]]}
+        path = tmp_path / "leak.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("run", path) == 2
+        assert "A_1 acts off eigenspace 1" in capsys.readouterr().err
+
     def test_include_timing_flag(self, tmp_path):
         out = tmp_path / "timed.json"
         assert run_cli("run", SCENARIOS / "ideal_z_uniform.json", "--format", "json",

@@ -28,6 +28,7 @@ from qmeasure import (
     verify_definite_values,
 )
 from qmeasure.linalg import hermitize
+from reference import projectors
 
 N_CHECKS = 15
 
@@ -65,7 +66,7 @@ def equal_weight_scenario(seed: int, perturbation: float, kind: str) -> Scenario
     weights[-1] += perturbation
     psi = np.zeros(d, dtype=complex)
     for weight, k in zip(weights, support):
-        v = obs.terms[k][1] @ (rng.normal(size=d) + 1j * rng.normal(size=d))
+        v = projectors(obs)[k] @ (rng.normal(size=d) + 1j * rng.normal(size=d))
         psi += np.sqrt(weight) * v / np.linalg.norm(v)
     instrument = InstrumentSpec("ideal") if kind == "ideal" else InstrumentSpec("repeatable", seed=seed)
     return Scenario(
@@ -112,8 +113,8 @@ def test_non_repeatable_families_on_equal_weights_have_no_definite_values(per_ou
         obs = scenario.observable
         rng = np.random.default_rng(1000 + seed)
         shared = random_unitary(obs.dim, rng)
-        ops = tuple((random_unitary(obs.dim, rng) if per_outcome else shared) @ p for p in obs.projectors)
-        ts = StateTransformerSet(ops, obs)
+        ops = tuple((random_unitary(obs.dim, rng) if per_outcome else shared) @ p for p in projectors(obs))
+        ts = StateTransformerSet.from_transformers(ops, obs)
         sf = schmidt_decompose(evolve(ts, scenario.initial_state), ts.composite_dims)
         with pytest.raises(NoDefiniteValue):
             verify_definite_values(sf, obs, ts.pointer_observable)

@@ -100,12 +100,12 @@ class TestMutualInformation:
     def test_pure_product(self):
         rng = np.random.default_rng(73)
         psi = kron(random_state_vector(2, rng), random_state_vector(2, rng))
-        report = mutual_information(psi, (2, 2))
+        report = mutual_information(psi, (2, 2), 0.0)
         assert abs(report.mutual_information) < 1e-9
         assert report.entanglement < 1e-9
 
     def test_bell_state(self):
-        report = mutual_information(bell_vector(), (2, 2))
+        report = mutual_information(bell_vector(), (2, 2), 1.0)
         assert report.mutual_information == pytest.approx(2.0, abs=1e-12)
         assert report.entanglement == pytest.approx(1.0, abs=1e-12)
         assert report.quasi_classical == pytest.approx(1.0, abs=1e-12)
@@ -117,7 +117,7 @@ class TestMutualInformation:
         bell = np.outer(bell_vector(), bell_vector().conj())
         for state in (bell, DensityOperator(bell)):
             with pytest.raises(DimensionMismatch, match=r"shape \(4, 4\)"):
-                mutual_information(state, (2, 2))
+                mutual_information(state, (2, 2), 1.0)
 
 
 class TestIncompatibilityEntropy:
@@ -320,6 +320,6 @@ class TestEntropyIsNeverNegative:
         assert shannon_entropy([1.0 + 2.0**-52]) == 0.0
 
     def test_pure_state_entropies_are_positive_zero(self):
-        e = mutual_information(kron(basis_vector(2, 0), basis_vector(3, 1)), (2, 3))
+        e = mutual_information(kron(basis_vector(2, 0), basis_vector(3, 1)), (2, 3), 0.0)
         for value in (e.s1, e.s2, e.s12, e.mutual_information):
             assert math.copysign(1.0, value) == 1.0

@@ -25,7 +25,13 @@ from qmeasure import (
 from qmeasure import tolerances as tol
 from qmeasure.instruments import probability_gap
 from conftest import random_hermitian
-from reference import completed_unitary, verify_conditional_states, verify_probability_reproducibility
+from reference import (
+    completed_unitary,
+    projectors,
+    transformer_stack,
+    verify_conditional_states,
+    verify_probability_reproducibility,
+)
 
 
 def random_observable(dim: int, rng: np.random.Generator):
@@ -36,7 +42,7 @@ def transformer_sum(ts, psi):
     # Reference for the final vector, one kron per outcome.
     n = ts.n_outcomes
     out = np.zeros(ts.observable.dim * n, dtype=complex)
-    for k, a in enumerate(ts.transformers):
+    for k, a in enumerate(transformer_stack(ts)):
         out += kron(a @ psi.vector, basis_vector(n, k))
     return out
 
@@ -44,59 +50,110 @@ def transformer_sum(ts, psi):
 class TestTransformerFamilies:
     def test_ideal_z(self, pauli_z):
         ts = make_ideal_transformers(pauli_z)
-        assert np.allclose(ts.transformers[0], np.diag([0.0, 1.0]))
-        assert np.allclose(ts.transformers[1], np.diag([1.0, 0.0]))
+        stack = transformer_stack(ts)
+        assert np.allclose(stack[0], np.diag([0.0, 1.0]))
+        assert np.allclose(stack[1], np.diag([1.0, 0.0]))
+        assert ts.blocks is pauli_z.basis
         assert repeatability_violation(ts) < 1e-12
 
     def test_ideal_degenerate_ranks(self, degenerate_observable):
-        ts = make_ideal_transformers(degenerate_observable)
-        assert np.linalg.matrix_rank(ts.transformers[0]) == 2
-        assert np.linalg.matrix_rank(ts.transformers[1]) == 1
+        stack = transformer_stack(make_ideal_transformers(degenerate_observable))
+        assert np.linalg.matrix_rank(stack[0]) == 2
+        assert np.linalg.matrix_rank(stack[1]) == 1
 
     def test_random_family_is_phase_on_rank_one_eigenspaces(self, pauli_z):
         ts = make_repeatable_transformers(pauli_z, seed=3)
-        for a, p in zip(ts.transformers, pauli_z.projectors):
+        for a, p in zip(transformer_stack(ts), projectors(pauli_z)):
             assert np.allclose(np.abs(a), p.real, atol=1e-12)  # unitary on a ray is a phase
             assert np.linalg.norm(dag(a) @ a - p) < 1e-12
 
     def test_random_family_degenerate(self, degenerate_observable):
         for seed in range(5):
-            ts = make_repeatable_transformers(degenerate_observable, seed)
-            a = ts.transformers[0]
+            a = transformer_stack(make_repeatable_transformers(degenerate_observable, seed))[0]
             assert np.linalg.matrix_rank(a, tol=1e-10) == 2
-            p = degenerate_observable.terms[0][1]
+            p = projectors(degenerate_observable)[0]
             assert np.linalg.norm(a - p @ a) < 1e-10
 
     def test_random_family_deterministic(self, degenerate_observable):
         first = make_repeatable_transformers(degenerate_observable, 17)
         second = make_repeatable_transformers(degenerate_observable, 17)
-        for a, b in zip(first.transformers, second.transformers):
-            assert np.array_equal(a, b)
+        assert np.array_equal(first.blocks, second.blocks)
 
     def test_invariants_across_seeds(self):
         rng = np.random.default_rng(20)
         for seed in range(8):
             obs = random_observable(int(rng.integers(2, 6)), rng)
-            ts = make_repeatable_transformers(obs, seed)
-            total = sum(dag(a) @ a for a in ts.transformers)
+            stack = transformer_stack(make_repeatable_transformers(obs, seed))
+            total = sum(dag(a) @ a for a in stack)
             assert np.linalg.norm(total - np.eye(obs.dim)) < 1e-9
-            for a, p in zip(ts.transformers, obs.projectors):
+            for a, p in zip(stack, projectors(obs)):
                 assert np.linalg.norm(dag(a) @ a - p) < 1e-9
 
     def test_construction_rejects_bad_families(self, pauli_z):
-        with pytest.raises(InvalidTransformers):
-            StateTransformerSet((np.eye(2, dtype=complex),), pauli_z)  # wrong count
-        with pytest.raises(InvalidTransformers):
-            # completeness and PVM both broken
-            StateTransformerSet((np.eye(2, dtype=complex), np.eye(2, dtype=complex)), pauli_z)
+        with pytest.raises(InvalidTransformers, match="1 transformers for 2 spectral terms"):
+            StateTransformerSet.from_transformers((np.eye(2, dtype=complex),), pauli_z)
+        with pytest.raises(InvalidTransformers, match="A_0 acts off eigenspace 0"):
+            # the identity is not zero off either eigenspace
+            StateTransformerSet.from_transformers((np.eye(2, dtype=complex), np.eye(2, dtype=complex)), pauli_z)
+        with pytest.raises(DimensionMismatch, match="transformer 1 has shape"):
+            StateTransformerSet.from_transformers((projectors(pauli_z)[0], np.eye(3, dtype=complex)), pauli_z)
 
     def test_family_is_one_read_only_stack_that_its_inputs_cannot_change(self, pauli_z):
-        expected = np.array([np.diag([0.0, 1.0]), np.diag([1.0, 0.0])], dtype=complex)
-        for given in (tuple(expected.copy()), expected.copy()):
+        # B = [B_0 | B_1] side by side: one read-only d × d matrix for the whole family
+        expected = np.array(pauli_z.basis)
+        for given in (expected.copy(), expected.tolist()):
             ts = StateTransformerSet(given, pauli_z)
-            assert ts.transformers.shape == (2, 2, 2) and not ts.transformers.flags.writeable
-            given[0][1, 1] = 5.0  # the caller's arrays stay writeable
-            assert np.array_equal(ts.transformers, expected)
+            assert ts.blocks.shape == (2, 2) and not ts.blocks.flags.writeable
+            given[0][1] = 5.0  # the caller's arrays stay writeable
+            assert np.array_equal(ts.blocks, expected)
+
+
+class TestBlocks:
+    """The family as B_k = A_k V_k: the check B_k†B_k = 1 and the dense input it comes from."""
+
+    def test_blocks_of_the_wrong_shape_are_rejected(self, degenerate_observable):
+        with pytest.raises(DimensionMismatch, match=r"blocks of shape \(3, 2\)"):
+            StateTransformerSet(np.eye(3, 2, dtype=complex), degenerate_observable)
+
+    def test_a_block_that_is_not_an_isometry_is_rejected(self, degenerate_observable):
+        b = np.array(degenerate_observable.basis)
+        b[:, 2] *= 1.0 + 1e3 * tol.TRANSFORMER  # B_1†B_1 = 1 + 2e-6
+        with pytest.raises(InvalidTransformers, match="A_1†A_1 deviates from its projector"):
+            StateTransformerSet(b, degenerate_observable)
+        b = np.array(degenerate_observable.basis)
+        b[:, 1] += 1e3 * tol.TRANSFORMER * b[:, 0]  # the two columns of B_0 overlap
+        with pytest.raises(InvalidTransformers, match="A_0†A_0 deviates from its projector"):
+            StateTransformerSet(b, degenerate_observable)
+
+    def test_completeness_follows_from_the_blocks(self, pauli_z):
+        # B_0 = B_1 = e_0 (so A_k = |0><v_k|): the blocks of different terms need not be
+        # orthogonal, and sum_k A_k†A_k = V (B_0†B_0 ⊕ B_1†B_1) V† = 1 all the same.
+        ts = StateTransformerSet(np.array([[1, 1], [0, 0]], dtype=complex), pauli_z)
+        total = sum(dag(a) @ a for a in transformer_stack(ts))
+        assert np.linalg.norm(total - np.eye(2)) < 1e-15
+
+    def test_an_off_eigenspace_component_is_rejected_at_construction(self):
+        rng = np.random.default_rng(27)
+        obs = observable_with_multiplicities((2, 1, 2), rng)
+        stack = transformer_stack(make_repeatable_transformers(obs, 4))
+        # a component of norm 1e3 × TRANSFORMER that acts on eigenspace 2
+        leak = 1e3 * tol.TRANSFORMER * np.outer(random_state_vector(5, rng), obs.basis[:, 4].conj())
+        with pytest.raises(InvalidTransformers, match="A_1 acts off eigenspace 1"):
+            StateTransformerSet.from_transformers((stack[0], stack[1] + leak, stack[2]), obs)
+
+    def test_dense_transformers_give_the_blocks(self):
+        rng = np.random.default_rng(28)
+        obs = observable_with_multiplicities((1, 3, 2), rng)
+        ts = make_repeatable_transformers(obs, 6)
+        again = StateTransformerSet.from_transformers(tuple(transformer_stack(ts)), obs)
+        assert np.max(np.abs(again.blocks - ts.blocks)) < 1e-14
+
+    def test_seeded_family_draws_one_unitary_per_term_in_term_order(self):
+        rng = np.random.default_rng(29)
+        obs = observable_with_multiplicities((2, 1, 3), rng)
+        draws = np.random.default_rng(11)
+        expected = np.hstack([obs.basis[:, cols] @ random_unitary(r, draws) for cols, r in zip(obs.columns, obs.sizes)])
+        assert np.array_equal(make_repeatable_transformers(obs, 11).blocks, expected)
 
 
 def observable_with_multiplicities(multiplicities, rng: np.random.Generator):
@@ -107,7 +164,7 @@ def observable_with_multiplicities(multiplicities, rng: np.random.Generator):
 
 
 class TestFamilyFromOneEigendecomposition:
-    """The seeded family takes its eigenspace bases from one eigh of the outcome index."""
+    """The seeded family takes its eigenspace bases from the observable's one eigendecomposition."""
 
     MULTIPLICITIES = ((1, 1), (2, 1), (1, 3, 1), (2, 2, 1, 1), (1, 1, 1, 1, 2), (3, 1, 2, 1, 1, 2))
 
@@ -116,24 +173,25 @@ class TestFamilyFromOneEigendecomposition:
         return [observable_with_multiplicities(m, rng) for m in self.MULTIPLICITIES]
 
     def test_one_eigh_for_every_outcome_count(self, monkeypatch):
+        # from the matrix to the family: the eigh of observable_from_matrix, and none for the family
         eigh = np.linalg.eigh
         for multiplicities, obs in zip(self.MULTIPLICITIES, self.observables()):
             calls = []
             monkeypatch.setattr(np.linalg, "eigh", lambda m, *args: calls.append(m.shape) or eigh(m, *args))
-            make_repeatable_transformers(obs, seed=5)
+            again = observable_from_matrix(obs.matrix())
+            make_repeatable_transformers(again, seed=5)
             monkeypatch.undo()
-            assert obs.n_outcomes == len(multiplicities)
+            assert again.n_outcomes == obs.n_outcomes == len(multiplicities)
             assert calls == [(obs.dim, obs.dim)], multiplicities
 
     def test_family_is_repeatable_and_seeded(self):
         for obs in self.observables():
             for seed in range(3):
                 ts = make_repeatable_transformers(obs, seed)
-                for a, p in zip(ts.transformers, obs.projectors):
+                for a, p in zip(transformer_stack(ts), projectors(obs)):
                     assert np.linalg.norm(dag(a) @ a - p) <= tol.TRANSFORMER
                     assert np.linalg.norm(p @ a - a) <= tol.REPEATABILITY
-                again = make_repeatable_transformers(obs, seed)
-                assert all(np.array_equal(a, b) for a, b in zip(ts.transformers, again.transformers))
+                assert np.array_equal(ts.blocks, make_repeatable_transformers(obs, seed).blocks)
 
 
 class TestIsRepeatable:
@@ -165,7 +223,7 @@ class TestPostState:
         obs = random_observable(4, rng)
         ts = make_repeatable_transformers(obs, 5)
         psi = PureState(random_state_vector(4, rng))
-        for k, p in enumerate(obs.projectors):
+        for k, p in enumerate(projectors(obs)):
             after = post_state(ts, psi, k)
             assert np.linalg.norm(p @ after.vector - after.vector) < 1e-9
 
@@ -193,18 +251,18 @@ class TestDilate:
     def test_the_shared_pointer_cannot_be_changed(self, pauli_z):
         ts = make_ideal_transformers(pauli_z)
         pointer = ts.pointer_observable
-        before = pointer.projectors.copy()
+        before = pointer.basis.copy()
         with pytest.raises(ValueError):
-            pointer.projectors[0, 0, 0] = 5.0
+            pointer.basis[0, 0] = 5.0
         with pytest.raises(ValueError):
-            pointer.terms[1][1][1, 1] = 5.0
+            pointer.indicator[1, 1] = 5.0
         with pytest.raises(ValueError):
-            ts.transformers[0, 0, 0] = 5.0
+            ts.blocks[0, 0] = 5.0
         with pytest.raises(AttributeError):
             ts.pointer_observable = observable_from_matrix(np.diag([5.0, 7.0]))
         again = make_ideal_transformers(pauli_z)
         assert again.pointer_observable is pointer and pointer.eigenvalues == (0.0, 1.0)
-        assert np.array_equal(pointer.projectors, before)
+        assert np.array_equal(pointer.basis, before)
 
     def test_unitarity(self):
         rng = np.random.default_rng(22)
@@ -268,7 +326,8 @@ class TestConditionalStates:
     def test_hand_computed_case(self, pauli_z, plus_state):
         ts = make_ideal_transformers(pauli_z)
         # outcome a=+1 on |+>: both routes give the matrix |0><0| / 2
-        direct = ts.transformers[1] @ plus_state.projector() @ dag(ts.transformers[1])
+        a1 = transformer_stack(ts)[1]
+        direct = a1 @ plus_state.projector() @ dag(a1)
         assert np.allclose(direct, np.diag([0.5, 0.0]))
         assert verify_conditional_states(ts, plus_state) < 1e-12
 

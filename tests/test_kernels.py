@@ -43,7 +43,7 @@ from qmeasure import (
 )
 from qmeasure.information import _gram_entropy
 from conftest import random_hermitian
-from reference import luders_update
+from reference import luders_update, projectors
 
 # Set before the tests were run: a few roundings of O(1) entries.
 KERNEL_TOL = 1e-13
@@ -104,7 +104,7 @@ class TestApplyOnFactor:
 
 
 class TestStackedApplyOnFactor:
-    """A (K, d_f, d_f) stack against the per-operator loop and the lifted operators."""
+    """Operators of a (K, d_f, d_f) stack one at a time against the lifted operators; the stack itself is rejected."""
 
     @pytest.mark.parametrize("factor", [0, 1, 2])
     @pytest.mark.parametrize("shape", [(24,), (24, 5)])
@@ -113,13 +113,14 @@ class TestStackedApplyOnFactor:
         d = TRI_DIMS[factor]
         stack = np.array([random_hermitian(d, rng) + 1j * random_hermitian(d, rng) for _ in range(4)])
         vec = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        out = apply_on_factor(stack, vec, TRI_DIMS, factor)
-        assert out.shape == (4, *shape)
-        for op, row in zip(stack, out):
-            assert np.linalg.norm(row - apply_on_factor(op, vec, TRI_DIMS, factor)) < KERNEL_TOL
-            assert np.linalg.norm(row - lifted(op, TRI_DIMS, factor) @ vec) < KERNEL_TOL
+        for op in stack:
+            out = apply_on_factor(op, vec, TRI_DIMS, factor)
+            assert out.shape == shape
+            assert np.linalg.norm(out - lifted(op, TRI_DIMS, factor) @ vec) < KERNEL_TOL
+        with pytest.raises(DimensionMismatch):
+            apply_on_factor(stack, vec, TRI_DIMS, factor)
 
-    @pytest.mark.parametrize("op_shape", [(4, 4, 4), (4, 3, 4), (2, 4, 3, 3), (3,)])
+    @pytest.mark.parametrize("op_shape", [(4, 4, 4), (4, 3, 4), (2, 4, 3, 3), (3,), (4, 3, 3)])
     def test_rejects_a_stack_of_the_wrong_shape_or_a_4d_operator(self, op_shape):
         # factor 0 of TRI_DIMS has dimension 3
         with pytest.raises(DimensionMismatch):
@@ -209,7 +210,7 @@ class TestBipartiteRoute:
         rho = np.outer(final, np.conj(final))
         rho1, rho2 = partial_trace(rho, dims, 0), partial_trace(rho, dims, 1)
 
-        report = mutual_information(final, dims)
+        report = mutual_information(final, dims, 0.0)
         s1, s2, s12 = dense_entropy(rho1), dense_entropy(rho2), dense_entropy(rho)
         assert abs(report.s1 - s1) < ENTROPY_TOL
         assert abs(report.s2 - s2) < ENTROPY_TOL
@@ -243,5 +244,5 @@ class TestBipartiteRoute:
             aligned.coefficients, aligned.left_vectors, aligned.right_vectors, report.assignment
         ):
             k = pairing.term_index
-            joint = kron(obs.terms[k][1], ts.pointer_observable.terms[k][1])
+            joint = kron(projectors(obs)[k], projectors(ts.pointer_observable)[k])
             assert np.linalg.norm(c * kron(left, right) - joint @ final) < KERNEL_TOL

@@ -19,7 +19,7 @@ from qmeasure import (
 )
 from qmeasure import tolerances as tol
 from conftest import bell_vector, random_hermitian
-from reference import partial_inner
+from reference import partial_inner, transformer_stack
 
 
 def kron_by_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,11 +172,10 @@ class TestKernelsAgreeWithNumpy:
             vec /= frob(vec)
             pointer = np.stack([np.diag(basis_vector(d_f, k)) for k in range(d_f)])
             factor = len(dims) - 1
-            for op in (pointer, pointer[1]):
+            for op in pointer:
                 broadcast = apply_on_factor(op, vec[:, None], dims, factor)[..., 0]
                 assert np.array_equal(apply_on_factor(op, vec, dims, factor), broadcast), dims
-            general = np.stack([random_unitary(d_f, rng) for _ in range(3)])
-            for op in (general, general[0]):
+            for op in (random_unitary(d_f, rng) for _ in range(3)):
                 broadcast = apply_on_factor(op, vec[:, None], dims, factor)[..., 0]
                 assert np.max(np.abs(apply_on_factor(op, vec, dims, factor) - broadcast)) < 1e-15, dims
 
@@ -238,7 +237,8 @@ def dilation_images(seed: int) -> tuple[list[np.ndarray], int]:
     # The columns of the transformer family's isometry: the image of each |i> ⊗ e_0.
     ts = generate_random_instance(seed, 6, 4).build_transformers()
     d, n = ts.observable.dim, ts.n_outcomes
-    return [np.stack([a[:, i] for a in ts.transformers], axis=1).reshape(-1) for i in range(d)], d * n
+    stack = transformer_stack(ts)
+    return [np.stack([a[:, i] for a in stack], axis=1).reshape(-1) for i in range(d)], d * n
 
 
 class TestCompleteIsometry:

@@ -33,6 +33,7 @@ from qmeasure import (
     random_unitary,
     run_pipeline,
 )
+from reference import transformer_stack
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 COMMITTED = (
@@ -50,12 +51,12 @@ def rotated(scenario: Scenario, seed: int) -> Scenario:
     """The scenario in the object basis rotated by a seeded V, with its transformers as a custom family."""
     v = random_unitary(scenario.object_dim, np.random.default_rng(seed))
     obs = observable_from_matrix(v @ scenario.observable.matrix() @ dag(v))
-    transformers = tuple(v @ a @ dag(v) for a in scenario.build_transformers().transformers)
+    transformers = tuple(v @ a @ dag(v) for a in transformer_stack(scenario.build_transformers()))
     return dataclasses.replace(
         scenario,
         observable=obs,
         initial_state=PureState(v @ scenario.initial_state.vector),
-        instrument=InstrumentSpec("custom", transformers=StateTransformerSet(transformers, obs)),
+        instrument=InstrumentSpec("custom", transformers=StateTransformerSet.from_transformers(transformers, obs)),
     )
 
 
@@ -67,9 +68,9 @@ def global_phase(scenario: Scenario, seed: int) -> Scenario:
 
 def phased_transformers(scenario: Scenario, seed: int) -> Scenario:
     """The scenario with transformers e^{iφ_k} A_k, φ_k seeded, as a custom family."""
-    family = scenario.build_transformers().transformers
+    family = transformer_stack(scenario.build_transformers())
     phases = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=len(family)))
-    transformers = StateTransformerSet(tuple(z * a for z, a in zip(phases, family)), scenario.observable)
+    transformers = StateTransformerSet.from_transformers(tuple(z * a for z, a in zip(phases, family)), scenario.observable)
     return dataclasses.replace(scenario, instrument=InstrumentSpec("custom", transformers=transformers))
 
 

@@ -9,6 +9,7 @@ from qmeasure import (
     NotDensityOperator,
     NotHermitian,
     NotNormalized,
+    NotOrthonormal,
     Observable,
     PureState,
     QMeasureError,
@@ -25,29 +26,31 @@ from qmeasure import (
     uniform_superposition,
     von_neumann_entropy,
 )
+from qmeasure import tolerances as tol
 from conftest import random_density
-from reference import classify_outcomes, luders_update, purify
+from reference import classify_outcomes, luders_update, projectors, purify
 
 
 class TestObservableFromMatrix:
     def test_pauli_z_terms(self, pauli_z):
         assert pauli_z.eigenvalues == (-1.0, 1.0)
-        assert np.allclose(pauli_z.terms[0][1], np.diag([0.0, 1.0]))
-        assert np.allclose(pauli_z.terms[1][1], np.diag([1.0, 0.0]))
+        assert pauli_z.sizes == (1, 1)
+        assert np.allclose(projectors(pauli_z), [np.diag([0.0, 1.0]), np.diag([1.0, 0.0])])
 
     def test_degenerate_diagonal(self, degenerate_observable):
         obs = degenerate_observable
         assert obs.eigenvalues == (2.0, 5.0)
-        assert abs(np.trace(obs.terms[0][1]) - 2.0) < 1e-12  # rank-2 projector
-        assert abs(np.trace(obs.terms[1][1]) - 1.0) < 1e-12
+        assert obs.sizes == (2, 1)
+        assert abs(np.trace(projectors(obs)[0]) - 2.0) < 1e-12  # rank-2 projector
+        assert abs(np.trace(projectors(obs)[1]) - 1.0) < 1e-12
 
     def test_recovers_ranks_and_reconstructs(self):
         rng = np.random.default_rng(7)
         u = random_unitary(4, rng)
         h = u @ np.diag([1.0, 1.0, 3.0, 7.0]).astype(complex) @ dag(u)
         obs = observable_from_matrix(h)
-        ranks = tuple(int(round(np.trace(p).real)) for p in obs.projectors)
-        assert ranks == (2, 1, 1)
+        ranks = tuple(int(round(np.trace(p).real)) for p in projectors(obs))
+        assert ranks == obs.sizes == (2, 1, 1)
         assert np.linalg.norm(obs.matrix() - h) < 1e-9
 
     def test_rejects_non_hermitian(self):
@@ -55,13 +58,21 @@ class TestObservableFromMatrix:
             observable_from_matrix(np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_invariants_enforced_on_direct_construction(self):
-        # non-orthogonal "projectors" must be rejected
-        p = np.diag([1.0, 0.0]).astype(complex)
-        with pytest.raises(ValidationError):
-            Observable(((0.0, p), (1.0, p)), 2)
-        # spectral family must resolve the identity
-        with pytest.raises(ValidationError):
-            Observable(((0.0, p),), 2)
+        # two equal columns: the eigenspaces overlap and the basis is not unitary
+        with pytest.raises(NotOrthonormal, match="columns 0 and 1"):
+            Observable((0.0, 1.0), np.array([[1, 1], [0, 0]], dtype=complex), (1, 1))
+        with pytest.raises(NotOrthonormal, match="columns 0 and 0"):  # a NaN entry fails the check
+            Observable((0.0, 1.0), np.array([[np.nan, 0], [0, 1]], dtype=complex), (1, 1))
+        # the terms must split the columns exactly
+        for sizes in ((1,), (2, 1), (2, 0)):
+            with pytest.raises(ValidationError, match="term sizes"):
+                Observable((0.0, 1.0)[: len(sizes)], np.eye(2), sizes)
+        with pytest.raises(ValidationError, match="not separated"):
+            Observable((0.0, 1e-9), np.eye(2), (1, 1))
+        with pytest.raises(ValidationError, match="no spectral terms"):
+            Observable((), np.eye(2), ())
+        with pytest.raises(DimensionMismatch, match="not square"):
+            Observable((0.0, 1.0), np.eye(3, 2), (1, 1))
 
 
 class TestStates:
@@ -85,15 +96,21 @@ class TestStates:
         assert np.array_equal(stored, dag(stored))
         assert np.max(np.abs(stored - rho)) < 1e-15
 
-    def test_terms_are_views_of_one_projector_stack(self, degenerate_observable):
-        stack = degenerate_observable.projectors
-        assert stack.shape == (2, 3, 3) and not stack.flags.writeable
-        for (_, p), q in zip(degenerate_observable.terms, stack):
-            assert p.base is stack and np.array_equal(p, q)
-
-    def test_matrix_and_outcome_index_are_built_once_and_read_only(self, degenerate_observable):
+    def test_eigenspaces_are_column_groups_of_one_read_only_basis(self, degenerate_observable):
         obs = degenerate_observable
-        for build, expected in ((obs.matrix, np.diag([2.0, 2.0, 5.0])), (obs.outcome_index, np.diag([0.0, 0.0, 1.0]))):
+        assert obs.basis.shape == (3, 3) and not obs.basis.flags.writeable
+        assert obs.columns == (slice(0, 2), slice(2, 3))
+        given = np.eye(3, dtype=complex)
+        copy = Observable((2.0, 5.0), given, (2, 1))
+        given[0, 0] = 7.0  # the caller's array stays writeable
+        assert copy.basis[0, 0] == 1.0
+
+    def test_matrix_and_indicator_are_built_once_and_read_only(self, degenerate_observable):
+        obs = degenerate_observable
+        for build, expected in (
+            (obs.matrix, np.diag([2.0, 2.0, 5.0])),
+            (lambda: obs.indicator, np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
+        ):
             first = build()
             assert build() is first and not first.flags.writeable
             assert np.max(np.abs(first - expected)) < 1e-15
@@ -109,7 +126,7 @@ class TestStates:
         with pytest.raises(ValueError):
             plus_state.vector[0] = 0.0
         with pytest.raises(ValueError):
-            pauli_z.terms[0][1][0, 0] = 5.0
+            pauli_z.basis[0, 0] = 5.0
 
 
 class TestProbabilities:
@@ -160,10 +177,10 @@ class TestClassifyOutcomes:
         u = random_unitary(4, rng)
         obs = observable_from_matrix(u @ np.diag([1.0, 1.0, 2.0, 3.0]).astype(complex) @ dag(u))
         # support the state on the degenerate eigenspace only
-        v = obs.terms[0][1] @ (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+        v = projectors(obs)[0] @ (rng.standard_normal(4) + 1j * rng.standard_normal(4))
         psi = PureState(v / np.linalg.norm(v))
         # direct probability computation agrees with the classification
-        expected = [k for k, p in enumerate(obs.projectors) if np.vdot(psi.vector, p @ psi.vector).real > 1e-12]
+        expected = [k for k, p in enumerate(projectors(obs)) if np.vdot(psi.vector, p @ psi.vector).real > 1e-12]
         detectable, null = classify_outcomes(obs, psi)
         assert list(detectable) == expected == [0]
         assert null == (1, 2)
@@ -183,7 +200,7 @@ class TestLudersUpdate:
         rho = random_density(2, rng)
         out = luders_update(pauli_z, DensityOperator(rho))
         expected = np.zeros((2, 2), dtype=complex)  # explicit sandwich oracle
-        for _, p in pauli_z.terms:
+        for p in projectors(pauli_z):
             expected += p @ rho @ p
         assert np.allclose(out.matrix, expected, atol=1e-13)
         assert np.allclose(out.matrix, np.diag(np.diag(rho)), atol=1e-13)
@@ -239,7 +256,8 @@ class TestEmbedObservable:
     def test_first_factor(self, pauli_z):
         lifted = embed_observable(pauli_z, (2, 3), 0)
         assert lifted.dim == 6
-        for (a, p), (_, p0) in zip(lifted.terms, pauli_z.terms):
+        assert lifted.eigenvalues == pauli_z.eigenvalues and lifted.sizes == (3, 3)
+        for p, p0 in zip(projectors(lifted), projectors(pauli_z)):
             assert np.allclose(p, kron(p0, np.eye(3)))
 
     def test_middle_factor(self, pauli_z):
@@ -253,35 +271,34 @@ class TestEmbedObservable:
 
 
 class TestPairwiseOrthogonality:
-    # P_0 + P_1 = I up to 9e-10 and each is a Hermitian idempotent up to 9e-10,
-    # yet ||P_0 P_1||_F = 1.1e-9: only the pairwise check rejects the pair.
-    E = 0.9e-9 / np.sqrt(2.0)
-    C = E / 2.0
-    P0 = np.array([[1 - E, C], [C, E]], dtype=complex)
-    P1 = np.array([[E, C], [C, 1 - E]], dtype=complex)
+    # Two unit columns whose overlap is 1.1e-9: each column passes on its own,
+    # and only the pairwise entry of V†V rejects the basis.
+    E = 1.1e-9
+    V = np.array([[1.0, E], [0.0, np.sqrt(1.0 - E**2)]], dtype=complex)
 
     def test_overlap_hides_below_every_other_tolerance(self):
-        for p in (self.P0, self.P1):
-            assert np.linalg.norm(p - dag(p)) == 0.0
-            assert np.linalg.norm(p @ p - p) < 1e-9
-        assert np.linalg.norm(self.P0 + self.P1 - np.eye(2)) < 1e-9
-        assert np.linalg.norm(self.P0 @ self.P1) > 1e-9
+        gram = dag(self.V) @ self.V
+        assert np.max(np.abs(np.diagonal(gram) - 1.0)) < 1e-15
+        assert abs(gram[0, 1]) > tol.ORTHONORMALITY
 
     def test_overlapping_projectors_are_rejected(self):
-        with pytest.raises(ValidationError, match="projectors 0 and 1 violate orthogonality"):
-            Observable(((0.0, self.P0), (1.0, self.P1)), 2)
+        with pytest.raises(NotOrthonormal, match="columns 0 and 1 are not orthonormal"):
+            Observable((0.0, 1.0), self.V, (1, 1))
 
     def test_first_failing_pair_is_named(self):
-        # term 0 is exact and orthogonal to the rest; the overlap sits in terms (1, 2)
-        exact = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        p0, p1 = (np.pad(p, ((1, 0), (1, 0))) for p in (self.P0, self.P1))
-        with pytest.raises(ValidationError, match="projectors 1 and 2 violate orthogonality"):
-            Observable(((0.0, exact), (1.0, p0), (2.0, p1)), 3)
-
+        # term 0 is exact and orthogonal to the rest; the overlap sits in columns (1, 2)
+        v = np.eye(3, dtype=complex)
+        v[1:, 1:] = self.V
+        with pytest.raises(NotOrthonormal, match="columns 1 and 2 are not orthonormal"):
+            Observable((0.0, 1.0, 2.0), v, (1, 1, 1))
+        # inside one degenerate term the columns must be orthonormal too
+        with pytest.raises(NotOrthonormal, match="columns 1 and 2 are not orthonormal"):
+            Observable((0.0, 1.0), v, (1, 2))
 
     def test_validation_holds_one_operator_at_a_time(self):
-        # d = 128 with 16 eigenvalues of multiplicity 8. Stacking every P_j P_i of
-        # the pairwise check, as validation once did, peaks above 4x the stack.
+        # d = 128 with 16 eigenvalues of multiplicity 8. With its input, construction
+        # and the basis check V†V peak at 4.0 d × d arrays; forming and checking the
+        # 16 projectors peaked at 38.6.
         u = random_unitary(128, np.random.default_rng(90))
         values = np.repeat(np.arange(16, dtype=float), 8)
         h = (u * values) @ dag(u)
@@ -292,7 +309,7 @@ class TestPairwiseOrthogonality:
         finally:
             tracemalloc.stop()
         assert obs.n_outcomes == 16
-        assert peak < 3 * obs.projectors.nbytes
+        assert peak < 5 * obs.basis.nbytes
 
 
 class TestDensityOperatorSpectrum:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 
 from qmeasure import (
     DensityOperator,
+    InstrumentSpec,
     PureState,
     SchmidtForm,
     StateTransformerSet,
@@ -19,12 +21,14 @@ from qmeasure import (
     report_to_json,
     report_to_text,
     run_pipeline,
+    shannon_entropy,
     verify_definite_values,
 )
 from qmeasure import pipeline as pipeline_module
 from qmeasure.cli import main as cli_main
 from qmeasure import tolerances as tol
 from qmeasure.errors import NoDefiniteValue, NonRepeatableInput
+from reference import projectors
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # `qmeasure run <scenario> --format json` for each committed scenario. A change
@@ -415,9 +419,12 @@ class TestEntropyAndMarginalControls:
 
 
 def _rotated_family(run, seed: int) -> StateTransformerSet:
-    """The family A_k = U P_k of the run's observable, with a seeded unitary U: valid but not repeatable."""
+    """The family A_k = U P_k of the run's observable, with a seeded unitary U: valid but not repeatable.
+
+    Its blocks are B_k = U P_k V_k = U V_k, so B = U V.
+    """
     rotation = random_unitary(run.dims[0], np.random.default_rng(seed))
-    return StateTransformerSet(rotation @ run.obs.projectors, run.obs)
+    return StateTransformerSet(rotation @ run.obs.basis, run.obs)
 
 
 class TestRepeatabilityAndReadingControls:
@@ -462,9 +469,10 @@ class TestRepeatabilityAndReadingControls:
             assert deviation >= 1e3 * tol.COMMUTATOR, seed
 
 
-def test_a_six_outcome_run_makes_three_eigh_and_fifteen_density_checks(monkeypatch):
-    # One eigh each for the repeatable family (of the outcome index), the Schmidt form (of rho_1)
-    # and the definite values (of L† N L); fifteen density-operator checks of Gram matrices and marginals.
+def test_a_six_outcome_run_makes_two_eigh_and_fifteen_density_checks(monkeypatch):
+    # One eigh each for the Schmidt form (of rho_1) and the definite values (of L† N L); the repeatable
+    # family takes its eigenspaces from the observable's basis. Fifteen density-operator checks of
+    # Gram matrices and marginals.
     seed = next(s for s in range(100) if generate_random_instance(s, 16, 6).observable.n_outcomes == 6)
     scenario = generate_random_instance(seed, 16, 6)
     eigh, check = np.linalg.eigh, DensityOperator.__post_init__
@@ -475,5 +483,19 @@ def test_a_six_outcome_run_makes_three_eigh_and_fifteen_density_checks(monkeypat
     monkeypatch.undo()
     assert report.overall_pass
     d, terms = scenario.object_dim, len(report.schmidt_coefficients)
-    assert eigh_shapes == [(d, d), (d, d), (terms, terms)]
+    assert eigh_shapes == [(d, d), (terms, terms)]
     assert len(density_checks) == 15
+
+
+@pytest.mark.parametrize("rng_seed, s1", [(6, 1.3232), (7, 0.6297)])
+def test_the_report_carries_the_born_entropy_as_shannon_pk(rng_seed, s1):
+    # A_k = U_k P_k with one seeded unitary per outcome: the states A_k psi are not
+    # orthogonal, so S1 < H(p), and a report that copied S1 into shannon_pk gave s1.
+    scenario = generate_random_instance(1, 6, 3)
+    obs = scenario.observable
+    rng = np.random.default_rng(rng_seed)
+    family = StateTransformerSet.from_transformers(tuple(random_unitary(obs.dim, rng) @ p for p in projectors(obs)), obs)
+    report = run_pipeline(dataclasses.replace(scenario, instrument=InstrumentSpec("custom", transformers=family)))
+    assert report.entropies.shannon_pk == shannon_entropy(report.probabilities)
+    assert report.entropies.shannon_pk == pytest.approx(1.4972, abs=1e-4)
+    assert report.entropies.s1 == pytest.approx(s1, abs=1e-4)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,30 @@ class TestParseScenario:
         ]})
         with pytest.raises(ValidationError):
             parse_scenario(bad)
+
+    def test_transformer_off_its_eigenspace_is_rejected_at_parse(self):
+        # A_1 = |0><0| + 1e-6 |0><1|: a component 1e3 × TRANSFORMER on eigenspace 0 (a = -1)
+        leak = 1e3 * 1e-9
+        doc = scenario_text(instrument={"kind": "custom", "transformers": [[[0, 0], [0, 1]], [[1, leak], [0, 0]]]})
+        with pytest.raises(ValidationError, match="A_1 acts off eigenspace 1 beyond 1e-09"):
+            parse_scenario(doc)
+
+    def test_object_dim_beyond_the_size_budget_is_rejected_before_anything_is_built(self):
+        # 16 · 4096² B for one complex d × d matrix; np.diag of the values alone would take that much
+        doc = scenario_text(object_dim=4096, observable={"preset": "diag", "values": list(range(4096))})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=r"object_dim 4096 needs 268435456 B .* budget of 134217728 B"):
+                parse_scenario(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # 16 · 2896² B is within the budget, so the document is read on and fails on its values instead
+        with pytest.raises(ValidationError, match="diag preset has 1 values for object_dim 2896"):
+            parse_scenario(scenario_text(object_dim=2896, observable={"preset": "diag", "values": [1.0]}))
+        with pytest.raises(ValidationError, match="object_dim 2897 needs 134281744 B"):
+            parse_scenario(scenario_text(object_dim=2897))
 
     def test_options(self):
         sc = parse_scenario(scenario_text(options={"tolerance": 1e-6, "verbosity": "verbose"}))
