@@ -36,8 +36,6 @@ class EntropyReport:
     s2: float
     s12: float
     mutual_information: float
-    entanglement: float
-    quasi_classical: float
     shannon_pk: float
 
 
@@ -94,8 +92,8 @@ def mutual_information(state: np.ndarray, structure: Sequence[int], shannon_pk: 
     s1, s2 = (von_neumann_entropy(pure_marginal(v, dims, keep=k)) for k in (0, 1))
     s12 = _gram_entropy(v[:, None])
     # I(1:2) >= 0, but <v|v> = 1 - 2e-16 gives S12 = 3e-16, which can exceed S1 + S2; the clamp
-    # drops at most S12, which the ledger reads itself. Entanglement and quasi-classical are S1.
-    return EntropyReport(s1, s2, s12, max(0.0, s1 + s2 - s12), s1, s1, float(shannon_pk))
+    # drops at most S12, which the ledger reads itself.
+    return EntropyReport(s1, s2, s12, max(0.0, s1 + s2 - s12), float(shannon_pk))
 
 
 def incompatibility_entropy(obs: Observable, state: PureState) -> float:
@@ -141,15 +139,6 @@ def _gram_entropy(components: np.ndarray) -> float:
     no conjugate copy of the components is made.
     """
     return von_neumann_entropy(np.vecdot(components.T[:, None], components.T[None, :]))
-
-
-def commutator_norm(obs: Observable, state: PureState | DensityOperator) -> float:
-    """Frobenius norm of [A, rho]."""
-    if obs.dim != state.dim:
-        raise DimensionMismatch(f"observable dim {obs.dim} != state dim {state.dim}")
-    a = obs.matrix()
-    rho = state.projector() if isinstance(state, PureState) else state.matrix
-    return frob(a @ rho - rho @ a)
 
 
 def final_state_identity(
@@ -201,7 +190,7 @@ def low_rank_commutator_norm(obs: Observable, w: np.ndarray, structure: Sequence
     """Frobenius norm of [X, W W†] for X = obs ⊗ 1, with obs on one tensor factor, from the D×K matrix W.
 
     With Q R = [W, XW] and R = [R_W R_Y], [X, W W†] = Q (R_Y R_W† - R_W R_Y†) Q†,
-    and Q's orthonormal columns drop out of the norm. This costs O(D K²).
+    and Q's orthonormal columns drop out of the norm. This costs O(D K min(D, K)).
     The trace formula for the same norm loses about 1e-8 to cancellation.
     """
     k = w.shape[1]
@@ -218,7 +207,6 @@ __all__ = [
     "mutual_information",
     "incompatibility_entropy",
     "lifted_incompatibility_entropy",
-    "commutator_norm",
     "read_pointer_tripartite",
     "low_rank_commutator_norm",
 ]

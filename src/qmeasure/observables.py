@@ -105,9 +105,6 @@ class PureState:
     def dim(self) -> int:
         return self.vector.size
 
-    def projector(self) -> np.ndarray:
-        return np.outer(self.vector, np.conj(self.vector))
-
 
 @dataclass(frozen=True)
 class DensityOperator:

@@ -29,7 +29,6 @@ from .errors import QMeasureError
 from .information import (
     EntropyReport,
     Verdict,
-    commutator_norm,
     final_state_identity,
     lifted_incompatibility_entropy,
     low_rank_commutator_norm,
@@ -49,7 +48,7 @@ from .instruments import (
 from .linalg import dag, pure_marginal
 from .observables import DensityOperator, probabilities
 from .scenario import Scenario
-from .schmidt import reconstruct, reduced_states, schmidt_decompose, twin_observables, verify_definite_values
+from .schmidt import reconstruct, schmidt_decompose, verify_definite_values
 
 _FAILURES = (QMeasureError, np.linalg.LinAlgError, FloatingPointError)
 
@@ -116,7 +115,9 @@ class _Run:
     repeatability_violation = _artefact("repeatability", lambda run: repeatability_violation(run.ts))
     final = _artefact("evolution", lambda run: evolve(run.ts, run.psi))
     born = _artefact("evolution", lambda run: probabilities(run.obs, run.psi))
-    initial_commutator = _artefact("evolution", lambda run: commutator_norm(run.obs, run.psi))
+    initial_commutator = _artefact(
+        "evolution", lambda run: low_rank_commutator_norm(run.obs, run.psi.vector[:, None], (run.obs.dim,), 0)
+    )
     schmidt = _artefact("schmidt", lambda run: schmidt_decompose(run.final, run.dims))
     entropies = _artefact("entropies", lambda run: mutual_information(run.final, run.dims, run.h_born))
     definite = _artefact(
@@ -172,27 +173,27 @@ def _definite_values(run: _Run):
 
 
 def _schmidt_probability_match(run: _Run):
-    canonical = run.definite.schmidt_form
-    match = max(
-        abs(float(c) ** 2 - float(run.born[pairing.term_index]))
-        for c, pairing in zip(canonical.coefficients, run.definite.assignment)
-    )
+    squares = run.definite.schmidt_form.coefficients ** 2
+    match = float(np.max(np.abs(squares - run.born[run.definite.outcomes])))
     return match, 0.0, match, tol.THEOREM
 
 
+def _twin_residual(x: np.ndarray, a: np.ndarray) -> float:
+    """Largest eigen-residual of the twin observable X diag(a) X† on its own columns X."""
+    return float(np.max(np.linalg.norm(((x * a) @ dag(x)) @ x - x * a, axis=0)))
+
+
 def _twin_diagonality(run: _Run):
-    twins = twin_observables(run.definite.schmidt_form, run.definite.assignment)
-    lefts, rights = twins.object_vectors, twins.pointer_vectors
-    a, b = twins.object_values, twins.pointer_values
-    twin_object = float(np.max(np.linalg.norm(twins.object_matrix() @ lefts - lefts * a, axis=0)))
-    twin_pointer = float(np.max(np.linalg.norm(twins.pointer_matrix() @ rights - rights * b, axis=0)))
+    form, outcomes = run.definite.schmidt_form, run.definite.outcomes
+    twin_object = _twin_residual(form.lefts, np.array(run.obs.eigenvalues)[outcomes])
+    twin_pointer = _twin_residual(form.rights, np.array(run.ts.pointer_observable.eigenvalues)[outcomes])
     return twin_object, twin_pointer, max(twin_object, twin_pointer), tol.RECONSTRUCTION
 
 
 def _compatibility_migration(run: _Run):
-    rho1, rho2 = reduced_states(run.final, run.dims)
-    object_comm = commutator_norm(run.obs, rho1)
-    pointer_comm = commutator_norm(run.ts.pointer_observable, rho2)
+    m = run.final.reshape(run.dims)  # rho_1 = M M† and rho_2 = Mᵀ (Mᵀ)†
+    object_comm = low_rank_commutator_norm(run.obs, m, run.dims[:1], 0)
+    pointer_comm = low_rank_commutator_norm(run.ts.pointer_observable, m.T, run.dims[1:], 0)
     return object_comm, pointer_comm, max(object_comm, pointer_comm), tol.COMMUTATOR
 
 
@@ -344,9 +345,7 @@ def report_to_text(report: VerificationReport, verbosity: str = "normal") -> str
         e = report.entropies
         lines.append(
             f"entropies (bits): S1={e.s1:.10f} S2={e.s2:.10f} S12={e.s12:.3e} I12={e.mutual_information:.10f}"
-        )
-        lines.append(
-            f"entanglement={e.entanglement:.10f} quasi_classical={e.quasi_classical:.10f} H(p)={e.shannon_pk:.10f}"
+            f" H(p)={e.shannon_pk:.10f}"
         )
     lines.append("")
     width = max((len(label) for label in [*(v.label for v in report.verdicts), *report.not_applicable]), default=10)

@@ -38,7 +38,7 @@ from .errors import (
     QMeasureError,
     ValidationError,
 )
-from .linalg import dag, frob, hermitize, random_state_vector, random_unitary
+from .linalg import basis_vector, dag, frob, hermitize, random_state_vector, random_unitary
 from .observables import Observable, PureState, observable_from_matrix, uniform_superposition
 from .instruments import StateTransformerSet, make_ideal_transformers, make_repeatable_transformers
 
@@ -189,9 +189,7 @@ def _parse_state(spec: Any, object_dim: int) -> PureState:
         index = spec.get("index")
         if not _is_integer(index) or not 0 <= index < object_dim:
             raise ValidationError(f"initial_state basis index {index!r} is not in [0, {object_dim})")
-        vec = np.zeros(object_dim, dtype=complex)
-        vec[index] = 1.0
-        return PureState(vec)
+        return PureState(basis_vector(object_dim, index))
     if preset == "uniform":
         return uniform_superposition(object_dim)
     raise ParseError("initial_state: need 'amplitudes' or a preset of 'basis' | 'uniform'")

@@ -1,4 +1,4 @@
-"""Schmidt canonical form of bipartite pure vectors and twin observables.
+"""Schmidt canonical form of bipartite pure vectors and the definite values of its terms.
 
 The decomposition is built from the eigendecomposition of the first
 marginal rather than a general SVD: left vectors are eigenvectors of
@@ -25,62 +25,35 @@ import numpy as np
 from . import tolerances as tol
 from .errors import DimensionMismatch, NoDefiniteValue
 from .linalg import check_unit_norm, dag, frob, frozen_array, hermitian_eig, pure_marginal
-from .observables import DensityOperator, Observable
+from .observables import Observable
 
 
 @dataclass(frozen=True)
 class SchmidtForm:
-    """Biorthogonal expansion sum_k c_k (left_k ⊗ right_k), c_k descending."""
+    """Biorthogonal expansion sum_t c_t (l_t ⊗ r_t), c_t descending, kept as the matrices of M = L diag(c) Rᵀ.
+
+    ``lefts`` (d1 × r) and ``rights`` (d2 × r) hold the vectors l_t and r_t as read-only columns.
+    """
 
     coefficients: np.ndarray
-    left_vectors: tuple[np.ndarray, ...]
-    right_vectors: tuple[np.ndarray, ...]
+    lefts: np.ndarray
+    rights: np.ndarray
 
     def __post_init__(self) -> None:
         coeffs = np.array(self.coefficients, dtype=float)
         coeffs.setflags(write=False)
         object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "left_vectors", tuple(frozen_array(v) for v in self.left_vectors))
-        object.__setattr__(self, "right_vectors", tuple(frozen_array(v) for v in self.right_vectors))
-
-    @property
-    def n_terms(self) -> int:
-        return self.coefficients.size
-
-
-class OutcomePairing(NamedTuple):
-    """One Schmidt term matched to a joint spectral term of both observables."""
-
-    term_index: int
-    object_eigenvalue: float
-    pointer_eigenvalue: float
+        object.__setattr__(self, "lefts", frozen_array(self.lefts))
+        object.__setattr__(self, "rights", frozen_array(self.rights))
 
 
 class DefiniteValueReport(NamedTuple):
     max_left_violation: float
     max_right_violation: float
-    assignment: tuple[OutcomePairing, ...]
+    # read-only: the outcome k_t of each term of the re-based form
+    outcomes: np.ndarray
     # the input form re-based on the outcome index
     schmidt_form: "SchmidtForm"
-
-
-@dataclass(frozen=True)
-class TwinObservables:
-    """Subsystem observables sum_t a_t |x_t><x_t| over the Schmidt vectors x_t, kept as values and columns.
-
-    They are complete on the ranges of the marginals only, so they are not Observable instances.
-    """
-
-    object_values: np.ndarray
-    object_vectors: np.ndarray
-    pointer_values: np.ndarray
-    pointer_vectors: np.ndarray
-
-    def object_matrix(self) -> np.ndarray:
-        return (self.object_vectors * self.object_values) @ dag(self.object_vectors)
-
-    def pointer_matrix(self) -> np.ndarray:
-        return (self.pointer_vectors * self.pointer_values) @ dag(self.pointer_vectors)
 
 
 def schmidt_decompose(psi: np.ndarray, structure: Sequence[int]) -> SchmidtForm:
@@ -96,26 +69,13 @@ def schmidt_decompose(psi: np.ndarray, structure: Sequence[int]) -> SchmidtForm:
     lefts = vectors[:, order]
     lefts = lefts * np.conj(_pivot_phases(lefts))
     rights = dag(lefts) @ psi.reshape(dims)  # row s is (<left_s| ⊗ 1)|psi>
-    return SchmidtForm(
-        coefficients=np.sqrt(weights[order]),
-        left_vectors=tuple(lefts.T),
-        right_vectors=tuple(r / frob(r) for r in rights),
-    )
+    rights = rights / np.array([frob(r) for r in rights])[:, None]
+    return SchmidtForm(np.sqrt(weights[order]), lefts, rights.T)
 
 
 def reconstruct(sf: SchmidtForm) -> np.ndarray:
     """Explicit inverse of the decomposition: sum_k c_k (left_k ⊗ right_k), as the matrix (L·c) Rᵀ."""
-    lefts, rights = np.column_stack(sf.left_vectors), np.column_stack(sf.right_vectors)
-    return ((lefts * sf.coefficients) @ rights.T).reshape(-1)
-
-
-def reduced_states(psi: np.ndarray, structure: Sequence[int]) -> tuple[DensityOperator, DensityOperator]:
-    """Both subsystem states of a normalized bipartite vector."""
-    psi, _ = check_unit_norm(psi)
-    dims = tuple(int(d) for d in structure)
-    if len(dims) != 2:
-        raise DimensionMismatch(f"reduced states need a bipartite structure, got {dims}")
-    return tuple(DensityOperator(pure_marginal(psi, dims, keep=k)) for k in (0, 1))
+    return ((sf.lefts * sf.coefficients) @ sf.rights.T).reshape(-1)
 
 
 def _pivot_phases(columns: np.ndarray) -> np.ndarray:
@@ -135,8 +95,8 @@ def verify_definite_values(
 
     A term (left_t, right_t) fits outcome k when P_k leaves left_t fixed
     and Q_k leaves right_t fixed, both within the definite-value tolerance
-    (equivalently, when both expectation values are 1). The assignment must
-    use the same outcome index on both sides and be a bijection.
+    (equivalently, when both expectation values are 1). Both sides must
+    fit the same outcome index, and no outcome may be claimed twice.
 
     Equal or nearly equal coefficients leave the form non-unique, and eigh
     mixes their vectors by about eps/gap, so the whole form is re-based on
@@ -156,17 +116,15 @@ def verify_definite_values(
         raise DimensionMismatch("object and pointer observables have different outcome counts")
     n_outcomes = object_obs.n_outcomes
 
-    lefts = np.column_stack(sf.left_vectors)
-    rights = np.column_stack(sf.right_vectors)
-    coeffs = dag(object_obs.basis) @ lefts  # L† N L = (V†L)† diag(term of each column) (V†L)
+    coeffs = dag(object_obs.basis) @ sf.lefts  # L† N L = (V†L)† diag(term of each column) (V†L)
     index = object_obs.indicator @ np.arange(n_outcomes)
     indices, u = hermitian_eig(dag(coeffs) @ (index[:, None] * coeffs))
     order = np.argsort(np.argmax(np.abs(u), axis=0), kind="stable")
     indices, u = indices[order], u[:, order]
-    lefts = lefts @ u
+    lefts = sf.lefts @ u
     phases = _pivot_phases(lefts)
     lefts = lefts * np.conj(phases)
-    rights = rights @ (sf.coefficients[:, None] * np.conj(u)) * phases  # column s is w_s
+    rights = sf.rights @ (sf.coefficients[:, None] * np.conj(u)) * phases  # column s is w_s
     weights = np.sqrt(np.vecdot(rights, rights, axis=0).real)
     rights = rights / weights
 
@@ -184,9 +142,9 @@ def verify_definite_values(
     if len(set(outcomes.tolist())) != outcomes.size:
         raise NoDefiniteValue("spectral term claimed by two Schmidt terms")
 
-    assignment = tuple(OutcomePairing(int(k), object_obs.eigenvalues[k], pointer_obs.eigenvalues[k]) for k in outcomes)
-    aligned = SchmidtForm(weights, tuple(lefts.T), tuple(rights.T))
-    return DefiniteValueReport(float(left_residuals.max()), float(right_residuals.max()), assignment, aligned)
+    outcomes.setflags(write=False)
+    aligned = SchmidtForm(weights, lefts, rights)
+    return DefiniteValueReport(float(left_residuals.max()), float(right_residuals.max()), outcomes, aligned)
 
 
 def _off_eigenspace(obs: Observable, vectors: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
@@ -195,23 +153,10 @@ def _off_eigenspace(obs: Observable, vectors: np.ndarray, outcomes: np.ndarray) 
     return np.sqrt(np.vecdot(off, off, axis=0).real)
 
 
-def twin_observables(sf: SchmidtForm, assignment: Sequence[OutcomePairing]) -> TwinObservables:
-    """Eigenvalue-weighted rank-one sums over the Schmidt vectors."""
-    if len(assignment) != sf.n_terms:
-        raise DimensionMismatch(f"assignment covers {len(assignment)} of {sf.n_terms} Schmidt terms")
-    a = np.array([pairing.object_eigenvalue for pairing in assignment])
-    b = np.array([pairing.pointer_eigenvalue for pairing in assignment])
-    return TwinObservables(a, np.column_stack(sf.left_vectors), b, np.column_stack(sf.right_vectors))
-
-
 __all__ = [
     "SchmidtForm",
-    "OutcomePairing",
     "DefiniteValueReport",
-    "TwinObservables",
     "schmidt_decompose",
     "reconstruct",
-    "reduced_states",
     "verify_definite_values",
-    "twin_observables",
 ]

@@ -3,10 +3,10 @@
 The pipeline never runs these. ``projectors`` and ``transformer_stack`` give
 the dense (K, d, d) forms of an observable's spectral family and of a
 transformer family, which the library stores only as an eigenbasis and its
-blocks. The dense references (``luders_update``,
-``post_reading_state``, ``lifted_commutator_norm``, ``purify``,
-``completed_unitary``) form the D×D operators that the library's kernels
-avoid, so a kernel test still compares two routes. ``partial_inner`` is the one-vector form of the product
+blocks. The dense references (``luders_update``, ``reduced_states``,
+``commutator_norm``, ``post_reading_state``, ``lifted_commutator_norm``,
+``purify``, ``completed_unitary``) form the d×d and D×D operators that the
+library's kernels avoid, so a kernel test still compares two routes. ``partial_inner`` is the one-vector form of the product
 ``dag(L) @ psi.reshape(d1, d2)`` that ``schmidt_decompose`` takes. The
 ``verify_*`` wrappers evolve with the transformer family themselves and then
 call the same comparison a ``pipeline.CHECKS`` entry reads, so acceptance tests can
@@ -68,13 +68,33 @@ def classify_outcomes(obs: Observable, state: PureState) -> tuple[tuple[int, ...
 
 def luders_update(obs: Observable, state: PureState | DensityOperator) -> DensityOperator:
     """Projective (Lüders) state update sum_k P_k rho P_k over all terms."""
-    if obs.dim != state.dim:
-        raise DimensionMismatch(f"observable dim {obs.dim} != state dim {state.dim}")
-    rho = state.projector() if isinstance(state, PureState) else state.matrix
+    rho = _dense_state(obs, state)
     out = np.zeros_like(rho)
     for p in projectors(obs):
         out += p @ rho @ p
     return DensityOperator(out)
+
+
+def commutator_norm(obs: Observable, state: PureState | DensityOperator) -> float:
+    """Frobenius norm of [A, rho], with both as d×d matrices."""
+    a, rho = obs.matrix(), _dense_state(obs, state)
+    return frob(a @ rho - rho @ a)
+
+
+def _dense_state(obs: Observable, state: PureState | DensityOperator) -> np.ndarray:
+    """The d×d matrix of a state on the observable's space: |psi><psi| for a pure one."""
+    if obs.dim != state.dim:
+        raise DimensionMismatch(f"observable dim {obs.dim} != state dim {state.dim}")
+    return np.outer(state.vector, np.conj(state.vector)) if isinstance(state, PureState) else state.matrix
+
+
+def reduced_states(psi: np.ndarray, structure: Sequence[int]) -> tuple[DensityOperator, DensityOperator]:
+    """Both subsystem states of a normalized bipartite vector."""
+    psi, _ = check_unit_norm(psi)
+    dims = tuple(int(d) for d in structure)
+    if len(dims) != 2:
+        raise DimensionMismatch(f"reduced states need a bipartite structure, got {dims}")
+    return tuple(DensityOperator(pure_marginal(psi, dims, keep=k)) for k in (0, 1))
 
 
 def purify(rho: DensityOperator | np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:

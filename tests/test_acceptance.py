@@ -17,7 +17,6 @@ from qmeasure import (
     DensityOperator,
     PureState,
     basis_vector,
-    commutator_norm,
     embed_observable,
     evolve,
     generate_random_instance,
@@ -29,7 +28,6 @@ from qmeasure import (
     probabilities,
     read_pointer_tripartite,
     reconstruct,
-    reduced_states,
     repeat_measurement_check,
     repeatability_violation,
     schmidt_decompose,
@@ -42,9 +40,11 @@ from qmeasure import StateTransformerSet, cli
 from qmeasure import tolerances as tol
 from qmeasure.instruments import probability_gap
 from reference import (
+    commutator_norm,
     entanglement_of_pure_state,
     post_reading_state,
     purify,
+    reduced_states,
     verify_conditional_states,
     verify_entanglement_as_incompatibility,
     verify_incompatibility_transfer,
@@ -146,9 +146,9 @@ def test_criterion_06_schmidt_canonical_form(instances):
         worst_overlap_gap = max(worst_overlap_gap, 1.0 - overlap)
         definite = verify_definite_values(sf, x.obs, x.ts.pointer_observable)
         worst_definite = max(worst_definite, definite.max_left_violation, definite.max_right_violation)
-        for c, pairing in zip(definite.schmidt_form.coefficients, definite.assignment):
-            worst_match = max(worst_match, abs(float(c) ** 2 - float(x.born[pairing.term_index])))
-        counts_agree &= sf.n_terms == int(np.sum(x.born > 1e-12))
+        for c, k in zip(definite.schmidt_form.coefficients, definite.outcomes):
+            worst_match = max(worst_match, abs(float(c) ** 2 - float(x.born[k])))
+        counts_agree &= sf.coefficients.size == int(np.sum(x.born > 1e-12))
     passed = counts_agree and worst_overlap_gap < 1e-9 and worst_definite < 1e-9 and worst_match < 1e-9
     report(
         "6 (Schmidt canonical form)",

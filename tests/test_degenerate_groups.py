@@ -127,7 +127,7 @@ def test_separated_terms_come_back_in_their_own_order():
     ts = scenario.build_transformers()
     sf = schmidt_decompose(evolve(ts, scenario.initial_state), ts.composite_dims)
     aligned = verify_definite_values(sf, scenario.observable, ts.pointer_observable).schmidt_form
-    assert aligned.n_terms == sf.n_terms == 2
+    assert aligned.coefficients.size == sf.coefficients.size == 2
     assert np.allclose(aligned.coefficients, sf.coefficients, rtol=0, atol=1e-13)
-    for new, old in zip(aligned.left_vectors + aligned.right_vectors, sf.left_vectors + sf.right_vectors):
+    for new, old in ((aligned.lefts, sf.lefts), (aligned.rights, sf.rights)):
         assert np.allclose(new, old, rtol=0, atol=1e-13)

@@ -11,7 +11,6 @@ from qmeasure import (
     PureState,
     QMeasureError,
     basis_vector,
-    commutator_norm,
     embed_observable,
     evolve,
     incompatibility_entropy,
@@ -24,15 +23,16 @@ from qmeasure import (
     probabilities,
     random_state_vector,
     read_pointer_tripartite,
-    reduced_states,
     schmidt_decompose,
     shannon_entropy,
     von_neumann_entropy,
 )
 from conftest import bell_vector, random_density, random_hermitian
 from reference import (
+    commutator_norm,
     entanglement_of_pure_state,
     post_reading_state,
+    reduced_states,
     verify_entanglement_as_incompatibility,
     verify_incompatibility_transfer,
 )
@@ -102,13 +102,12 @@ class TestMutualInformation:
         psi = kron(random_state_vector(2, rng), random_state_vector(2, rng))
         report = mutual_information(psi, (2, 2), 0.0)
         assert abs(report.mutual_information) < 1e-9
-        assert report.entanglement < 1e-9
+        assert report.s1 < 1e-9
 
     def test_bell_state(self):
         report = mutual_information(bell_vector(), (2, 2), 1.0)
         assert report.mutual_information == pytest.approx(2.0, abs=1e-12)
-        assert report.entanglement == pytest.approx(1.0, abs=1e-12)
-        assert report.quasi_classical == pytest.approx(1.0, abs=1e-12)
+        assert report.s1 == pytest.approx(1.0, abs=1e-12)
         assert report.shannon_pk == pytest.approx(1.0, abs=1e-12)
         assert abs(report.s1 - report.s2) < 1e-12 and abs(report.s12) < 1e-12
 
@@ -289,7 +288,7 @@ class TestPostReadingState:
         rho12 = post_reading_state(tri, dims)
         sf = schmidt_decompose(final, ts.composite_dims)
         expected = np.zeros_like(rho12.matrix)
-        for c, left, right in zip(sf.coefficients, sf.left_vectors, sf.right_vectors):
+        for c, left, right in zip(sf.coefficients, sf.lefts.T, sf.rights.T):
             pair = kron(left, right)
             expected += c**2 * np.outer(pair, pair.conj())
         assert np.linalg.norm(rho12.matrix - expected) < 1e-10

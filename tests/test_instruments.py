@@ -327,7 +327,7 @@ class TestConditionalStates:
         ts = make_ideal_transformers(pauli_z)
         # outcome a=+1 on |+>: both routes give the matrix |0><0| / 2
         a1 = transformer_stack(ts)[1]
-        direct = a1 @ plus_state.projector() @ dag(a1)
+        direct = a1 @ np.outer(plus_state.vector, np.conj(plus_state.vector)) @ dag(a1)
         assert np.allclose(direct, np.diag([0.5, 0.0]))
         assert verify_conditional_states(ts, plus_state) < 1e-12
 

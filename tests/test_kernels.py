@@ -35,7 +35,6 @@ from qmeasure import (
     random_state_vector,
     random_unitary,
     read_pointer_tripartite,
-    reduced_states,
     run_pipeline,
     schmidt_decompose,
     verify_definite_values,
@@ -43,7 +42,7 @@ from qmeasure import (
 )
 from qmeasure.information import _gram_entropy
 from conftest import random_hermitian
-from reference import luders_update, projectors
+from reference import luders_update, projectors, reduced_states
 
 # Set before the tests were run: a few roundings of O(1) entries.
 KERNEL_TOL = 1e-13
@@ -63,7 +62,7 @@ def dense_incompatibility(obs, vector: np.ndarray, dims: tuple[int, ...]) -> flo
     """Lüders-update entropy of the dense lifted observable, minus the pure-state term."""
     state = PureState(vector)
     after = luders_update(embed_observable(obs, dims, 0), state)
-    return von_neumann_entropy(after) - von_neumann_entropy(DensityOperator(state.projector()))
+    return von_neumann_entropy(after) - von_neumann_entropy(DensityOperator(np.outer(state.vector, np.conj(state.vector))))
 
 
 def dense_entropy(m: np.ndarray) -> float:
@@ -181,7 +180,8 @@ class TestGramRoute:
         dims = ts.composite_dims
         assert abs(lifted_incompatibility_entropy(obs, final, dims, 0) - dense_incompatibility(obs, final, dims)) < ENTROPY_TOL
         assert abs(lifted_incompatibility_entropy(obs, tri, dims3, 0) - dense_incompatibility(obs, tri, dims3)) < ENTROPY_TOL
-        initial = von_neumann_entropy(luders_update(obs, psi)) - von_neumann_entropy(DensityOperator(psi.projector()))
+        pure = DensityOperator(np.outer(psi.vector, np.conj(psi.vector)))
+        initial = von_neumann_entropy(luders_update(obs, psi)) - von_neumann_entropy(pure)
         assert abs(incompatibility_entropy(obs, psi) - initial) < ENTROPY_TOL
 
     def test_takes_the_spectrum_of_a_non_diagonal_gram_matrix(self):
@@ -240,9 +240,6 @@ class TestBipartiteRoute:
         assert report.schmidt_form is not sf
 
         aligned = report.schmidt_form
-        for c, left, right, pairing in zip(
-            aligned.coefficients, aligned.left_vectors, aligned.right_vectors, report.assignment
-        ):
-            k = pairing.term_index
+        for c, left, right, k in zip(aligned.coefficients, aligned.lefts.T, aligned.rights.T, report.outcomes):
             joint = kron(projectors(obs)[k], projectors(ts.pointer_observable)[k])
             assert np.linalg.norm(c * kron(left, right) - joint @ final) < KERNEL_TOL

@@ -1,9 +1,9 @@
 """The dilation's isometry and the post-reading factor against the dense D×D routes they replace.
 
 ``evolve`` applies the transformer stack as the dilation's D×d isometry
-|v> -> sum_k A_k|v> ⊗ e_k, and the pointer-reading commutators come from the QR factorisation of the D×K
-matrix W with post-reading state W W†. The references complete the D×D
-unitary and build the D×D post-reading state.
+|v> -> sum_k A_k|v> ⊗ e_k, and every commutator norm comes from the QR factorisation of a matrix W
+with state W W†: the D×K post-reading factor, psi as d×1, and the final vector's matrix M and Mᵀ
+for its two marginals. The references complete the D×D unitary and build the dense states.
 """
 
 import tracemalloc
@@ -30,7 +30,7 @@ from qmeasure import (
 )
 from qmeasure import pipeline as pipeline_module
 from conftest import random_hermitian
-from reference import completed_unitary, lifted_commutator_norm, post_reading_state
+from reference import commutator_norm, completed_unitary, lifted_commutator_norm, post_reading_state, reduced_states
 
 # Set before the tests were run. The QR route and the dense route round
 # differently; both stay within a few ulps of the size of the commutator's terms.
@@ -83,6 +83,19 @@ class TestLowRankCommutator:
         other = observable_from_matrix(random_hermitian(dims[0], np.random.default_rng(seed)))
         dense = dense_commutator(other, w, dims, 0)
         assert abs(low_rank_commutator_norm(other, w, dims, 0) - dense) <= RELATIVE_TOL * dense
+        # The pipeline's other inputs: psi as d×1 for [A, psi psi†], and the final vector's d×n matrix M
+        # for rho_1 = M M† and its transpose for rho_2 = Mᵀ (Mᵀ)†, against the dense d×d and n×n routes.
+        psi = scenario.initial_state
+        final = evolve(ts, psi)
+        m = final.reshape(dims)
+        rho1, rho2 = reduced_states(final, dims)
+        for obs, w, state in (
+            (scenario.observable, psi.vector[:, None], psi),
+            (scenario.observable, m, rho1),
+            (ts.pointer_observable, m.T, rho2),
+        ):
+            low_rank = low_rank_commutator_norm(obs, w, w.shape[:1], 0)
+            assert abs(low_rank - commutator_norm(obs, state)) <= RELATIVE_TOL * term_scale(obs, w)
 
     def test_pipeline_checks_the_post_reading_state_on_its_gram_matrix(self):
         scenario = generate_random_instance(4, 6, 4)

@@ -89,7 +89,7 @@ class TestRunPipeline:
         assert report.overall_pass and report.error is None
         assert report.probabilities == pytest.approx((0.5, 0.5), abs=1e-12)
         assert report.schmidt_coefficients == pytest.approx((np.sqrt(0.5),) * 2, abs=1e-12)
-        assert report.entropies.entanglement == pytest.approx(1.0, abs=1e-12)
+        assert report.entropies.s1 == pytest.approx(1.0, abs=1e-12)
         # coherence present before measurement, gone from the object after
         assert report.initial_commutator_norm == pytest.approx(np.sqrt(2.0), abs=1e-12)
         assert report.not_applicable == ()
@@ -99,7 +99,7 @@ class TestRunPipeline:
         report = run_pipeline(parse_scenario(IDEAL_Z_BASIS0))
         assert report.overall_pass
         assert len(report.schmidt_coefficients) == 1
-        assert report.entropies.entanglement < 1e-12
+        assert report.entropies.s1 < 1e-12
 
     def test_ideal_x_on_basis_state(self):
         # degenerate Schmidt coefficients with an oblique raw eigenbasis;
@@ -112,7 +112,7 @@ class TestRunPipeline:
         })
         report = run_pipeline(parse_scenario(text))
         assert report.overall_pass and report.error is None
-        assert report.entropies.entanglement == pytest.approx(1.0, abs=1e-12)
+        assert report.entropies.s1 == pytest.approx(1.0, abs=1e-12)
 
     def test_non_repeatable_custom_instrument(self):
         report = run_pipeline(parse_scenario(SWAP))
@@ -267,7 +267,7 @@ def _multi_term_runs(count: int = 20):
     runs = []
     for seed in range(200):
         run = pipeline_module._Run(generate_random_instance(seed, 8, 4))
-        if run.schmidt.n_terms >= 2:
+        if run.schmidt.coefficients.size >= 2:
             runs.append((seed, run))
         if len(runs) == count:
             return runs
@@ -276,10 +276,10 @@ def _multi_term_runs(count: int = 20):
 
 def _rotated_rights(sf: SchmidtForm, angle: float) -> SchmidtForm:
     """The form with its first two right vectors rotated into each other by ``angle``."""
-    rights = list(sf.right_vectors)
+    rights = sf.rights.copy()
     c, s = np.cos(angle), np.sin(angle)
-    rights[0], rights[1] = c * rights[0] + s * rights[1], c * rights[1] - s * rights[0]
-    return SchmidtForm(sf.coefficients, sf.left_vectors, tuple(rights))
+    rights[:, :2] = sf.rights[:, :2] @ np.array([[c, -s], [s, c]])
+    return SchmidtForm(sf.coefficients, sf.lefts, rights)
 
 
 class TestReBasedFormControls:
@@ -296,21 +296,34 @@ class TestReBasedFormControls:
             canonical = definite.schmidt_form
             coefficients = canonical.coefficients.copy()
             coefficients[np.argmax(coefficients)] *= 1 + 1e-4
-            scaled = SchmidtForm(coefficients, canonical.left_vectors, canonical.right_vectors)
+            scaled = SchmidtForm(coefficients, canonical.lefts, canonical.rights)
             run.__dict__["definite"] = definite._replace(schmidt_form=scaled)
             _, _, deviation, _ = self.CHECK["schmidt_probability_match"].fn(run)
             assert deviation >= 1e3 * tol.THEOREM, seed
 
     def test_twin_diagonality_sees_a_tilted_left_vector(self):
+        # Only the object side reads the left vectors, so the pointer side stays below the tolerance.
         for seed, run in _multi_term_runs():
             definite = run.definite
             canonical = definite.schmidt_form
-            lefts = list(canonical.left_vectors)
-            lefts[0] = lefts[0] + 1e-4 * lefts[1]
-            tilted = SchmidtForm(canonical.coefficients, tuple(lefts), canonical.right_vectors)
+            lefts = canonical.lefts.copy()
+            lefts[:, 0] += 1e-4 * lefts[:, 1]
+            tilted = SchmidtForm(canonical.coefficients, lefts, canonical.rights)
             run.__dict__["definite"] = definite._replace(schmidt_form=tilted)
-            _, _, deviation, _ = self.CHECK["twin_diagonality"].fn(run)
-            assert deviation >= 1e3 * tol.RECONSTRUCTION, seed
+            lhs, rhs, deviation, _ = self.CHECK["twin_diagonality"].fn(run)
+            assert min(lhs, deviation) >= 1e3 * tol.RECONSTRUCTION and rhs < tol.RECONSTRUCTION, seed
+
+    def test_twin_diagonality_sees_a_tilted_right_vector(self):
+        # Only the pointer side reads the right vectors, so the object side stays below the tolerance.
+        for seed, run in _multi_term_runs():
+            definite = run.definite
+            canonical = definite.schmidt_form
+            rights = canonical.rights.copy()
+            rights[:, 0] += 1e-4 * rights[:, 1]
+            tilted = SchmidtForm(canonical.coefficients, canonical.lefts, rights)
+            run.__dict__["definite"] = definite._replace(schmidt_form=tilted)
+            lhs, rhs, deviation, _ = self.CHECK["twin_diagonality"].fn(run)
+            assert min(rhs, deviation) >= 1e3 * tol.RECONSTRUCTION and lhs < tol.RECONSTRUCTION, seed
 
     def test_definite_values_fails_on_right_vectors_rotated_inside_the_fail_band(self):
         # Residuals between RECONSTRUCTION and DEFINITE_VALUE are the only FAIL band.
@@ -331,12 +344,12 @@ class TestReBasedFormControls:
         scenario = parse_scenario(IDEAL_Z_UNIFORM)
         run = pipeline_module._Run(scenario)
         sf = run.schmidt
-        doubled = SchmidtForm(sf.coefficients, tuple(2 * l for l in sf.left_vectors), sf.right_vectors)
+        doubled = SchmidtForm(sf.coefficients, 2 * sf.lefts, sf.rights)
         with pytest.raises(NoDefiniteValue, match="outside 0..1"):
             verify_definite_values(doubled, scenario.observable, run.ts.pointer_observable)
         for seed, run in _multi_term_runs():
             sf = run.schmidt
-            doubled = SchmidtForm(sf.coefficients, tuple(2 * l for l in sf.left_vectors), sf.right_vectors)
+            doubled = SchmidtForm(sf.coefficients, 2 * sf.lefts, sf.rights)
             with pytest.raises(NoDefiniteValue):
                 verify_definite_values(doubled, run.obs, run.ts.pointer_observable)
 
@@ -353,9 +366,8 @@ class TestRewrittenRouteControls:
         # Pairing each left vector with another term's right vector leaves a form orthogonal to the final vector.
         for seed, run in _multi_term_runs():
             sf = run.schmidt
-            rights = list(sf.right_vectors)
-            rights[0], rights[1] = rights[1], rights[0]
-            run.__dict__["schmidt"] = SchmidtForm(sf.coefficients, sf.left_vectors, tuple(rights))
+            swapped = [1, 0, *range(2, sf.coefficients.size)]
+            run.__dict__["schmidt"] = SchmidtForm(sf.coefficients, sf.lefts, sf.rights[:, swapped])
             _, _, deviation, _ = self.CHECK["schmidt_reconstruction"].fn(run)
             assert deviation >= 1e3 * tol.RECONSTRUCTION, seed
 
@@ -390,8 +402,16 @@ class TestEntropyAndMarginalControls:
         for seed, run in _multi_term_runs():
             rotation = random_unitary(run.dims[1], np.random.default_rng(seed))
             run.__dict__["final"] = apply_on_factor(rotation, run.final, run.dims, 1)
-            _, _, deviation, _ = self.CHECK["compatibility_migration"].fn(run)
-            assert deviation >= 1e3 * tol.COMMUTATOR, seed
+            lhs, rhs, deviation, _ = self.CHECK["compatibility_migration"].fn(run)
+            assert min(rhs, deviation) >= 1e3 * tol.COMMUTATOR and lhs < tol.COMMUTATOR, seed
+
+    def test_compatibility_migration_sees_a_rotated_object(self):
+        # An object unitary leaves rho_2 as it was, but rho_1 no longer commutes with A.
+        for seed, run in _multi_term_runs():
+            rotation = random_unitary(run.dims[0], np.random.default_rng(seed))
+            run.__dict__["final"] = apply_on_factor(rotation, run.final, run.dims, 0)
+            lhs, rhs, deviation, _ = self.CHECK["compatibility_migration"].fn(run)
+            assert min(lhs, deviation) >= 1e3 * tol.COMMUTATOR and rhs < tol.COMMUTATOR, seed
 
     def test_entropy_ledger_sees_a_reweighted_branch(self):
         # Doubling the weight of the likeliest pointer branch moves I12 away from 2 H(p).
@@ -469,10 +489,10 @@ class TestRepeatabilityAndReadingControls:
             assert deviation >= 1e3 * tol.COMMUTATOR, seed
 
 
-def test_a_six_outcome_run_makes_two_eigh_and_fifteen_density_checks(monkeypatch):
+def test_a_six_outcome_run_makes_two_eigh_and_thirteen_density_checks(monkeypatch):
     # One eigh each for the Schmidt form (of rho_1) and the definite values (of L† N L); the repeatable
-    # family takes its eigenspaces from the observable's basis. Fifteen density-operator checks of
-    # Gram matrices and marginals.
+    # family takes its eigenspaces from the observable's basis. Thirteen density-operator checks of
+    # Gram matrices and marginals: the commutator checks read the final vector's matrix, not its marginals.
     seed = next(s for s in range(100) if generate_random_instance(s, 16, 6).observable.n_outcomes == 6)
     scenario = generate_random_instance(seed, 16, 6)
     eigh, check = np.linalg.eigh, DensityOperator.__post_init__
@@ -484,7 +504,7 @@ def test_a_six_outcome_run_makes_two_eigh_and_fifteen_density_checks(monkeypatch
     assert report.overall_pass
     d, terms = scenario.object_dim, len(report.schmidt_coefficients)
     assert eigh_shapes == [(d, d), (terms, terms)]
-    assert len(density_checks) == 15
+    assert len(density_checks) == 13
 
 
 @pytest.mark.parametrize("rng_seed, s1", [(6, 1.3232), (7, 0.6297)])

@@ -6,6 +6,7 @@ from qmeasure import (
     NotNormalized,
     PureState,
     basis_vector,
+    dag,
     evolve,
     kron,
     make_ideal_transformers,
@@ -13,18 +14,21 @@ from qmeasure import (
     observable_from_matrix,
     random_state_vector,
     reconstruct,
-    reduced_states,
     schmidt_decompose,
-    twin_observables,
     uniform_superposition,
     verify_definite_values,
 )
 from conftest import bell_vector, random_hermitian
-from reference import classify_outcomes
+from reference import classify_outcomes, reduced_states
 
 
 def random_bipartite(d1, d2, rng):
     return random_state_vector(d1 * d2, rng)
+
+
+def twin_matrix(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The twin observable sum_t a_t |x_t><x_t| over the columns x_t of ``vectors``."""
+    return (vectors * values) @ dag(vectors)
 
 
 class TestSchmidtDecompose:
@@ -33,7 +37,7 @@ class TestSchmidtDecompose:
         v = random_state_vector(3, rng)
         w = random_state_vector(4, rng)
         sf = schmidt_decompose(kron(v, w), (3, 4))
-        assert sf.n_terms == 1
+        assert sf.coefficients.size == 1
         assert sf.coefficients[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_state(self):
@@ -52,21 +56,21 @@ class TestSchmidtDecompose:
                     reduced[i, ip] += psi[i * 4 + j] * np.conj(psi[ip * 4 + j])
         expected = np.sort(np.linalg.eigvalsh(reduced))[::-1]
         sf = schmidt_decompose(psi, (3, 4))
-        assert np.allclose(sf.coefficients**2, expected[: sf.n_terms], atol=1e-12)
+        assert np.allclose(sf.coefficients**2, expected[: sf.coefficients.size], atol=1e-12)
 
     def test_vector_families_are_orthonormal(self):
         rng = np.random.default_rng(63)
         psi = random_bipartite(4, 5, rng)
         sf = schmidt_decompose(psi, (4, 5))
-        for vectors in (sf.left_vectors, sf.right_vectors):
-            gram = np.array([[np.vdot(a, b) for b in vectors] for a in vectors])
-            assert np.allclose(gram, np.eye(len(vectors)), atol=1e-9)
+        for vectors in (sf.lefts, sf.rights):
+            gram = np.array([[np.vdot(a, b) for b in vectors.T] for a in vectors.T])
+            assert np.allclose(gram, np.eye(vectors.shape[1]), atol=1e-9)
 
     def test_phase_convention(self):
         rng = np.random.default_rng(64)
         psi = random_bipartite(3, 3, rng)
         sf = schmidt_decompose(psi, (3, 3))
-        for left in sf.left_vectors:
+        for left in sf.lefts.T:
             pivot = left[np.abs(left) > 1e-8][0]
             assert abs(pivot.imag) < 1e-12 and pivot.real > 0
 
@@ -117,7 +121,7 @@ class TestReducedStates:
         psi = random_bipartite(3, 4, rng)
         sf = schmidt_decompose(psi, (3, 4))
         expected = np.zeros((3, 3), dtype=complex)
-        for c, left in zip(sf.coefficients, sf.left_vectors):
+        for c, left in zip(sf.coefficients, sf.lefts.T):
             expected += c**2 * np.outer(left, left.conj())
         rho1, _ = reduced_states(psi, (3, 4))
         assert np.linalg.norm(rho1.matrix - expected) < 1e-9
@@ -141,7 +145,7 @@ class TestDefiniteValues:
         report = verify_definite_values(sf, pauli_z, ts.pointer_observable)
         assert report.max_left_violation < 1e-12
         assert report.max_right_violation < 1e-12
-        pairs = {(p.object_eigenvalue, p.pointer_eigenvalue) for p in report.assignment}
+        pairs = {(pauli_z.eigenvalues[k], ts.pointer_observable.eigenvalues[k]) for k in report.outcomes}
         assert pairs == {(1.0, 1.0), (-1.0, 0.0)}
 
     def test_random_repeatable_pipeline(self):
@@ -153,10 +157,12 @@ class TestDefiniteValues:
         sf = schmidt_decompose(final, ts.composite_dims)
         report = verify_definite_values(sf, obs, ts.pointer_observable)
         assert max(report.max_left_violation, report.max_right_violation) < 1e-9
-        terms = [p.term_index for p in report.assignment]
+        terms = report.outcomes.tolist()
         assert len(terms) == len(set(terms))  # bijection
+        for array in (report.outcomes, sf.lefts, sf.rights, report.schmidt_form.lefts, report.schmidt_form.rights):
+            assert not array.flags.writeable
         detectable, _ = classify_outcomes(obs, psi)
-        assert sf.n_terms == len(detectable)
+        assert sf.coefficients.size == len(detectable)
         assert sorted(terms) == list(detectable)
 
     def test_swap_family_has_no_definite_values(self, swap_transformers, plus_state):
@@ -176,16 +182,16 @@ class TestDefiniteValues:
         report = verify_definite_values(sf, x_obs, ts.pointer_observable)
         aligned = report.schmidt_form
         assert max(report.max_left_violation, report.max_right_violation) < 1e-9
-        assert sorted(p.term_index for p in report.assignment) == [0, 1]
+        assert sorted(report.outcomes.tolist()) == [0, 1]
         assert np.allclose(aligned.coefficients, [np.sqrt(0.5)] * 2, atol=1e-12)
         # the aligned form still reconstructs the original vector
         rebuilt = sum(
             c * kron(l, r)
-            for c, l, r in zip(aligned.coefficients, aligned.left_vectors, aligned.right_vectors)
+            for c, l, r in zip(aligned.coefficients, aligned.lefts.T, aligned.rights.T)
         )
         assert abs(abs(np.vdot(final, rebuilt)) - 1.0) < 1e-12
-        twins = twin_observables(aligned, report.assignment)
-        assert np.allclose(twins.object_matrix(), x_obs.matrix(), atol=1e-9)
+        a = np.array(x_obs.eigenvalues)[report.outcomes]
+        assert np.allclose(twin_matrix(aligned.lefts, a), x_obs.matrix(), atol=1e-9)
 
 
 class TestTwinObservables:
@@ -194,8 +200,8 @@ class TestTwinObservables:
         final = evolve(ts, plus_state)
         sf = schmidt_decompose(final, (2, 2))
         report = verify_definite_values(sf, pauli_z, ts.pointer_observable)
-        twins = twin_observables(sf, report.assignment)
-        assert np.allclose(twins.object_matrix(), pauli_z.matrix(), atol=1e-12)
+        a = np.array(pauli_z.eigenvalues)[report.outcomes]
+        assert np.allclose(twin_matrix(report.schmidt_form.lefts, a), pauli_z.matrix(), atol=1e-12)
 
     def test_degenerate_observable_gets_rank_one_terms(self, degenerate_observable):
         ts = make_ideal_transformers(degenerate_observable)
@@ -203,13 +209,13 @@ class TestTwinObservables:
         final = evolve(ts, psi)
         sf = schmidt_decompose(final, ts.composite_dims)
         report = verify_definite_values(sf, degenerate_observable, ts.pointer_observable)
-        twins = twin_observables(sf, report.assignment)
-        assert twins.object_vectors.shape == (3, 2)  # one rank-one term per Schmidt term
-        assert sorted(twins.object_values) == [2.0, 5.0]
+        lefts, a = report.schmidt_form.lefts, np.array(degenerate_observable.eigenvalues)[report.outcomes]
+        assert lefts.shape == (3, 2)  # one rank-one term per Schmidt term
+        assert sorted(a) == [2.0, 5.0]
         # diagonal in the Schmidt vectors
-        a_mat = twins.object_matrix()
-        for pairing, left in zip(report.assignment, sf.left_vectors):
-            assert np.linalg.norm(a_mat @ left - pairing.object_eigenvalue * left) < 1e-9
+        a_mat = twin_matrix(lefts, a)
+        for value, left in zip(a, lefts.T):
+            assert np.linalg.norm(a_mat @ left - value * left) < 1e-9
 
     def test_commutes_with_first_marginal(self, degenerate_observable):
         ts = make_repeatable_transformers(degenerate_observable, 4)
@@ -217,7 +223,7 @@ class TestTwinObservables:
         final = evolve(ts, psi)
         sf = schmidt_decompose(final, ts.composite_dims)
         report = verify_definite_values(sf, degenerate_observable, ts.pointer_observable)
-        twins = twin_observables(sf, report.assignment)
+        a = np.array(degenerate_observable.eigenvalues)[report.outcomes]
         rho1, _ = reduced_states(final, ts.composite_dims)
-        a_mat = twins.object_matrix()
+        a_mat = twin_matrix(report.schmidt_form.lefts, a)
         assert np.linalg.norm(a_mat @ rho1.matrix - rho1.matrix @ a_mat) < 1e-10
