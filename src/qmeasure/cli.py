@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .errors import ParseError, QMeasureError, ValidationError
 from .pipeline import VerificationReport, report_to_dict, report_to_json, report_to_text, run_pipeline
@@ -32,6 +33,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@cache  # one parser per process: main may be called many times, and parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmeasure",
@@ -120,13 +122,27 @@ def _batch_command(args: argparse.Namespace) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
 
-    reports: list[tuple[int, VerificationReport]] = []
+    failed, errored, results, lines = [], [], [], []  # text mode keeps only its lines, not the reports
+    code = EXIT_PASS
     try:
         for seed in seeds:
             scenario = generate_random_instance(seed, args.d1_max, args.outcomes_max)
             if args.tolerance is not None:
                 scenario = _with_tolerance(scenario, args.tolerance)
-            reports.append((seed, run_pipeline(scenario)))
+            report = run_pipeline(scenario)
+            code = max(code, _exit_code(report))
+            if not report.overall_pass:
+                failed.append(seed)
+            if report.error is not None:
+                errored.append(seed)
+            if args.format == "json":
+                results.append({"seed": seed, **report_to_dict(report, include_timing=args.include_timing)})
+                continue
+            worst = max((v.deviation for v in report.verdicts), default=float("nan"))
+            status = "ERROR" if report.error else ("PASS" if report.overall_pass else "FAIL")
+            lines.append(f"seed={seed:<6d} status={status:<5s} worst_deviation={worst:.3e}")
+            if report.error:
+                lines.append(f"    {report.error}")
     except ValueError as exc:  # bad campaign bounds
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
@@ -134,42 +150,28 @@ def _batch_command(args: argparse.Namespace) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    failed = [seed for seed, report in reports if not report.overall_pass]
-    errored = [seed for seed, report in reports if report.error is not None]
-
     if args.format == "json":
         doc = {
             "campaign": {
                 "seeds": [seeds.start, seeds.stop - 1],
                 "d1_max": args.d1_max,
                 "outcomes_max": args.outcomes_max,
-                "total": len(reports),
+                "total": len(seeds),
                 "failed_seeds": failed,
                 "errored_seeds": errored,
             },
-            "results": [
-                {"seed": seed, **report_to_dict(report, include_timing=args.include_timing)}
-                for seed, report in reports
-            ],
+            "results": results,
         }
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
-        lines = []
-        for seed, report in reports:
-            worst = max((v.deviation for v in report.verdicts), default=float("nan"))
-            status = "ERROR" if report.error else ("PASS" if report.overall_pass else "FAIL")
-            lines.append(f"seed={seed:<6d} status={status:<5s} worst_deviation={worst:.3e}")
-            if report.error:
-                lines.append(f"    {report.error}")
         lines.append(
-            f"campaign: {len(reports)} scenarios, {len(reports) - len(failed)} passed, "
+            f"campaign: {len(seeds)} scenarios, {len(seeds) - len(failed)} passed, "
             f"{len(failed)} failed, {len(errored)} errored"
         )
         text = "\n".join(lines) + "\n"
     if not _emit(text, args.out):
         return EXIT_INVALID
-
-    return max(_exit_code(report) for _, report in reports)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

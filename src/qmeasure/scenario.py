@@ -159,7 +159,7 @@ def _parse_observable(spec: Any, object_dim: int) -> Observable:
         except NotHermitian as exc:
             raise ValidationError(f"observable.matrix violates hermiticity: {exc}") from exc
     preset = spec.get("preset")
-    if preset in _PAULI:
+    if isinstance(preset, str) and preset in _PAULI:  # an array or object preset is unhashable
         if object_dim != 2:
             raise ValidationError(f"preset {preset} needs object_dim 2, got {object_dim}")
         return observable_from_matrix(_PAULI[preset])
@@ -277,6 +277,8 @@ def parse_scenario(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer past sys.get_int_max_str_digits(), or nesting too deep
+        raise ParseError(f"invalid JSON: {exc}") from exc
     return scenario_from_dict(doc)
 
 

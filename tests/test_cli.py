@@ -1,7 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -97,8 +104,10 @@ class TestRunCommand:
         [
             ({"instrument": {"kind": "repeatable", "seed": -1}}, "instrument.seed"),
             ({"options": {"tolerence": 0}}, "options: unknown fields"),
+            ({"observable": {"preset": ["pauli_z"]}}, "observable: need a 'matrix' or a preset"),
+            ({"observable": {"preset": {"name": "pauli_z"}}}, "observable: need a 'matrix' or a preset"),
         ],
-        ids=["negative-seed", "misspelled-option"],
+        ids=["negative-seed", "misspelled-option", "array-preset", "object-preset"],
     )
     def test_rejected_document_exits_two_without_a_traceback(self, tmp_path, change, where):
         doc = {
@@ -140,6 +149,18 @@ class TestRunCommand:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "initial_state.amplitudes[0]" in captured.err
 
+    @pytest.mark.parametrize("value", ["1" * 5000, "[" * 5000 + "]" * 5000], ids=["5000-digit", "5000-deep"])
+    def test_json_beyond_the_decoder_limits_exits_two(self, value, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(
+            '{"object_dim": 2, "observable": {"preset": "pauli_z"}, "initial_state": {"preset": "uniform"},'
+            f' "instrument": {{"kind": "ideal"}}, "options": {{"tolerance": {value}}}}}'
+        )
+        assert run_cli("run", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "invalid scenario: invalid JSON: " in captured.err
+
     def test_tolerance_override_also_decides_repeatability(self, capsys):
         # The repeatability verdict passes under the override, so the checks that
         # presume a repeatable instrument run (and fail) rather than being skipped.
@@ -180,6 +201,25 @@ class TestRunCommand:
         assert run_cli("run", path) == 2
         assert "A_1 acts off eigenspace 1" in capsys.readouterr().err
 
+    def test_consecutive_calls_give_the_same_bytes(self, capsys):
+        argv = ["run", SCENARIOS / "repeatable_degenerate.json", "--format", "json"]
+        assert run_cli(*argv) == 0
+        first = capsys.readouterr().out
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == first
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_an_argparse_error_leaves_the_next_call_working(self, capsys):
+        argv = ["run", SCENARIOS / "ideal_z_uniform.json", "--format"]
+        assert run_cli(*argv, "json") == 0
+        expected = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "xml")
+        assert exc.value.code == 2
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+        assert run_cli(*argv, "json") == 0
+        assert capsys.readouterr().out == expected
+
     def test_include_timing_flag(self, tmp_path):
         out = tmp_path / "timed.json"
         assert run_cli("run", SCENARIOS / "ideal_z_uniform.json", "--format", "json",
@@ -217,6 +257,20 @@ class TestBatchCommand:
         assert run_cli("batch", "--seeds", "0..1", "--format", "json", "--out", out) == code
         assert json.loads(out.read_text())["campaign"]["errored_seeds"] == [0, 1]
 
+    def test_text_campaign_memory_does_not_grow_with_its_seeds(self):
+        # A text campaign keeps its lines, not its reports, so its peak is that of its largest run.
+        def peak(seeds: str) -> int:
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert run_cli("batch", "--seeds", seeds, "--d1-max", "64", "--outcomes-max", "12") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("0..0")  # warm-up: first-call caches and imports
+        assert peak("0..39") <= 1.5 * peak("0..4")
+
     def test_bad_seed_range_exits_two(self, capsys):
         assert run_cli("batch", "--seeds", "nope") == 2
         assert "A..B" in capsys.readouterr().err
@@ -241,3 +295,62 @@ class TestBatchCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "budget" in captured.err
+
+
+# Replacements for one node of a document: JSON's other types, the non-finite and out-of-range numbers
+# (1e400 reads as inf), a string, and empty and nested arrays and objects.
+FUZZ_VALUES = (True, False, None, math.nan, math.inf, 10**400, "pauli_z", [], {}, [[0, 1], []], {"a": {"b": []}})
+CUSTOM_DOCUMENT = {
+    "object_dim": 2,
+    "observable": {"matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]},
+    "initial_state": {"amplitudes": [[0.6, 0], [0, 0.8]]},
+    # ascending eigenvalues: A_0 keeps |1> (eigenvalue -1), A_1 keeps |0>
+    "instrument": {"kind": "custom", "transformers": [[[0, 0], [0, 1]], [[1, 0], [0, 0]]]},
+    "options": {"tolerance": 1e-9, "verbosity": "verbose"},
+}
+
+
+def _nodes(doc, found):
+    """Every (container, key) pair under doc."""
+    for key in range(len(doc)) if isinstance(doc, list) else list(doc):
+        found.append((doc, key))
+        if isinstance(doc[key], (list, dict)):
+            _nodes(doc[key], found)
+    return found
+
+
+def _mutant(doc, rng: random.Random):
+    """doc with one node swapped for a FUZZ_VALUES entry, one object key dropped, or one key added."""
+    doc = copy.deepcopy(doc)
+    nodes = _nodes(doc, [])
+    roll = rng.random()
+    if roll < 0.7:
+        parent, key = rng.choice(nodes)
+        parent[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+        return doc
+    objects = [doc] + [parent[key] for parent, key in nodes if isinstance(parent[key], dict)]
+    target = rng.choice(objects)
+    if roll < 0.85 and target:
+        del target[rng.choice(list(target))]
+    else:
+        target[rng.choice(("extra", "preset", "matrix", "seed", "index"))] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+    return doc
+
+
+def test_fuzzed_documents_never_escape_as_a_traceback(tmp_path, capsys):
+    rng = random.Random(4)
+    originals = [json.loads(path.read_text()) for path in sorted(SCENARIOS.glob("*.json"))] + [CUSTOM_DOCUMENT]
+    path = tmp_path / "mutant.json"
+    codes = Counter()
+    for i in range(600):
+        doc = _mutant(originals[i % len(originals)], rng)
+        path.write_text(json.dumps(doc))
+        code = run_cli("run", path, "--format", "json")
+        captured = capsys.readouterr()
+        codes[code] += 1
+        assert code in (0, 1, 2, 3), doc
+        if code == 2:
+            assert captured.out == "" and captured.err.count("\n") == 1, (doc, captured.err)
+        else:
+            assert isinstance(json.loads(captured.out)["overall_pass"], bool), doc
+    assert codes[0] > 0  # some mutants still reach the pipeline and pass
