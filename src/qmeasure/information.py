@@ -6,7 +6,10 @@ under the projective Lüders update; it vanishes exactly when observable
 and state commute. ``final_state_identity`` and ``transfer_identity``
 compare, through disjoint numeric routes, this quantity with the
 entanglement of the final object-pointer vector, which it equals for
-repeatable instruments; the pipeline's checks read them.
+repeatable instruments; the pipeline's checks read them. That
+entanglement, and the rest of the ``EntropyReport`` of a pure vector, is
+read from its Schmidt coefficients: both marginals have their squares as
+spectrum, and the vector itself has entropy 0.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, NonRepeatableInput, NotADistribution
-from .linalg import apply_on_factor, check_unit_norm, dag, frob, pure_marginal
+from .linalg import apply_on_factor, dag, frob, pure_marginal
 from .instruments import StateTransformerSet
 from .observables import DensityOperator, Observable, PureState, check_dims
 
@@ -37,6 +40,15 @@ class EntropyReport:
     s12: float
     mutual_information: float
     shannon_pk: float
+
+    @classmethod
+    def of_pure_vector(cls, coefficients: np.ndarray, shannon_pk: float) -> "EntropyReport":
+        """The report of a pure bipartite vector from its Schmidt coefficients c: S1 = S2 = H(c²), S12 = 0, I = 2 S1.
+
+        ``shannon_pk`` is H(p) of the Born vector, carried as given: it is S1 only for orthogonal A_k psi.
+        """
+        s1 = shannon_entropy(np.square(coefficients))
+        return cls(s1, s1, 0.0, 2.0 * s1, float(shannon_pk))
 
 
 @dataclass(frozen=True)
@@ -75,27 +87,6 @@ def von_neumann_entropy(rho: DensityOperator | np.ndarray) -> float:
     return shannon_entropy(np.maximum(rho.eigenvalues(), 0.0))
 
 
-def mutual_information(state: np.ndarray, structure: Sequence[int], shannon_pk: float) -> EntropyReport:
-    """Full entropy report for a bipartite pure vector, read from its reshaped matrix.
-
-    S1 and S2 come from its two marginals, S12 from its 1 x 1 Gram matrix <v|v>.
-    ``shannon_pk`` is H(p) of the Born vector, carried as given: it is S1 only for orthogonal A_k psi.
-    """
-    dims = tuple(int(d) for d in structure)
-    if len(dims) != 2:
-        raise DimensionMismatch(f"mutual information needs a bipartite structure, got {dims}")
-    shape = np.shape(state.matrix if isinstance(state, DensityOperator) else state)
-    if len(shape) != 1:
-        raise DimensionMismatch(f"mutual information needs a pure vector, got an input of shape {shape}")
-    v, norm = check_unit_norm(state)
-    v = v / norm  # pure_marginal raises DimensionMismatch if dims do not factor v
-    s1, s2 = (von_neumann_entropy(pure_marginal(v, dims, keep=k)) for k in (0, 1))
-    s12 = _gram_entropy(v[:, None])
-    # I(1:2) >= 0, but <v|v> = 1 - 2e-16 gives S12 = 3e-16, which can exceed S1 + S2; the clamp
-    # drops at most S12, which the ledger reads itself.
-    return EntropyReport(s1, s2, s12, max(0.0, s1 + s2 - s12), float(shannon_pk))
-
-
 def incompatibility_entropy(obs: Observable, state: PureState) -> float:
     """Entropy increase under the projective update of the observable.
 
@@ -113,10 +104,11 @@ def lifted_incompatibility_entropy(
     """Incompatibility entropy of obs ⊗ 1, with obs on one tensor factor, in a pure vector.
 
     The Lüders update of |v><v| is sum_k |v_k><v_k| with v_k = (P_k ⊗ 1) v = (V_k ⊗ 1) c_k, where
-    c = (V† ⊗ 1) v is taken on the factor, and |v><v| itself is the one-component case. The update's
-    entropy is that of the Gram matrix G_jk = <v_j|v_k> = sum_{a in j, b in k} (V†V)_ab S_ab, with
-    S = c̄ cᵀ summed over the other factors: V†V keeps the overlaps V_j†V_k, so G is not just the
-    diagonal of weights. This costs O(d D + d³) and stores no component; the update costs O(D^3).
+    c = (V† ⊗ 1) v is taken on the factor. The update's entropy is that of the Gram matrix
+    G_jk = <v_j|v_k> = sum_{a in j, b in k} (V†V)_ab S_ab, with S = c̄ cᵀ summed over the other
+    factors: V†V keeps the overlaps V_j†V_k, so G is not just the diagonal of weights. |v><v| itself
+    has entropy 0: G's trace check holds ||v|| = 1 within HERMITICITY. This costs O(d D + d³) and
+    stores no component; the update costs O(D^3).
     """
     v = np.asarray(vector, dtype=complex).reshape(-1)
     dims = tuple(int(d) for d in structure)
@@ -125,20 +117,7 @@ def lifted_incompatibility_entropy(
     vh = dag(obs.basis)
     c = vh @ v.reshape(math.prod(dims[:factor]), obs.dim, -1).transpose(1, 0, 2).reshape(obs.dim, -1)
     gram = obs.indicator.T @ ((vh @ obs.basis) * (np.conj(c) @ c.T)) @ obs.indicator
-    return von_neumann_entropy(gram) - _gram_entropy(v[:, None])
-
-
-def _gram_entropy(components: np.ndarray) -> float:
-    """Entropy of sum_k |v_k><v_k| over the columns v_k, from their K x K Gram matrix.
-
-    M M† and G = M† M have the same nonzero spectrum, so G_jk = <v_j|v_k>
-    is checked as a density operator and its eigenvalues give the entropy.
-    They equal the weights <v_k|v_k> only when the columns are orthogonal,
-    so on an update's components this is a second route to H(p), not a
-    restatement of it. vecdot conjugates its first argument as it goes, so
-    no conjugate copy of the components is made.
-    """
-    return von_neumann_entropy(np.vecdot(components.T[:, None], components.T[None, :]))
+    return von_neumann_entropy(gram)
 
 
 def final_state_identity(
@@ -204,7 +183,6 @@ __all__ = [
     "Verdict",
     "shannon_entropy",
     "von_neumann_entropy",
-    "mutual_information",
     "incompatibility_entropy",
     "lifted_incompatibility_entropy",
     "read_pointer_tripartite",

@@ -3,8 +3,9 @@
 ``run_pipeline`` works in two parts. ``_Run`` holds the artefacts of one
 run: the transformer family (the instrument), the repeatability violation,
 the final vector, the Born vector, the initial commutator norm, the Schmidt
-form, the entropy report, the definite-value report and the tripartite
-pointer reading. Each is computed once, on first use.
+form, the entropy report read from its coefficients, the definite-value
+report and the tripartite pointer reading. Each is computed once, on first
+use.
 ``CHECKS`` is the ordered table of verdicts; each entry compares two
 routes to one identity, read from those artefacts. Every check lands in
 the report as a verdict carrying its deviation and tolerance, so failures
@@ -32,7 +33,6 @@ from .information import (
     final_state_identity,
     lifted_incompatibility_entropy,
     low_rank_commutator_norm,
-    mutual_information,
     read_pointer_tripartite,
     shannon_entropy,
     transfer_identity,
@@ -119,7 +119,9 @@ class _Run:
         "evolution", lambda run: low_rank_commutator_norm(run.obs, run.psi.vector[:, None], (run.obs.dim,), 0)
     )
     schmidt = _artefact("schmidt", lambda run: schmidt_decompose(run.final, run.dims))
-    entropies = _artefact("entropies", lambda run: mutual_information(run.final, run.dims, run.h_born))
+    entropies = _artefact(
+        "entropies", lambda run: EntropyReport.of_pure_vector(run.schmidt.coefficients, run.h_born)
+    )
     definite = _artefact(
         "definite_values", lambda run: verify_definite_values(run.schmidt, run.obs, run.ts.pointer_observable)
     )
@@ -198,13 +200,12 @@ def _compatibility_migration(run: _Run):
 
 
 def _entropy_ledger(run: _Run):
-    e, h_born = run.entropies, run.h_born
-    ledger = max(abs(e.s1 - e.s2), e.s12, abs(e.mutual_information - 2.0 * h_born))
-    return e.mutual_information, 2.0 * h_born, ledger, tol.THEOREM
+    mutual, twice_h = run.entropies.mutual_information, 2.0 * run.h_born
+    return mutual, twice_h, abs(mutual - twice_h), tol.THEOREM
 
 
-# The entropy report's S1 is the entanglement of the final vector, so both
-# entanglement checks read it rather than trace the final vector again.
+# The entropy report's S1, H(c²) of the Schmidt coefficients, is the entanglement of
+# the final vector, so both entanglement checks read it rather than take another spectrum.
 def _entanglement_incompatibility_final(run: _Run):
     return (*final_state_identity(run.entropies.s1, run.obs, run.final, run.dims, run.h_born), tol.THEOREM)
 

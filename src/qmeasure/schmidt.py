@@ -1,13 +1,15 @@
 """Schmidt canonical form of bipartite pure vectors and the definite values of its terms.
 
-The decomposition is built from the eigendecomposition of the first
-marginal rather than a general SVD: left vectors are eigenvectors of
-M M†, with M the vector reshaped to d1 x d2, and right vectors are partial
-scalar products of those with the full vector. A deterministic phase
-convention makes the output stable enough for golden tests: the first
-component of each left vector above the pivot tolerance is rotated to the
-positive real axis, with the compensating phase absorbed into the
-matching right vector.
+The decomposition is built from the eigendecomposition of the d2 x d2
+Gram matrix M†M rather than a general SVD, with M the vector reshaped to
+d1 x d2; for the final vector d2 = n <= d1, so this is its small side.
+Its eigenvalues are the squared coefficients, the left vectors are the
+normalised columns M w_s for its eigenvectors w_s, and the right vectors
+are partial scalar products of those with the full vector. A
+deterministic phase convention makes the output stable enough for golden
+tests: the first component of each left vector above the pivot tolerance
+is rotated to the positive real axis, with the compensating phase
+absorbed into the matching right vector.
 
 For degenerate Schmidt coefficients the individual vectors are basis
 dependent (the form is not unique there); only basis-independent facts
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, NoDefiniteValue
-from .linalg import check_unit_norm, dag, frob, frozen_array, hermitian_eig, pure_marginal
+from .linalg import check_unit_norm, dag, frob, frozen_array, hermitian_eig
 from .observables import Observable
 
 
@@ -58,17 +60,19 @@ class DefiniteValueReport(NamedTuple):
 
 def schmidt_decompose(psi: np.ndarray, structure: Sequence[int]) -> SchmidtForm:
     """Schmidt canonical form of a normalized bipartite vector."""
-    psi, _ = check_unit_norm(psi)
+    shape = np.shape(psi)
     dims = tuple(int(d) for d in structure)
-    if len(dims) != 2:
-        raise DimensionMismatch(f"Schmidt decomposition is bipartite, got structure {dims}")
+    if len(dims) != 2 or shape != (dims[0] * dims[1],):
+        raise DimensionMismatch(f"Schmidt decomposition needs a vector on a bipartite {dims}, got shape {shape}")
+    m = check_unit_norm(psi)[0].reshape(dims)
 
-    weights, vectors = hermitian_eig(pure_marginal(psi, dims, keep=0))
+    weights, vectors = hermitian_eig(dag(m) @ m)  # M†M shares the nonzero spectrum of rho_1 = M M†
     order = np.argsort(-weights, kind="stable")
     order = order[weights[order] > tol.SCHMIDT_CUTOFF]
-    lefts = vectors[:, order]
+    lefts = m @ vectors[:, order]
+    lefts = lefts / np.sqrt(np.vecdot(lefts, lefts, axis=0).real)
     lefts = lefts * np.conj(_pivot_phases(lefts))
-    rights = dag(lefts) @ psi.reshape(dims)  # row s is (<left_s| ⊗ 1)|psi>
+    rights = dag(lefts) @ m  # row s is (<left_s| ⊗ 1)|psi>
     rights = rights / np.array([frob(r) for r in rights])[:, None]
     return SchmidtForm(np.sqrt(weights[order]), lefts, rights.T)
 

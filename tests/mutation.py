@@ -1,0 +1,220 @@
+"""Mutation testing of the verdicts: one-line mutants of src/, each run against Tier-1.
+
+pytest does not collect this file (its name does not match ``test_*.py``).
+Run it from anywhere, with the interpreter the tests use:
+
+    python tests/mutation.py            # every mutant, two at a time
+    python tests/mutation.py --jobs 1 M5 M6
+
+For each mutant it copies ``src/``, ``tests/``, ``scenarios/``, README.md
+and pyproject.toml into a temporary directory, replaces the mutant's
+``old`` text with ``new`` in one file (``old`` must occur there exactly
+once), and runs ``python -m pytest -x -q`` in that copy. A failing run
+kills the mutant; a passing one means it survived. It prints one line per
+mutant, the score and the run time, and exits 1 if any mutant survived or
+the unmutated copy does not pass.
+
+The table holds the numbered mutants M1–M11 of the roadmap and one mutant
+per term of every ``max`` that makes a verdict's deviation in pipeline.py
+and information.py. The ``max`` that sets the text report's column width
+is layout, not a verdict, and has no mutant. See DeMillo, Lipton and
+Sayward, IEEE Computer 11(4), 1978.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "scenarios", "README.md", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/qmeasure
+    old: str
+    new: str
+    what: str
+
+
+MUTANTS = (
+    Mutant(
+        "M1", "linalg.py",
+        "out = vec.reshape(-1, dims[factor]) @ op.T", "out = vec.reshape(-1, dims[factor]) @ op",
+        "apply_on_factor's last-factor path without its transpose",
+    ),
+    Mutant(
+        "M3", "pipeline.py",
+        "max(object_comm, pointer_comm)", "pointer_comm",
+        "compatibility_migration without its object side",
+    ),
+    Mutant(
+        "M3b", "pipeline.py",
+        "max(object_comm, pointer_comm)", "object_comm",
+        "compatibility_migration without its pointer side",
+    ),
+    Mutant(
+        "M4", "pipeline.py",
+        "    DensityOperator(dag(w) @ w)", "    DensityOperator",
+        "pointer_reading_commutators without the W†W density check",
+    ),
+    Mutant(
+        "M5", "information.py",
+        "max(abs(entanglement - rhs), abs(entanglement - h_born), abs(rhs - h_born))",
+        "max(abs(entanglement - h_born), abs(rhs - h_born))",
+        "final_state_identity without |E - lifted|",
+    ),
+    Mutant(
+        "M5b", "information.py",
+        "max(abs(entanglement - rhs), abs(entanglement - h_born), abs(rhs - h_born))",
+        "max(abs(entanglement - rhs), abs(rhs - h_born))",
+        "final_state_identity without |E - H(p)|",
+    ),
+    Mutant(
+        "M5c", "information.py",
+        "max(abs(entanglement - rhs), abs(entanglement - h_born), abs(rhs - h_born))",
+        "max(abs(entanglement - rhs), abs(entanglement - h_born))",
+        "final_state_identity without |lifted - H(p)|",
+    ),
+    Mutant(
+        "M6", "information.py",
+        "if damage >= tol.DEFINITE_VALUE:", "if damage > float('inf'):",
+        "read_pointer_tripartite without its coherence guard",
+    ),
+    Mutant(
+        "M7", "pipeline.py",
+        "max(twin_object, twin_pointer)", "twin_object",
+        "twin_diagonality without its pointer side",
+    ),
+    Mutant(
+        "M7b", "pipeline.py",
+        "max(twin_object, twin_pointer)", "twin_pointer",
+        "twin_diagonality without its object side",
+    ),
+    Mutant(
+        "M8", "pipeline.py",
+        "max(obj_after, ptr_after)", "ptr_after",
+        "pointer_reading_commutators without its object side",
+    ),
+    Mutant(
+        "M8b", "pipeline.py",
+        "max(obj_after, ptr_after)", "obj_after",
+        "pointer_reading_commutators without its pointer side",
+    ),
+    Mutant(
+        "M9", "pipeline.py",
+        "max(left, right)", "left",
+        "definite_values without its right residual",
+    ),
+    Mutant(
+        "M9b", "pipeline.py",
+        "max(left, right)", "right",
+        "definite_values without its left residual",
+    ),
+    Mutant(
+        "M10", "schmidt.py",
+        "np.maximum(left_residuals, right_residuals) >= tol.DEFINITE_VALUE",
+        "left_residuals >= tol.DEFINITE_VALUE",
+        "verify_definite_values fits terms without the pointer residual",
+    ),
+    Mutant(
+        "M11", "observables.py",
+        "    check_orthonormal_columns(obs.basis)", "    check_orthonormal_columns",
+        "validate_observable without its completeness check",
+    ),
+    Mutant(
+        "R0", "pipeline.py",
+        "for s in marginal_entropies)", "for s in marginal_entropies[1:])",
+        "pointer_reading_marginals without the object marginal",
+    ),
+    Mutant(
+        "R1", "pipeline.py",
+        "for s in marginal_entropies)", "for s in marginal_entropies[::2])",
+        "pointer_reading_marginals without the pointer marginal",
+    ),
+    Mutant(
+        "R2", "pipeline.py",
+        "for s in marginal_entropies)", "for s in marginal_entropies[:2])",
+        "pointer_reading_marginals without the reader marginal",
+    ),
+    Mutant(
+        "H0", "information.py",
+        "return max(0.0, float(-np.sum(kept * np.log2(kept))))", "return float(-np.sum(kept * np.log2(kept)))",
+        "shannon_entropy without its clamp at 0",
+    ),
+    Mutant(
+        "S1", "schmidt.py",
+        "lefts = m @ vectors[:, order]", "lefts = m @ np.conj(vectors[:, order])",
+        "schmidt_decompose's left vectors from M conj(w)",
+    ),
+)
+
+
+def run_tier1(root: Path) -> bool:
+    """Whether Tier-1 passes in the tree at root."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    return subprocess.run(command, cwd=root, env=env, capture_output=True).returncode == 0
+
+
+def copy_tree(target: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, target / name, ignore=ignore)
+        else:
+            shutil.copy2(source, target / name)
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    path = root / "src" / "qmeasure" / mutant.file
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        raise SystemExit(f"{mutant.name}: {mutant.old!r} occurs {text.count(mutant.old)} times in {mutant.file}")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def killed(mutant: Mutant | None) -> bool:
+    """Whether Tier-1 fails on a copy of the tree with the mutant applied (None: no mutant)."""
+    with tempfile.TemporaryDirectory(prefix="qmeasure-mutant-") as tmp:
+        root = Path(tmp)
+        copy_tree(root)
+        if mutant is not None:
+            apply(mutant, root)
+        return not run_tier1(root)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--jobs", type=int, default=2, help="Tier-1 runs at a time (default 2)")
+    args = parser.parse_args(argv)
+    unknown = set(args.names) - {m.name for m in MUTANTS}
+    if unknown:
+        parser.error(f"unknown mutants: {sorted(unknown)}")
+    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+
+    started = time.perf_counter()
+    if killed(None):
+        print("the unmutated tree fails Tier-1; no mutant was run")
+        return 1
+    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        outcomes = list(pool.map(killed, chosen))
+    for mutant, dead in zip(chosen, outcomes):
+        print(f"{mutant.name:<4} {'killed  ' if dead else 'SURVIVED'} {mutant.what}")
+    print(f"score: {sum(outcomes)}/{len(chosen)} killed in {time.perf_counter() - started:.0f} s")
+    return 0 if all(outcomes) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,9 +10,13 @@ library's kernels avoid, so a kernel test still compares two routes. ``partial_i
 ``dag(L) @ psi.reshape(d1, d2)`` that ``schmidt_decompose`` takes. The
 ``verify_*`` wrappers evolve with the transformer family themselves and then
 call the same comparison a ``pipeline.CHECKS`` entry reads, so acceptance tests can
-check one identity at a time. ``entanglement_of_pure_state`` and
-``classify_outcomes`` read one field of ``mutual_information`` and of
-``probabilities``.
+check one identity at a time. ``entanglement_of_pure_state`` takes the
+spectrum of the first marginal, and ``classify_outcomes`` reads
+``probabilities``. ``dense_checks`` is a dense twin of the pipeline's checks
+that read the Schmidt form or an entropy of a pure vector: it evolves with
+the completed unitary, takes the Schmidt form from ``eigh`` of the partial
+trace of |Ψ><Ψ|, and every incompatibility entropy from a dense Lüders
+update.
 """
 
 from __future__ import annotations
@@ -26,19 +30,24 @@ from qmeasure import (
     DimensionMismatch,
     Observable,
     PureState,
+    Scenario,
+    SchmidtForm,
     StateTransformerSet,
     Verdict,
     apply_on_factor,
     basis_vector,
     complete_isometry,
     dag,
+    embed_observable,
     evolve,
     frob,
     hermitian_eig,
     kron,
+    partial_trace,
     probabilities,
     pure_marginal,
     shannon_entropy,
+    verify_definite_values,
     von_neumann_entropy,
 )
 from qmeasure import tolerances as tol
@@ -213,3 +222,97 @@ def verify_incompatibility_transfer(ts: StateTransformerSet, psi: PureState) -> 
     final = evolve(ts, psi)
     lhs, rhs, deviation = transfer_identity(ts.observable, psi, entanglement_of_pure_state(final, ts.composite_dims))
     return Verdict.from_deviation("entanglement_incompatibility_initial", lhs, rhs, deviation, tol.THEOREM)
+
+
+# The labels ``dense_checks`` computes, in report order.
+DENSE_LABELS = (
+    "schmidt_reconstruction",
+    "schmidt_probability_match",
+    "entropy_ledger",
+    "entanglement_incompatibility_final",
+    "entanglement_incompatibility_initial",
+    "pointer_reading_incompatibility",
+)
+
+
+def dense_schmidt(psi: np.ndarray, structure: Sequence[int]) -> SchmidtForm:
+    """Schmidt form from the eigenvectors of rho_1 = Tr_2 |psi><psi|, in the library's phase convention.
+
+    Each left vector's first component above PHASE_PIVOT is made real and positive, and each right
+    vector is the normalised partial scalar product of its left vector with psi.
+    """
+    dims = tuple(int(d) for d in structure)
+    weights, vectors = np.linalg.eigh(partial_trace(np.outer(psi, np.conj(psi)), dims, 0))
+    lefts, rights, coefficients = [], [], []
+    for t in np.argsort(-weights, kind="stable"):
+        if weights[t] <= tol.SCHMIDT_CUTOFF:
+            break
+        left = vectors[:, t]
+        pivot = left[np.abs(left) > tol.PHASE_PIVOT][0]
+        left = left * np.conj(pivot) / abs(pivot)
+        right = partial_inner(left, psi, dims)
+        lefts.append(left)
+        rights.append(right / np.linalg.norm(right))
+        coefficients.append(np.sqrt(weights[t]))
+    return SchmidtForm(np.array(coefficients), np.array(lefts).T, np.array(rights).T)
+
+
+def dense_incompatibility(obs: Observable, vector: np.ndarray, structure: Sequence[int]) -> float:
+    """S of the Lüders update of |v><v| by obs ⊗ 1, with obs on the first factor, minus S(|v><v|)."""
+    state = PureState(vector)
+    pure = DensityOperator(np.outer(state.vector, np.conj(state.vector)))
+    return von_neumann_entropy(luders_update(embed_observable(obs, structure, 0), state)) - von_neumann_entropy(pure)
+
+
+def dense_checks(scenario: Scenario) -> list[Verdict]:
+    """Verdicts of the labels in DENSE_LABELS that apply to the scenario, each from dense operators.
+
+    Only ``schmidt_reconstruction`` applies when the dense repeatability violation
+    max_k |A_k - P_k A_k| exceeds its tolerance. A tolerance set in the scenario
+    overrides every verdict's tolerance, as in the pipeline.
+    """
+    ts = scenario.build_transformers()
+    obs, psi = scenario.observable, scenario.initial_state
+    d, n = ts.composite_dims
+    final = completed_unitary(ts) @ kron(psi.vector, basis_vector(n, 0))
+    rho = np.outer(final, np.conj(final))
+    born = np.array([np.vdot(psi.vector, p @ psi.vector).real for p in projectors(obs)])
+    h = shannon_entropy(np.maximum(born, 0.0))
+
+    def verdict(label: str, lhs: float, rhs: float, deviation: float, tolerance: float) -> Verdict:
+        tolerance = tolerance if scenario.tolerance is None else scenario.tolerance
+        return Verdict.from_deviation(label, lhs, rhs, deviation, tolerance)
+
+    sf = dense_schmidt(final, (d, n))
+    recon = sum(c * kron(left, right) for c, left, right in zip(sf.coefficients, sf.lefts.T, sf.rights.T))
+    overlap = abs(complex(np.vdot(final, recon)))
+    verdicts = [verdict("schmidt_reconstruction", overlap, 1.0, 1.0 - overlap, tol.RECONSTRUCTION)]
+    violation = max(frob(a - p @ a) for a, p in zip(transformer_stack(ts), projectors(obs)))
+    if not verdict("repeatability_condition", violation, 0.0, violation, tol.REPEATABILITY).passed:
+        return verdicts
+
+    definite = verify_definite_values(sf, obs, ts.pointer_observable)
+    match = float(np.max(np.abs(definite.schmidt_form.coefficients**2 - born[definite.outcomes])))
+    verdicts.append(verdict("schmidt_probability_match", match, 0.0, match, tol.THEOREM))
+
+    s1, s2 = (von_neumann_entropy(partial_trace(rho, (d, n), k)) for k in (0, 1))
+    mutual = s1 + s2 - von_neumann_entropy(rho)
+    verdicts.append(verdict("entropy_ledger", mutual, 2.0 * h, abs(mutual - 2.0 * h), tol.THEOREM))
+
+    e = entanglement_of_pure_state(final, (d, n))
+    lifted = dense_incompatibility(obs, final, (d, n))
+    deviation = max(abs(e - lifted), abs(e - h), abs(lifted - h))
+    verdicts.append(verdict("entanglement_incompatibility_final", e, lifted, deviation, tol.THEOREM))
+
+    initial = dense_incompatibility(obs, psi.vector, (d,))
+    verdicts.append(verdict("entanglement_incompatibility_initial", initial, e, abs(initial - e), tol.THEOREM))
+
+    # The reading: sum over detectable pointer outcomes k, the l-th of them, of (1 ⊗ Q_k)|Ψ> ⊗ e_l.
+    pointer = projectors(ts.pointer_observable)
+    detectable = [k for k in range(n) if np.vdot(final, kron(np.eye(d), pointer[k]) @ final).real > tol.DETECTABILITY]
+    tri = sum(
+        kron(kron(np.eye(d), pointer[k]) @ final, basis_vector(len(detectable), l)) for l, k in enumerate(detectable)
+    )
+    reappeared = dense_incompatibility(obs, tri, (d, n * len(detectable)))
+    verdicts.append(verdict("pointer_reading_incompatibility", reappeared, h, abs(reappeared - h), tol.THEOREM))
+    return verdicts

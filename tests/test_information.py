@@ -6,6 +6,7 @@ import pytest
 from qmeasure import (
     DensityOperator,
     DimensionMismatch,
+    EntropyReport,
     NonRepeatableInput,
     NotADistribution,
     PureState,
@@ -15,9 +16,9 @@ from qmeasure import (
     evolve,
     incompatibility_entropy,
     kron,
+    lifted_incompatibility_entropy,
     make_ideal_transformers,
     make_repeatable_transformers,
-    mutual_information,
     observable_from_matrix,
     partial_trace,
     probabilities,
@@ -27,6 +28,8 @@ from qmeasure import (
     shannon_entropy,
     von_neumann_entropy,
 )
+from qmeasure import tolerances as tol
+from qmeasure.information import final_state_identity
 from conftest import bell_vector, random_density, random_hermitian
 from reference import (
     commutator_norm,
@@ -96,16 +99,21 @@ class TestEntanglement:
         assert entanglement_of_pure_state(final, (2, 2)) == pytest.approx(H_03_07, abs=1e-9)
 
 
+def pure_vector_entropies(psi: np.ndarray, dims: tuple[int, int], shannon_pk: float) -> EntropyReport:
+    """The pipeline's entropy report of a pure bipartite vector: read from its Schmidt coefficients."""
+    return EntropyReport.of_pure_vector(schmidt_decompose(psi, dims).coefficients, shannon_pk)
+
+
 class TestMutualInformation:
     def test_pure_product(self):
         rng = np.random.default_rng(73)
         psi = kron(random_state_vector(2, rng), random_state_vector(2, rng))
-        report = mutual_information(psi, (2, 2), 0.0)
+        report = pure_vector_entropies(psi, (2, 2), 0.0)
         assert abs(report.mutual_information) < 1e-9
         assert report.s1 < 1e-9
 
     def test_bell_state(self):
-        report = mutual_information(bell_vector(), (2, 2), 1.0)
+        report = pure_vector_entropies(bell_vector(), (2, 2), 1.0)
         assert report.mutual_information == pytest.approx(2.0, abs=1e-12)
         assert report.s1 == pytest.approx(1.0, abs=1e-12)
         assert report.shannon_pk == pytest.approx(1.0, abs=1e-12)
@@ -114,9 +122,9 @@ class TestMutualInformation:
     def test_rejects_a_density_operator_or_matrix_naming_its_shape(self):
         # A pure density matrix flattens to a unit vector, so only the shape check stops it.
         bell = np.outer(bell_vector(), bell_vector().conj())
-        for state in (bell, DensityOperator(bell)):
-            with pytest.raises(DimensionMismatch, match=r"shape \(4, 4\)"):
-                mutual_information(state, (2, 2), 1.0)
+        for state, shape in ((bell, r"\(4, 4\)"), (DensityOperator(bell), r"\(\)")):
+            with pytest.raises(DimensionMismatch, match=rf"shape {shape}"):
+                schmidt_decompose(state, (2, 2))
 
 
 class TestIncompatibilityEntropy:
@@ -199,6 +207,23 @@ class TestIdentityVerifiers:
             psi = PureState(random_state_vector(obs.dim, rng))
             assert verify_entanglement_as_incompatibility(ts, psi).deviation < 1e-9
             assert verify_incompatibility_transfer(ts, psi).deviation < 1e-9
+
+    @pytest.mark.parametrize(
+        "e_offset, h_offset",
+        [(1.2, 0.6), (0.6, -0.6), (0.6, 1.2)],
+        ids=["entanglement_vs_lifted", "entanglement_vs_born", "lifted_vs_born"],
+    )
+    def test_final_identity_fails_on_each_pairwise_gap_alone(self, e_offset, h_offset):
+        # E and H(p) sit at these multiples of THEOREM from the lifted value H: one of the three
+        # pairwise gaps is 1.2 THEOREM, the other two 0.6 THEOREM, so only that gap can fail the check.
+        obs = observable_from_matrix(random_hermitian(5, np.random.default_rng(78)))
+        ts = make_repeatable_transformers(obs, 78)
+        final = evolve(ts, PureState(random_state_vector(obs.dim, np.random.default_rng(79))))
+        h = lifted_incompatibility_entropy(obs, final, ts.composite_dims, 0)
+        entanglement, h_born = h + e_offset * tol.THEOREM, h + h_offset * tol.THEOREM
+        lhs, rhs, deviation = final_state_identity(entanglement, obs, final, ts.composite_dims, h_born)
+        assert (lhs, rhs) == (entanglement, h)
+        assert deviation > tol.THEOREM
 
 
 class TestPointerReading:
@@ -319,6 +344,6 @@ class TestEntropyIsNeverNegative:
         assert shannon_entropy([1.0 + 2.0**-52]) == 0.0
 
     def test_pure_state_entropies_are_positive_zero(self):
-        e = mutual_information(kron(basis_vector(2, 0), basis_vector(3, 1)), (2, 3), 0.0)
+        e = pure_vector_entropies(kron(basis_vector(2, 0), basis_vector(3, 1)), (2, 3), 0.0)
         for value in (e.s1, e.s2, e.s12, e.mutual_information):
             assert math.copysign(1.0, value) == 1.0

@@ -19,16 +19,15 @@ import qmeasure
 from qmeasure import (
     DensityOperator,
     DimensionMismatch,
+    EntropyReport,
     PureState,
     apply_on_factor,
-    embed_observable,
     evolve,
     generate_random_instance,
     incompatibility_entropy,
     kron,
     lifted_incompatibility_entropy,
     make_ideal_transformers,
-    mutual_information,
     observable_from_matrix,
     partial_trace,
     pure_marginal,
@@ -37,12 +36,12 @@ from qmeasure import (
     read_pointer_tripartite,
     run_pipeline,
     schmidt_decompose,
+    shannon_entropy,
     verify_definite_values,
     von_neumann_entropy,
 )
-from qmeasure.information import _gram_entropy
 from conftest import random_hermitian
-from reference import luders_update, projectors, reduced_states
+from reference import dense_incompatibility, luders_update, projectors, reduced_states
 
 # Set before the tests were run: a few roundings of O(1) entries.
 KERNEL_TOL = 1e-13
@@ -56,13 +55,6 @@ def lifted(op: np.ndarray, dims: tuple[int, ...], factor: int) -> np.ndarray:
     factors = [np.eye(d, dtype=complex) for d in dims]
     factors[factor] = op
     return reduce(kron, factors)
-
-
-def dense_incompatibility(obs, vector: np.ndarray, dims: tuple[int, ...]) -> float:
-    """Lüders-update entropy of the dense lifted observable, minus the pure-state term."""
-    state = PureState(vector)
-    after = luders_update(embed_observable(obs, dims, 0), state)
-    return von_neumann_entropy(after) - von_neumann_entropy(DensityOperator(np.outer(state.vector, np.conj(state.vector))))
 
 
 def dense_entropy(m: np.ndarray) -> float:
@@ -185,7 +177,8 @@ class TestGramRoute:
         assert abs(incompatibility_entropy(obs, psi) - initial) < ENTROPY_TOL
 
     def test_takes_the_spectrum_of_a_non_diagonal_gram_matrix(self):
-        # Two non-orthogonal components with weights 0.6 and 0.4, at 60 degrees.
+        # Two non-orthogonal components with weights 0.6 and 0.4, at 60 degrees, as the columns of a
+        # 3 × 2 matrix M: the Schmidt form takes the spectrum of the 2 × 2 Gram matrix M†M.
         u = np.array([1.0, 0.0, 0.0], dtype=complex)
         w = np.array([0.5, np.sqrt(3) / 2, 0.0], dtype=complex)
         components = np.column_stack([np.sqrt(0.6) * u, np.sqrt(0.4) * w])
@@ -194,8 +187,9 @@ class TestGramRoute:
 
         dense = von_neumann_entropy(components @ np.conj(components).T)
         weights_only = -sum(p * np.log2(p) for p in (0.6, 0.4))
-        assert abs(_gram_entropy(components) - dense) < ENTROPY_TOL
-        assert abs(_gram_entropy(components) - weights_only) > 0.1
+        from_gram = shannon_entropy(schmidt_decompose(components.reshape(-1), (3, 2)).coefficients ** 2)
+        assert abs(from_gram - dense) < ENTROPY_TOL
+        assert abs(from_gram - weights_only) > 0.1
 
 
 class TestBipartiteRoute:
@@ -210,7 +204,7 @@ class TestBipartiteRoute:
         rho = np.outer(final, np.conj(final))
         rho1, rho2 = partial_trace(rho, dims, 0), partial_trace(rho, dims, 1)
 
-        report = mutual_information(final, dims, 0.0)
+        report = EntropyReport.of_pure_vector(schmidt_decompose(final, dims).coefficients, 0.0)
         s1, s2, s12 = dense_entropy(rho1), dense_entropy(rho2), dense_entropy(rho)
         assert abs(report.s1 - s1) < ENTROPY_TOL
         assert abs(report.s2 - s2) < ENTROPY_TOL

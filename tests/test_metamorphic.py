@@ -7,6 +7,9 @@
 * A phase e^{iφ_k} on each transformer changes the dilation's isometry, and
   the final vector becomes (1 ⊗ Φ)Ψ with Φ = sum_k e^{iφ_k} |e_k><e_k|,
   which commutes with the pointer observable.
+* An affine map A -> αA + β·1 with α > 0 moves every eigenvalue a_k to
+  αa_k + β and keeps the eigenspaces and their order, so the transformers
+  and the final vector stay as they were. Only [A, ρ] scales, by α.
 
 Each follow-up has the same Born probabilities, Schmidt coefficients and
 marginal spectra as its source, so a run must reach the same verdicts.
@@ -74,7 +77,18 @@ def phased_transformers(scenario: Scenario, seed: int) -> Scenario:
     return dataclasses.replace(scenario, instrument=InstrumentSpec("custom", transformers=transformers))
 
 
-def assert_same_physics(scenario: Scenario, follow_up_scenario: Scenario) -> None:
+def affine(scenario: Scenario, alpha: float, beta: float) -> Scenario:
+    """The scenario with the observable αA + β·1, as a matrix, and its transformers as a custom family."""
+    obs = observable_from_matrix(alpha * scenario.observable.matrix() + beta * np.eye(scenario.object_dim))
+    transformers = tuple(transformer_stack(scenario.build_transformers()))
+    return dataclasses.replace(
+        scenario,
+        observable=obs,
+        instrument=InstrumentSpec("custom", transformers=StateTransformerSet.from_transformers(transformers, obs)),
+    )
+
+
+def assert_same_physics(scenario: Scenario, follow_up_scenario: Scenario, commutator_scale: float = 1.0) -> None:
     source, follow_up = run_pipeline(scenario), run_pipeline(follow_up_scenario)
 
     assert source.error is None and follow_up.error is None
@@ -89,7 +103,7 @@ def assert_same_physics(scenario: Scenario, follow_up_scenario: Scenario) -> Non
     assert (source.initial_commutator_norm is None) == (follow_up.initial_commutator_norm is None)
     if source.initial_commutator_norm is not None:
         assert follow_up.initial_commutator_norm == pytest.approx(
-            source.initial_commutator_norm, rel=0, abs=NUMERIC_TOL
+            commutator_scale * source.initial_commutator_norm, rel=0, abs=NUMERIC_TOL
         )
     for field, value in vars(source.entropies).items():
         other = getattr(follow_up.entropies, field)
@@ -100,6 +114,7 @@ def assert_same_physics(scenario: Scenario, follow_up_scenario: Scenario) -> Non
 
 SEEDED = [(s, 6, 4) for s in range(40)] + [(s, 16, 6) for s in range(20)]
 PHASES = {"global_phase": global_phase, "phased_transformers": phased_transformers}
+AFFINE = [(0.5, -0.7), (3.0, 2.0)]  # (α, β)
 
 
 @pytest.mark.parametrize("seed, d1_max, outcomes_max", SEEDED)
@@ -126,3 +141,17 @@ def test_a_phase_keeps_a_seeded_run(relation, seed, d1_max, outcomes_max):
 def test_a_phase_keeps_a_committed_scenario(relation, name):
     scenario = load_scenario(str(SCENARIOS / name))
     assert_same_physics(scenario, PHASES[relation](scenario, COMMITTED.index(name)))
+
+
+@pytest.mark.parametrize("alpha, beta", AFFINE)
+@pytest.mark.parametrize("seed, d1_max, outcomes_max", SEEDED)
+def test_an_affine_map_of_the_eigenvalues_keeps_a_seeded_run(alpha, beta, seed, d1_max, outcomes_max):
+    scenario = generate_random_instance(seed, d1_max, outcomes_max)
+    assert_same_physics(scenario, affine(scenario, alpha, beta), commutator_scale=alpha)
+
+
+@pytest.mark.parametrize("alpha, beta", AFFINE)
+@pytest.mark.parametrize("name", COMMITTED)
+def test_an_affine_map_of_the_eigenvalues_keeps_a_committed_scenario(alpha, beta, name):
+    scenario = load_scenario(str(SCENARIOS / name))
+    assert_same_physics(scenario, affine(scenario, alpha, beta), commutator_scale=alpha)

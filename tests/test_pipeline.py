@@ -15,6 +15,7 @@ from qmeasure import (
     apply_on_factor,
     generate_random_instance,
     parse_scenario,
+    pure_marginal,
     random_state_vector,
     random_unitary,
     report_to_dict,
@@ -23,6 +24,7 @@ from qmeasure import (
     run_pipeline,
     shannon_entropy,
     verify_definite_values,
+    von_neumann_entropy,
 )
 from qmeasure import pipeline as pipeline_module
 from qmeasure.cli import main as cli_main
@@ -332,6 +334,26 @@ class TestReBasedFormControls:
             _, _, deviation, tolerance = self.CHECK["definite_values"].fn(run)
             assert tolerance < deviation < tol.DEFINITE_VALUE, seed
 
+    def test_definite_values_fails_on_a_left_vector_tilted_inside_the_fail_band(self):
+        # l_0 tilts by 3e-9 towards a unit vector x of another eigenspace, orthogonal to every left vector:
+        # re-basing on N cannot undo that, so the left residual reads 3e-9 and the right ones stay at rounding.
+        tilted_seeds = []
+        for seed, run in _multi_term_runs():
+            sf, obs = run.schmidt, run.obs
+            k0 = np.argmax(np.abs(np.conj(obs.basis).T @ sf.lefts[:, 0]) ** 2 @ obs.indicator)
+            candidates = obs.basis[:, obs.indicator[:, k0] == 0]
+            outside = candidates - sf.lefts @ (np.conj(sf.lefts).T @ candidates)
+            norms = np.linalg.norm(outside, axis=0)
+            if norms.max() < 0.5:
+                continue  # the left vectors span every other eigenspace
+            lefts = sf.lefts.copy()
+            lefts[:, 0] = np.cos(3e-9) * lefts[:, 0] + np.sin(3e-9) * outside[:, np.argmax(norms)] / norms.max()
+            run.__dict__["schmidt"] = SchmidtForm(sf.coefficients, lefts, sf.rights)
+            lhs, rhs, deviation, tolerance = self.CHECK["definite_values"].fn(run)
+            assert tolerance < lhs == deviation < tol.DEFINITE_VALUE and rhs < tolerance, seed
+            tilted_seeds.append(seed)
+        assert len(tilted_seeds) >= 10
+
     def test_definite_values_halts_on_right_vectors_rotated_beyond_it(self):
         for seed, run in _multi_term_runs():
             run.__dict__["schmidt"] = _rotated_rights(run.schmidt, 1e-6)
@@ -415,10 +437,12 @@ class TestEntropyAndMarginalControls:
 
     def test_entropy_ledger_sees_a_reweighted_branch(self):
         # Doubling the weight of the likeliest pointer branch moves I12 away from 2 H(p).
+        # The entropies read the Schmidt form, so the form cached from the true final vector goes too.
         for seed, run in _multi_term_runs():
             branches = run.final.reshape(run.dims).copy()  # column k is the branch of pointer outcome k
             branches[:, np.argmax(run.born)] *= np.sqrt(2.0)
             run.__dict__["final"] = (branches / np.linalg.norm(branches)).reshape(-1)
+            del run.__dict__["schmidt"]
             _, _, deviation, _ = self.CHECK["entropy_ledger"].fn(run)
             assert deviation >= 1e3 * tol.THEOREM, seed
 
@@ -469,6 +493,24 @@ class TestRepeatabilityAndReadingControls:
             _, _, deviation, _ = self.CHECK["repeat_certainty"].fn(run)
             assert deviation >= 1e3 * tol.REPEAT_CERTAINTY, seed
 
+    @pytest.mark.parametrize("factor, control", [(0, 1), (1, 2), (2, 1)])
+    def test_pointer_reading_marginals_sees_one_factor_rotated_in_each_branch(self, factor, control):
+        # Another factor records the branch in an orthogonal basis, so a unitary on `factor` chosen by its
+        # index makes that factor's branch vectors non-orthogonal: its entropy falls below H(p), and the
+        # other two marginals keep the spectrum p.
+        for seed, run in _multi_term_runs():
+            tri, dims3 = run.reading
+            t = np.moveaxis(tri.reshape(dims3), (factor, control), (0, 1)).copy()
+            rng = np.random.default_rng(seed)
+            for j in range(t.shape[1]):
+                t[:, j] = random_unitary(t.shape[0], rng) @ t[:, j]
+            rotated = np.moveaxis(t, (0, 1), (factor, control)).reshape(-1)
+            run.__dict__["reading"] = (rotated, dims3)
+            _, _, deviation, _ = self.CHECK["pointer_reading_marginals"].fn(run)
+            gaps = [abs(von_neumann_entropy(pure_marginal(rotated, dims3, keep=m)) - run.h_born) for m in range(3)]
+            assert deviation == gaps[factor] >= 1e3 * tol.THEOREM, seed
+            assert max(gaps[:factor] + gaps[factor + 1 :]) < tol.THEOREM, seed
+
     def test_pointer_reading_marginals_sees_a_reweighted_reader_branch(self):
         # Doubling the weight of the reader's first outcome moves the reader's entropy away from H(p).
         for seed, run in _multi_term_runs():
@@ -485,14 +527,25 @@ class TestRepeatabilityAndReadingControls:
             tri, dims3 = run.reading
             rotation = random_unitary(dims3[0], np.random.default_rng(seed))
             run.__dict__["reading"] = (apply_on_factor(rotation, tri, dims3, 0), dims3)
-            _, _, deviation, _ = self.CHECK["pointer_reading_commutators"].fn(run)
-            assert deviation >= 1e3 * tol.COMMUTATOR, seed
+            lhs, rhs, deviation, _ = self.CHECK["pointer_reading_commutators"].fn(run)
+            assert min(lhs, deviation) >= 1e3 * tol.COMMUTATOR and rhs < tol.COMMUTATOR, seed
+
+    def test_pointer_reading_commutators_sees_a_rotated_pointer(self):
+        # A pointer unitary conjugates rho_12 on the pointer: [A ⊗ 1, rho_12] keeps its norm of 0, [1 ⊗ B, rho_12] does not.
+        for seed, run in _multi_term_runs():
+            tri, dims3 = run.reading
+            rotation = random_unitary(dims3[1], np.random.default_rng(seed))
+            run.__dict__["reading"] = (apply_on_factor(rotation, tri, dims3, 1), dims3)
+            lhs, rhs, deviation, _ = self.CHECK["pointer_reading_commutators"].fn(run)
+            assert min(rhs, deviation) >= 1e3 * tol.COMMUTATOR and lhs < tol.COMMUTATOR, seed
 
 
-def test_a_six_outcome_run_makes_two_eigh_and_thirteen_density_checks(monkeypatch):
-    # One eigh each for the Schmidt form (of rho_1) and the definite values (of L† N L); the repeatable
-    # family takes its eigenspaces from the observable's basis. Thirteen density-operator checks of
-    # Gram matrices and marginals: the commutator checks read the final vector's matrix, not its marginals.
+def test_a_six_outcome_run_makes_two_eigh_and_seven_density_checks(monkeypatch):
+    # One eigh each for the Schmidt form (of the n × n Gram matrix M†M, not of the d × d rho_1) and the
+    # definite values (of L† N L); the repeatable family takes its eigenspaces from the observable's basis.
+    # Seven density-operator checks: the K × K Gram matrices of the three incompatibility entropies, the
+    # three marginals of the reading and W†W. The entropy report reads the Schmidt coefficients, and the
+    # commutator checks read the final vector's matrix, so neither checks a marginal of the final vector.
     seed = next(s for s in range(100) if generate_random_instance(s, 16, 6).observable.n_outcomes == 6)
     scenario = generate_random_instance(seed, 16, 6)
     eigh, check = np.linalg.eigh, DensityOperator.__post_init__
@@ -502,9 +555,9 @@ def test_a_six_outcome_run_makes_two_eigh_and_thirteen_density_checks(monkeypatc
     report = run_pipeline(scenario)
     monkeypatch.undo()
     assert report.overall_pass
-    d, terms = scenario.object_dim, len(report.schmidt_coefficients)
-    assert eigh_shapes == [(d, d), (terms, terms)]
-    assert len(density_checks) == 13
+    n, terms = scenario.observable.n_outcomes, len(report.schmidt_coefficients)
+    assert eigh_shapes == [(n, n), (terms, terms)]
+    assert len(density_checks) == 7
 
 
 @pytest.mark.parametrize("rng_seed, s1", [(6, 1.3232), (7, 0.6297)])
