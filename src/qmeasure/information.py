@@ -14,7 +14,6 @@ spectrum, and the vector itself has entropy 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, NonRepeatableInput, NotADistribution
-from .linalg import apply_on_factor, dag, frob, pure_marginal
+from .linalg import dag, frob, pure_marginal
 from .instruments import StateTransformerSet
 from .observables import DensityOperator, Observable, PureState, check_dims
 
@@ -73,7 +72,7 @@ def shannon_entropy(p: Sequence[float]) -> float:
     if arr.size and float(arr.min()) < -tol.DISTRIBUTION_NEG:
         raise NotADistribution(f"negative entry {arr.min()} below -{tol.DISTRIBUTION_NEG}")
     total = float(arr.sum())
-    if abs(total - 1.0) > tol.DISTRIBUTION_SUM:
+    if not abs(total - 1.0) <= tol.DISTRIBUTION_SUM:  # a NaN entry makes the sum NaN, and fails
         raise NotADistribution(f"entries sum to {total}, not 1 within {tol.DISTRIBUTION_SUM}")
     kept = arr[arr > tol.ENTROPY_CUTOFF]
     # a weight rounded above 1 gives a term of about -1e-16, and one weight of 1 gives -0.0
@@ -95,36 +94,37 @@ def incompatibility_entropy(obs: Observable, state: PureState) -> float:
     Gram-matrix route of ``lifted_incompatibility_entropy``.
     """
     check_dims(obs, state)
-    return lifted_incompatibility_entropy(obs, state.vector, (obs.dim,), 0)
+    return lifted_incompatibility_entropy(obs, state.vector)
 
 
-def lifted_incompatibility_entropy(
-    obs: Observable, vector: np.ndarray, structure: Sequence[int], factor: int
-) -> float:
-    """Incompatibility entropy of obs ⊗ 1, with obs on one tensor factor, in a pure vector.
+def _first_factor(obs: Observable, w: np.ndarray) -> np.ndarray:
+    """``w`` as obs.dim × rest: its rows split as (first factor, the other factors), those joined to its columns."""
+    if w.shape[0] % obs.dim:
+        raise DimensionMismatch(f"observable of dim {obs.dim} is not the first factor of {w.shape[0]} rows")
+    return w.reshape(obs.dim, -1)
+
+
+def lifted_incompatibility_entropy(obs: Observable, vector: np.ndarray) -> float:
+    """Incompatibility entropy of obs ⊗ 1, with obs on the first tensor factor, in a pure vector.
 
     The Lüders update of |v><v| is sum_k |v_k><v_k| with v_k = (P_k ⊗ 1) v = (V_k ⊗ 1) c_k, where
-    c = (V† ⊗ 1) v is taken on the factor. The update's entropy is that of the Gram matrix
+    c = V† v with v read as d × rest. The update's entropy is that of the Gram matrix
     G_jk = <v_j|v_k> = sum_{a in j, b in k} (V†V)_ab S_ab, with S = c̄ cᵀ summed over the other
     factors: V†V keeps the overlaps V_j†V_k, so G is not just the diagonal of weights. |v><v| itself
     has entropy 0: G's trace check holds ||v|| = 1 within HERMITICITY. This costs O(d D + d³) and
     stores no component; the update costs O(D^3).
     """
-    v = np.asarray(vector, dtype=complex).reshape(-1)
-    dims = tuple(int(d) for d in structure)
-    if not 0 <= factor < len(dims) or dims[factor] != obs.dim or math.prod(dims) != v.size:
-        raise DimensionMismatch(f"observable of dim {obs.dim} is not factor {factor} of {dims} for dim {v.size}")
     vh = dag(obs.basis)
-    c = vh @ v.reshape(math.prod(dims[:factor]), obs.dim, -1).transpose(1, 0, 2).reshape(obs.dim, -1)
+    c = vh @ _first_factor(obs, np.asarray(vector, dtype=complex).reshape(-1))
     gram = obs.indicator.T @ ((vh @ obs.basis) * (np.conj(c) @ c.T)) @ obs.indicator
     return von_neumann_entropy(gram)
 
 
 def final_state_identity(
-    entanglement: float, obs: Observable, final: np.ndarray, structure: Sequence[int], h_born: float
+    entanglement: float, obs: Observable, final: np.ndarray, h_born: float
 ) -> tuple[float, float, float]:
     """(entanglement, incompatibility entropy of obs ⊗ 1 in ``final``, worst pairwise gap incl. H(p))."""
-    rhs = lifted_incompatibility_entropy(obs, final, structure, 0)
+    rhs = lifted_incompatibility_entropy(obs, final)
     deviation = max(abs(entanglement - rhs), abs(entanglement - h_born), abs(rhs - h_born))
     return entanglement, rhs, deviation
 
@@ -154,7 +154,7 @@ def read_pointer_tripartite(final: np.ndarray, ts: StateTransformerSet) -> tuple
     # Q_k = |e_k><e_k|: the update sum_k Q_k rho2 Q_k is diag(rho2), and (1 ⊗ Q_k) final is column k of d × n final
     rho2 = pure_marginal(final, dims, keep=1)
     damage = frob(rho2 - np.diag(np.diagonal(rho2)))
-    if damage >= tol.DEFINITE_VALUE:
+    if not damage < tol.DEFINITE_VALUE:  # NaN fails
         raise NonRepeatableInput(f"pointer marginal has coherence {damage:.3e} across pointer outcomes")
 
     columns = final.reshape(dims)
@@ -165,15 +165,16 @@ def read_pointer_tripartite(final: np.ndarray, ts: StateTransformerSet) -> tuple
     return tri.reshape(-1), (dims[0], dims[1], detectable.size)
 
 
-def low_rank_commutator_norm(obs: Observable, w: np.ndarray, structure: Sequence[int], factor: int) -> float:
-    """Frobenius norm of [X, W W†] for X = obs ⊗ 1, with obs on one tensor factor, from the D×K matrix W.
+def low_rank_commutator_norm(obs: Observable, w: np.ndarray) -> float:
+    """Frobenius norm of [X, W W†] for X = obs ⊗ 1, with obs on the first tensor factor, from the D×K matrix W.
 
     With Q R = [W, XW] and R = [R_W R_Y], [X, W W†] = Q (R_Y R_W† - R_W R_Y†) Q†,
     and Q's orthonormal columns drop out of the norm. This costs O(D K min(D, K)).
     The trace formula for the same norm loses about 1e-8 to cancellation.
     """
     k = w.shape[1]
-    r = np.linalg.qr(np.hstack([w, apply_on_factor(obs.matrix(), w, structure, factor)]), mode="r")
+    xw = (obs.matrix() @ _first_factor(obs, w)).reshape(w.shape)
+    r = np.linalg.qr(np.hstack([w, xw]), mode="r")
     m = r[:, k:] @ dag(r[:, :k])
     return frob(m - dag(m))
 

@@ -109,19 +109,6 @@ def repeatability_violation(ts: StateTransformerSet) -> float:
     return float(np.sqrt(np.max(np.vecdot(residual, residual, axis=0).real @ ind)))
 
 
-def post_state(ts: StateTransformerSet, psi: PureState, k: int) -> PureState:
-    """Normalized state after outcome k: A_k|psi> / sqrt(p_k), with A_k|psi> = B_k (V_k† psi)."""
-    obs = ts.observable
-    if psi.dim != obs.dim:
-        raise DimensionMismatch(f"state dim {psi.dim} != observable dim {obs.dim}")
-    cols = obs.columns[k]
-    v = ts.blocks[:, cols] @ (dag(obs.basis[:, cols]) @ psi.vector)
-    p = float(np.real(np.vdot(v, v)))
-    if p <= tol.DETECTABILITY:
-        raise NullOutcome(f"outcome {k} has probability {p} <= {tol.DETECTABILITY}")
-    return PureState(v / np.sqrt(p))
-
-
 @lru_cache(maxsize=32)
 def _pointer(n: int) -> Observable:
     """Observable sum_k k |e_k><e_k| of an n-dim pointer, shared as it is immutable; its basis is the identity."""
@@ -148,15 +135,22 @@ def probability_gap(ts: StateTransformerSet, born: np.ndarray, final: np.ndarray
     return float(np.max(np.abs(born - read)))
 
 
+def _images(ts: StateTransformerSet, psi: PureState) -> np.ndarray:
+    """The d × K matrix of the A_k psi, as B (diag(V† psi) indicator): evolve's product in another order."""
+    obs = ts.observable
+    if psi.dim != obs.dim:
+        raise DimensionMismatch(f"state dim {psi.dim} != observable dim {obs.dim}")
+    return ts.blocks @ ((dag(obs.basis) @ psi.vector)[:, None] * obs.indicator)
+
+
 def conditional_state_gap(ts: StateTransformerSet, psi: PureState, final: np.ndarray) -> float:
     """Worst |A_k|psi><psi|A_k† - Tr_2((1 ⊗ Q_k)|Psi><Psi|(1 ⊗ Q_k))| over the outcomes, for a given final vector.
 
-    Both sides are rank one: v v† with v = A_k psi, from the blocks as B (diag(V† psi) indicator), and m m†
-    with m column k of |Psi> as d × n. With Q R = [v, m], |v v† - m m†| = |r_v r_v† - r_m r_m†|, so one
-    batched QR of the K pairs gives every norm; the trace formula loses about 1e-8 to cancellation.
+    Both sides are rank one: v v† with v = A_k psi, from ``_images``, and m m† with m column k of |Psi>
+    as d × n. With Q R = [v, m], |v v† - m m†| = |r_v r_v† - r_m r_m†|, so one batched QR of the K
+    pairs gives every norm; the trace formula loses about 1e-8 to cancellation.
     """
-    obs = ts.observable
-    images = ts.blocks @ ((dag(obs.basis) @ psi.vector)[:, None] * obs.indicator)
+    images = _images(ts, psi)
     r = np.linalg.qr(np.stack([images.T, final.reshape(ts.composite_dims).T], axis=-1), mode="r")
     rv, rm = r[..., 0], r[..., 1]
     gap = (rv[:, :, None] * np.conj(rv[:, None, :]) - rm[:, :, None] * np.conj(rm[:, None, :])).reshape(-1, 4)
@@ -164,21 +158,23 @@ def conditional_state_gap(ts: StateTransformerSet, psi: PureState, final: np.nda
 
 
 def repeat_measurement_check(ts: StateTransformerSet, psi: PureState, born: np.ndarray) -> float:
-    """Smallest conditional probability of confirming an outcome on repetition.
+    """Smallest conditional probability of confirming an outcome on repetition, capped at 1.
 
-    For every outcome detectable under the Born vector ``born``: apply the
-    transformer, then measure the observable again on the post-measurement
-    state and take the probability |V_k† after|^2 of the eigenvalue
-    certified by the pointer reading, which is term k again because pointer
-    term k records outcome k. Repeatable families give 1 for every outcome.
+    For each outcome k detectable under the Born vector ``born``, the observable is measured again on
+    A_k psi, and term k, which pointer term k certified, must come out: with a = V† A_k psi, that has
+    probability sum_{a in k} |a|² / |A_k psi|². Repeatable families give 1 for every outcome.
     """
     if len(born) != ts.n_outcomes:
         raise DimensionMismatch(f"{len(born)} probabilities for {ts.n_outcomes} outcomes")
-    vh, columns = dag(ts.observable.basis), ts.observable.columns
-    smallest = 1.0
-    for k in np.flatnonzero(np.asarray(born) > tol.DETECTABILITY):
-        smallest = min(smallest, frob(vh[columns[k]] @ post_state(ts, psi, k).vector) ** 2)
-    return smallest
+    images = _images(ts, psi)
+    again = dag(ts.observable.basis) @ images
+    weights = np.vecdot(images, images, axis=0).real
+    confirmed = np.vecdot(again, again * ts.observable.indicator, axis=0).real
+    detectable = np.flatnonzero(np.asarray(born) > tol.DETECTABILITY)
+    null = detectable[~(weights[detectable] > tol.DETECTABILITY)]
+    if null.size:
+        raise NullOutcome(f"outcome {null[0]} has probability {weights[null[0]]} <= {tol.DETECTABILITY}")
+    return float(np.min(confirmed[detectable] / weights[detectable], initial=1.0))
 
 
 __all__ = [
@@ -186,7 +182,6 @@ __all__ = [
     "make_ideal_transformers",
     "make_repeatable_transformers",
     "repeatability_violation",
-    "post_state",
     "evolve",
     "repeat_measurement_check",
 ]

@@ -2,11 +2,12 @@
 
 Everything operates on plain numpy arrays of complex dtype. Factor
 dimensions are small (tens), but composite spaces are their products and
-reach thousands after a pointer reading. Operators that act on one factor
-are therefore applied to that factor of a vector (``apply_on_factor``), and
-marginals of pure vectors are taken from the reshaped vector
-(``pure_marginal``), so no product-space operator is built. All functions
-are pure; nothing mutates its arguments.
+reach thousands after a pointer reading. The kernels that apply a
+one-factor operator act on the first factor of a vector read as
+d × rest, and marginals of pure vectors are taken from the reshaped vector
+(``pure_marginal``), so no product-space operator is built. Every check
+reads its tolerance from ``tolerances``. All functions are pure; nothing
+mutates its arguments.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def check_unit_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
     """
     v = np.asarray(v, dtype=complex).reshape(-1)
     norm = frob(v)
-    if abs(norm - 1.0) > tol.NORMALIZATION:
+    if not abs(norm - 1.0) <= tol.NORMALIZATION:  # NaN fails
         raise NotNormalized(f"vector norm {norm} is not 1 within {tol.NORMALIZATION}")
     return v, norm
 
@@ -65,9 +66,9 @@ def frob(m: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-def is_hermitian(m: np.ndarray, tolerance: float = tol.HERMITICITY) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and frob(m - dag(m)) <= tolerance
+    return m.ndim == 2 and m.shape[0] == m.shape[1] and frob(m - dag(m)) <= tol.HERMITICITY
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,16 +83,16 @@ def basis_vector(dim: int, index: int) -> np.ndarray:
     return v
 
 
-def _check_structure(total_dim: int, structure: Sequence[int], min_factors: int = 2) -> TensorStructure:
+def _check_structure(total_dim: int, structure: Sequence[int]) -> TensorStructure:
     dims = tuple(map(int, structure))
-    if len(dims) < min_factors or min(dims) <= 0:
-        raise DimensionMismatch(f"tensor structure {dims} needs >= {min_factors} positive factors")
+    if len(dims) < 2 or min(dims) <= 0:
+        raise DimensionMismatch(f"tensor structure {dims} needs >= 2 positive factors")
     if math.prod(dims) != total_dim:
         raise DimensionMismatch(f"tensor structure {dims} does not factor dimension {total_dim}")
     return dims
 
 
-def hermitian_eig(m: np.ndarray, tolerance: float = tol.HERMITICITY) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues, eigenvectors) with real eigenvalues in ascending
@@ -99,8 +100,8 @@ def hermitian_eig(m: np.ndarray, tolerance: float = tol.HERMITICITY) -> tuple[np
     so that m @ V == V @ diag(w).
     """
     m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m, tolerance):
-        raise NotHermitian(f"matrix deviates from its adjoint by more than {tolerance}")
+    if not is_hermitian(m):
+        raise NotHermitian(f"matrix deviates from its adjoint by more than {tol.HERMITICITY}")
     w, v = np.linalg.eigh(hermitize(m))
     return w, v
 
@@ -137,27 +138,6 @@ def partial_trace(m: np.ndarray, structure: Sequence[int], keep: int | Sequence[
         t = np.trace(t, axis1=axis, axis2=axis + t.ndim // 2)
     d_kept = math.prod(dims[k] for k in kept)
     return t.reshape(d_kept, d_kept)
-
-
-def apply_on_factor(op: np.ndarray, vec: np.ndarray, structure: Sequence[int], factor: int) -> np.ndarray:
-    """(1 ⊗ .. ⊗ op ⊗ .. ⊗ 1) @ vec, with op acting on one tensor factor only.
-
-    ``vec`` is a vector on the product space described by ``structure``, or
-    a matrix whose columns are such vectors. The lifted operator is never
-    formed: one broadcast product applies op to the factor's axis of the
-    reshaped vector. A vector on its last factor is one product of its rows
-    with op transposed.
-    """
-    vec = np.asarray(vec, dtype=complex)
-    op = np.asarray(op, dtype=complex)
-    dims = _check_structure(vec.shape[0], structure, min_factors=1)
-    if not 0 <= factor < len(dims) or op.shape != (dims[factor], dims[factor]):
-        raise DimensionMismatch(f"operator of shape {op.shape} does not act on factor {factor} of {dims}")
-    if vec.ndim == 1 and factor == len(dims) - 1:
-        out = vec.reshape(-1, dims[factor]) @ op.T
-    else:
-        out = op @ vec.reshape(math.prod(dims[:factor]), dims[factor], -1)
-    return out.reshape(vec.shape)
 
 
 def pure_marginal(vec: np.ndarray, structure: Sequence[int], keep: int | Sequence[int]) -> np.ndarray:
@@ -235,7 +215,6 @@ __all__ = [
     "is_hermitian",
     "hermitian_eig",
     "partial_trace",
-    "apply_on_factor",
     "pure_marginal",
     "check_orthonormal_columns",
     "complete_isometry",

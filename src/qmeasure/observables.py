@@ -22,10 +22,10 @@ from .linalg import (
     check_orthonormal_columns,
     check_unit_norm,
     dag,
-    frob,
     frozen_array,
     hermitian_eig,
     hermitize,
+    is_hermitian,
     kron,
 )
 
@@ -84,6 +84,8 @@ def validate_observable(obs: Observable) -> None:
         raise DimensionMismatch(f"eigenbasis of shape {obs.basis.shape} is not square")
     if len(obs.sizes) != obs.n_outcomes or min(obs.sizes) < 1 or sum(obs.sizes) != obs.dim:
         raise ValidationError(f"term sizes {obs.sizes} do not split {obs.dim} columns into {obs.n_outcomes} terms")
+    if not all(map(math.isfinite, obs.eigenvalues)):
+        raise ValidationError(f"eigenvalues {obs.eigenvalues} are not all finite")
     values = sorted(obs.eigenvalues)
     for lo, hi in zip(values, values[1:]):
         if hi - lo <= tol.DEGENERACY_GAP:
@@ -118,15 +120,12 @@ class DensityOperator:
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NotDensityOperator(f"expected a square matrix, got shape {m.shape}")
-        adjoint = dag(m)
-        if not frob(m - adjoint) <= tol.HERMITICITY:
-            raise NotDensityOperator(f"matrix violates hermiticity within {tol.HERMITICITY}")
+        if not is_hermitian(m):
+            raise NotDensityOperator(f"matrix of shape {m.shape} is not square and Hermitian within {tol.HERMITICITY}")
         trace = complex(m.trace())
         if abs(trace - 1.0) > tol.HERMITICITY:
             raise NotDensityOperator(f"trace {trace} is not 1 within {tol.HERMITICITY}")
-        m = (m + adjoint) / 2.0  # the Hermitian part, a new array that nothing else holds
+        m = hermitize(m)  # a new array that nothing else holds
         spectrum = np.linalg.eigvalsh(m)
         if spectrum[0] < tol.ENTROPY_NEG_FLOOR:
             raise NotDensityOperator(f"smallest eigenvalue {float(spectrum[0])} is below {tol.ENTROPY_NEG_FLOOR}")

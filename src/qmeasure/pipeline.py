@@ -46,7 +46,7 @@ from .instruments import (
     repeatability_violation,
 )
 from .linalg import dag, pure_marginal
-from .observables import DensityOperator, probabilities
+from .observables import probabilities
 from .scenario import Scenario
 from .schmidt import reconstruct, schmidt_decompose, verify_definite_values
 
@@ -115,9 +115,7 @@ class _Run:
     repeatability_violation = _artefact("repeatability", lambda run: repeatability_violation(run.ts))
     final = _artefact("evolution", lambda run: evolve(run.ts, run.psi))
     born = _artefact("evolution", lambda run: probabilities(run.obs, run.psi))
-    initial_commutator = _artefact(
-        "evolution", lambda run: low_rank_commutator_norm(run.obs, run.psi.vector[:, None], (run.obs.dim,), 0)
-    )
+    initial_commutator = _artefact("evolution", lambda run: low_rank_commutator_norm(run.obs, run.psi.vector[:, None]))
     schmidt = _artefact("schmidt", lambda run: schmidt_decompose(run.final, run.dims))
     entropies = _artefact(
         "entropies", lambda run: EntropyReport.of_pure_vector(run.schmidt.coefficients, run.h_born)
@@ -194,8 +192,8 @@ def _twin_diagonality(run: _Run):
 
 def _compatibility_migration(run: _Run):
     m = run.final.reshape(run.dims)  # rho_1 = M M† and rho_2 = Mᵀ (Mᵀ)†
-    object_comm = low_rank_commutator_norm(run.obs, m, run.dims[:1], 0)
-    pointer_comm = low_rank_commutator_norm(run.ts.pointer_observable, m.T, run.dims[1:], 0)
+    object_comm = low_rank_commutator_norm(run.obs, m)
+    pointer_comm = low_rank_commutator_norm(run.ts.pointer_observable, m.T)
     return object_comm, pointer_comm, max(object_comm, pointer_comm), tol.COMMUTATOR
 
 
@@ -207,7 +205,7 @@ def _entropy_ledger(run: _Run):
 # The entropy report's S1, H(c²) of the Schmidt coefficients, is the entanglement of
 # the final vector, so both entanglement checks read it rather than take another spectrum.
 def _entanglement_incompatibility_final(run: _Run):
-    return (*final_state_identity(run.entropies.s1, run.obs, run.final, run.dims, run.h_born), tol.THEOREM)
+    return (*final_state_identity(run.entropies.s1, run.obs, run.final, run.h_born), tol.THEOREM)
 
 
 def _entanglement_incompatibility_initial(run: _Run):
@@ -223,16 +221,15 @@ def _pointer_reading_marginals(run: _Run):
 
 def _pointer_reading_commutators(run: _Run):
     tri, (d1, d2, d3) = run.reading
-    w = tri.reshape(d1 * d2, d3)  # the post-reading state is W W†
-    DensityOperator(dag(w) @ w)  # W†W shares its nonzero spectrum; raises NotDensityOperator
-    obj_after = low_rank_commutator_norm(run.obs, w, run.dims, 0)
-    ptr_after = low_rank_commutator_norm(run.ts.pointer_observable, w, run.dims, 1)
+    t = tri.reshape(d1, d2, d3)  # the post-reading state is W W†, W the (object, pointer) × reader matrix of t
+    obj_after = low_rank_commutator_norm(run.obs, t.reshape(d1 * d2, d3))
+    # The same W with its rows as (pointer, object): a permutation of rows, which keeps the norm.
+    ptr_after = low_rank_commutator_norm(run.ts.pointer_observable, t.swapaxes(0, 1).reshape(d2 * d1, d3))
     return obj_after, ptr_after, max(obj_after, ptr_after), tol.COMMUTATOR
 
 
 def _pointer_reading_incompatibility(run: _Run):
-    tri, dims3 = run.reading
-    reappeared = lifted_incompatibility_entropy(run.obs, tri, dims3, 0)
+    reappeared = lifted_incompatibility_entropy(run.obs, run.reading[0])
     return reappeared, run.h_born, abs(reappeared - run.h_born), tol.THEOREM
 
 

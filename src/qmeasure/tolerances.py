@@ -1,7 +1,7 @@
 """Central table of numerical tolerances.
 
-Every tolerance used anywhere in the package lives here, so the whole
-suite has a single knob per kind of check.
+Every tolerance used anywhere in the package lives here, and no check takes
+one as a parameter: each kind of check has a single knob.
 """
 
 HERMITICITY = 1e-10      # |m - m†| for inputs required to be Hermitian

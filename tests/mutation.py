@@ -14,11 +14,18 @@ kills the mutant; a passing one means it survived. It prints one line per
 mutant, the score and the run time, and exits 1 if any mutant survived or
 the unmutated copy does not pass.
 
-The table holds the numbered mutants M1–M11 of the roadmap and one mutant
+The table holds the numbered mutants M1–M11 of the roadmap, one mutant
 per term of every ``max`` that makes a verdict's deviation in pipeline.py
-and information.py. The ``max`` that sets the text report's column width
-is layout, not a verdict, and has no mutant. See DeMillo, Lipton and
-Sayward, IEEE Computer 11(4), 1978.
+and information.py, three on the repeat-certainty product (C1–C3) and one
+per guard that must reject a NaN (N1–N4), each written back to the
+comparison that a NaN passes. The ``max`` that sets the text report's
+column width is layout, not a verdict, and has no mutant. M4, the W†W
+density check of the post-reading factor, left with its check:
+pointer_reading_marginals validates the reader marginal, of which W†W is
+the complex conjugate, and a failure there ends the run first.
+``tests/test_mutation_table.py`` checks that every ``old`` text still
+occurs exactly once. See DeMillo, Lipton and Sayward, IEEE Computer 11(4),
+1978.
 """
 
 from __future__ import annotations
@@ -48,9 +55,9 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "M1", "linalg.py",
-        "out = vec.reshape(-1, dims[factor]) @ op.T", "out = vec.reshape(-1, dims[factor]) @ op",
-        "apply_on_factor's last-factor path without its transpose",
+        "M1", "information.py",
+        "xw = (obs.matrix() @ _first_factor(obs, w))", "xw = (obs.matrix().T @ _first_factor(obs, w))",
+        "low_rank_commutator_norm's first-factor product with the observable transposed",
     ),
     Mutant(
         "M3", "pipeline.py",
@@ -61,11 +68,6 @@ MUTANTS = (
         "M3b", "pipeline.py",
         "max(object_comm, pointer_comm)", "object_comm",
         "compatibility_migration without its pointer side",
-    ),
-    Mutant(
-        "M4", "pipeline.py",
-        "    DensityOperator(dag(w) @ w)", "    DensityOperator",
-        "pointer_reading_commutators without the W†W density check",
     ),
     Mutant(
         "M5", "information.py",
@@ -87,7 +89,7 @@ MUTANTS = (
     ),
     Mutant(
         "M6", "information.py",
-        "if damage >= tol.DEFINITE_VALUE:", "if damage > float('inf'):",
+        "if not damage < tol.DEFINITE_VALUE:", "if damage > float('inf'):",
         "read_pointer_tripartite without its coherence guard",
     ),
     Mutant(
@@ -155,6 +157,41 @@ MUTANTS = (
         "S1", "schmidt.py",
         "lefts = m @ vectors[:, order]", "lefts = m @ np.conj(vectors[:, order])",
         "schmidt_decompose's left vectors from M conj(w)",
+    ),
+    Mutant(
+        "C1", "instruments.py",
+        "np.vecdot(again, again * ts.observable.indicator, axis=0)", "np.vecdot(again, again, axis=0)",
+        "repeat_measurement_check without the term mask of the repetition",
+    ),
+    Mutant(
+        "C2", "instruments.py",
+        "confirmed[detectable] / weights[detectable]", "confirmed[detectable]",
+        "repeat_measurement_check without the division by |A_k psi|²",
+    ),
+    Mutant(
+        "C3", "instruments.py",
+        "if null.size:", "if False:",
+        "repeat_measurement_check without its null-outcome guard",
+    ),
+    Mutant(
+        "N1", "linalg.py",
+        "if not abs(norm - 1.0) <= tol.NORMALIZATION:", "if abs(norm - 1.0) > tol.NORMALIZATION:",
+        "check_unit_norm lets a NaN norm through",
+    ),
+    Mutant(
+        "N2", "information.py",
+        "if not abs(total - 1.0) <= tol.DISTRIBUTION_SUM:", "if abs(total - 1.0) > tol.DISTRIBUTION_SUM:",
+        "shannon_entropy lets a NaN entry through",
+    ),
+    Mutant(
+        "N3", "observables.py",
+        "if not all(map(math.isfinite, obs.eigenvalues)):", "if False:",
+        "validate_observable lets non-finite eigenvalues through",
+    ),
+    Mutant(
+        "N4", "information.py",
+        "if not damage < tol.DEFINITE_VALUE:", "if damage >= tol.DEFINITE_VALUE:",
+        "read_pointer_tripartite's coherence guard lets a NaN through",
     ),
 )
 

@@ -3,7 +3,10 @@
 The pipeline never runs these. ``projectors`` and ``transformer_stack`` give
 the dense (K, d, d) forms of an observable's spectral family and of a
 transformer family, which the library stores only as an eigenbasis and its
-blocks. The dense references (``luders_update``, ``reduced_states``,
+blocks. ``apply_on_factor`` applies an operator to any one tensor factor,
+where the library's kernels act on the first factor only; the tests use it
+to corrupt one factor of an artefact and to build dense references. The
+dense references (``luders_update``, ``reduced_states``,
 ``commutator_norm``, ``post_reading_state``, ``lifted_commutator_norm``,
 ``purify``, ``completed_unitary``) form the d×d and D×D operators that the
 library's kernels avoid, so a kernel test still compares two routes. ``partial_inner`` is the one-vector form of the product
@@ -13,14 +16,17 @@ call the same comparison a ``pipeline.CHECKS`` entry reads, so acceptance tests 
 check one identity at a time. ``entanglement_of_pure_state`` takes the
 spectrum of the first marginal, and ``classify_outcomes`` reads
 ``probabilities``. ``dense_checks`` is a dense twin of the pipeline's checks
-that read the Schmidt form or an entropy of a pure vector: it evolves with
-the completed unitary, takes the Schmidt form from ``eigh`` of the partial
-trace of |Ψ><Ψ|, and every incompatibility entropy from a dense Lüders
-update.
+that read the Schmidt form, an entropy of a pure vector, the repetition of
+the measurement or the pointer reading: it evolves with the completed
+unitary, takes the Schmidt form from ``eigh`` of the partial trace of
+|Ψ><Ψ|, every incompatibility entropy from a dense Lüders update, repeat
+certainty from the dense A_k and P_k, and the reading's marginals and
+commutators from partial traces of |tri><tri|.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -34,7 +40,6 @@ from qmeasure import (
     SchmidtForm,
     StateTransformerSet,
     Verdict,
-    apply_on_factor,
     basis_vector,
     complete_isometry,
     dag,
@@ -65,6 +70,24 @@ def transformer_stack(ts: StateTransformerSet) -> np.ndarray:
     """The dense transformers A_k = B_k V_k† in term order, as one (K, d, d) stack."""
     obs = ts.observable
     return np.array([ts.blocks[:, cols] @ dag(obs.basis[:, cols]) for cols in obs.columns])
+
+
+def apply_on_factor(op: np.ndarray, vec: np.ndarray, structure: Sequence[int], factor: int) -> np.ndarray:
+    """(1 ⊗ .. ⊗ op ⊗ .. ⊗ 1) @ vec, with op acting on one tensor factor only.
+
+    ``vec`` is a vector on the product space described by ``structure``, or
+    a matrix whose columns are such vectors. The lifted operator is never
+    formed: one broadcast product applies op to the factor's axis of the
+    reshaped vector.
+    """
+    vec = np.asarray(vec, dtype=complex)
+    op = np.asarray(op, dtype=complex)
+    dims = tuple(int(d) for d in structure)
+    if not dims or min(dims) <= 0 or math.prod(dims) != vec.shape[0]:
+        raise DimensionMismatch(f"tensor structure {dims} does not factor dimension {vec.shape[0]}")
+    if not 0 <= factor < len(dims) or op.shape != (dims[factor], dims[factor]):
+        raise DimensionMismatch(f"operator of shape {op.shape} does not act on factor {factor} of {dims}")
+    return (op @ vec.reshape(math.prod(dims[:factor]), dims[factor], -1)).reshape(vec.shape)
 
 
 def classify_outcomes(obs: Observable, state: PureState) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -211,7 +234,6 @@ def verify_entanglement_as_incompatibility(ts: StateTransformerSet, psi: PureSta
         entanglement_of_pure_state(final, dims),
         ts.observable,
         final,
-        dims,
         shannon_entropy(np.clip(probabilities(ts.observable, psi), 0.0, None)),
     )
     return Verdict.from_deviation("entanglement_incompatibility_final", lhs, rhs, deviation, tol.THEOREM)
@@ -227,10 +249,13 @@ def verify_incompatibility_transfer(ts: StateTransformerSet, psi: PureState) -> 
 # The labels ``dense_checks`` computes, in report order.
 DENSE_LABELS = (
     "schmidt_reconstruction",
+    "repeat_certainty",
     "schmidt_probability_match",
     "entropy_ledger",
     "entanglement_incompatibility_final",
     "entanglement_incompatibility_initial",
+    "pointer_reading_marginals",
+    "pointer_reading_commutators",
     "pointer_reading_incompatibility",
 )
 
@@ -287,9 +312,15 @@ def dense_checks(scenario: Scenario) -> list[Verdict]:
     recon = sum(c * kron(left, right) for c, left, right in zip(sf.coefficients, sf.lefts.T, sf.rights.T))
     overlap = abs(complex(np.vdot(final, recon)))
     verdicts = [verdict("schmidt_reconstruction", overlap, 1.0, 1.0 - overlap, tol.RECONSTRUCTION)]
-    violation = max(frob(a - p @ a) for a, p in zip(transformer_stack(ts), projectors(obs)))
+    family = list(zip(transformer_stack(ts), projectors(obs)))
+    violation = max(frob(a - p @ a) for a, p in family)
     if not verdict("repeatability_condition", violation, 0.0, violation, tol.REPEATABILITY).passed:
         return verdicts
+
+    # Repeating after outcome k confirms it with probability |P_k A_k psi|² / |A_k psi|².
+    detected = [(a @ psi.vector, p) for (a, p), q in zip(family, born) if q > tol.DETECTABILITY]
+    certainty = min([1.0, *(frob(p @ v) ** 2 / frob(v) ** 2 for v, p in detected)])
+    verdicts.append(verdict("repeat_certainty", certainty, 1.0, 1.0 - certainty, tol.REPEAT_CERTAINTY))
 
     definite = verify_definite_values(sf, obs, ts.pointer_observable)
     match = float(np.max(np.abs(definite.schmidt_form.coefficients**2 - born[definite.outcomes])))
@@ -313,6 +344,19 @@ def dense_checks(scenario: Scenario) -> list[Verdict]:
     tri = sum(
         kron(kron(np.eye(d), pointer[k]) @ final, basis_vector(len(detectable), l)) for l, k in enumerate(detectable)
     )
+    dims3 = (d, n, len(detectable))
+    rho_tri = np.outer(tri, np.conj(tri))
+    marginals = [von_neumann_entropy(partial_trace(rho_tri, dims3, m)) for m in range(3)]
+    spread = max(abs(s - h) for s in marginals)
+    verdicts.append(verdict("pointer_reading_marginals", min(marginals), h, spread, tol.THEOREM))
+
+    rho12 = post_reading_state(tri, dims3)
+    obj_after = lifted_commutator_norm(obs, rho12, (d, n), 0)
+    ptr_after = lifted_commutator_norm(ts.pointer_observable, rho12, (d, n), 1)
+    verdicts.append(
+        verdict("pointer_reading_commutators", obj_after, ptr_after, max(obj_after, ptr_after), tol.COMMUTATOR)
+    )
+
     reappeared = dense_incompatibility(obs, tri, (d, n * len(detectable)))
     verdicts.append(verdict("pointer_reading_incompatibility", reappeared, h, abs(reappeared - h), tol.THEOREM))
     return verdicts

@@ -1,12 +1,15 @@
-"""The pipeline's Schmidt form and entropies against a dense twin of the same checks.
+"""The pipeline's Schmidt form, entropies, repeat certainty and pointer reading against a dense twin.
 
-``reference.dense_checks`` computes the labels of ``reference.DENSE_LABELS``
+``reference.dense_checks`` computes the nine labels of ``reference.DENSE_LABELS``
 from dense operators: the completed unitary on ψ ⊗ e_0, the eigenvectors of
-the partial trace of |Ψ><Ψ|, and Lüders updates of dense density matrices.
-The pipeline takes the Schmidt form from the n × n Gram matrix of the final
-vector and reads its entropies from the Schmidt coefficients. Both must
-reach the same verdicts, with each lhs and rhs equal up to rounding. This is
-differential testing (McKeeman, Digital Technical Journal 10(1), 1998).
+the partial trace of |Ψ><Ψ|, Lüders updates of dense density matrices, the
+dense A_k and P_k, and partial traces and commutators of |tri><tri|. The
+pipeline takes the Schmidt form from the n × n Gram matrix of the final
+vector, reads its entropies from the Schmidt coefficients, repeat certainty
+from the d × K matrix of the A_k ψ, and the reading's commutators from its
+D × K factor. Both must reach the same verdicts, with each lhs and rhs equal
+up to rounding. This is differential testing (McKeeman, Digital Technical
+Journal 10(1), 1998).
 
 A repeatable instrument makes the branches of the final vector orthogonal,
 so its Gram matrix is diagonal and real. The non-repeatable families

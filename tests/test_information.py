@@ -64,6 +64,12 @@ class TestShannonEntropy:
         with pytest.raises(NotADistribution):
             shannon_entropy([1.1, -0.1])
 
+    @pytest.mark.parametrize("p", [[np.nan, 0.5, 0.5], [np.nan, 1.0], [np.inf, 0.5], [np.inf, -np.inf, 1.0]])
+    def test_rejects_a_non_finite_entry(self, p):
+        # The entropy would drop a NaN with the null entries and give 1.0 or 0.0.
+        with pytest.raises(NotADistribution):
+            shannon_entropy(p)
+
 
 class TestVonNeumannEntropy:
     def test_pure_projector(self):
@@ -219,9 +225,9 @@ class TestIdentityVerifiers:
         obs = observable_from_matrix(random_hermitian(5, np.random.default_rng(78)))
         ts = make_repeatable_transformers(obs, 78)
         final = evolve(ts, PureState(random_state_vector(obs.dim, np.random.default_rng(79))))
-        h = lifted_incompatibility_entropy(obs, final, ts.composite_dims, 0)
+        h = lifted_incompatibility_entropy(obs, final)
         entanglement, h_born = h + e_offset * tol.THEOREM, h + h_offset * tol.THEOREM
-        lhs, rhs, deviation = final_state_identity(entanglement, obs, final, ts.composite_dims, h_born)
+        lhs, rhs, deviation = final_state_identity(entanglement, obs, final, h_born)
         assert (lhs, rhs) == (entanglement, h)
         assert deviation > tol.THEOREM
 
@@ -268,6 +274,14 @@ class TestPointerReading:
         vec = (kron(basis_vector(2, 0), basis_vector(2, 0)) + kron(basis_vector(2, 1), plus2)) / np.sqrt(2)
         with pytest.raises(NonRepeatableInput):
             read_pointer_tripartite(vec, ts)
+
+    def test_rejects_a_vector_with_a_nan_entry(self, pauli_z, plus_state):
+        # A NaN spreads over one row and one column of the pointer marginal, so its coherence is NaN.
+        ts = make_ideal_transformers(pauli_z)
+        final = evolve(ts, plus_state).copy()
+        final[0] = np.nan
+        with pytest.raises(NonRepeatableInput):
+            read_pointer_tripartite(final, ts)
 
     def test_accepts_degenerate_but_aligned_input(self):
         # measuring X on a basis state: degenerate Schmidt coefficients whose

@@ -14,7 +14,6 @@ from qmeasure import (
     make_ideal_transformers,
     make_repeatable_transformers,
     observable_from_matrix,
-    post_state,
     probabilities,
     random_state_vector,
     random_unitary,
@@ -207,27 +206,6 @@ class TestIsRepeatable:
             assert violation < 1e-10
 
 
-class TestPostState:
-    def test_textbook_collapse(self, pauli_z, plus_state):
-        ts = make_ideal_transformers(pauli_z)
-        after = post_state(ts, plus_state, 1)  # outcome a = +1
-        assert np.allclose(after.vector, basis_vector(2, 0))
-
-    def test_null_outcome(self, pauli_z):
-        ts = make_ideal_transformers(pauli_z)
-        with pytest.raises(NullOutcome):
-            post_state(ts, PureState(basis_vector(2, 0)), 0)  # a = -1 never occurs
-
-    def test_lands_in_eigenspace(self):
-        rng = np.random.default_rng(21)
-        obs = random_observable(4, rng)
-        ts = make_repeatable_transformers(obs, 5)
-        psi = PureState(random_state_vector(4, rng))
-        for k, p in enumerate(projectors(obs)):
-            after = post_state(ts, psi, k)
-            assert np.linalg.norm(p @ after.vector - after.vector) < 1e-9
-
-
 class TestDilate:
     def test_ideal_z_controlled_shift(self, pauli_z):
         unitary = completed_unitary(make_ideal_transformers(pauli_z))
@@ -367,3 +345,30 @@ class TestRepeatMeasurementCheck:
     def test_swap_family_never_confirms(self, swap_transformers, plus_state):
         born = probabilities(swap_transformers.observable, plus_state)
         assert repeat_measurement_check(swap_transformers, plus_state, born) == pytest.approx(0.0, abs=1e-12)
+
+    def test_textbook_collapse_is_confirmed(self, pauli_z, plus_state):
+        # Each outcome leaves (1/√2) e_k, which a repetition finds in term k again with certainty.
+        ts = make_ideal_transformers(pauli_z)
+        assert repeat_measurement_check(ts, plus_state, np.array([0.5, 0.5])) == 1.0
+
+    def test_null_outcome(self, pauli_z):
+        # In ascending term order a = -1 is term 0, and e_0 has no component there: A_0 e_0 = 0.
+        ts = make_ideal_transformers(pauli_z)
+        with pytest.raises(NullOutcome, match="outcome 0 has probability 0.0"):
+            repeat_measurement_check(ts, PureState(basis_vector(2, 0)), np.array([0.5, 0.5]))
+
+    def test_state_of_the_wrong_dimension(self, pauli_z):
+        ts = make_ideal_transformers(pauli_z)
+        with pytest.raises(DimensionMismatch, match="state dim 3 != observable dim 2"):
+            repeat_measurement_check(ts, uniform_superposition(3), np.array([0.5, 0.5]))
+
+    def test_matches_the_dense_ratio_of_each_outcome(self):
+        # A_k = U P_k: repeating after outcome k finds term k with probability |P_k A_k psi|² / |A_k psi|².
+        rng = np.random.default_rng(21)
+        obs = random_observable(4, rng)
+        ts = StateTransformerSet(random_unitary(4, rng) @ obs.basis, obs)
+        psi = PureState(random_state_vector(4, rng))
+        images = [a @ psi.vector for a in transformer_stack(ts)]
+        dense = min(np.linalg.norm(p @ v) ** 2 / np.linalg.norm(v) ** 2 for p, v in zip(projectors(obs), images))
+        assert dense < 0.9
+        assert repeat_measurement_check(ts, psi, probabilities(obs, psi)) == pytest.approx(dense, abs=1e-14)

@@ -1,10 +1,12 @@
 """Factor kernels against the dense lifted operators they replace.
 
-Each kernel acts on one tensor factor, or on a component set, without
-forming a product-space operator. The references below build that operator
-explicitly (``kron``, ``embed_observable``, ``luders_update``,
-``partial_trace`` of an outer product, ``eigvalsh`` of the whole outer
-product) and must agree with the kernel.
+Each kernel acts on the first tensor factor, or on a component set, without
+forming a product-space operator. ``reference.apply_on_factor``, which acts
+on any one factor, is checked here too, since the tests build on it. The
+references below build the product-space operator explicitly (``kron``,
+``embed_observable``, ``luders_update``, ``partial_trace`` of an outer
+product, ``eigvalsh`` of the whole outer product) and must agree with the
+kernel.
 """
 
 import sys
@@ -21,12 +23,12 @@ from qmeasure import (
     DimensionMismatch,
     EntropyReport,
     PureState,
-    apply_on_factor,
     evolve,
     generate_random_instance,
     incompatibility_entropy,
     kron,
     lifted_incompatibility_entropy,
+    low_rank_commutator_norm,
     make_ideal_transformers,
     observable_from_matrix,
     partial_trace,
@@ -41,7 +43,7 @@ from qmeasure import (
     von_neumann_entropy,
 )
 from conftest import random_hermitian
-from reference import dense_incompatibility, luders_update, projectors, reduced_states
+from reference import apply_on_factor, dense_incompatibility, luders_update, projectors, reduced_states
 
 # Set before the tests were run: a few roundings of O(1) entries.
 KERNEL_TOL = 1e-13
@@ -124,8 +126,8 @@ class TestKernelCounts:
         # makes as many kernel calls as one with 2.
         counts = Counter()
         namespaces = [m for name, m in sys.modules.items() if name == "qmeasure" or name.startswith("qmeasure.")]
-        for name in ("apply_on_factor", "pure_marginal"):
-            original = getattr(qmeasure.linalg, name)
+        for name in ("low_rank_commutator_norm", "pure_marginal"):
+            original = getattr(qmeasure, name)
 
             def spy(*args, _name=name, _original=original, **kwargs):
                 counts[_name] += 1
@@ -143,8 +145,30 @@ class TestKernelCounts:
             report = run_pipeline(scenario)
             assert report.overall_pass and not report.not_applicable
             per_run[n] = dict(counts)
-        assert per_run[2]["apply_on_factor"] > 0 and per_run[2]["pure_marginal"] > 0
+        assert per_run[2]["low_rank_commutator_norm"] > 0 and per_run[2]["pure_marginal"] > 0
         assert per_run[2] == per_run[6]
+
+
+class TestFirstFactorKernels:
+    @pytest.mark.parametrize("rows", [7, 10, 1])
+    def test_reject_a_row_count_that_the_observable_does_not_divide(self, rows):
+        # rows × 3 entries always reshape to (3, -1), so only the row count shows the mismatch.
+        obs = observable_from_matrix(random_hermitian(3, np.random.default_rng(340)))
+        w = np.ones((rows, 3), dtype=complex) / np.sqrt(3 * rows)
+        with pytest.raises(DimensionMismatch, match="not the first factor"):
+            low_rank_commutator_norm(obs, w)
+        with pytest.raises(DimensionMismatch, match="not the first factor"):
+            lifted_incompatibility_entropy(obs, w[:, 0] * np.sqrt(3))
+
+    def test_act_on_the_first_factor_of_a_tripartite_vector(self):
+        # The object factor first, then two others read as one: the same as the dense route on factor 0.
+        rng = np.random.default_rng(341)
+        obs = observable_from_matrix(random_hermitian(TRI_DIMS[0], rng))
+        v = random_state_vector(int(np.prod(TRI_DIMS)), rng)
+        rho = np.outer(v, np.conj(v))
+        x = lifted(obs.matrix(), TRI_DIMS, 0)
+        assert abs(low_rank_commutator_norm(obs, v[:, None]) - np.linalg.norm(x @ rho - rho @ x)) < KERNEL_TOL
+        assert abs(lifted_incompatibility_entropy(obs, v) - dense_incompatibility(obs, v, TRI_DIMS)) < ENTROPY_TOL
 
 
 class TestPureMarginal:
@@ -170,8 +194,8 @@ class TestGramRoute:
         tri, dims3 = read_pointer_tripartite(final, ts)
 
         dims = ts.composite_dims
-        assert abs(lifted_incompatibility_entropy(obs, final, dims, 0) - dense_incompatibility(obs, final, dims)) < ENTROPY_TOL
-        assert abs(lifted_incompatibility_entropy(obs, tri, dims3, 0) - dense_incompatibility(obs, tri, dims3)) < ENTROPY_TOL
+        assert abs(lifted_incompatibility_entropy(obs, final) - dense_incompatibility(obs, final, dims)) < ENTROPY_TOL
+        assert abs(lifted_incompatibility_entropy(obs, tri) - dense_incompatibility(obs, tri, dims3)) < ENTROPY_TOL
         pure = DensityOperator(np.outer(psi.vector, np.conj(psi.vector)))
         initial = von_neumann_entropy(luders_update(obs, psi)) - von_neumann_entropy(pure)
         assert abs(incompatibility_entropy(obs, psi) - initial) < ENTROPY_TOL

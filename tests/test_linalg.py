@@ -6,7 +6,6 @@ from qmeasure import (
     generate_random_instance,
     NotHermitian,
     NotOrthonormal,
-    apply_on_factor,
     basis_vector,
     complete_isometry,
     dag,
@@ -162,22 +161,6 @@ class TestKernelsAgreeWithNumpy:
         for keep in (0, 1, 2, (0, 1), (0, 2), (1, 2)):
             expected = partial_trace(rho, dims, keep=keep)
             assert np.max(np.abs(pure_marginal(vec, dims, keep) - expected)) < 1e-13, keep
-
-    def test_last_factor_path_equals_the_broadcast_path(self):
-        # A one-column matrix takes the broadcast product; a vector on the last factor takes the row product.
-        rng = np.random.default_rng(63)
-        for dims in ((3, 4), (2, 3, 5), (6,)):
-            d_f = dims[-1]
-            vec = _complex(rng, int(np.prod(dims)))
-            vec /= frob(vec)
-            pointer = np.stack([np.diag(basis_vector(d_f, k)) for k in range(d_f)])
-            factor = len(dims) - 1
-            for op in pointer:
-                broadcast = apply_on_factor(op, vec[:, None], dims, factor)[..., 0]
-                assert np.array_equal(apply_on_factor(op, vec, dims, factor), broadcast), dims
-            for op in (random_unitary(d_f, rng) for _ in range(3)):
-                broadcast = apply_on_factor(op, vec[:, None], dims, factor)[..., 0]
-                assert np.max(np.abs(apply_on_factor(op, vec, dims, factor) - broadcast)) < 1e-15, dims
 
 
 class TestPartialInner:

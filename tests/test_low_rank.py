@@ -3,7 +3,9 @@
 ``evolve`` applies the transformer stack as the dilation's D×d isometry
 |v> -> sum_k A_k|v> ⊗ e_k, and every commutator norm comes from the QR factorisation of a matrix W
 with state W W†: the D×K post-reading factor, psi as d×1, and the final vector's matrix M and Mᵀ
-for its two marginals. The references complete the D×D unitary and build the dense states.
+for its two marginals. The observable acts on the first factor of W's rows; for the pointer of the
+post-reading factor the rows are read pointer first, a permutation that keeps the norm. The
+references complete the D×D unitary and build the dense states.
 """
 
 import tracemalloc
@@ -38,6 +40,11 @@ RELATIVE_TOL = 1e-12
 SEEDED = [(s, 6, 4) for s in range(40)] + [(s, 16, 6) for s in range(10)]
 
 
+def factor_first(w: np.ndarray, dims: tuple[int, int], factor: int) -> np.ndarray:
+    """The rows of W, indexed (factor 0, factor 1), reordered so that ``factor`` comes first."""
+    return np.moveaxis(w.reshape(*dims, -1), factor, 0).reshape(w.shape)
+
+
 def dense_commutator(obs, w: np.ndarray, dims: tuple[int, int], factor: int) -> float:
     """||[obs ⊗ 1, rho_12]||_F from the D×D post-reading state."""
     rho12 = post_reading_state(w.reshape(-1), (*dims, w.shape[1]))
@@ -69,7 +76,8 @@ class TestLowRankCommutator:
             obs = observable_from_matrix(random_hermitian(dims[factor], rng))
             dense = dense_commutator(obs, w, dims, factor)
             assert dense > 1e-3 * term_scale(obs, w), case  # the pair does not commute
-            assert abs(low_rank_commutator_norm(obs, w, dims, factor) - dense) <= RELATIVE_TOL * dense, case
+            low_rank = low_rank_commutator_norm(obs, factor_first(w, dims, factor))
+            assert abs(low_rank - dense) <= RELATIVE_TOL * dense, case
 
     @pytest.mark.parametrize("seed,d1_max,outcomes_max", SEEDED)
     def test_matches_the_dense_route_on_seeded_readings(self, seed, d1_max, outcomes_max):
@@ -77,12 +85,13 @@ class TestLowRankCommutator:
         dims = ts.composite_dims
         # The measured observables commute with rho_12: both routes return rounding noise.
         for obs, factor in ((scenario.observable, 0), (ts.pointer_observable, 1)):
-            gap = abs(low_rank_commutator_norm(obs, w, dims, factor) - dense_commutator(obs, w, dims, factor))
+            low_rank = low_rank_commutator_norm(obs, factor_first(w, dims, factor))
+            gap = abs(low_rank - dense_commutator(obs, w, dims, factor))
             assert gap <= RELATIVE_TOL * term_scale(obs, w)
         # An unrelated object observable does not commute with it.
         other = observable_from_matrix(random_hermitian(dims[0], np.random.default_rng(seed)))
         dense = dense_commutator(other, w, dims, 0)
-        assert abs(low_rank_commutator_norm(other, w, dims, 0) - dense) <= RELATIVE_TOL * dense
+        assert abs(low_rank_commutator_norm(other, w) - dense) <= RELATIVE_TOL * dense
         # The pipeline's other inputs: psi as d×1 for [A, psi psi†], and the final vector's d×n matrix M
         # for rho_1 = M M† and its transpose for rho_2 = Mᵀ (Mᵀ)†, against the dense d×d and n×n routes.
         psi = scenario.initial_state
@@ -94,10 +103,12 @@ class TestLowRankCommutator:
             (scenario.observable, m, rho1),
             (ts.pointer_observable, m.T, rho2),
         ):
-            low_rank = low_rank_commutator_norm(obs, w, w.shape[:1], 0)
+            low_rank = low_rank_commutator_norm(obs, w)
             assert abs(low_rank - commutator_norm(obs, state)) <= RELATIVE_TOL * term_scale(obs, w)
 
-    def test_pipeline_checks_the_post_reading_state_on_its_gram_matrix(self):
+    def test_pipeline_checks_the_reading_as_a_state_before_its_commutators(self):
+        # W†W is the conjugate of the reader marginal, which pointer_reading_marginals checks as a density
+        # operator before pointer_reading_commutators runs; a failure there ends the run.
         scenario = generate_random_instance(4, 6, 4)
         run = pipeline_module._Run(scenario)
         tri, dims3 = run.reading
@@ -105,7 +116,7 @@ class TestLowRankCommutator:
         with pytest.raises(NotDensityOperator):
             post_reading_state(1.1 * tri, dims3)
         with pytest.raises(NotDensityOperator):
-            pipeline_module._pointer_reading_commutators(run)
+            pipeline_module._pointer_reading_marginals(run)
 
 
 class TestIsometryRoute:

@@ -74,11 +74,23 @@ class TestObservableFromMatrix:
         with pytest.raises(DimensionMismatch, match="not square"):
             Observable((0.0, 1.0), np.eye(3, 2), (1, 1))
 
+    @pytest.mark.parametrize("eigenvalues", [(np.nan, 1.0), (-np.inf, np.inf), (0.0, np.inf)])
+    def test_rejects_non_finite_eigenvalues(self, eigenvalues):
+        # A NaN fails no gap comparison, and an infinite gap passes every one.
+        with pytest.raises(ValidationError, match="not all finite"):
+            Observable(eigenvalues, np.eye(2), (1, 1))
+
 
 class TestStates:
     def test_pure_state_requires_unit_norm(self):
         with pytest.raises(NotNormalized):
             PureState(np.array([1.0, 1.0], dtype=complex))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(np.nan, 0.0)])
+    def test_pure_state_rejects_a_non_finite_entry(self, entry):
+        # The norm of such a vector is NaN or infinite, never within NORMALIZATION of 1.
+        with pytest.raises(NotNormalized):
+            PureState(np.array([entry, 0.0], dtype=complex))
 
     def test_density_operator_validation(self):
         with pytest.raises(NotDensityOperator):

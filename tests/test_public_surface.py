@@ -22,14 +22,14 @@ PUBLIC_NAMES = (
     "NoDefiniteValue", "NonRepeatableInput", "ParseError", "ValidationError",
     # linalg
     "TensorStructure", "dag", "frob", "kron", "basis_vector", "is_hermitian", "hermitian_eig",
-    "partial_trace", "apply_on_factor", "pure_marginal", "check_orthonormal_columns",
+    "partial_trace", "pure_marginal", "check_orthonormal_columns",
     "complete_isometry", "random_unitary", "random_state_vector",
     # observables
     "Observable", "PureState", "DensityOperator", "validate_observable",
     "observable_from_matrix", "embed_observable", "probabilities", "uniform_superposition",
     # instruments
     "StateTransformerSet", "make_ideal_transformers", "make_repeatable_transformers",
-    "repeatability_violation", "post_state", "evolve", "repeat_measurement_check",
+    "repeatability_violation", "evolve", "repeat_measurement_check",
     # schmidt
     "SchmidtForm", "DefiniteValueReport", "schmidt_decompose", "reconstruct", "verify_definite_values",
     # information
@@ -87,7 +87,7 @@ def _resolve(dotted: str):
 
 
 def test_all_is_pinned_in_order():
-    assert len(PUBLIC_NAMES) == 67
+    assert len(PUBLIC_NAMES) == 65
     assert tuple(qmeasure.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(qmeasure, name), name
