@@ -3,13 +3,12 @@
 All entropies are in bits (base-2 logarithms). The incompatibility (or
 coherence) entropy of an observable in a state is the entropy increase
 under the projective Lüders update; it vanishes exactly when observable
-and state commute. ``final_state_identity`` and ``transfer_identity``
-compare, through disjoint numeric routes, this quantity with the
-entanglement of the final object-pointer vector, which it equals for
-repeatable instruments; the pipeline's checks read them. That
-entanglement, and the rest of the ``EntropyReport`` of a pure vector, is
-read from its Schmidt coefficients: both marginals have their squares as
-spectrum, and the vector itself has entropy 0.
+and state commute. In a pure vector it is the entropy of the branch
+weights, and for repeatable instruments it equals the entanglement of the
+final object-pointer vector. That entanglement, and the rest of the
+``EntropyReport`` of a pure vector, is read from its Schmidt coefficients:
+both marginals have their squares as spectrum, and the vector itself has
+entropy 0.
 """
 
 from __future__ import annotations
@@ -21,9 +20,9 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, NonRepeatableInput, NotADistribution
-from .linalg import dag, frob, pure_marginal
+from .linalg import check_unit_norm, dag, frob, pure_marginal
 from .instruments import StateTransformerSet
-from .observables import DensityOperator, Observable, PureState, check_dims
+from .observables import DensityOperator, Observable
 
 # Not used here. It stays importable from this module because bench/selftest.py
 # checks that tracing restores this name in this namespace.
@@ -86,17 +85,6 @@ def von_neumann_entropy(rho: DensityOperator | np.ndarray) -> float:
     return shannon_entropy(np.maximum(rho.eigenvalues(), 0.0))
 
 
-def incompatibility_entropy(obs: Observable, state: PureState) -> float:
-    """Entropy increase under the projective update of the observable.
-
-    Zero exactly when the state is an eigenvector of the observable, and
-    equal to the Shannon entropy of the outcome probabilities. It takes the
-    Gram-matrix route of ``lifted_incompatibility_entropy``.
-    """
-    check_dims(obs, state)
-    return lifted_incompatibility_entropy(obs, state.vector)
-
-
 def _first_factor(obs: Observable, w: np.ndarray) -> np.ndarray:
     """``w`` as obs.dim × rest: its rows split as (first factor, the other factors), those joined to its columns."""
     if w.shape[0] % obs.dim:
@@ -105,34 +93,17 @@ def _first_factor(obs: Observable, w: np.ndarray) -> np.ndarray:
 
 
 def lifted_incompatibility_entropy(obs: Observable, vector: np.ndarray) -> float:
-    """Incompatibility entropy of obs ⊗ 1, with obs on the first tensor factor, in a pure vector.
+    """Incompatibility entropy of obs ⊗ 1, with obs on the first tensor factor, in a unit vector.
 
-    The Lüders update of |v><v| is sum_k |v_k><v_k| with v_k = (P_k ⊗ 1) v = (V_k ⊗ 1) c_k, where
-    c = V† v with v read as d × rest. The update's entropy is that of the Gram matrix
-    G_jk = <v_j|v_k> = sum_{a in j, b in k} (V†V)_ab S_ab, with S = c̄ cᵀ summed over the other
-    factors: V†V keeps the overlaps V_j†V_k, so G is not just the diagonal of weights. |v><v| itself
-    has entropy 0: G's trace check holds ||v|| = 1 within HERMITICITY. This costs O(d D + d³) and
-    stores no component; the update costs O(D^3).
+    The Lüders update of |v><v| is sum_k |v_k><v_k| with v_k = (P_k ⊗ 1) v, and P_j P_k = 0 makes
+    the branches v_k orthogonal: the update's spectrum is their weights ||v_k||² = sum_{a in k} ||c_a||²,
+    where c = V† v with v read as d × rest, and |v><v| itself has entropy 0. ``validate_observable``
+    holds the overlaps V_j†V_k within ORTHONORMALITY when obs is built. This costs O(d D) and forms
+    no d × d product; the update costs O(D^3).
     """
-    vh = dag(obs.basis)
-    c = vh @ _first_factor(obs, np.asarray(vector, dtype=complex).reshape(-1))
-    gram = obs.indicator.T @ ((vh @ obs.basis) * (np.conj(c) @ c.T)) @ obs.indicator
-    return von_neumann_entropy(gram)
-
-
-def final_state_identity(
-    entanglement: float, obs: Observable, final: np.ndarray, h_born: float
-) -> tuple[float, float, float]:
-    """(entanglement, incompatibility entropy of obs ⊗ 1 in ``final``, worst pairwise gap incl. H(p))."""
-    rhs = lifted_incompatibility_entropy(obs, final)
-    deviation = max(abs(entanglement - rhs), abs(entanglement - h_born), abs(rhs - h_born))
-    return entanglement, rhs, deviation
-
-
-def transfer_identity(obs: Observable, psi: PureState, entanglement: float) -> tuple[float, float, float]:
-    """(incompatibility entropy of obs in the initial state, final entanglement, their gap)."""
-    lhs = incompatibility_entropy(obs, psi)
-    return lhs, entanglement, abs(lhs - entanglement)
+    v, _ = check_unit_norm(vector)
+    c = dag(obs.basis) @ _first_factor(obs, v)
+    return shannon_entropy(np.vecdot(c, c).real @ obs.indicator)
 
 
 def read_pointer_tripartite(final: np.ndarray, ts: StateTransformerSet) -> tuple[np.ndarray, tuple[int, int, int]]:
@@ -184,7 +155,6 @@ __all__ = [
     "Verdict",
     "shannon_entropy",
     "von_neumann_entropy",
-    "incompatibility_entropy",
     "lifted_incompatibility_entropy",
     "read_pointer_tripartite",
     "low_rank_commutator_norm",

@@ -30,12 +30,10 @@ from .errors import QMeasureError
 from .information import (
     EntropyReport,
     Verdict,
-    final_state_identity,
     lifted_incompatibility_entropy,
     low_rank_commutator_norm,
     read_pointer_tripartite,
     shannon_entropy,
-    transfer_identity,
     von_neumann_entropy,
 )
 from .instruments import (
@@ -205,11 +203,17 @@ def _entropy_ledger(run: _Run):
 # The entropy report's S1, H(c²) of the Schmidt coefficients, is the entanglement of
 # the final vector, so both entanglement checks read it rather than take another spectrum.
 def _entanglement_incompatibility_final(run: _Run):
-    return (*final_state_identity(run.entropies.s1, run.obs, run.final, run.h_born), tol.THEOREM)
+    entanglement, h_born = run.entropies.s1, run.h_born
+    rhs = lifted_incompatibility_entropy(run.obs, run.final)
+    deviation = max(abs(entanglement - rhs), abs(entanglement - h_born), abs(rhs - h_born))
+    return entanglement, rhs, deviation, tol.THEOREM
 
 
+# The incompatibility entropy of psi is H(p) of its Born vector: the branch weights of
+# lifted_incompatibility_entropy on psi are the Born vector, so the check reads H(p).
 def _entanglement_incompatibility_initial(run: _Run):
-    return (*transfer_identity(run.obs, run.psi, run.entropies.s1), tol.THEOREM)
+    h_born, entanglement = run.h_born, run.entropies.s1
+    return h_born, entanglement, abs(h_born - entanglement), tol.THEOREM
 
 
 def _pointer_reading_marginals(run: _Run):

@@ -15,14 +15,17 @@ mutant, the score and the run time, and exits 1 if any mutant survived or
 the unmutated copy does not pass.
 
 The table holds the numbered mutants M1–M11 of the roadmap, one mutant
-per term of every ``max`` that makes a verdict's deviation in pipeline.py
-and information.py, three on the repeat-certainty product (C1–C3) and one
-per guard that must reject a NaN (N1–N4), each written back to the
-comparison that a NaN passes. The ``max`` that sets the text report's
-column width is layout, not a verdict, and has no mutant. M4, the W†W
-density check of the post-reading factor, left with its check:
-pointer_reading_marginals validates the reader marginal, of which W†W is
-the complex conjugate, and a failure there ends the run first.
+per term of every ``max`` that makes a verdict's deviation in pipeline.py,
+three on the repeat-certainty product (C1–C3), one per guard that must
+reject a NaN (N1–N4), each written back to the comparison that a NaN
+passes, two on the branch-weight entropy kernel (L1, L2) and two
+common-mode faults that move both sides of every entropy verdict alike
+(H1, H2), which only closed-form values can see. The ``max`` that sets
+the text report's column width is layout, not a verdict, and has no
+mutant. M4, the W†W density check of the post-reading factor, left with
+its check: pointer_reading_marginals validates the reader marginal, of
+which W†W is the complex conjugate, and a failure there ends the run
+first.
 ``tests/test_mutation_table.py`` checks that every ``old`` text still
 occurs exactly once. See DeMillo, Lipton and Sayward, IEEE Computer 11(4),
 1978.
@@ -70,22 +73,22 @@ MUTANTS = (
         "compatibility_migration without its pointer side",
     ),
     Mutant(
-        "M5", "information.py",
+        "M5", "pipeline.py",
         "max(abs(entanglement - rhs), abs(entanglement - h_born), abs(rhs - h_born))",
         "max(abs(entanglement - h_born), abs(rhs - h_born))",
-        "final_state_identity without |E - lifted|",
+        "entanglement_incompatibility_final without |E - lifted|",
     ),
     Mutant(
-        "M5b", "information.py",
+        "M5b", "pipeline.py",
         "max(abs(entanglement - rhs), abs(entanglement - h_born), abs(rhs - h_born))",
         "max(abs(entanglement - rhs), abs(rhs - h_born))",
-        "final_state_identity without |E - H(p)|",
+        "entanglement_incompatibility_final without |E - H(p)|",
     ),
     Mutant(
-        "M5c", "information.py",
+        "M5c", "pipeline.py",
         "max(abs(entanglement - rhs), abs(entanglement - h_born), abs(rhs - h_born))",
         "max(abs(entanglement - rhs), abs(entanglement - h_born))",
-        "final_state_identity without |lifted - H(p)|",
+        "entanglement_incompatibility_final without |lifted - H(p)|",
     ),
     Mutant(
         "M6", "information.py",
@@ -152,6 +155,27 @@ MUTANTS = (
         "H0", "information.py",
         "return max(0.0, float(-np.sum(kept * np.log2(kept))))", "return float(-np.sum(kept * np.log2(kept)))",
         "shannon_entropy without its clamp at 0",
+    ),
+    Mutant(
+        "H1", "information.py",
+        "return max(0.0, float(-np.sum(kept * np.log2(kept))))",
+        "return 1.001 * max(0.0, float(-np.sum(kept * np.log2(kept))))",
+        "shannon_entropy scaled by 1.001, on both sides of every entropy verdict",
+    ),
+    Mutant(
+        "H2", "tolerances.py",
+        "ENTROPY_CUTOFF = 1e-12", "ENTROPY_CUTOFF = 1e-2",
+        "shannon_entropy drops every weight below 1e-2, on both sides of every entropy verdict",
+    ),
+    Mutant(
+        "L1", "information.py",
+        "c = dag(obs.basis) @ _first_factor(obs, v)", "c = obs.basis.T @ _first_factor(obs, v)",
+        "lifted_incompatibility_entropy's branch coordinates without the conjugate",
+    ),
+    Mutant(
+        "L2", "information.py",
+        "v, _ = check_unit_norm(vector)", "v = np.asarray(vector, dtype=complex).reshape(-1)",
+        "lifted_incompatibility_entropy without its unit-norm guard",
     ),
     Mutant(
         "S1", "schmidt.py",

@@ -12,9 +12,11 @@ dense references (``luders_update``, ``reduced_states``,
 library's kernels avoid, so a kernel test still compares two routes. ``partial_inner`` is the one-vector form of the product
 ``dag(L) @ psi.reshape(d1, d2)`` that ``schmidt_decompose`` takes. The
 ``verify_*`` wrappers evolve with the transformer family themselves and then
-call the same comparison a ``pipeline.CHECKS`` entry reads, so acceptance tests can
-check one identity at a time. ``entanglement_of_pure_state`` takes the
-spectrum of the first marginal, and ``classify_outcomes`` reads
+compute both sides of one ``pipeline.CHECKS`` entry, so acceptance tests
+can check one identity at a time; the initial one takes the
+incompatibility entropy of ψ from the kernel, where the pipeline reads
+H(p). ``entanglement_of_pure_state`` takes the spectrum of the first
+marginal, and ``classify_outcomes`` reads
 ``probabilities``. ``dense_checks`` is a dense twin of the pipeline's checks
 that read the Schmidt form, an entropy of a pure vector, the repetition of
 the measurement or the pointer reading: it evolves with the completed
@@ -48,6 +50,7 @@ from qmeasure import (
     frob,
     hermitian_eig,
     kron,
+    lifted_incompatibility_entropy,
     partial_trace,
     probabilities,
     pure_marginal,
@@ -56,7 +59,6 @@ from qmeasure import (
     von_neumann_entropy,
 )
 from qmeasure import tolerances as tol
-from qmeasure.information import final_state_identity, transfer_identity
 from qmeasure.instruments import conditional_state_gap, probability_gap
 from qmeasure.linalg import check_unit_norm
 
@@ -229,21 +231,18 @@ def verify_entanglement_as_incompatibility(ts: StateTransformerSet, psi: PureSta
     evolved vector, and the Shannon entropy of the Born probabilities.
     """
     final = evolve(ts, psi)
-    dims = ts.composite_dims
-    lhs, rhs, deviation = final_state_identity(
-        entanglement_of_pure_state(final, dims),
-        ts.observable,
-        final,
-        shannon_entropy(np.clip(probabilities(ts.observable, psi), 0.0, None)),
-    )
-    return Verdict.from_deviation("entanglement_incompatibility_final", lhs, rhs, deviation, tol.THEOREM)
+    e = entanglement_of_pure_state(final, ts.composite_dims)
+    lifted = lifted_incompatibility_entropy(ts.observable, final)
+    h = shannon_entropy(np.clip(probabilities(ts.observable, psi), 0.0, None))
+    deviation = max(abs(e - lifted), abs(e - h), abs(lifted - h))
+    return Verdict.from_deviation("entanglement_incompatibility_final", e, lifted, deviation, tol.THEOREM)
 
 
 def verify_incompatibility_transfer(ts: StateTransformerSet, psi: PureState) -> Verdict:
-    """Incompatibility entropy in the initial state vs final entanglement."""
-    final = evolve(ts, psi)
-    lhs, rhs, deviation = transfer_identity(ts.observable, psi, entanglement_of_pure_state(final, ts.composite_dims))
-    return Verdict.from_deviation("entanglement_incompatibility_initial", lhs, rhs, deviation, tol.THEOREM)
+    """Incompatibility entropy in the initial state, from its branch weights, vs final entanglement."""
+    initial = lifted_incompatibility_entropy(ts.observable, psi.vector)
+    e = entanglement_of_pure_state(evolve(ts, psi), ts.composite_dims)
+    return Verdict.from_deviation("entanglement_incompatibility_initial", initial, e, abs(initial - e), tol.THEOREM)
 
 
 # The labels ``dense_checks`` computes, in report order.

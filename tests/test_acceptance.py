@@ -20,7 +20,7 @@ from qmeasure import (
     embed_observable,
     evolve,
     generate_random_instance,
-    incompatibility_entropy,
+    lifted_incompatibility_entropy,
     make_ideal_transformers,
     observable_from_matrix,
     partial_trace,
@@ -205,7 +205,7 @@ def test_criterion_09_pointer_reading(instances):
         )
         lifted = embed_observable(x.obs, dims3, 0)
         worst_incompatibility = max(
-            worst_incompatibility, abs(incompatibility_entropy(lifted, PureState(tri)) - h)
+            worst_incompatibility, abs(lifted_incompatibility_entropy(lifted, tri) - h)
         )
     passed = worst_marginal < 1e-9 and worst_commutator < 1e-10 and worst_incompatibility < 1e-9
     report(

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,12 +10,11 @@ from qmeasure import (
     EntropyReport,
     NonRepeatableInput,
     NotADistribution,
+    NotNormalized,
     PureState,
-    QMeasureError,
     basis_vector,
     embed_observable,
     evolve,
-    incompatibility_entropy,
     kron,
     lifted_incompatibility_entropy,
     make_ideal_transformers,
@@ -28,8 +28,8 @@ from qmeasure import (
     shannon_entropy,
     von_neumann_entropy,
 )
+from qmeasure import pipeline as pipeline_module
 from qmeasure import tolerances as tol
-from qmeasure.information import final_state_identity
 from conftest import bell_vector, random_density, random_hermitian
 from reference import (
     commutator_norm,
@@ -135,14 +135,14 @@ class TestMutualInformation:
 
 class TestIncompatibilityEntropy:
     def test_eigenstate(self, pauli_z):
-        assert abs(incompatibility_entropy(pauli_z, PureState(basis_vector(2, 0)))) < 1e-12
+        assert abs(lifted_incompatibility_entropy(pauli_z, basis_vector(2, 0))) < 1e-12
 
     def test_balanced_coherence(self, pauli_z, plus_state):
-        assert incompatibility_entropy(pauli_z, plus_state) == pytest.approx(1.0, abs=1e-12)
+        assert lifted_incompatibility_entropy(pauli_z, plus_state.vector) == pytest.approx(1.0, abs=1e-12)
 
     def test_unbalanced_coherence(self, pauli_z):
         psi = PureState(np.array([np.sqrt(0.3), np.sqrt(0.7)], dtype=complex))
-        assert incompatibility_entropy(pauli_z, psi) == pytest.approx(H_03_07, abs=1e-9)
+        assert lifted_incompatibility_entropy(pauli_z, psi.vector) == pytest.approx(H_03_07, abs=1e-9)
 
     def test_equals_shannon_for_pure_states(self):
         rng = np.random.default_rng(74)
@@ -150,7 +150,7 @@ class TestIncompatibilityEntropy:
             obs = observable_from_matrix(random_hermitian(4, rng))
             psi = PureState(random_state_vector(4, rng))
             expected = shannon_entropy(np.clip(probabilities(obs, psi), 0, None))
-            assert incompatibility_entropy(obs, psi) == pytest.approx(expected, abs=1e-9)
+            assert lifted_incompatibility_entropy(obs, psi.vector) == pytest.approx(expected, abs=1e-9)
 
     def test_nonnegative_and_zero_iff_compatible(self):
         rng = np.random.default_rng(75)
@@ -158,15 +158,16 @@ class TestIncompatibilityEntropy:
             obs = observable_from_matrix(random_hermitian(3, rng))
             eigenvector = PureState(np.linalg.eigh(obs.matrix())[1][:, int(rng.integers(3))])
             for psi in (PureState(random_state_vector(3, rng)), eigenvector):
-                gain = incompatibility_entropy(obs, psi)
+                gain = lifted_incompatibility_entropy(obs, psi.vector)
                 assert gain >= -1e-9
                 assert (commutator_norm(obs, psi) < 1e-8) == (gain < 1e-9)
         diag_obs = observable_from_matrix(np.diag([1.0, 2.0, 3.0]).astype(complex))
-        assert abs(incompatibility_entropy(diag_obs, PureState(basis_vector(3, 1)))) < 1e-12
+        assert abs(lifted_incompatibility_entropy(diag_obs, basis_vector(3, 1))) < 1e-12
 
-    def test_rejects_a_mixed_state(self, pauli_z):
-        with pytest.raises(QMeasureError, match="expected a PureState, got DensityOperator"):
-            incompatibility_entropy(pauli_z, DensityOperator(np.eye(2, dtype=complex) / 2))
+    def test_rejects_a_vector_whose_norm_is_off_by_5e_10(self, pauli_z, plus_state):
+        # Its weights sum to 1 + 1e-9, which shannon_entropy's DISTRIBUTION_SUM lets through.
+        with pytest.raises(NotNormalized):
+            lifted_incompatibility_entropy(pauli_z, plus_state.vector * (1 + 5e-10))
 
 
 class TestCommutatorNorm:
@@ -227,7 +228,9 @@ class TestIdentityVerifiers:
         final = evolve(ts, PureState(random_state_vector(obs.dim, np.random.default_rng(79))))
         h = lifted_incompatibility_entropy(obs, final)
         entanglement, h_born = h + e_offset * tol.THEOREM, h + h_offset * tol.THEOREM
-        lhs, rhs, deviation = final_state_identity(entanglement, obs, final, h_born)
+        run = SimpleNamespace(entropies=SimpleNamespace(s1=entanglement), h_born=h_born, obs=obs, final=final)
+        check = next(c for c in pipeline_module.CHECKS if c.label == "entanglement_incompatibility_final")
+        lhs, rhs, deviation, _ = check.fn(run)
         assert (lhs, rhs) == (entanglement, h)
         assert deviation > tol.THEOREM
 
@@ -345,7 +348,7 @@ class TestPostReadingState:
         # the same amount of incompatibility reappears against the reader
         h = shannon_entropy(np.clip(probabilities(obs, psi), 0, None))
         lifted = embed_observable(obs, dims, 0)
-        assert incompatibility_entropy(lifted, PureState(tri)) == pytest.approx(h, abs=1e-9)
+        assert lifted_incompatibility_entropy(lifted, tri) == pytest.approx(h, abs=1e-9)
 
 
 class TestEntropyIsNeverNegative:

@@ -25,7 +25,6 @@ from qmeasure import (
     PureState,
     evolve,
     generate_random_instance,
-    incompatibility_entropy,
     kron,
     lifted_incompatibility_entropy,
     low_rank_commutator_norm,
@@ -184,7 +183,9 @@ class TestPureMarginal:
             pure_marginal(np.ones(24), dims, keep)
 
 
-class TestGramRoute:
+class TestBranchWeightRoute:
+    """The incompatibility entropy from the branch weights ||V_k† v||² against the dense Lüders update."""
+
     @pytest.mark.parametrize("seed", range(50))
     def test_matches_dense_luders_in_final_and_tripartite_vectors(self, seed):
         scenario = generate_random_instance(seed, 6, 4)
@@ -198,22 +199,7 @@ class TestGramRoute:
         assert abs(lifted_incompatibility_entropy(obs, tri) - dense_incompatibility(obs, tri, dims3)) < ENTROPY_TOL
         pure = DensityOperator(np.outer(psi.vector, np.conj(psi.vector)))
         initial = von_neumann_entropy(luders_update(obs, psi)) - von_neumann_entropy(pure)
-        assert abs(incompatibility_entropy(obs, psi) - initial) < ENTROPY_TOL
-
-    def test_takes_the_spectrum_of_a_non_diagonal_gram_matrix(self):
-        # Two non-orthogonal components with weights 0.6 and 0.4, at 60 degrees, as the columns of a
-        # 3 × 2 matrix M: the Schmidt form takes the spectrum of the 2 × 2 Gram matrix M†M.
-        u = np.array([1.0, 0.0, 0.0], dtype=complex)
-        w = np.array([0.5, np.sqrt(3) / 2, 0.0], dtype=complex)
-        components = np.column_stack([np.sqrt(0.6) * u, np.sqrt(0.4) * w])
-        gram = np.conj(components).T @ components
-        assert abs(gram[0, 1]) > 0.2
-
-        dense = von_neumann_entropy(components @ np.conj(components).T)
-        weights_only = -sum(p * np.log2(p) for p in (0.6, 0.4))
-        from_gram = shannon_entropy(schmidt_decompose(components.reshape(-1), (3, 2)).coefficients ** 2)
-        assert abs(from_gram - dense) < ENTROPY_TOL
-        assert abs(from_gram - weights_only) > 0.1
+        assert abs(lifted_incompatibility_entropy(obs, psi.vector) - initial) < ENTROPY_TOL
 
 
 class TestBipartiteRoute:
@@ -244,6 +230,21 @@ class TestBipartiteRoute:
         coefficients = schmidt_decompose(final, dims).coefficients
         assert coefficients.shape == expected.shape
         assert np.max(np.abs(coefficients - expected)) < KERNEL_TOL
+
+    def test_takes_the_spectrum_of_a_non_diagonal_gram_matrix(self):
+        # Two non-orthogonal components with weights 0.6 and 0.4, at 60 degrees, as the columns of a
+        # 3 × 2 matrix M: the Schmidt form takes the spectrum of the 2 × 2 Gram matrix M†M.
+        u = np.array([1.0, 0.0, 0.0], dtype=complex)
+        w = np.array([0.5, np.sqrt(3) / 2, 0.0], dtype=complex)
+        components = np.column_stack([np.sqrt(0.6) * u, np.sqrt(0.4) * w])
+        gram = np.conj(components).T @ components
+        assert abs(gram[0, 1]) > 0.2
+
+        dense = von_neumann_entropy(components @ np.conj(components).T)
+        weights_only = -sum(p * np.log2(p) for p in (0.6, 0.4))
+        from_gram = shannon_entropy(schmidt_decompose(components.reshape(-1), (3, 2)).coefficients ** 2)
+        assert abs(from_gram - dense) < ENTROPY_TOL
+        assert abs(from_gram - weights_only) > 0.1
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_degenerate_split_matches_the_joint_kron_projectors(self, n):

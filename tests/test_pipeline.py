@@ -539,27 +539,31 @@ class TestRepeatabilityAndReadingControls:
             assert min(rhs, deviation) >= 1e3 * tol.COMMUTATOR and lhs < tol.COMMUTATOR, seed
 
 
-def test_a_six_outcome_run_makes_two_eigh_six_density_checks_and_no_pure_state(monkeypatch):
+def test_a_six_outcome_run_makes_two_eigh_three_density_checks_and_no_pure_state(monkeypatch):
     # One eigh each for the Schmidt form (of the n × n Gram matrix M†M, not of the d × d rho_1) and the
     # definite values (of L† N L); the repeatable family takes its eigenspaces from the observable's basis.
-    # Six density-operator checks: the K × K Gram matrices of the three incompatibility entropies and the
-    # three marginals of the reading. The entropy report reads the Schmidt coefficients, and the
-    # commutator checks read the final vector's matrix, so neither checks a marginal of the final vector;
-    # W†W of the reading is the conjugate of the reader marginal, which is checked already. Repeat
-    # certainty reads the matrix of the A_k psi, so no post-measurement PureState is built.
+    # Three density-operator checks, each with one eigvalsh: the three marginals of the reading. The
+    # incompatibility entropies read branch weights, the entropy report reads the Schmidt coefficients,
+    # and the commutator checks read the final vector's matrix, so none of them checks a state; W†W of
+    # the reading is the conjugate of the reader marginal, which is checked already. Repeat certainty
+    # reads the matrix of the A_k psi, so no post-measurement PureState is built.
     seed = next(s for s in range(100) if generate_random_instance(s, 16, 6).observable.n_outcomes == 6)
     scenario = generate_random_instance(seed, 16, 6)
-    eigh, check, pure = np.linalg.eigh, DensityOperator.__post_init__, PureState.__post_init__
-    eigh_shapes, density_checks, pure_states = [], [], []
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    check, pure = DensityOperator.__post_init__, PureState.__post_init__
+    eigh_shapes, eigvalsh_shapes, density_checks, pure_states = [], [], [], []
     monkeypatch.setattr(np.linalg, "eigh", lambda m, *args: eigh_shapes.append(m.shape) or eigh(m, *args))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m, *args: eigvalsh_shapes.append(m.shape) or eigvalsh(m, *args))
     monkeypatch.setattr(DensityOperator, "__post_init__", lambda self: density_checks.append(1) or check(self))
     monkeypatch.setattr(PureState, "__post_init__", lambda self: pure_states.append(1) or pure(self))
     report = run_pipeline(scenario)
     monkeypatch.undo()
     assert report.overall_pass
-    n, terms = scenario.observable.n_outcomes, len(report.schmidt_coefficients)
+    d, n, terms = scenario.observable.dim, scenario.observable.n_outcomes, len(report.schmidt_coefficients)
+    n3 = int(np.count_nonzero(np.array(report.probabilities) > tol.DETECTABILITY))
     assert eigh_shapes == [(n, n), (terms, terms)]
-    assert len(density_checks) == 6
+    assert eigvalsh_shapes == [(d, d), (n, n), (n3, n3)]
+    assert len(density_checks) == 3
     assert pure_states == []
 
 

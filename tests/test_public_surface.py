@@ -34,8 +34,7 @@ PUBLIC_NAMES = (
     "SchmidtForm", "DefiniteValueReport", "schmidt_decompose", "reconstruct", "verify_definite_values",
     # information
     "EntropyReport", "Verdict", "shannon_entropy", "von_neumann_entropy",
-    "incompatibility_entropy", "lifted_incompatibility_entropy",
-    "read_pointer_tripartite", "low_rank_commutator_norm",
+    "lifted_incompatibility_entropy", "read_pointer_tripartite", "low_rank_commutator_norm",
     # scenario
     "Scenario", "InstrumentSpec", "scenario_from_dict", "parse_scenario", "load_scenario",
     "check_tolerance", "generate_random_instance",
@@ -87,7 +86,7 @@ def _resolve(dotted: str):
 
 
 def test_all_is_pinned_in_order():
-    assert len(PUBLIC_NAMES) == 65
+    assert len(PUBLIC_NAMES) == 64
     assert tuple(qmeasure.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(qmeasure, name), name
