@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from functools import cache
 
 from .errors import ParseError, QMeasureError, ValidationError
@@ -85,7 +86,7 @@ def _run_command(args: argparse.Namespace) -> int:
         return EXIT_INVALID
 
     if args.tolerance is not None:
-        scenario = _with_tolerance(scenario, args.tolerance)
+        scenario = replace(scenario, tolerance=args.tolerance)
     report = run_pipeline(scenario)
     if args.format == "json":
         text = report_to_json(report, include_timing=args.include_timing)
@@ -94,12 +95,6 @@ def _run_command(args: argparse.Namespace) -> int:
     if not _emit(text, args.out):
         return EXIT_INVALID
     return _exit_code(report)
-
-
-def _with_tolerance(scenario, tolerance: float):
-    from dataclasses import replace
-
-    return replace(scenario, tolerance=tolerance)
 
 
 def _parse_seed_range(text: str) -> range:
@@ -128,7 +123,7 @@ def _batch_command(args: argparse.Namespace) -> int:
         for seed in seeds:
             scenario = generate_random_instance(seed, args.d1_max, args.outcomes_max)
             if args.tolerance is not None:
-                scenario = _with_tolerance(scenario, args.tolerance)
+                scenario = replace(scenario, tolerance=args.tolerance)
             report = run_pipeline(scenario)
             code = max(code, _exit_code(report))
             if not report.overall_pass:

@@ -135,38 +135,38 @@ def probability_gap(ts: StateTransformerSet, born: np.ndarray, final: np.ndarray
     return float(np.max(np.abs(born - read)))
 
 
-def _images(ts: StateTransformerSet, psi: PureState) -> np.ndarray:
-    """The d × K matrix of the A_k psi, as B (diag(V† psi) indicator): evolve's product in another order."""
-    obs = ts.observable
-    if psi.dim != obs.dim:
-        raise DimensionMismatch(f"state dim {psi.dim} != observable dim {obs.dim}")
-    return ts.blocks @ ((dag(obs.basis) @ psi.vector)[:, None] * obs.indicator)
-
-
 def conditional_state_gap(ts: StateTransformerSet, psi: PureState, final: np.ndarray) -> float:
     """Worst |A_k|psi><psi|A_k† - Tr_2((1 ⊗ Q_k)|Psi><Psi|(1 ⊗ Q_k))| over the outcomes, for a given final vector.
 
-    Both sides are rank one: v v† with v = A_k psi, from ``_images``, and m m† with m column k of |Psi>
-    as d × n. With Q R = [v, m], |v v† - m m†| = |r_v r_v† - r_m r_m†|, so one batched QR of the K
-    pairs gives every norm; the trace formula loses about 1e-8 to cancellation.
+    Both sides are rank one: v v† with v = A_k psi, column k of B (diag(V† psi) indicator), which is
+    evolve's product in another order, and m m† with m column k of |Psi> as d × n. With Q R = [v, m],
+    |v v† - m m†| = |r_v r_v† - r_m r_m†|, so one batched QR of the K pairs gives every norm; the
+    trace formula loses about 1e-8 to cancellation.
     """
-    images = _images(ts, psi)
+    obs = ts.observable
+    if psi.dim != obs.dim:
+        raise DimensionMismatch(f"state dim {psi.dim} != observable dim {obs.dim}")
+    images = ts.blocks @ ((dag(obs.basis) @ psi.vector)[:, None] * obs.indicator)
     r = np.linalg.qr(np.stack([images.T, final.reshape(ts.composite_dims).T], axis=-1), mode="r")
     rv, rm = r[..., 0], r[..., 1]
     gap = (rv[:, :, None] * np.conj(rv[:, None, :]) - rm[:, :, None] * np.conj(rm[:, None, :])).reshape(-1, 4)
     return float(np.sqrt(np.max(np.vecdot(gap, gap).real)))
 
 
-def repeat_measurement_check(ts: StateTransformerSet, psi: PureState, born: np.ndarray) -> float:
+def repeat_measurement_check(ts: StateTransformerSet, final: np.ndarray, born: np.ndarray) -> float:
     """Smallest conditional probability of confirming an outcome on repetition, capped at 1.
 
-    For each outcome k detectable under the Born vector ``born``, the observable is measured again on
-    A_k psi, and term k, which pointer term k certified, must come out: with a = V† A_k psi, that has
-    probability sum_{a in k} |a|² / |A_k psi|². Repeatable families give 1 for every outcome.
+    Column k of the final vector read as d × n is A_k psi, the object state that pointer term k left
+    behind. For each outcome k detectable under the Born vector ``born``, the observable is measured
+    again on it, and term k must come out: with a = V† A_k psi, that has probability
+    sum_{a in k} |a|² / |A_k psi|². Repeatable families give 1 for every outcome.
     """
     if len(born) != ts.n_outcomes:
         raise DimensionMismatch(f"{len(born)} probabilities for {ts.n_outcomes} outcomes")
-    images = _images(ts, psi)
+    d, n = ts.composite_dims
+    if np.size(final) != d * n:
+        raise DimensionMismatch(f"final vector of size {np.size(final)}, expected {d}·{n}")
+    images = np.reshape(final, (d, n))
     again = dag(ts.observable.basis) @ images
     weights = np.vecdot(images, images, axis=0).real
     confirmed = np.vecdot(again, again * ts.observable.indicator, axis=0).real

@@ -1,7 +1,8 @@
 """End-to-end verification pipeline and report emission.
 
 ``run_pipeline`` works in two parts. ``_Run`` holds the artefacts of one
-run: the transformer family (the instrument), the repeatability violation,
+run of the scenario's transformer family (the instrument, built and checked
+when the scenario was) on its initial state: the repeatability violation,
 the final vector, the Born vector, the initial commutator norm, the Schmidt
 form, the entropy report read from its coefficients, the definite-value
 report and the tripartite pointer reading. Each is computed once, on first
@@ -100,7 +101,7 @@ class _Run:
     """
 
     def __init__(self, scenario: Scenario) -> None:
-        self.scenario = scenario
+        self.ts = scenario.transformers
         self.obs = scenario.observable
         self.psi = scenario.initial_state
         self.error: str | None = None
@@ -109,7 +110,6 @@ class _Run:
     def dims(self) -> tuple[int, int]:
         return self.ts.composite_dims
 
-    ts = _artefact("transformers", lambda run: run.scenario.build_transformers())
     repeatability_violation = _artefact("repeatability", lambda run: repeatability_violation(run.ts))
     final = _artefact("evolution", lambda run: evolve(run.ts, run.psi))
     born = _artefact("evolution", lambda run: probabilities(run.obs, run.psi))
@@ -161,7 +161,7 @@ def _schmidt_reconstruction(run: _Run):
 
 
 def _repeat_certainty(run: _Run):
-    smallest = repeat_measurement_check(run.ts, run.psi, run.born)
+    smallest = repeat_measurement_check(run.ts, run.final, run.born)
     return smallest, 1.0, 1.0 - smallest, tol.REPEAT_CERTAINTY
 
 

@@ -17,6 +17,10 @@ be given as an explicit Hermitian "matrix", or as a preset: "pauli_x",
 an "amplitudes" list or a preset ("basis" with "index", or "uniform").
 Instruments are "ideal", "repeatable" with a "seed", or "custom" with a
 list of "transformers" matrices.
+
+Parsing and ``generate_random_instance`` build and check the instrument's
+transformer family, so a Scenario holds the family, and its observable is
+the family's.
 """
 
 from __future__ import annotations
@@ -56,35 +60,22 @@ CAMPAIGN_BYTES = 16 * 32 * 512**2
 
 
 @dataclass(frozen=True)
-class InstrumentSpec:
-    """Which transformer family the pipeline should build."""
-
-    kind: str  # "ideal" | "repeatable" | "custom"
-    seed: int | None = None
-    transformers: StateTransformerSet | None = None  # the checked custom family
-
-
-@dataclass(frozen=True)
 class Scenario:
-    """A fully validated pipeline input plus its source document."""
+    """A fully validated pipeline input, with its checked transformer family, plus its source document."""
 
-    object_dim: int
-    observable: Observable
     initial_state: PureState
-    instrument: InstrumentSpec
+    transformers: StateTransformerSet
     tolerance: float | None = None
     verbosity: str = "normal"
     source: dict[str, Any] = field(default_factory=dict)
 
+    @property
+    def observable(self) -> Observable:
+        """The measured observable, read from the family so that the two cannot disagree."""
+        return self.transformers.observable
+
     def to_dict(self) -> dict[str, Any]:
         return json.loads(json.dumps(self.source))
-
-    def build_transformers(self) -> StateTransformerSet:
-        if self.instrument.kind == "ideal":
-            return make_ideal_transformers(self.observable)
-        if self.instrument.kind == "repeatable":
-            return make_repeatable_transformers(self.observable, self.instrument.seed)
-        return self.instrument.transformers
 
 
 def _is_json_number(value: Any) -> bool:
@@ -195,17 +186,17 @@ def _parse_state(spec: Any, object_dim: int) -> PureState:
     raise ParseError("initial_state: need 'amplitudes' or a preset of 'basis' | 'uniform'")
 
 
-def _parse_instrument(spec: Any, obs: Observable) -> InstrumentSpec:
+def _parse_instrument(spec: Any, obs: Observable) -> StateTransformerSet:
     if not isinstance(spec, dict):
         raise ParseError("instrument: expected an object")
     kind = spec.get("kind")
     if kind == "ideal":
-        return InstrumentSpec("ideal")
+        return make_ideal_transformers(obs)
     if kind == "repeatable":
         seed = spec.get("seed")
         if not _is_integer(seed) or seed < 0:
             raise ParseError(f"instrument.seed: expected an integer >= 0 for the repeatable kind, got {seed!r}")
-        return InstrumentSpec("repeatable", seed=seed)
+        return make_repeatable_transformers(obs, seed)
     if kind == "custom":
         raw = spec.get("transformers")
         if not isinstance(raw, list) or not raw:
@@ -214,7 +205,7 @@ def _parse_instrument(spec: Any, obs: Observable) -> InstrumentSpec:
             _complex_matrix(entry, f"instrument.transformers[{i}]") for i, entry in enumerate(raw)
         )
         try:
-            return InstrumentSpec("custom", transformers=StateTransformerSet.from_transformers(mats, obs))
+            return StateTransformerSet.from_transformers(mats, obs)
         except (InvalidTransformers, DimensionMismatch) as exc:
             raise ValidationError(f"instrument.transformers: {exc}") from exc
     raise ParseError("instrument.kind: expected 'ideal', 'repeatable' or 'custom'")
@@ -239,7 +230,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     try:
         obs = _parse_observable(doc.get("observable"), object_dim)
         state = _parse_state(doc.get("initial_state"), object_dim)
-        instrument = _parse_instrument(doc.get("instrument"), obs)
+        transformers = _parse_instrument(doc.get("instrument"), obs)
     except (ParseError, ValidationError):
         raise
     except QMeasureError as exc:
@@ -261,10 +252,8 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
         raise ParseError(f"options.verbosity: expected one of {_VERBOSITIES}, got {verbosity!r}")
 
     return Scenario(
-        object_dim=object_dim,
-        observable=obs,
         initial_state=state,
-        instrument=instrument,
+        transformers=transformers,
         tolerance=tolerance,
         verbosity=verbosity,
         source=doc,
@@ -284,7 +273,11 @@ def parse_scenario(text: str) -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     with open(path, encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}") from exc
+    return parse_scenario(text)
 
 
 def _pairs(a: np.ndarray) -> list:
@@ -345,18 +338,11 @@ def generate_random_instance(seed: int, d1_max: int, outcomes_max: int) -> Scena
         "instrument": {"kind": "repeatable", "seed": instrument_seed},
         "options": {"tolerance": None, "verbosity": "normal"},
     }
-    return Scenario(
-        object_dim=dim,
-        observable=obs,
-        initial_state=state,
-        instrument=InstrumentSpec("repeatable", seed=instrument_seed),
-        source=doc,
-    )
+    return Scenario(initial_state=state, transformers=make_repeatable_transformers(obs, instrument_seed), source=doc)
 
 
 __all__ = [
     "Scenario",
-    "InstrumentSpec",
     "scenario_from_dict",
     "parse_scenario",
     "load_scenario",

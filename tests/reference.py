@@ -295,7 +295,7 @@ def dense_checks(scenario: Scenario) -> list[Verdict]:
     max_k |A_k - P_k A_k| exceeds its tolerance. A tolerance set in the scenario
     overrides every verdict's tolerance, as in the pipeline.
     """
-    ts = scenario.build_transformers()
+    ts = scenario.transformers
     obs, psi = scenario.observable, scenario.initial_state
     d, n = ts.composite_dims
     final = completed_unitary(ts) @ kron(psi.vector, basis_vector(n, 0))

@@ -63,7 +63,7 @@ def instances():
     prepared = []
     for seed in range(N_INSTANCES):
         scenario = generate_random_instance(seed, 6, 4)
-        ts = scenario.build_transformers()
+        ts = scenario.transformers
         final = evolve(ts, scenario.initial_state)
         prepared.append(
             SimpleNamespace(
@@ -122,9 +122,11 @@ def test_criterion_04_conditional_state_consistency(instances):
 
 def test_criterion_05_repeatability_equivalence(instances, swap_family):
     flags = [repeatability_violation(x.ts) <= tol.REPEATABILITY for x in instances]
-    smallest = min(repeat_measurement_check(x.ts, x.psi, x.born) for x in instances)
+    smallest = min(repeat_measurement_check(x.ts, x.final, x.born) for x in instances)
     plus = uniform_superposition(2)
-    counterexample = repeat_measurement_check(swap_family, plus, probabilities(swap_family.observable, plus))
+    counterexample = repeat_measurement_check(
+        swap_family, evolve(swap_family, plus), probabilities(swap_family.observable, plus)
+    )
     passed = all(flags) and smallest >= 1.0 - 1e-10 and counterexample == 0.0
     report(
         "5 (repeatability equivalence)",

@@ -161,6 +161,15 @@ class TestRunCommand:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "invalid scenario: invalid JSON: " in captured.err
 
+    def test_scenario_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b'{"object_dim": 2, "observable": {"preset": "pauli_z"}\xff}')
+        assert run_cli("run", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("invalid scenario: not UTF-8 text: ")
+        assert "0xff" in captured.err
+
     def test_tolerance_override_also_decides_repeatability(self, capsys):
         # The repeatability verdict passes under the override, so the checks that
         # presume a repeatable instrument run (and fail) rather than being skipped.

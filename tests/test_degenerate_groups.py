@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from qmeasure import (
-    InstrumentSpec,
     NoDefiniteValue,
     PureState,
     Scenario,
     StateTransformerSet,
     dag,
     evolve,
+    make_ideal_transformers,
+    make_repeatable_transformers,
     observable_from_matrix,
     random_unitary,
     run_pipeline,
@@ -38,12 +39,7 @@ def nearly_balanced_qubit(delta: float, seed: int) -> Scenario:
     u = random_unitary(2, np.random.default_rng(seed))
     h = hermitize(u @ np.diag([-1.0, 1.0]) @ dag(u))
     psi = np.sqrt(0.5 + delta) * u[:, 0] + np.sqrt(0.5 - delta) * u[:, 1]
-    return Scenario(
-        object_dim=2,
-        observable=observable_from_matrix(h),
-        initial_state=PureState(psi),
-        instrument=InstrumentSpec("ideal"),
-    )
+    return Scenario(initial_state=PureState(psi), transformers=make_ideal_transformers(observable_from_matrix(h)))
 
 
 def equal_weight_scenario(seed: int, perturbation: float, kind: str) -> Scenario:
@@ -68,13 +64,8 @@ def equal_weight_scenario(seed: int, perturbation: float, kind: str) -> Scenario
     for weight, k in zip(weights, support):
         v = projectors(obs)[k] @ (rng.normal(size=d) + 1j * rng.normal(size=d))
         psi += np.sqrt(weight) * v / np.linalg.norm(v)
-    instrument = InstrumentSpec("ideal") if kind == "ideal" else InstrumentSpec("repeatable", seed=seed)
-    return Scenario(
-        object_dim=d,
-        observable=obs,
-        initial_state=PureState(psi / np.linalg.norm(psi)),
-        instrument=instrument,
-    )
+    family = make_ideal_transformers(obs) if kind == "ideal" else make_repeatable_transformers(obs, seed)
+    return Scenario(initial_state=PureState(psi / np.linalg.norm(psi)), transformers=family)
 
 
 def failures(report) -> list[str]:
@@ -124,7 +115,7 @@ def test_separated_terms_come_back_in_their_own_order():
     # Re-basing rounds, so an aligned form with coefficients far apart comes
     # back in its own order and equal to the input to rounding, not bit for bit.
     scenario = nearly_balanced_qubit(0.1, 3)
-    ts = scenario.build_transformers()
+    ts = scenario.transformers
     sf = schmidt_decompose(evolve(ts, scenario.initial_state), ts.composite_dims)
     aligned = verify_definite_values(sf, scenario.observable, ts.pointer_observable).schmidt_form
     assert aligned.coefficients.size == sf.coefficients.size == 2

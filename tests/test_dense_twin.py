@@ -6,8 +6,8 @@ the partial trace of |Ψ><Ψ|, Lüders updates of dense density matrices, the
 dense A_k and P_k, and partial traces and commutators of |tri><tri|. The
 pipeline takes the Schmidt form from the n × n Gram matrix of the final
 vector, reads its entropies from the Schmidt coefficients, repeat certainty
-from the d × K matrix of the A_k ψ, and the reading's commutators from its
-D × K factor. Both must reach the same verdicts, with each lhs and rhs equal
+from the columns of the final vector as d × K, and the reading's commutators
+from its D × K factor. Both must reach the same verdicts, with each lhs and rhs equal
 up to rounding. This is differential testing (McKeeman, Digital Technical
 Journal 10(1), 1998).
 
@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from qmeasure import (
-    InstrumentSpec,
     StateTransformerSet,
     generate_random_instance,
     load_scenario,
@@ -68,4 +67,4 @@ def test_a_non_repeatable_run_matches_its_dense_twin(seed):
     obs = scenario.observable
     rng = np.random.default_rng(seed)
     family = StateTransformerSet.from_transformers(tuple(random_unitary(obs.dim, rng) @ p for p in projectors(obs)), obs)
-    assert_twins(dataclasses.replace(scenario, instrument=InstrumentSpec("custom", transformers=family)))
+    assert_twins(dataclasses.replace(scenario, transformers=family))

@@ -326,7 +326,7 @@ class TestRepeatMeasurementCheck:
     def test_ideal_z_on_plus(self, pauli_z, plus_state):
         ts = make_ideal_transformers(pauli_z)
         born = probabilities(pauli_z, plus_state)
-        assert repeat_measurement_check(ts, plus_state, born) == pytest.approx(1.0, abs=1e-12)
+        assert repeat_measurement_check(ts, evolve(ts, plus_state), born) == pytest.approx(1.0, abs=1e-12)
 
     def test_random_repeatable_instances(self):
         rng = np.random.default_rng(26)
@@ -334,33 +334,35 @@ class TestRepeatMeasurementCheck:
             obs = random_observable(int(rng.integers(2, 6)), rng)
             ts = make_repeatable_transformers(obs, seed)
             psi = PureState(random_state_vector(obs.dim, rng))
-            assert repeat_measurement_check(ts, psi, probabilities(obs, psi)) >= 1.0 - 1e-10
+            assert repeat_measurement_check(ts, evolve(ts, psi), probabilities(obs, psi)) >= 1.0 - 1e-10
 
     def test_born_vector_must_have_one_entry_per_outcome(self, pauli_z, plus_state):
         ts = make_ideal_transformers(pauli_z)
         for born in (np.array([1.0]), np.array([0.5, 0.5, 0.0])):
             with pytest.raises(DimensionMismatch, match=f"{born.size} probabilities for 2 outcomes"):
-                repeat_measurement_check(ts, plus_state, born)
+                repeat_measurement_check(ts, evolve(ts, plus_state), born)
 
     def test_swap_family_never_confirms(self, swap_transformers, plus_state):
         born = probabilities(swap_transformers.observable, plus_state)
-        assert repeat_measurement_check(swap_transformers, plus_state, born) == pytest.approx(0.0, abs=1e-12)
+        assert repeat_measurement_check(swap_transformers, evolve(swap_transformers, plus_state), born) == pytest.approx(0.0, abs=1e-12)
 
     def test_textbook_collapse_is_confirmed(self, pauli_z, plus_state):
         # Each outcome leaves (1/√2) e_k, which a repetition finds in term k again with certainty.
         ts = make_ideal_transformers(pauli_z)
-        assert repeat_measurement_check(ts, plus_state, np.array([0.5, 0.5])) == 1.0
+        assert repeat_measurement_check(ts, evolve(ts, plus_state), np.array([0.5, 0.5])) == 1.0
 
     def test_null_outcome(self, pauli_z):
         # In ascending term order a = -1 is term 0, and e_0 has no component there: A_0 e_0 = 0.
         ts = make_ideal_transformers(pauli_z)
         with pytest.raises(NullOutcome, match="outcome 0 has probability 0.0"):
-            repeat_measurement_check(ts, PureState(basis_vector(2, 0)), np.array([0.5, 0.5]))
+            repeat_measurement_check(ts, evolve(ts, PureState(basis_vector(2, 0))), np.array([0.5, 0.5]))
 
-    def test_state_of_the_wrong_dimension(self, pauli_z):
+    def test_final_vector_of_the_wrong_dimension(self, pauli_z, plus_state):
         ts = make_ideal_transformers(pauli_z)
-        with pytest.raises(DimensionMismatch, match="state dim 3 != observable dim 2"):
-            repeat_measurement_check(ts, uniform_superposition(3), np.array([0.5, 0.5]))
+        final = evolve(ts, plus_state)
+        for wrong in (final[:3], np.concatenate([final, final]), plus_state.vector):
+            with pytest.raises(DimensionMismatch, match=f"final vector of size {wrong.size}, expected 2·2"):
+                repeat_measurement_check(ts, wrong, np.array([0.5, 0.5]))
 
     def test_matches_the_dense_ratio_of_each_outcome(self):
         # A_k = U P_k: repeating after outcome k finds term k with probability |P_k A_k psi|² / |A_k psi|².
@@ -371,4 +373,4 @@ class TestRepeatMeasurementCheck:
         images = [a @ psi.vector for a in transformer_stack(ts)]
         dense = min(np.linalg.norm(p @ v) ** 2 / np.linalg.norm(v) ** 2 for p, v in zip(projectors(obs), images))
         assert dense < 0.9
-        assert repeat_measurement_check(ts, psi, probabilities(obs, psi)) == pytest.approx(dense, abs=1e-14)
+        assert repeat_measurement_check(ts, evolve(ts, psi), probabilities(obs, psi)) == pytest.approx(dense, abs=1e-14)

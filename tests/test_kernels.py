@@ -190,7 +190,7 @@ class TestBranchWeightRoute:
     def test_matches_dense_luders_in_final_and_tripartite_vectors(self, seed):
         scenario = generate_random_instance(seed, 6, 4)
         obs, psi = scenario.observable, scenario.initial_state
-        ts = scenario.build_transformers()
+        ts = scenario.transformers
         final = evolve(ts, psi)
         tri, dims3 = read_pointer_tripartite(final, ts)
 
@@ -208,7 +208,7 @@ class TestBipartiteRoute:
     @pytest.mark.parametrize("seed", range(50))
     def test_matches_the_outer_product_route(self, seed):
         scenario = generate_random_instance(seed, 6, 4)
-        ts = scenario.build_transformers()
+        ts = scenario.transformers
         final = evolve(ts, scenario.initial_state)
         dims = ts.composite_dims
         rho = np.outer(final, np.conj(final))

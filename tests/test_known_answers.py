@@ -13,7 +13,15 @@ import math
 import numpy as np
 import pytest
 
-from qmeasure import InstrumentSpec, Observable, PureState, Scenario, random_state_vector, random_unitary, run_pipeline
+from qmeasure import (
+    Observable,
+    PureState,
+    Scenario,
+    make_repeatable_transformers,
+    random_state_vector,
+    random_unitary,
+    run_pipeline,
+)
 
 ENTROPY_LABELS = (
     "entanglement_incompatibility_final",
@@ -30,7 +38,7 @@ def known_weights_scenario(seed: int, sizes: tuple[int, ...], weights: tuple[flo
     dim = sum(sizes)
     obs = Observable(tuple(float(k) for k in range(len(sizes))), random_unitary(dim, rng), sizes)
     coordinates = np.concatenate([np.sqrt(p) * random_state_vector(r, rng) for p, r in zip(weights, sizes)])
-    return Scenario(dim, obs, PureState(obs.basis @ coordinates), InstrumentSpec("repeatable", seed=seed))
+    return Scenario(PureState(obs.basis @ coordinates), make_repeatable_transformers(obs, seed))
 
 
 def binary_entropy(p: float) -> float:

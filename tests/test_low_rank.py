@@ -58,7 +58,7 @@ def term_scale(obs, w: np.ndarray) -> float:
 
 def seeded_reading(seed: int, d1_max: int, outcomes_max: int):
     scenario = generate_random_instance(seed, d1_max, outcomes_max)
-    ts = scenario.build_transformers()
+    ts = scenario.transformers
     tri, (d1, d2, d3) = read_pointer_tripartite(evolve(ts, scenario.initial_state), ts)
     return scenario, ts, tri.reshape(d1 * d2, d3)
 
@@ -123,7 +123,7 @@ class TestIsometryRoute:
     @pytest.mark.parametrize("seed", range(12))
     def test_evolve_matches_the_completed_unitary(self, seed):
         scenario = generate_random_instance(seed, 8, 4)
-        ts = scenario.build_transformers()
+        ts = scenario.transformers
         psi = scenario.initial_state
         for vector in (psi.vector, random_state_vector(psi.dim, np.random.default_rng(seed))):
             state = PureState(vector)
@@ -132,7 +132,7 @@ class TestIsometryRoute:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_completed_unitary_is_unitary_and_keeps_the_isometry(self, seed):
-        ts = generate_random_instance(seed, 8, 4).build_transformers()
+        ts = generate_random_instance(seed, 8, 4).transformers
         d, n = ts.composite_dims
         u = completed_unitary(ts)
         assert frob(dag(u) @ u - np.eye(u.shape[0])) < 1e-9
@@ -160,7 +160,7 @@ def test_seed_0_at_d1_max_128_stays_within_1_9_mib():
     # copied from the transformer stack, and at 14 MiB when the K d×d products
     # of each per-outcome loop were stacked.
     scenario = generate_random_instance(0, 128, 16)
-    assert (scenario.object_dim, scenario.observable.n_outcomes) == (110, 11)
+    assert (scenario.observable.dim, scenario.observable.n_outcomes) == (110, 11)
     tracemalloc.start()
     try:
         report = run_pipeline(scenario)
@@ -176,7 +176,7 @@ def test_seed_0_at_d1_max_256_peaks_below_one_k_by_d_by_d_stack():
     # the run peaked at 24.2 MiB with its projector and transformer stacks, and
     # peaks at 5.7 MiB with two d × d matrices in their place.
     scenario = generate_random_instance(0, 256, 24)
-    d, k = scenario.object_dim, scenario.observable.n_outcomes
+    d, k = scenario.observable.dim, scenario.observable.n_outcomes
     assert (d, k) == (218, 16)
     tracemalloc.start()
     try:

@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from qmeasure import (
-    InstrumentSpec,
     PureState,
     Scenario,
     StateTransformerSet,
@@ -52,14 +51,13 @@ NUMERIC_TOL = 1e-12
 
 def rotated(scenario: Scenario, seed: int) -> Scenario:
     """The scenario in the object basis rotated by a seeded V, with its transformers as a custom family."""
-    v = random_unitary(scenario.object_dim, np.random.default_rng(seed))
+    v = random_unitary(scenario.observable.dim, np.random.default_rng(seed))
     obs = observable_from_matrix(v @ scenario.observable.matrix() @ dag(v))
-    transformers = tuple(v @ a @ dag(v) for a in transformer_stack(scenario.build_transformers()))
+    transformers = tuple(v @ a @ dag(v) for a in transformer_stack(scenario.transformers))
     return dataclasses.replace(
         scenario,
-        observable=obs,
         initial_state=PureState(v @ scenario.initial_state.vector),
-        instrument=InstrumentSpec("custom", transformers=StateTransformerSet.from_transformers(transformers, obs)),
+        transformers=StateTransformerSet.from_transformers(transformers, obs),
     )
 
 
@@ -71,21 +69,17 @@ def global_phase(scenario: Scenario, seed: int) -> Scenario:
 
 def phased_transformers(scenario: Scenario, seed: int) -> Scenario:
     """The scenario with transformers e^{iφ_k} A_k, φ_k seeded, as a custom family."""
-    family = transformer_stack(scenario.build_transformers())
+    family = transformer_stack(scenario.transformers)
     phases = np.exp(1j * np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=len(family)))
     transformers = StateTransformerSet.from_transformers(tuple(z * a for z, a in zip(phases, family)), scenario.observable)
-    return dataclasses.replace(scenario, instrument=InstrumentSpec("custom", transformers=transformers))
+    return dataclasses.replace(scenario, transformers=transformers)
 
 
 def affine(scenario: Scenario, alpha: float, beta: float) -> Scenario:
     """The scenario with the observable αA + β·1, as a matrix, and its transformers as a custom family."""
-    obs = observable_from_matrix(alpha * scenario.observable.matrix() + beta * np.eye(scenario.object_dim))
-    transformers = tuple(transformer_stack(scenario.build_transformers()))
-    return dataclasses.replace(
-        scenario,
-        observable=obs,
-        instrument=InstrumentSpec("custom", transformers=StateTransformerSet.from_transformers(transformers, obs)),
-    )
+    obs = observable_from_matrix(alpha * scenario.observable.matrix() + beta * np.eye(scenario.observable.dim))
+    transformers = tuple(transformer_stack(scenario.transformers))
+    return dataclasses.replace(scenario, transformers=StateTransformerSet.from_transformers(transformers, obs))
 
 
 def assert_same_physics(scenario: Scenario, follow_up_scenario: Scenario, commutator_scale: float = 1.0) -> None:

@@ -8,10 +8,10 @@ import pytest
 
 from qmeasure import (
     DensityOperator,
-    InstrumentSpec,
     PureState,
     SchmidtForm,
     StateTransformerSet,
+    evolve,
     generate_random_instance,
     parse_scenario,
     pure_marginal,
@@ -171,6 +171,17 @@ class TestRunPipeline:
         loose = dataclasses.replace(scenario, tolerance=0.5)
         report = run_pipeline(loose)
         assert all(v.tolerance == 0.5 for v in report.verdicts)
+
+    def test_a_run_builds_no_transformer_family(self, monkeypatch):
+        # The scenario holds the family it was parsed or generated with; every kind is checked there, once.
+        scenarios = [parse_scenario(path.read_text()) for path in sorted(SCENARIOS.glob("*.json"))]
+        scenarios.append(generate_random_instance(3, 6, 4))
+        calls = []
+        check = StateTransformerSet.__post_init__
+        monkeypatch.setattr(StateTransformerSet, "__post_init__", lambda ts: calls.append(1) or check(ts))
+        for scenario in scenarios:
+            run_pipeline(scenario)
+        assert calls == []
 
     def test_large_object_stays_within_a_memory_budget(self):
         # d = 36 with 9 outcomes: one dense operator on the tripartite space
@@ -488,7 +499,7 @@ class TestRepeatabilityAndReadingControls:
     def test_repeat_certainty_sees_a_rotated_family(self):
         # After U P_k the object no longer sits in eigenspace k, so a repetition can disagree.
         for seed, run in _multi_term_runs():
-            run.__dict__["ts"] = _rotated_family(run, seed)
+            run.__dict__["final"] = evolve(_rotated_family(run, seed), run.psi)
             _, _, deviation, _ = self.CHECK["repeat_certainty"].fn(run)
             assert deviation >= 1e3 * tol.REPEAT_CERTAINTY, seed
 
@@ -575,7 +586,7 @@ def test_the_report_carries_the_born_entropy_as_shannon_pk(rng_seed, s1):
     obs = scenario.observable
     rng = np.random.default_rng(rng_seed)
     family = StateTransformerSet.from_transformers(tuple(random_unitary(obs.dim, rng) @ p for p in projectors(obs)), obs)
-    report = run_pipeline(dataclasses.replace(scenario, instrument=InstrumentSpec("custom", transformers=family)))
+    report = run_pipeline(dataclasses.replace(scenario, transformers=family))
     assert report.entropies.shannon_pk == shannon_entropy(report.probabilities)
     assert report.entropies.shannon_pk == pytest.approx(1.4972, abs=1e-4)
     assert report.entropies.s1 == pytest.approx(s1, abs=1e-4)

@@ -36,7 +36,7 @@ PUBLIC_NAMES = (
     "EntropyReport", "Verdict", "shannon_entropy", "von_neumann_entropy",
     "lifted_incompatibility_entropy", "read_pointer_tripartite", "low_rank_commutator_norm",
     # scenario
-    "Scenario", "InstrumentSpec", "scenario_from_dict", "parse_scenario", "load_scenario",
+    "Scenario", "scenario_from_dict", "parse_scenario", "load_scenario",
     "check_tolerance", "generate_random_instance",
     # pipeline
     "VerificationReport", "run_pipeline", "report_to_dict", "report_to_json", "report_to_text",
@@ -86,7 +86,7 @@ def _resolve(dotted: str):
 
 
 def test_all_is_pinned_in_order():
-    assert len(PUBLIC_NAMES) == 64
+    assert len(PUBLIC_NAMES) == 63
     assert tuple(qmeasure.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(qmeasure, name), name

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -9,9 +10,14 @@ from qmeasure import (
     ParseError,
     ValidationError,
     generate_random_instance,
+    make_repeatable_transformers,
     parse_scenario,
+    repeatability_violation,
+    report_to_dict,
+    run_pipeline,
     validate_observable,
 )
+from qmeasure import tolerances as tol
 from reference import classify_outcomes
 
 MINIMAL = {
@@ -30,10 +36,11 @@ def scenario_text(**overrides):
 class TestParseScenario:
     def test_minimal_scenario(self):
         sc = parse_scenario(scenario_text())
-        assert sc.object_dim == 2
+        assert sc.observable.dim == 2
         assert sc.observable.eigenvalues == (-1.0, 1.0)
         assert np.allclose(sc.initial_state.vector, [1.0, 0.0])
-        assert sc.instrument.kind == "ideal"
+        assert sc.transformers.observable is sc.observable
+        assert np.array_equal(sc.transformers.blocks, sc.observable.basis)  # the ideal family: B = V
 
     def test_explicit_matrix_and_presets(self):
         sc = parse_scenario(scenario_text(observable={"matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}))
@@ -138,7 +145,8 @@ class TestParseScenario:
     def test_negative_seed_is_rejected_at_parse(self):
         with pytest.raises(ParseError, match=re.escape("instrument.seed: expected an integer >= 0")):
             parse_scenario(scenario_text(instrument={"kind": "repeatable", "seed": -1}))
-        assert parse_scenario(scenario_text(instrument={"kind": "repeatable", "seed": 0})).instrument.seed == 0
+        sc = parse_scenario(scenario_text(instrument={"kind": "repeatable", "seed": 0}))
+        assert np.array_equal(sc.transformers.blocks, make_repeatable_transformers(sc.observable, 0).blocks)
 
     # A misspelled option would leave the default tolerances in force without a word.
     @pytest.mark.parametrize("options", [{"tolerence": 0}, {"tolerance": 1e-6, "verbose": True}])
@@ -208,8 +216,8 @@ class TestGenerateRandomInstance:
             sc = generate_random_instance(seed, 5, 3)
             validate_observable(sc.observable)
             assert abs(np.linalg.norm(sc.initial_state.vector) - 1.0) < 1e-10
-            assert 2 <= sc.object_dim <= 5
-            assert sc.instrument.kind == "repeatable"
+            assert 2 <= sc.observable.dim <= 5
+            assert repeatability_violation(sc.transformers) <= tol.REPEATABILITY
 
     def test_detectable_outcome_counts_cover_range(self):
         counts = set()
@@ -222,10 +230,23 @@ class TestGenerateRandomInstance:
     def test_round_trips_through_parser(self):
         sc = generate_random_instance(42, 5, 3)
         parsed = parse_scenario(json.dumps(sc.to_dict()))
-        assert parsed.object_dim == sc.object_dim
-        assert parsed.instrument.seed == sc.instrument.seed
+        assert parsed.observable.dim == sc.observable.dim
         assert np.allclose(parsed.observable.matrix(), sc.observable.matrix(), atol=1e-12)
         assert np.allclose(parsed.initial_state.vector, sc.initial_state.vector, atol=1e-12)
+
+    # A generator that drew its family from `seed` instead of the document's instrument seed would pass
+    # every other test, while batch and `run` on the same document computed different numbers.
+    @pytest.mark.parametrize("d1_max, outcomes_max", [(6, 4), (16, 6)])
+    def test_parse_builds_the_generated_family(self, d1_max, outcomes_max):
+        for seed in range(20):
+            sc = generate_random_instance(seed, d1_max, outcomes_max)
+            parsed = parse_scenario(json.dumps(sc.to_dict()))
+            assert np.array_equal(parsed.transformers.blocks, sc.transformers.blocks), seed
+            # Parsing renormalises the amplitudes, which can move the state by an ulp; with the generated
+            # state, the parsed observable and family reproduce the generated report bit for bit.
+            assert np.max(np.abs(parsed.initial_state.vector - sc.initial_state.vector)) <= 1e-15, seed
+            same_state = dataclasses.replace(parsed, initial_state=sc.initial_state)
+            assert report_to_dict(run_pipeline(same_state)) == report_to_dict(run_pipeline(sc)), seed
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -240,4 +261,4 @@ class TestGenerateRandomInstance:
             generate_random_instance(0, 512, 33)
 
     def test_the_largest_sweep_point_still_builds(self):
-        assert generate_random_instance(0, 512, 32).object_dim == 436
+        assert generate_random_instance(0, 512, 32).observable.dim == 436
