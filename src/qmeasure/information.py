@@ -22,7 +22,7 @@ from . import tolerances as tol
 from .errors import DimensionMismatch, NonRepeatableInput, NotADistribution
 from .linalg import check_unit_norm, dag, frob, pure_marginal
 from .instruments import StateTransformerSet
-from .observables import DensityOperator, Observable
+from .observables import Observable
 
 # Not used here. It stays importable from this module because bench/selftest.py
 # checks that tracing restores this name in this namespace.
@@ -76,13 +76,6 @@ def shannon_entropy(p: Sequence[float]) -> float:
     kept = arr[arr > tol.ENTROPY_CUTOFF]
     # a weight rounded above 1 gives a term of about -1e-16, and one weight of 1 gives -0.0
     return max(0.0, float(-np.sum(kept * np.log2(kept))))
-
-
-def von_neumann_entropy(rho: DensityOperator | np.ndarray) -> float:
-    """Entropy of the eigenvalue spectrum, negatives clamped to zero."""
-    if not isinstance(rho, DensityOperator):
-        rho = DensityOperator(np.asarray(rho, dtype=complex))  # raises NotDensityOperator
-    return shannon_entropy(np.maximum(rho.eigenvalues(), 0.0))
 
 
 def _first_factor(obs: Observable, w: np.ndarray) -> np.ndarray:
@@ -154,7 +147,6 @@ __all__ = [
     "EntropyReport",
     "Verdict",
     "shannon_entropy",
-    "von_neumann_entropy",
     "lifted_incompatibility_entropy",
     "read_pointer_tripartite",
     "low_rank_commutator_norm",

@@ -328,13 +328,14 @@ def generate_random_instance(seed: int, d1_max: int, outcomes_max: int) -> Scena
     if norm < 1e-6:  # astronomically unlikely; fall back to a supported eigenvector
         vec = obs.basis[:, obs.columns[int(support[0])].start]
         norm = frob(vec)
-    state = PureState(vec / norm)
+    amplitudes = vec / norm
+    state = PureState(amplitudes / frob(amplitudes))  # what _parse_state makes of the amplitudes written below
 
     instrument_seed = int(rng.integers(0, 2**31))
     doc = {
         "object_dim": dim,
         "observable": {"matrix": _pairs(hermitian)},
-        "initial_state": {"amplitudes": _pairs(state.vector)},
+        "initial_state": {"amplitudes": _pairs(amplitudes)},
         "instrument": {"kind": "repeatable", "seed": instrument_seed},
         "options": {"tolerance": None, "verbosity": "normal"},
     }

@@ -8,8 +8,13 @@ import pytest
 from qmeasure import (
     Observable,
     PureState,
+    Scenario,
     StateTransformerSet,
+    dag,
+    make_repeatable_transformers,
     observable_from_matrix,
+    random_state_vector,
+    random_unitary,
     uniform_superposition,
 )
 
@@ -29,6 +34,40 @@ def bell_vector() -> np.ndarray:
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1.0 / np.sqrt(2.0)
     return v
+
+
+def three_level_document(seed: int, small: tuple[float, float]) -> dict:
+    """An ideal measurement of V diag(0, 1, 2) V†, V a seeded Haar unitary, on V √p with p = (*small, 1 - sum(small))."""
+    v = random_unitary(3, np.random.default_rng(seed))
+    p = np.array([*small, 1.0 - sum(small)])
+
+    def pairs(a: np.ndarray) -> list:
+        return np.stack([a.real, a.imag], -1).tolist()
+
+    return {
+        "object_dim": 3,
+        "observable": {"matrix": pairs((v * np.arange(3.0)) @ dag(v))},
+        "initial_state": {"amplitudes": pairs(v @ np.sqrt(p))},
+        "instrument": {"kind": "ideal"},
+    }
+
+
+def small_weight_scenario(seed: int) -> Scenario:
+    """A repeatable measurement at d = 3..12 whose Born weights are drawn log-uniformly over 1e-9 .. 1, then normalised.
+
+    The eigenbasis is Haar, the term sizes are random, and the eigenvalue gaps are drawn over 0.1 .. 1.
+    """
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(3, 13))
+    n_outcomes = int(rng.integers(2, dim + 1))
+    sizes = np.ones(n_outcomes, dtype=int)
+    np.add.at(sizes, rng.integers(0, n_outcomes, dim - n_outcomes), 1)
+    eigenvalues = np.cumsum(10 ** rng.uniform(-1.0, 0.0, n_outcomes))
+    weights = 10 ** rng.uniform(-9.0, 0.0, n_outcomes)
+    weights /= weights.sum()
+    obs = Observable(tuple(eigenvalues.tolist()), random_unitary(dim, rng), tuple(sizes.tolist()))
+    coordinates = np.concatenate([np.sqrt(p) * random_state_vector(int(r), rng) for p, r in zip(weights, sizes)])
+    return Scenario(PureState(obs.basis @ coordinates), make_repeatable_transformers(obs, seed))
 
 
 @pytest.fixture

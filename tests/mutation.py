@@ -25,8 +25,10 @@ a scenario holds (P1, P2), which parse and generation must build from
 the document's instrument. The ``max`` that sets the text report's
 column width is layout, not a verdict, and has no mutant. M4, the W†W
 density check of the post-reading factor, left with its check:
-pointer_reading_marginals validates the reader marginal, of which W†W
-is the complex conjugate, and a failure there ends the run first.
+pointer_reading_marginals checks the reader marginal's spectrum as a
+distribution, and W†W is that marginal's complex conjugate, so a failure
+there ends the run first. R3 reads the reading's marginals with the
+wrong party as rows, a fault whose squared singular values still sum to 1.
 ``tests/test_mutation_table.py`` checks that every ``old`` text still
 occurs exactly once. See DeMillo, Lipton and Sayward, IEEE Computer 11(4),
 1978.
@@ -153,6 +155,11 @@ MUTANTS = (
         "pointer_reading_marginals without the reader marginal",
     ),
     Mutant(
+        "R3", "pipeline.py",
+        "rows = np.moveaxis(t, party, 0).reshape", "rows = t.reshape",
+        "pointer_reading_marginals reads each party's rows in the reading's own axis order",
+    ),
+    Mutant(
         "H0", "information.py",
         "return max(0.0, float(-np.sum(kept * np.log2(kept))))", "return float(-np.sum(kept * np.log2(kept)))",
         "shannon_entropy without its clamp at 0",
@@ -180,8 +187,8 @@ MUTANTS = (
     ),
     Mutant(
         "S1", "schmidt.py",
-        "lefts = m @ vectors[:, order]", "lefts = m @ np.conj(vectors[:, order])",
-        "schmidt_decompose's left vectors from M conj(w)",
+        "np.linalg.svd(m, full_matrices=False)", "np.linalg.svd(np.conj(m), full_matrices=False)",
+        "schmidt_decompose's left vectors from the SVD of conj(M)",
     ),
     Mutant(
         "C1", "instruments.py",

@@ -9,7 +9,10 @@ to corrupt one factor of an artefact and to build dense references. The
 dense references (``luders_update``, ``reduced_states``,
 ``commutator_norm``, ``post_reading_state``, ``lifted_commutator_norm``,
 ``purify``, ``completed_unitary``) form the d×d and D×D operators that the
-library's kernels avoid, so a kernel test still compares two routes. ``partial_inner`` is the one-vector form of the product
+library's kernels avoid, so a kernel test still compares two routes;
+``von_neumann_entropy`` reads the eigenvalues that a dense state's
+``DensityOperator`` check finds, where a run takes singular values.
+``partial_inner`` is the one-vector form of the product
 ``dag(L) @ psi.reshape(d1, d2)`` that ``schmidt_decompose`` takes. The
 ``verify_*`` wrappers evolve with the transformer family themselves and then
 compute both sides of one ``pipeline.CHECKS`` entry, so acceptance tests
@@ -20,8 +23,9 @@ marginal, and ``classify_outcomes`` reads
 ``probabilities``. ``dense_checks`` is a dense twin of the pipeline's checks
 that read the Schmidt form, an entropy of a pure vector, the repetition of
 the measurement or the pointer reading: it evolves with the completed
-unitary, takes the Schmidt form from ``eigh`` of the partial trace of
-|Ψ><Ψ|, every incompatibility entropy from a dense Lüders update, repeat
+unitary, takes the Schmidt form from ``eigh`` of the Hermitian dilation
+of Ψ's matrix, every entropy of Ψ from the partial traces of |Ψ><Ψ|,
+every incompatibility entropy from a dense Lüders update, repeat
 certainty from the dense A_k and P_k, and the reading's marginals and
 commutators from partial traces of |tri><tri|.
 """
@@ -56,7 +60,6 @@ from qmeasure import (
     pure_marginal,
     shannon_entropy,
     verify_definite_values,
-    von_neumann_entropy,
 )
 from qmeasure import tolerances as tol
 from qmeasure.instruments import conditional_state_gap, probability_gap
@@ -98,6 +101,13 @@ def classify_outcomes(obs: Observable, state: PureState) -> tuple[tuple[int, ...
     detectable = tuple(int(k) for k in range(p.size) if p[k] > tol.DETECTABILITY)
     null = tuple(int(k) for k in range(p.size) if p[k] <= tol.DETECTABILITY)
     return detectable, null
+
+
+def von_neumann_entropy(rho: DensityOperator | np.ndarray) -> float:
+    """Entropy of the eigenvalue spectrum of a checked density operator, negatives clamped to zero."""
+    if not isinstance(rho, DensityOperator):
+        rho = DensityOperator(np.asarray(rho, dtype=complex))  # raises NotDensityOperator
+    return shannon_entropy(np.maximum(rho.eigenvalues(), 0.0))
 
 
 def luders_update(obs: Observable, state: PureState | DensityOperator) -> DensityOperator:
@@ -260,24 +270,29 @@ DENSE_LABELS = (
 
 
 def dense_schmidt(psi: np.ndarray, structure: Sequence[int]) -> SchmidtForm:
-    """Schmidt form from the eigenvectors of rho_1 = Tr_2 |psi><psi|, in the library's phase convention.
+    """Schmidt form from the eigenvectors of the Hermitian dilation [[0, M], [M†, 0]] of psi as d1 × d2 matrix M.
 
-    Each left vector's first component above PHASE_PIVOT is made real and positive, and each right
-    vector is the normalised partial scalar product of its left vector with psi.
+    The dilation has the eigenvalues ±c_t and zeros, and the first d1 entries of the eigenvector of
+    +c_t are l_t / √2. eigh resolves that vector to about eps/gap in c, where the eigenvectors of
+    rho_1 = M M† resolve only to eps/gap in c², which cannot tell two small weights, or a small weight
+    and the kernel, apart. Each left vector's first component above PHASE_PIVOT is made real and
+    positive, and each right vector is the normalised partial scalar product of its left vector with psi.
     """
     dims = tuple(int(d) for d in structure)
-    weights, vectors = np.linalg.eigh(partial_trace(np.outer(psi, np.conj(psi)), dims, 0))
+    m = np.asarray(psi, dtype=complex).reshape(dims)
+    dilation = np.block([[np.zeros((dims[0], dims[0])), m], [dag(m), np.zeros((dims[1], dims[1]))]])
+    values, vectors = np.linalg.eigh(dilation)
     lefts, rights, coefficients = [], [], []
-    for t in np.argsort(-weights, kind="stable"):
-        if weights[t] <= tol.SCHMIDT_CUTOFF:
+    for t in np.argsort(-values, kind="stable"):
+        if values[t] <= math.sqrt(tol.SCHMIDT_CUTOFF):  # the kernel and the -c_t follow
             break
-        left = vectors[:, t]
+        left = vectors[: dims[0], t] / np.linalg.norm(vectors[: dims[0], t])
         pivot = left[np.abs(left) > tol.PHASE_PIVOT][0]
         left = left * np.conj(pivot) / abs(pivot)
         right = partial_inner(left, psi, dims)
         lefts.append(left)
         rights.append(right / np.linalg.norm(right))
-        coefficients.append(np.sqrt(weights[t]))
+        coefficients.append(values[t])
     return SchmidtForm(np.array(coefficients), np.array(lefts).T, np.array(rights).T)
 
 

@@ -33,7 +33,6 @@ from qmeasure import (
     shannon_entropy,
     uniform_superposition,
     verify_definite_values,
-    von_neumann_entropy,
 )
 from qmeasure import EntropyReport, StateTransformerSet, cli
 from qmeasure import tolerances as tol
@@ -48,6 +47,7 @@ from reference import (
     verify_entanglement_as_incompatibility,
     verify_incompatibility_transfer,
     verify_probability_reproducibility,
+    von_neumann_entropy,
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"

@@ -26,7 +26,6 @@ from qmeasure import (
     read_pointer_tripartite,
     schmidt_decompose,
     shannon_entropy,
-    von_neumann_entropy,
 )
 from qmeasure import pipeline as pipeline_module
 from qmeasure import tolerances as tol
@@ -38,6 +37,7 @@ from reference import (
     reduced_states,
     verify_entanglement_as_incompatibility,
     verify_incompatibility_transfer,
+    von_neumann_entropy,
 )
 
 # -sum p log2 p for p = (0.3, 0.7), frozen from a 30-digit evaluation

@@ -39,10 +39,16 @@ from qmeasure import (
     schmidt_decompose,
     shannon_entropy,
     verify_definite_values,
-    von_neumann_entropy,
 )
 from conftest import random_hermitian
-from reference import apply_on_factor, dense_incompatibility, luders_update, projectors, reduced_states
+from reference import (
+    apply_on_factor,
+    dense_incompatibility,
+    luders_update,
+    projectors,
+    reduced_states,
+    von_neumann_entropy,
+)
 
 # Set before the tests were run: a few roundings of O(1) entries.
 KERNEL_TOL = 1e-13

@@ -26,6 +26,7 @@ from qmeasure import (
 ENTROPY_LABELS = (
     "entanglement_incompatibility_final",
     "entanglement_incompatibility_initial",
+    "pointer_reading_marginals",
     "pointer_reading_incompatibility",
 )
 # Sums of a few dozen O(1) terms, taken in other orders than the closed form: rounding is near 1e-15.
@@ -62,3 +63,16 @@ def test_every_entropy_of_the_run_is_the_closed_form(seed, sizes, weights, expec
     for label in ENTROPY_LABELS:
         assert abs(verdicts[label].lhs - expected) < CLOSED_FORM_TOL, label
         assert abs(verdicts[label].rhs - expected) < CLOSED_FORM_TOL, label
+
+
+@pytest.mark.parametrize(
+    "seed, sizes, weights",
+    [(220, (110, 110), (1e-3, 0.999)), (221, (90, 130), (0.3, 0.7))],
+    ids=["binary_1e-3_d220", "binary_0.3_d220"],
+)
+def test_the_initial_commutator_of_two_terms_is_the_closed_form(seed, sizes, weights):
+    # For A = a_0 P_0 + a_1 P_1 and psi with Born weights p, [A, psi psi†] = (a_1 - a_0)(P_1 psi psi† P_0 - h.c.),
+    # whose Frobenius norm is |a_1 - a_0| √(2 p_0 p_1); the eigenvalues here are 0 and 1.
+    report = run_pipeline(known_weights_scenario(seed, sizes, weights))
+    assert report.error is None
+    assert abs(report.initial_commutator_norm - math.sqrt(2 * weights[0] * weights[1])) < CLOSED_FORM_TOL

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from qmeasure import (
+    NotADistribution,
     NotDensityOperator,
     NotOrthonormal,
     PureState,
@@ -107,15 +108,15 @@ class TestLowRankCommutator:
             assert abs(low_rank - commutator_norm(obs, state)) <= RELATIVE_TOL * term_scale(obs, w)
 
     def test_pipeline_checks_the_reading_as_a_state_before_its_commutators(self):
-        # W†W is the conjugate of the reader marginal, which pointer_reading_marginals checks as a density
-        # operator before pointer_reading_commutators runs; a failure there ends the run.
+        # W†W is the conjugate of the reader marginal, whose spectrum pointer_reading_marginals checks as a
+        # distribution before pointer_reading_commutators runs; a failure there ends the run.
         scenario = generate_random_instance(4, 6, 4)
         run = pipeline_module._Run(scenario)
         tri, dims3 = run.reading
         run.__dict__["reading"] = (1.1 * tri, dims3)  # trace 1.21
         with pytest.raises(NotDensityOperator):
             post_reading_state(1.1 * tri, dims3)
-        with pytest.raises(NotDensityOperator):
+        with pytest.raises(NotADistribution):
             pipeline_module._pointer_reading_marginals(run)
 
 

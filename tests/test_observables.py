@@ -24,11 +24,10 @@ from qmeasure import (
     random_state_vector,
     random_unitary,
     uniform_superposition,
-    von_neumann_entropy,
 )
 from qmeasure import tolerances as tol
 from conftest import random_density
-from reference import classify_outcomes, luders_update, projectors, purify
+from reference import classify_outcomes, luders_update, projectors, purify, von_neumann_entropy
 
 
 class TestObservableFromMatrix:

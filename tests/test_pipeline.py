@@ -23,13 +23,12 @@ from qmeasure import (
     run_pipeline,
     shannon_entropy,
     verify_definite_values,
-    von_neumann_entropy,
 )
 from qmeasure import pipeline as pipeline_module
 from qmeasure.cli import main as cli_main
 from qmeasure import tolerances as tol
 from qmeasure.errors import NoDefiniteValue, NonRepeatableInput
-from reference import apply_on_factor, projectors
+from reference import apply_on_factor, projectors, von_neumann_entropy
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # `qmeasure run <scenario> --format json` for each committed scenario. A change
@@ -517,8 +516,9 @@ class TestRepeatabilityAndReadingControls:
             rotated = np.moveaxis(t, (0, 1), (factor, control)).reshape(-1)
             run.__dict__["reading"] = (rotated, dims3)
             _, _, deviation, _ = self.CHECK["pointer_reading_marginals"].fn(run)
+            # The gaps from the dense marginals' eigenvalues; the check takes singular values of the reading.
             gaps = [abs(von_neumann_entropy(pure_marginal(rotated, dims3, keep=m)) - run.h_born) for m in range(3)]
-            assert deviation == gaps[factor] >= 1e3 * tol.THEOREM, seed
+            assert abs(deviation - gaps[factor]) <= 1e-12 and gaps[factor] >= 1e3 * tol.THEOREM, seed
             assert max(gaps[:factor] + gaps[factor + 1 :]) < tol.THEOREM, seed
 
     def test_pointer_reading_marginals_sees_a_reweighted_reader_branch(self):
@@ -550,21 +550,24 @@ class TestRepeatabilityAndReadingControls:
             assert min(rhs, deviation) >= 1e3 * tol.COMMUTATOR and lhs < tol.COMMUTATOR, seed
 
 
-def test_a_six_outcome_run_makes_two_eigh_three_density_checks_and_no_pure_state(monkeypatch):
-    # One eigh each for the Schmidt form (of the n × n Gram matrix M†M, not of the d × d rho_1) and the
-    # definite values (of L† N L); the repeatable family takes its eigenspaces from the observable's basis.
-    # Three density-operator checks, each with one eigvalsh: the three marginals of the reading. The
-    # incompatibility entropies read branch weights, the entropy report reads the Schmidt coefficients,
-    # and the commutator checks read the final vector's matrix, so none of them checks a state; W†W of
-    # the reading is the conjugate of the reader marginal, which is checked already. Repeat certainty
-    # reads the matrix of the A_k psi, so no post-measurement PureState is built.
+def test_a_six_outcome_run_makes_one_schmidt_svd_one_eigh_three_reading_svds_and_no_state_check(monkeypatch):
+    # One SVD of the final vector's d × n matrix M for the Schmidt form (no Gram matrix M†M, no d × d
+    # rho_1), and one eigh for the definite values (of L† N L); the repeatable family takes its
+    # eigenspaces from the observable's basis. Three more SVDs, one per marginal of the reading, each of
+    # the reading with that party as rows and its zero columns dropped, so none has a smaller side above
+    # max(K, n3). The incompatibility entropies read branch weights, the entropy report reads the Schmidt
+    # coefficients, and the commutator checks read the final vector's matrix, so no run takes an eigvalsh
+    # or checks a density operator; W†W of the reading is the conjugate of the reader marginal, whose
+    # spectrum is checked already. Repeat certainty reads the matrix of the A_k psi, so no
+    # post-measurement PureState is built.
     seed = next(s for s in range(100) if generate_random_instance(s, 16, 6).observable.n_outcomes == 6)
     scenario = generate_random_instance(seed, 16, 6)
-    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    eigh, eigvalsh, svd = np.linalg.eigh, np.linalg.eigvalsh, np.linalg.svd
     check, pure = DensityOperator.__post_init__, PureState.__post_init__
-    eigh_shapes, eigvalsh_shapes, density_checks, pure_states = [], [], [], []
+    eigh_shapes, eigvalsh_shapes, svd_shapes, density_checks, pure_states = [], [], [], [], []
     monkeypatch.setattr(np.linalg, "eigh", lambda m, *args: eigh_shapes.append(m.shape) or eigh(m, *args))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m, *args: eigvalsh_shapes.append(m.shape) or eigvalsh(m, *args))
+    monkeypatch.setattr(np.linalg, "svd", lambda m, *args, **kw: svd_shapes.append(m.shape) or svd(m, *args, **kw))
     monkeypatch.setattr(DensityOperator, "__post_init__", lambda self: density_checks.append(1) or check(self))
     monkeypatch.setattr(PureState, "__post_init__", lambda self: pure_states.append(1) or pure(self))
     report = run_pipeline(scenario)
@@ -572,9 +575,11 @@ def test_a_six_outcome_run_makes_two_eigh_three_density_checks_and_no_pure_state
     assert report.overall_pass
     d, n, terms = scenario.observable.dim, scenario.observable.n_outcomes, len(report.schmidt_coefficients)
     n3 = int(np.count_nonzero(np.array(report.probabilities) > tol.DETECTABILITY))
-    assert eigh_shapes == [(n, n), (terms, terms)]
-    assert eigvalsh_shapes == [(d, d), (n, n), (n3, n3)]
-    assert len(density_checks) == 3
+    assert svd_shapes[0] == (d, n)
+    assert len(svd_shapes) == 4 and max(min(shape) for shape in svd_shapes[1:]) <= max(n, n3)
+    assert eigh_shapes == [(terms, terms)]
+    assert eigvalsh_shapes == []
+    assert density_checks == []
     assert pure_states == []
 
 
