@@ -8,13 +8,12 @@ unwritable --out path, 3 internal numerical error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from functools import cache
 
 from .errors import ParseError, QMeasureError, ValidationError
-from .pipeline import VerificationReport, report_to_dict, report_to_json, report_to_text, run_pipeline
+from .pipeline import VerificationReport, _json_text, report_to_dict, report_to_json, report_to_text, run_pipeline
 from .scenario import check_tolerance, generate_random_instance, load_scenario
 
 EXIT_PASS = 0
@@ -157,7 +156,7 @@ def _batch_command(args: argparse.Namespace) -> int:
             },
             "results": results,
         }
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = _json_text(doc) + "\n"
     else:
         lines.append(
             f"campaign: {len(seeds)} scenarios, {len(seeds) - len(failed)} passed, "

@@ -75,7 +75,7 @@ def shannon_entropy(p: Sequence[float]) -> float:
         raise NotADistribution(f"entries sum to {total}, not 1 within {tol.DISTRIBUTION_SUM}")
     kept = arr[arr > tol.ENTROPY_CUTOFF]
     # a weight rounded above 1 gives a term of about -1e-16, and one weight of 1 gives -0.0
-    return max(0.0, float(-np.sum(kept * np.log2(kept))))
+    return max(0.0, float(-(kept * np.log2(kept)).sum()))
 
 
 def _first_factor(obs: Observable, w: np.ndarray) -> np.ndarray:
@@ -95,7 +95,7 @@ def lifted_incompatibility_entropy(obs: Observable, vector: np.ndarray) -> float
     no d × d product; the update costs O(D^3).
     """
     v, _ = check_unit_norm(vector)
-    c = dag(obs.basis) @ _first_factor(obs, v)
+    c = obs.adjoint @ _first_factor(obs, v)
     return shannon_entropy(np.vecdot(c, c).real @ obs.indicator)
 
 
@@ -122,7 +122,7 @@ def read_pointer_tripartite(final: np.ndarray, ts: StateTransformerSet) -> tuple
         raise NonRepeatableInput(f"pointer marginal has coherence {damage:.3e} across pointer outcomes")
 
     columns = final.reshape(dims)
-    detectable = np.flatnonzero(np.vecdot(columns, columns, axis=0).real > tol.DETECTABILITY)
+    detectable = (np.vecdot(columns, columns, axis=0).real > tol.DETECTABILITY).nonzero()[0]
     # tri[i, j, l] = columns[i, j] for j the l-th detectable outcome, i.e. sum_l (1 ⊗ Q_l) final ⊗ e_l
     tri = np.zeros((*dims, detectable.size), dtype=complex)
     tri[:, detectable, np.arange(detectable.size)] = columns[:, detectable]
@@ -138,7 +138,7 @@ def low_rank_commutator_norm(obs: Observable, w: np.ndarray) -> float:
     """
     k = w.shape[1]
     xw = (obs.matrix() @ _first_factor(obs, w)).reshape(w.shape)
-    r = np.linalg.qr(np.hstack([w, xw]), mode="r")
+    r = np.linalg.qr(np.concatenate([w, xw], axis=1), mode="r")
     m = r[:, k:] @ dag(r[:, :k])
     return frob(m - dag(m))
 

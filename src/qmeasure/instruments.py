@@ -45,7 +45,7 @@ class StateTransformerSet:
         # |A_k†A_k - P_k| = |B_k†B_k - 1|: the diagonal blocks of B†B - 1, summed block by block
         ind = obs.indicator
         off = (dag(b) @ b - np.eye(obs.dim)) * (ind @ ind.T)
-        failing = np.flatnonzero(~(np.sqrt(np.vecdot(off, off, axis=0).real @ ind) <= tol.TRANSFORMER))
+        failing = (~(np.sqrt(np.vecdot(off, off, axis=0).real @ ind) <= tol.TRANSFORMER)).nonzero()[0]
         if failing.size:
             k = failing[0]
             raise InvalidTransformers(f"A_{k}†A_{k} deviates from its projector beyond {tol.TRANSFORMER}")
@@ -104,9 +104,9 @@ def make_repeatable_transformers(obs: Observable, seed: int) -> StateTransformer
 
 def repeatability_violation(ts: StateTransformerSet) -> float:
     """Worst Frobenius violation of A_k = P_k A_k over the outcomes, as |B_k - V_k (V_k† B_k)|."""
-    v, ind = ts.observable.basis, ts.observable.indicator
-    residual = ts.blocks - v @ ((dag(v) @ ts.blocks) * (ind @ ind.T))
-    return float(np.sqrt(np.max(np.vecdot(residual, residual, axis=0).real @ ind)))
+    obs, ind = ts.observable, ts.observable.indicator
+    residual = ts.blocks - obs.basis @ ((obs.adjoint @ ts.blocks) * (ind @ ind.T))
+    return float(np.sqrt((np.vecdot(residual, residual, axis=0).real @ ind).max()))
 
 
 @lru_cache(maxsize=32)
@@ -125,14 +125,14 @@ def evolve(ts: StateTransformerSet, psi: PureState) -> np.ndarray:
     obs = ts.observable
     if psi.dim != obs.dim:
         raise DimensionMismatch(f"state dim {psi.dim} != object dim {obs.dim}")
-    return ((ts.blocks * (dag(obs.basis) @ psi.vector)) @ obs.indicator).reshape(-1)
+    return ((ts.blocks * (obs.adjoint @ psi.vector)) @ obs.indicator).reshape(-1)
 
 
 def probability_gap(ts: StateTransformerSet, born: np.ndarray, final: np.ndarray) -> float:
     """Worst |p_k - <final|1 ⊗ Q_k|final>|: with Q_k = |e_k><e_k|, column k of final as d × n, squared."""
     columns = final.reshape(ts.composite_dims)
     read = np.vecdot(columns, columns, axis=0).real
-    return float(np.max(np.abs(born - read)))
+    return float(np.abs(born - read).max())
 
 
 def conditional_state_gap(ts: StateTransformerSet, psi: PureState, final: np.ndarray) -> float:
@@ -146,11 +146,11 @@ def conditional_state_gap(ts: StateTransformerSet, psi: PureState, final: np.nda
     obs = ts.observable
     if psi.dim != obs.dim:
         raise DimensionMismatch(f"state dim {psi.dim} != observable dim {obs.dim}")
-    images = ts.blocks @ ((dag(obs.basis) @ psi.vector)[:, None] * obs.indicator)
+    images = ts.blocks @ ((obs.adjoint @ psi.vector)[:, None] * obs.indicator)
     r = np.linalg.qr(np.stack([images.T, final.reshape(ts.composite_dims).T], axis=-1), mode="r")
     rv, rm = r[..., 0], r[..., 1]
     gap = (rv[:, :, None] * np.conj(rv[:, None, :]) - rm[:, :, None] * np.conj(rm[:, None, :])).reshape(-1, 4)
-    return float(np.sqrt(np.max(np.vecdot(gap, gap).real)))
+    return float(np.sqrt(np.vecdot(gap, gap).real.max()))
 
 
 def repeat_measurement_check(ts: StateTransformerSet, final: np.ndarray, born: np.ndarray) -> float:
@@ -167,14 +167,14 @@ def repeat_measurement_check(ts: StateTransformerSet, final: np.ndarray, born: n
     if np.size(final) != d * n:
         raise DimensionMismatch(f"final vector of size {np.size(final)}, expected {d}·{n}")
     images = np.reshape(final, (d, n))
-    again = dag(ts.observable.basis) @ images
+    again = ts.observable.adjoint @ images
     weights = np.vecdot(images, images, axis=0).real
     confirmed = np.vecdot(again, again * ts.observable.indicator, axis=0).real
-    detectable = np.flatnonzero(np.asarray(born) > tol.DETECTABILITY)
+    detectable = (np.asarray(born) > tol.DETECTABILITY).nonzero()[0]
     null = detectable[~(weights[detectable] > tol.DETECTABILITY)]
     if null.size:
         raise NullOutcome(f"outcome {null[0]} has probability {weights[null[0]]} <= {tol.DETECTABILITY}")
-    return float(np.min(confirmed[detectable] / weights[detectable], initial=1.0))
+    return float((confirmed[detectable] / weights[detectable]).min(initial=1.0))
 
 
 __all__ = [

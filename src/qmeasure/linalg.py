@@ -156,8 +156,9 @@ def pure_marginal(vec: np.ndarray, structure: Sequence[int], keep: int | Sequenc
 
 def check_orthonormal_columns(m: np.ndarray) -> None:
     """Raise NotOrthonormal unless |<m_j|m_i> - delta_ij| <= ORTHONORMALITY, naming the first failing j <= i."""
-    failing = np.argwhere(np.tril(~(np.abs(m.T @ np.conj(m) - np.eye(m.shape[1])) <= tol.ORTHONORMALITY)))  # NaN fails
-    if failing.size:
+    bad = ~(np.abs(m.T @ np.conj(m) - np.eye(m.shape[1])) <= tol.ORTHONORMALITY)  # NaN fails
+    failing = np.argwhere(np.tril(bad)) if bad.any() else ()
+    if len(failing):
         i, j = failing[0]
         raise NotOrthonormal(f"columns {j} and {i} are not orthonormal within {tol.ORTHONORMALITY}")
 

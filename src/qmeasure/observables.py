@@ -66,8 +66,15 @@ class Observable:
         return out
 
     @cached_property
+    def adjoint(self) -> np.ndarray:
+        """V†, the read-only view dag(basis), formed once: every V† x of the checks takes it."""
+        out = dag(self.basis)
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def _matrix(self) -> np.ndarray:
-        out = hermitize((self.basis * np.repeat(self.eigenvalues, self.sizes)) @ dag(self.basis))
+        out = hermitize((self.basis * np.repeat(self.eigenvalues, self.sizes)) @ self.adjoint)
         out.setflags(write=False)
         return out
 
@@ -154,8 +161,9 @@ def observable_from_matrix(h: np.ndarray) -> Observable:
     """
     h = np.asarray(h, dtype=complex)
     w, v = hermitian_eig(h)  # raises NotHermitian
-    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) > tol.DEGENERACY_GAP)
-    sizes = np.diff(starts, append=w.size)
+    # a term starts at 0 and wherever an eigenvalue lies more than the gap above the one before it
+    bounds = [0, *((w[1:] - w[:-1] > tol.DEGENERACY_GAP).nonzero()[0] + 1).tolist(), w.size]
+    starts, sizes = bounds[:-1], np.diff(bounds)
     v.setflags(write=False)
     return Observable(tuple((np.add.reduceat(w, starts) / sizes).tolist()), v, tuple(sizes.tolist()))
 
@@ -186,7 +194,7 @@ def check_dims(obs: Observable, state: PureState) -> None:
 def probabilities(obs: Observable, state: PureState) -> np.ndarray:
     """Outcome probabilities <psi|P_k|psi> = |V_k† psi|^2 in term order."""
     check_dims(obs, state)
-    c = dag(obs.basis) @ state.vector
+    c = obs.adjoint @ state.vector
     return (c.real**2 + c.imag**2) @ obs.indicator
 
 

@@ -22,6 +22,8 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -171,13 +173,13 @@ def _definite_values(run: _Run):
 
 def _schmidt_probability_match(run: _Run):
     squares = run.definite.schmidt_form.coefficients ** 2
-    match = float(np.max(np.abs(squares - run.born[run.definite.outcomes])))
+    match = float(np.abs(squares - run.born[run.definite.outcomes]).max())
     return match, 0.0, match, tol.THEOREM
 
 
 def _twin_residual(x: np.ndarray, a: np.ndarray) -> float:
     """Largest eigen-residual of the twin observable X diag(a) X† on its own columns X."""
-    return float(np.max(np.linalg.norm(((x * a) @ dag(x)) @ x - x * a, axis=0)))
+    return float(np.linalg.norm(((x * a) @ dag(x)) @ x - x * a, axis=0).max())
 
 
 def _twin_diagonality(run: _Run):
@@ -221,8 +223,9 @@ def _marginal_spectrum(t: np.ndarray, party: int) -> np.ndarray:
     rows is t with that party as rows; its zero columns add nothing to rows rows† and are dropped, so
     the smaller side is at most max(K, n3). shannon_entropy then checks that the spectrum sums to 1.
     """
-    rows = np.moveaxis(t, party, 0).reshape(t.shape[party], -1)
-    return np.square(np.linalg.svd(rows[:, np.any(rows != 0, axis=0)], compute_uv=False))
+    order = (party, *(axis for axis in range(t.ndim) if axis != party))
+    rows = t.transpose(order).reshape(t.shape[party], -1)
+    return np.square(np.linalg.svd(rows[:, (rows != 0).any(axis=0)], compute_uv=False))
 
 
 def _pointer_reading_marginals(run: _Run):
@@ -340,7 +343,121 @@ def report_to_dict(report: VerificationReport, include_timing: bool = False) -> 
 
 
 def report_to_json(report: VerificationReport, include_timing: bool = False) -> str:
-    return json.dumps(report_to_dict(report, include_timing), indent=2, sort_keys=True) + "\n"
+    return _json_text(report_to_dict(report, include_timing)) + "\n"
+
+
+class _Unsupported(Exception):
+    """A value that only json.dumps knows how to write, or to reject."""
+
+
+# Exact types: np.float64 and other subclasses take the per-item route, as json writes them with float.__repr__.
+_NUMBER_TYPES = {float, int}
+_SCALAR_TYPES = {str, float, int, bool, type(None)}
+# Nesting deeper than this is left to json.dumps, so that where recursion ends is its own decision.
+_MAX_DEPTH = 100
+
+
+def _json_text(doc: Any) -> str:
+    """Exactly ``json.dumps(doc, indent=2, sort_keys=True)``, with runs of numbers and of scalars written at C speed.
+
+    The stdlib writes every token in Python whenever ``indent`` is set. Anything but dicts with str keys,
+    lists, tuples, str, int, float, bool and None, an integer too long for str, and nesting deeper than
+    _MAX_DEPTH (a circular reference among them) is left to json.dumps, which writes or rejects it as it
+    always has.
+    """
+    chunks: list[str] = []
+    try:
+        _write(doc, "\n", chunks)
+    except (_Unsupported, ValueError, RecursionError):
+        return json.dumps(doc, indent=2, sort_keys=True)
+    return "".join(chunks)
+
+
+def _write(value: Any, newline: str, chunks: list[str]) -> None:
+    """Append ``value`` in json.dumps's indented form, ``newline`` being the line break and indent of its own line."""
+    if isinstance(value, (str, int, float)) or value is None:  # bool is an int
+        chunks.append(json.dumps(value))
+        return
+    if len(newline) > 2 * _MAX_DEPTH:
+        raise _Unsupported
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if set(map(type, value)) - {str}:
+            raise _Unsupported
+        if not value or set(map(type, value.values())) <= _SCALAR_TYPES:
+            chunks.append(_scalars(value, newline))
+            return
+        opening = "{" + inner
+        for key in sorted(value):
+            chunks.append(opening + encode_basestring_ascii(key) + ": ")
+            _write(value[key], inner, chunks)
+            opening = "," + inner
+        chunks.append(newline + "}")
+        return
+    if not isinstance(value, (list, tuple)):
+        raise _Unsupported
+    kinds = set(map(type, value))
+    text = _numbers(value, newline) if value and (kinds <= _NUMBER_TYPES or kinds == {list}) else None
+    if text is None and kinds <= _SCALAR_TYPES:
+        text = _scalars(value, newline)
+    if text is None and kinds == {dict}:
+        text = _records(value, newline)
+    if text is not None:
+        chunks.append(text)
+        return
+    opening = "[" + inner
+    for item in value:
+        chunks.append(opening)
+        _write(item, inner, chunks)
+        opening = "," + inner
+    chunks.append(newline + "]")
+
+
+def _scalars(value: dict | list | tuple, newline: str) -> str:
+    """A dict or list of scalars, by json's C encoder: without ``indent`` it takes any item separator."""
+    inner = newline + "  "
+    text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
+    return text[0] + inner + text[1:-1] + newline + text[-1] if value else text
+
+
+def _records(value: list, newline: str) -> str | None:
+    """A list of non-empty dicts of scalars with str keys, in one call of json's C encoder as in ``_scalars``; else None.
+
+    There every line break is a separator, as json escapes one inside a string, and between two of those
+    dicts a } before a separator and a { after it can only close one record and open the next.
+    """
+    if (
+        0 in set(map(len, value))
+        or set(map(type, chain.from_iterable(value))) != {str}
+        or not set(map(type, chain.from_iterable(map(dict.values, value)))) <= _SCALAR_TYPES
+    ):
+        return None
+    inner, field = newline + "  ", newline + "    "
+    text = json.dumps(value, sort_keys=True, separators=("," + field, ": "))
+    body = text[2:-2].replace("}," + field + "{", inner + "}," + inner + "{" + field)
+    return "[" + inner + "{" + field + body + inner + "}" + newline + "]"
+
+
+def _numbers(value: list | tuple, newline: str) -> str | None:
+    """A regular nested list of finite float and int leaves, as one %r template of its shape; else None."""
+    shape, leaves = [len(value)], value
+    kinds = set(map(type, leaves))
+    while kinds == {list} and len(shape) <= _MAX_DEPTH:
+        lengths = set(map(len, leaves))
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        leaves = list(chain.from_iterable(leaves))
+        kinds = set(map(type, leaves))
+    if not kinds <= _NUMBER_TYPES:
+        return None
+    template = "%r"
+    for depth in reversed(range(len(shape))):
+        inner = newline + "  " * (depth + 1)
+        template = "[" + inner + ("," + inner).join([template] * shape[depth]) + inner[:-2] + "]"
+    text = template % tuple(leaves)
+    # repr writes a non-finite float as nan, inf or -inf; no finite number, bracket, comma or blank is an n
+    return text if "n" not in text else None
 
 
 def report_to_text(report: VerificationReport, verbosity: str = "normal") -> str:

@@ -29,6 +29,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -55,7 +56,9 @@ _PAULI = {
 _VERBOSITIES = ("normal", "verbose")
 
 # Size budget in bytes, 16·outcomes_max·d1_max² at 512/32; a campaign's 16·outcomes_max·d1_max² and a document's
-# 16·d² (one complex d × d matrix) stay within it.
+# 16·d² (one complex d × d matrix) stay within it. That counts the matrix, not the parse: the tracemalloc peak of
+# parse_scenario on a generated document is 14.2 × 16·d² at d = 122 and 13.1 × at d = 242, mostly json.loads's
+# [re, im] lists and the document the scenario keeps, and a test holds it within 16 ×.
 CAMPAIGN_BYTES = 16 * 32 * 512**2
 
 
@@ -111,15 +114,53 @@ def _complex_entry(value: Any, where: str) -> complex:
     raise ParseError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 
+# The exact types of JSON numbers: bool is a subclass of int, and np.array(..., dtype=float) would take true as 1.0.
+_NUMBER_TYPES = {float, int}
+
+
+def _bulk(rows: list, depth: int) -> np.ndarray | None:
+    """``rows``, a vector (depth 1) or a matrix (depth 2), as one complex array; None leaves it to the per-entry loop.
+
+    Taken when every entry is a JSON number or every entry an [re, im] pair, with the types tested at C
+    speed. An integer past the float range, ragged rows, NaN and ±inf return None, as does a mix of
+    numbers and pairs, which the loop accepts. A pair is read by viewing its two floats as one complex,
+    which keeps the sign of each zero as complex(re, im) does.
+    """
+    entries = rows
+    if depth == 2:
+        if set(map(type, rows)) != {list}:
+            return None
+        entries = list(chain.from_iterable(rows))
+    kinds = set(map(type, entries))
+    pairs = kinds == {list} and set(map(len, entries)) == {2}
+    if pairs:
+        kinds = set(map(type, chain.from_iterable(entries)))
+    if not kinds <= _NUMBER_TYPES:
+        return None
+    try:
+        arr = np.array(rows, dtype=float)
+    except (OverflowError, ValueError):  # an integer past the float range, or ragged rows
+        return None
+    if arr.ndim != depth + pairs or not np.isfinite(arr).all():
+        return None
+    return arr.view(complex)[..., 0] if pairs else arr.astype(complex)
+
+
 def _complex_vector(rows: Any, where: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise ParseError(f"{where}: expected a non-empty array")
+    fast = _bulk(rows, 1)
+    if fast is not None:
+        return fast
     return np.array([_complex_entry(x, f"{where}[{i}]") for i, x in enumerate(rows)], dtype=complex)
 
 
 def _complex_matrix(rows: Any, where: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise ParseError(f"{where}: expected a non-empty array of rows")
+    fast = _bulk(rows, 2)
+    if fast is not None:
+        return fast
     mat = [
         [_complex_entry(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)]
         if isinstance(row, list)

@@ -118,7 +118,7 @@ def verify_definite_values(
         raise DimensionMismatch("object and pointer observables have different outcome counts")
     n_outcomes = object_obs.n_outcomes
 
-    coeffs = dag(object_obs.basis) @ sf.lefts  # L† N L = (V†L)† diag(term of each column) (V†L)
+    coeffs = object_obs.adjoint @ sf.lefts  # L† N L = (V†L)† diag(term of each column) (V†L)
     index = object_obs.indicator @ np.arange(n_outcomes)
     indices, u = hermitian_eig(dag(coeffs) @ (index[:, None] * coeffs))
     order = np.argsort(np.argmax(np.abs(u), axis=0), kind="stable")
@@ -135,7 +135,7 @@ def verify_definite_values(
     inside = outcomes == fitted
     left_residuals = _off_eigenspace(object_obs, lefts, fitted)
     right_residuals = _off_eigenspace(pointer_obs, rights, fitted)
-    failing = np.flatnonzero(~inside | (np.maximum(left_residuals, right_residuals) >= tol.DEFINITE_VALUE))
+    failing = (~inside | (np.maximum(left_residuals, right_residuals) >= tol.DEFINITE_VALUE)).nonzero()[0]
     if failing.size:
         t = failing[0]
         if not inside[t]:
@@ -151,7 +151,7 @@ def verify_definite_values(
 
 def _off_eigenspace(obs: Observable, vectors: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
     """|P_k x - x| for each column x of ``vectors`` and its outcome k: the norm of V† x off the rows of term k."""
-    off = (dag(obs.basis) @ vectors) * (obs.indicator[:, outcomes] == 0)
+    off = (obs.adjoint @ vectors) * (obs.indicator[:, outcomes] == 0)
     return np.sqrt(np.vecdot(off, off, axis=0).real)
 
 

@@ -22,7 +22,9 @@ passes, two on the branch-weight entropy kernel (L1, L2), two
 common-mode faults that move both sides of every entropy verdict alike
 (H1, H2), which only closed-form values can see, and two on the family
 a scenario holds (P1, P2), which parse and generation must build from
-the document's instrument. The ``max`` that sets the text report's
+the document's instrument, and two on the bulk paths of documents and
+reports (B1, B2), which must accept, reject and write what the per-entry
+paths do. The ``max`` that sets the text report's
 column width is layout, not a verdict, and has no mutant. M4, the W†W
 density check of the post-reading factor, left with its check:
 pointer_reading_marginals checks the reader marginal's spectrum as a
@@ -156,18 +158,18 @@ MUTANTS = (
     ),
     Mutant(
         "R3", "pipeline.py",
-        "rows = np.moveaxis(t, party, 0).reshape", "rows = t.reshape",
+        "rows = t.transpose(order).reshape", "rows = t.reshape",
         "pointer_reading_marginals reads each party's rows in the reading's own axis order",
     ),
     Mutant(
         "H0", "information.py",
-        "return max(0.0, float(-np.sum(kept * np.log2(kept))))", "return float(-np.sum(kept * np.log2(kept)))",
+        "return max(0.0, float(-(kept * np.log2(kept)).sum()))", "return float(-(kept * np.log2(kept)).sum())",
         "shannon_entropy without its clamp at 0",
     ),
     Mutant(
         "H1", "information.py",
-        "return max(0.0, float(-np.sum(kept * np.log2(kept))))",
-        "return 1.001 * max(0.0, float(-np.sum(kept * np.log2(kept))))",
+        "return max(0.0, float(-(kept * np.log2(kept)).sum()))",
+        "return 1.001 * max(0.0, float(-(kept * np.log2(kept)).sum()))",
         "shannon_entropy scaled by 1.001, on both sides of every entropy verdict",
     ),
     Mutant(
@@ -177,7 +179,7 @@ MUTANTS = (
     ),
     Mutant(
         "L1", "information.py",
-        "c = dag(obs.basis) @ _first_factor(obs, v)", "c = obs.basis.T @ _first_factor(obs, v)",
+        "c = obs.adjoint @ _first_factor(obs, v)", "c = obs.basis.T @ _first_factor(obs, v)",
         "lifted_incompatibility_entropy's branch coordinates without the conjugate",
     ),
     Mutant(
@@ -214,6 +216,16 @@ MUTANTS = (
         "P2", "scenario.py",
         "make_repeatable_transformers(obs, instrument_seed)", "make_repeatable_transformers(obs, seed)",
         "generate_random_instance draws the family from its own seed, not the document's instrument seed",
+    ),
+    Mutant(
+        "B1", "scenario.py",
+        "if not kinds <= _NUMBER_TYPES:", "if not kinds <= _NUMBER_TYPES | {bool}:",
+        "the bulk parse without its exact-type test, so a true entry reads as 1.0",
+    ),
+    Mutant(
+        "B2", "pipeline.py",
+        'return text if "n" not in text else None', "return text",
+        "the report encoder's runs of numbers without their finiteness test, so NaN is written as nan",
     ),
     Mutant(
         "N1", "linalg.py",

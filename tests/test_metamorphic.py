@@ -10,9 +10,13 @@
 * An affine map A -> αA + β·1 with α > 0 moves every eigenvalue a_k to
   αa_k + β and keeps the eigenspaces and their order, so the transformers
   and the final vector stay as they were. Only [A, ρ] scales, by α.
+  With α < 0 the eigenvalue order reverses: term k of the follow-up is
+  term K-1-k of the source, so its family is the source's reversed, its
+  Born vector the source's reversed, and [A, ρ] scales by |α|.
 
-Each follow-up has the same Born probabilities, Schmidt coefficients and
-marginal spectra as its source, so a run must reach the same verdicts.
+Each follow-up has the same Born probabilities (up to that reversal),
+Schmidt coefficients and marginal spectra as its source, so a run must
+reach the same verdicts.
 The source and follow-up runs are compared as in metamorphic testing
 (Chen et al., ACM Comput. Surv. 51(1):4, 2018): neither needs a known
 expected output, only their relation.
@@ -76,13 +80,19 @@ def phased_transformers(scenario: Scenario, seed: int) -> Scenario:
 
 
 def affine(scenario: Scenario, alpha: float, beta: float) -> Scenario:
-    """The scenario with the observable αA + β·1, as a matrix, and its transformers as a custom family."""
+    """The scenario with the observable αA + β·1, as a matrix, and its transformers as a custom family.
+
+    α < 0 reverses the term order, and the family with it.
+    """
     obs = observable_from_matrix(alpha * scenario.observable.matrix() + beta * np.eye(scenario.observable.dim))
-    transformers = tuple(transformer_stack(scenario.transformers))
+    transformers = tuple(transformer_stack(scenario.transformers))[:: -1 if alpha < 0 else 1]
     return dataclasses.replace(scenario, transformers=StateTransformerSet.from_transformers(transformers, obs))
 
 
-def assert_same_physics(scenario: Scenario, follow_up_scenario: Scenario, commutator_scale: float = 1.0) -> None:
+def assert_same_physics(
+    scenario: Scenario, follow_up_scenario: Scenario, commutator_scale: float = 1.0, reversed_terms: bool = False
+) -> None:
+    """The two runs agree; ``reversed_terms``: term k of the follow-up is term K-1-k of the source."""
     source, follow_up = run_pipeline(scenario), run_pipeline(follow_up_scenario)
 
     assert source.error is None and follow_up.error is None
@@ -90,7 +100,8 @@ def assert_same_physics(scenario: Scenario, follow_up_scenario: Scenario, commut
     assert [x.passed for x in follow_up.verdicts] == [x.passed for x in source.verdicts]
     assert follow_up.overall_pass == source.overall_pass
     assert follow_up.not_applicable == source.not_applicable
-    np.testing.assert_allclose(follow_up.probabilities, source.probabilities, rtol=0, atol=NUMERIC_TOL)
+    expected = source.probabilities[::-1] if reversed_terms else source.probabilities
+    np.testing.assert_allclose(follow_up.probabilities, expected, rtol=0, atol=NUMERIC_TOL)
     np.testing.assert_allclose(
         follow_up.schmidt_coefficients, source.schmidt_coefficients, rtol=0, atol=NUMERIC_TOL
     )
@@ -108,7 +119,7 @@ def assert_same_physics(scenario: Scenario, follow_up_scenario: Scenario, commut
 
 SEEDED = [(s, 6, 4) for s in range(40)] + [(s, 16, 6) for s in range(20)]
 PHASES = {"global_phase": global_phase, "phased_transformers": phased_transformers}
-AFFINE = [(0.5, -0.7), (3.0, 2.0)]  # (α, β)
+AFFINE = [(0.5, -0.7), (3.0, 2.0), (-1.0, 0.5), (-2.5, -1.0)]  # (α, β)
 
 
 @pytest.mark.parametrize("seed, d1_max, outcomes_max", SEEDED)
@@ -141,11 +152,11 @@ def test_a_phase_keeps_a_committed_scenario(relation, name):
 @pytest.mark.parametrize("seed, d1_max, outcomes_max", SEEDED)
 def test_an_affine_map_of_the_eigenvalues_keeps_a_seeded_run(alpha, beta, seed, d1_max, outcomes_max):
     scenario = generate_random_instance(seed, d1_max, outcomes_max)
-    assert_same_physics(scenario, affine(scenario, alpha, beta), commutator_scale=alpha)
+    assert_same_physics(scenario, affine(scenario, alpha, beta), commutator_scale=abs(alpha), reversed_terms=alpha < 0)
 
 
 @pytest.mark.parametrize("alpha, beta", AFFINE)
 @pytest.mark.parametrize("name", COMMITTED)
 def test_an_affine_map_of_the_eigenvalues_keeps_a_committed_scenario(alpha, beta, name):
     scenario = load_scenario(str(SCENARIOS / name))
-    assert_same_physics(scenario, affine(scenario, alpha, beta), commutator_scale=alpha)
+    assert_same_physics(scenario, affine(scenario, alpha, beta), commutator_scale=abs(alpha), reversed_terms=alpha < 0)

@@ -126,6 +126,21 @@ class TestParseScenario:
         with pytest.raises(ValidationError, match="object_dim 2897 needs 134281744 B"):
             parse_scenario(scenario_text(object_dim=2897))
 
+    def test_the_parse_of_a_document_peaks_within_16_times_its_budgeted_matrix(self):
+        # The budget counts one complex d × d matrix, 16·d² B. The parse peaks at about 14 times that
+        # (14.2 here, at d = 122), mostly json.loads's [re, im] lists and the document the scenario keeps.
+        scenario = generate_random_instance(292, 122, 4)
+        d = scenario.observable.dim
+        assert d == 122
+        text = json.dumps(scenario.to_dict())
+        tracemalloc.start()
+        try:
+            parse_scenario(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 16 * d**2
+
     def test_options(self):
         sc = parse_scenario(scenario_text(options={"tolerance": 1e-6, "verbosity": "verbose"}))
         assert sc.tolerance == 1e-6 and sc.verbosity == "verbose"
