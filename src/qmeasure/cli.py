@@ -29,7 +29,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--include-timing",
         action="store_true",
-        help="include wall-clock duration in JSON output (off keeps it byte-stable)",
+        help="include wall-clock duration in the report, JSON or text (off keeps it byte-stable)",
     )
 
 
@@ -90,7 +90,7 @@ def _run_command(args: argparse.Namespace) -> int:
     if args.format == "json":
         text = report_to_json(report, include_timing=args.include_timing)
     else:
-        text = report_to_text(report, verbosity=scenario.verbosity)
+        text = report_to_text(report, verbosity=scenario.verbosity, include_timing=args.include_timing)
     if not _emit(text, args.out):
         return EXIT_INVALID
     return _exit_code(report)

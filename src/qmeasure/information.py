@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, NonRepeatableInput, NotADistribution
-from .linalg import check_unit_norm, dag, frob, pure_marginal
+from .linalg import check_unit_norm, dag, frob
 from .instruments import StateTransformerSet
 from .observables import Observable
 
@@ -115,13 +115,14 @@ def read_pointer_tripartite(final: np.ndarray, ts: StateTransformerSet) -> tuple
     if final.size != dims[0] * dims[1]:
         raise DimensionMismatch(f"vector of dim {final.size} does not match {dims}")
 
-    # Q_k = |e_k><e_k|: the update sum_k Q_k rho2 Q_k is diag(rho2), and (1 ⊗ Q_k) final is column k of d × n final
-    rho2 = pure_marginal(final, dims, keep=1)
+    # Q_k = |e_k><e_k|: the update sum_k Q_k rho2 Q_k is diag(rho2), and (1 ⊗ Q_k) final is column k of the
+    # d × n matrix M of final, whose pointer marginal is rho2 = Mᵀ M̄
+    columns = final.reshape(dims)
+    rho2 = columns.T @ np.conj(columns)
     damage = frob(rho2 - np.diag(np.diagonal(rho2)))
     if not damage < tol.DEFINITE_VALUE:  # NaN fails
         raise NonRepeatableInput(f"pointer marginal has coherence {damage:.3e} across pointer outcomes")
 
-    columns = final.reshape(dims)
     detectable = (np.vecdot(columns, columns, axis=0).real > tol.DETECTABILITY).nonzero()[0]
     # tri[i, j, l] = columns[i, j] for j the l-th detectable outcome, i.e. sum_l (1 ⊗ Q_l) final ⊗ e_l
     tri = np.zeros((*dims, detectable.size), dtype=complex)

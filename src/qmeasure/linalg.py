@@ -4,8 +4,9 @@ Everything operates on plain numpy arrays of complex dtype. Factor
 dimensions are small (tens), but composite spaces are their products and
 reach thousands after a pointer reading. The kernels that apply a
 one-factor operator act on the first factor of a vector read as
-d × rest, and marginals of pure vectors are taken from the reshaped vector
-(``pure_marginal``), so no product-space operator is built. Every check
+d × rest, and a marginal of a pure vector is taken from the vector
+reshaped to a matrix, so no product-space operator is built;
+``partial_trace`` of an outer product is the dense route. Every check
 reads its tolerance from ``tolerances``. All functions are pure; nothing
 mutates its arguments.
 """
@@ -140,20 +141,6 @@ def partial_trace(m: np.ndarray, structure: Sequence[int], keep: int | Sequence[
     return t.reshape(d_kept, d_kept)
 
 
-def pure_marginal(vec: np.ndarray, structure: Sequence[int], keep: int | Sequence[int]) -> np.ndarray:
-    """Tr_rest |vec><vec| as M M†, where M is vec reshaped to (kept factors, the rest).
-
-    Equals ``partial_trace(outer(vec, conj(vec)), structure, keep)`` for
-    any vector, normalised or not, without forming the outer product.
-    """
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
-    dims = _check_structure(vec.size, structure)
-    kept = _kept_factors(dims, keep)
-    rest = tuple(k for k in range(len(dims)) if k not in kept)
-    m = vec.reshape(dims).transpose(kept + rest).reshape(math.prod(dims[k] for k in kept), -1)
-    return m @ dag(m)
-
-
 def check_orthonormal_columns(m: np.ndarray) -> None:
     """Raise NotOrthonormal unless |<m_j|m_i> - delta_ij| <= ORTHONORMALITY, naming the first failing j <= i."""
     bad = ~(np.abs(m.T @ np.conj(m) - np.eye(m.shape[1])) <= tol.ORTHONORMALITY)  # NaN fails
@@ -216,7 +203,6 @@ __all__ = [
     "is_hermitian",
     "hermitian_eig",
     "partial_trace",
-    "pure_marginal",
     "check_orthonormal_columns",
     "complete_isometry",
     "random_unitary",

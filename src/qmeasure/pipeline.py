@@ -47,7 +47,7 @@ from .instruments import (
 )
 from .linalg import dag
 from .observables import probabilities
-from .scenario import Scenario
+from .scenario import _NUMBER_TYPES, Scenario
 from .schmidt import reconstruct, schmidt_decompose, verify_definite_values
 
 _FAILURES = (QMeasureError, np.linalg.LinAlgError, FloatingPointError)
@@ -350,8 +350,6 @@ class _Unsupported(Exception):
     """A value that only json.dumps knows how to write, or to reject."""
 
 
-# Exact types: np.float64 and other subclasses take the per-item route, as json writes them with float.__repr__.
-_NUMBER_TYPES = {float, int}
 _SCALAR_TYPES = {str, float, int, bool, type(None)}
 # Nesting deeper than this is left to json.dumps, so that where recursion ends is its own decision.
 _MAX_DEPTH = 100
@@ -460,8 +458,8 @@ def _numbers(value: list | tuple, newline: str) -> str | None:
     return text if "n" not in text else None
 
 
-def report_to_text(report: VerificationReport, verbosity: str = "normal") -> str:
-    """Human-readable rendering with one line per verdict."""
+def report_to_text(report: VerificationReport, verbosity: str = "normal", include_timing: bool = False) -> str:
+    """Human-readable rendering with one line per verdict; timing is off by default so the output is byte-stable."""
     lines = ["verification report", "==================="]
     if report.probabilities is not None:
         lines.append("outcome probabilities: " + ", ".join(f"{p:.10f}" for p in report.probabilities))
@@ -488,7 +486,8 @@ def report_to_text(report: VerificationReport, verbosity: str = "normal") -> str
         lines.append(f"error: {report.error}")
     lines.append("")
     lines.append(f"overall: {'PASS' if report.overall_pass else 'FAIL'}")
-    lines.append(f"duration: {report.duration_seconds:.3f}s")
+    if include_timing:
+        lines.append(f"duration: {report.duration_seconds:.3f}s")
     return "\n".join(lines) + "\n"
 
 

@@ -16,7 +16,8 @@ be given as an explicit Hermitian "matrix", or as a preset: "pauli_x",
 "pauli_y", "pauli_z", or "diag" with a "values" list. Initial states are
 an "amplitudes" list or a preset ("basis" with "index", or "uniform").
 Instruments are "ideal", "repeatable" with a "seed", or "custom" with a
-list of "transformers" matrices.
+list of "transformers" matrices. Each object rejects a field that none of
+its forms reads.
 
 Parsing and ``generate_random_instance`` build and check the instrument's
 transformer family, so a Scenario holds the family, and its observable is
@@ -114,7 +115,9 @@ def _complex_entry(value: Any, where: str) -> complex:
     raise ParseError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 
-# The exact types of JSON numbers: bool is a subclass of int, and np.array(..., dtype=float) would take true as 1.0.
+# The exact types of JSON numbers, the only values that the bulk paths of parse and report take: bool is a subclass
+# of int, and np.array(..., dtype=float) would take true as 1.0; json writes np.float64 and other subclasses with
+# float.__repr__.
 _NUMBER_TYPES = {float, int}
 
 
@@ -146,42 +149,41 @@ def _bulk(rows: list, depth: int) -> np.ndarray | None:
     return arr.view(complex)[..., 0] if pairs else arr.astype(complex)
 
 
-def _complex_vector(rows: Any, where: str) -> np.ndarray:
+def _complex_array(rows: Any, where: str, depth: int) -> np.ndarray:
+    """A complex vector (depth 1) or matrix (depth 2) of numbers and [re, im] pairs; the first bad entry is named."""
     if not isinstance(rows, list) or not rows:
-        raise ParseError(f"{where}: expected a non-empty array")
-    fast = _bulk(rows, 1)
+        raise ParseError(f"{where}: expected a non-empty array" + " of rows" * (depth == 2))
+    fast = _bulk(rows, depth)
     if fast is not None:
         return fast
-    return np.array([_complex_entry(x, f"{where}[{i}]") for i, x in enumerate(rows)], dtype=complex)
-
-
-def _complex_matrix(rows: Any, where: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise ParseError(f"{where}: expected a non-empty array of rows")
-    fast = _bulk(rows, 2)
-    if fast is not None:
-        return fast
-    mat = [
-        [_complex_entry(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)]
-        if isinstance(row, list)
-        else _fail_row(where, i)
-        for i, row in enumerate(rows)
-    ]
-    widths = {len(r) for r in mat}
+    entries = []
+    for i, row in enumerate(rows):
+        if depth == 1:
+            entries.append(_complex_entry(row, f"{where}[{i}]"))
+        elif isinstance(row, list):
+            entries.append([_complex_entry(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)])
+        else:
+            raise ParseError(f"{where}[{i}]: expected an array row")
+    widths = set(map(len, entries)) if depth == 2 else {1}
     if len(widths) != 1:
         raise ParseError(f"{where}: rows have inconsistent lengths {sorted(widths)}")
-    return np.array(mat, dtype=complex)
+    return np.array(entries, dtype=complex)
 
 
-def _fail_row(where: str, i: int):
-    raise ParseError(f"{where}[{i}]: expected an array row")
+def _object(spec: Any, where: str, fields: set[str]) -> dict[str, Any]:
+    """``spec`` if it is a JSON object whose every field is one of ``fields``, the union of what its forms read."""
+    if not isinstance(spec, dict):
+        raise ParseError(f"{where}: expected an object")
+    unknown = set(spec) - fields
+    if unknown:
+        raise ParseError(f"{where}: unknown fields {sorted(unknown)}")
+    return spec
 
 
 def _parse_observable(spec: Any, object_dim: int) -> Observable:
-    if not isinstance(spec, dict):
-        raise ParseError("observable: expected an object")
+    spec = _object(spec, "observable", {"matrix", "preset", "values"})
     if "matrix" in spec:
-        mat = _complex_matrix(spec["matrix"], "observable.matrix")
+        mat = _complex_array(spec["matrix"], "observable.matrix", 2)
         if mat.shape != (object_dim, object_dim):
             raise ValidationError(
                 f"observable.matrix has shape {mat.shape}, expected {(object_dim, object_dim)}"
@@ -206,10 +208,9 @@ def _parse_observable(spec: Any, object_dim: int) -> Observable:
 
 
 def _parse_state(spec: Any, object_dim: int) -> PureState:
-    if not isinstance(spec, dict):
-        raise ParseError("initial_state: expected an object")
+    spec = _object(spec, "initial_state", {"amplitudes", "preset", "index"})
     if "amplitudes" in spec:
-        vec = _complex_vector(spec["amplitudes"], "initial_state.amplitudes")
+        vec = _complex_array(spec["amplitudes"], "initial_state.amplitudes", 1)
         if vec.size != object_dim:
             raise ValidationError(f"initial_state has {vec.size} amplitudes for object_dim {object_dim}")
         norm = frob(vec)
@@ -228,8 +229,7 @@ def _parse_state(spec: Any, object_dim: int) -> PureState:
 
 
 def _parse_instrument(spec: Any, obs: Observable) -> StateTransformerSet:
-    if not isinstance(spec, dict):
-        raise ParseError("instrument: expected an object")
+    spec = _object(spec, "instrument", {"kind", "seed", "transformers"})
     kind = spec.get("kind")
     if kind == "ideal":
         return make_ideal_transformers(obs)
@@ -243,7 +243,7 @@ def _parse_instrument(spec: Any, obs: Observable) -> StateTransformerSet:
         if not isinstance(raw, list) or not raw:
             raise ParseError("instrument.transformers: expected a non-empty list of matrices")
         mats = tuple(
-            _complex_matrix(entry, f"instrument.transformers[{i}]") for i, entry in enumerate(raw)
+            _complex_array(entry, f"instrument.transformers[{i}]", 2) for i, entry in enumerate(raw)
         )
         try:
             return StateTransformerSet.from_transformers(mats, obs)
@@ -256,9 +256,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     """Validate a parsed JSON document into a Scenario."""
     if not isinstance(doc, dict):
         raise ParseError("scenario: expected a JSON object at top level")
-    unknown = set(doc) - {"object_dim", "observable", "initial_state", "instrument", "options"}
-    if unknown:
-        raise ParseError(f"scenario: unknown fields {sorted(unknown)}")
+    _object(doc, "scenario", {"object_dim", "observable", "initial_state", "instrument", "options"})
     object_dim = doc.get("object_dim")
     if not _is_integer(object_dim) or object_dim < 2:
         raise ParseError(f"object_dim: expected an integer >= 2, got {object_dim!r}")
@@ -277,12 +275,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     except QMeasureError as exc:
         raise ValidationError(str(exc)) from exc
 
-    options = {} if doc.get("options") is None else doc["options"]
-    if not isinstance(options, dict):
-        raise ParseError("options: expected an object")
-    unknown = set(options) - {"tolerance", "verbosity"}
-    if unknown:
-        raise ParseError(f"options: unknown fields {sorted(unknown)}")
+    options = _object({} if doc.get("options") is None else doc["options"], "options", {"tolerance", "verbosity"})
     tolerance = options.get("tolerance")
     if tolerance is not None:
         if not _is_json_number(tolerance):

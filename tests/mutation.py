@@ -24,7 +24,8 @@ common-mode faults that move both sides of every entropy verdict alike
 a scenario holds (P1, P2), which parse and generation must build from
 the document's instrument, and two on the bulk paths of documents and
 reports (B1, B2), which must accept, reject and write what the per-entry
-paths do. The ``max`` that sets the text report's
+paths do, and one on the object rule of documents (O1), which must reject
+a field that no form of its block reads. The ``max`` that sets the text report's
 column width is layout, not a verdict, and has no mutant. M4, the W†W
 density check of the post-reading factor, left with its check:
 pointer_reading_marginals checks the reader marginal's spectrum as a
@@ -226,6 +227,11 @@ MUTANTS = (
         "B2", "pipeline.py",
         'return text if "n" not in text else None', "return text",
         "the report encoder's runs of numbers without their finiteness test, so NaN is written as nan",
+    ),
+    Mutant(
+        "O1", "scenario.py",
+        "unknown = set(spec) - fields", "unknown = set()",
+        "the document's objects without their unknown-field test, so a misspelled key is ignored",
     ),
     Mutant(
         "N1", "linalg.py",

@@ -12,6 +12,8 @@ dense references (``luders_update``, ``reduced_states``,
 library's kernels avoid, so a kernel test still compares two routes;
 ``von_neumann_entropy`` reads the eigenvalues that a dense state's
 ``DensityOperator`` check finds, where a run takes singular values.
+``pure_marginal`` forms a marginal of a pure vector, on any kept factors,
+as M M† of the reshaped vector, where a run forms only the pointer's.
 ``partial_inner`` is the one-vector form of the product
 ``dag(L) @ psi.reshape(d1, d2)`` that ``schmidt_decompose`` takes. The
 ``verify_*`` wrappers evolve with the transformer family themselves and then
@@ -57,13 +59,12 @@ from qmeasure import (
     lifted_incompatibility_entropy,
     partial_trace,
     probabilities,
-    pure_marginal,
     shannon_entropy,
     verify_definite_values,
 )
 from qmeasure import tolerances as tol
 from qmeasure.instruments import conditional_state_gap, probability_gap
-from qmeasure.linalg import check_unit_norm
+from qmeasure.linalg import _check_structure, _kept_factors, check_unit_norm
 
 
 def projectors(obs: Observable) -> np.ndarray:
@@ -130,6 +131,20 @@ def _dense_state(obs: Observable, state: PureState | DensityOperator) -> np.ndar
     if obs.dim != state.dim:
         raise DimensionMismatch(f"observable dim {obs.dim} != state dim {state.dim}")
     return np.outer(state.vector, np.conj(state.vector)) if isinstance(state, PureState) else state.matrix
+
+
+def pure_marginal(vec: np.ndarray, structure: Sequence[int], keep: int | Sequence[int]) -> np.ndarray:
+    """Tr_rest |vec><vec| as M M†, where M is vec reshaped to (kept factors, the rest).
+
+    Equals ``partial_trace(outer(vec, conj(vec)), structure, keep)`` for
+    any vector, normalised or not, without forming the outer product.
+    """
+    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    dims = _check_structure(vec.size, structure)
+    kept = _kept_factors(dims, keep)
+    rest = tuple(k for k in range(len(dims)) if k not in kept)
+    m = vec.reshape(dims).transpose(kept + rest).reshape(math.prod(dims[k] for k in kept), -1)
+    return m @ dag(m)
 
 
 def reduced_states(psi: np.ndarray, structure: Sequence[int]) -> tuple[DensityOperator, DensityOperator]:

@@ -100,7 +100,7 @@ REJECTED = [
 
 
 def _read(kind: str, rows):
-    return (scenario_module._complex_matrix if kind == "matrix" else scenario_module._complex_vector)(rows, "entries")
+    return scenario_module._complex_array(rows, "entries", 2 if kind == "matrix" else 1)
 
 
 def _read_by_loop(kind: str, rows, monkeypatch):

@@ -236,6 +236,41 @@ class TestRunCommand:
         assert "duration_seconds" in json.loads(out.read_text())
 
 
+    # A misspelled key once left the default in force and was echoed into the report's scenario block.
+    @pytest.mark.parametrize(
+        "block, spec, key",
+        [
+            ("observable", {"preset": "diag", "values": [1, 2], "value": [1, 2]}, "value"),
+            ("initial_state", {"preset": "uniform", "indx": 1}, "indx"),
+            ("instrument", {"kind": "ideal", "sead": 3}, "sead"),
+        ],
+    )
+    def test_misspelled_block_key_exits_two_with_one_line(self, tmp_path, capsys, block, spec, key):
+        doc = {
+            "object_dim": 2,
+            "observable": {"preset": "pauli_z"},
+            "initial_state": {"preset": "uniform"},
+            "instrument": {"kind": "ideal"},
+            block: spec,
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("run", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid scenario: {block}: unknown fields ['{key}']\n"
+
+    def test_text_reports_are_byte_stable_and_timed_only_on_request(self, capsys):
+        runs = []
+        for flags in ((), (), ("--include-timing",)):
+            assert run_cli("run", SCENARIOS / "swap_nonrepeatable.json", "--tolerance", "2", *flags) == 1
+            runs.append(capsys.readouterr().out)
+        assert runs[0] == runs[1]
+        assert "duration:" not in runs[0]
+        *body, last = runs[2].splitlines()
+        assert last.startswith("duration: ") and "\n".join(body) + "\n" == runs[0]
+
+
 class TestBatchCommand:
     def test_small_campaign_passes(self, capsys):
         code = run_cli("batch", "--seeds", "0..7", "--d1-max", "4", "--outcomes-max", "3")

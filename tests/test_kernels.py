@@ -31,7 +31,6 @@ from qmeasure import (
     make_ideal_transformers,
     observable_from_matrix,
     partial_trace,
-    pure_marginal,
     random_state_vector,
     random_unitary,
     read_pointer_tripartite,
@@ -46,6 +45,7 @@ from reference import (
     dense_incompatibility,
     luders_update,
     projectors,
+    pure_marginal,
     reduced_states,
     von_neumann_entropy,
 )
@@ -131,7 +131,7 @@ class TestKernelCounts:
         # makes as many kernel calls as one with 2.
         counts = Counter()
         namespaces = [m for name, m in sys.modules.items() if name == "qmeasure" or name.startswith("qmeasure.")]
-        for name in ("low_rank_commutator_norm", "pure_marginal"):
+        for name in ("low_rank_commutator_norm", "read_pointer_tripartite"):
             original = getattr(qmeasure, name)
 
             def spy(*args, _name=name, _original=original, **kwargs):
@@ -150,7 +150,7 @@ class TestKernelCounts:
             report = run_pipeline(scenario)
             assert report.overall_pass and not report.not_applicable
             per_run[n] = dict(counts)
-        assert per_run[2]["low_rank_commutator_norm"] > 0 and per_run[2]["pure_marginal"] > 0
+        assert per_run[2]["low_rank_commutator_norm"] > 0 and per_run[2]["read_pointer_tripartite"] > 0
         assert per_run[2] == per_run[6]
 
 

@@ -13,12 +13,11 @@ from qmeasure import (
     hermitian_eig,
     kron,
     partial_trace,
-    pure_marginal,
     random_unitary,
 )
 from qmeasure import tolerances as tol
 from conftest import bell_vector, random_hermitian
-from reference import partial_inner, transformer_stack
+from reference import partial_inner, pure_marginal, transformer_stack
 
 
 def kron_by_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -13,16 +13,23 @@
   With α < 0 the eigenvalue order reverses: term k of the follow-up is
   term K-1-k of the source, so its family is the source's reversed, its
   Born vector the source's reversed, and [A, ρ] scales by |α|.
+* A null block: on C^d ⊕ C^m the observable A ⊕ a·1 with a above every
+  eigenvalue, the state ψ ⊕ 0 and the family A_k ⊕ 0 with one more term
+  0 ⊕ 1. The new term is never detected: the Born vector gains a
+  trailing 0 and the final vector is Ψ ⊕ 0.
 
-Each follow-up has the same Born probabilities (up to that reversal),
-Schmidt coefficients and marginal spectra as its source, so a run must
-reach the same verdicts.
+Each follow-up has the same Born probabilities (up to that reversal or
+trailing 0), Schmidt coefficients and marginal spectra as its source, so
+a run must reach the same verdicts. At d ≥ 200 one follow-up is read back
+from its document. A ``diag`` preset and the ``matrix`` document of the
+same diagonal must give the same report.
 The source and follow-up runs are compared as in metamorphic testing
 (Chen et al., ACM Comput. Surv. 51(1):4, 2018): neither needs a known
 expected output, only their relation.
 """
 
 import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +43,13 @@ from qmeasure import (
     generate_random_instance,
     load_scenario,
     observable_from_matrix,
+    parse_scenario,
     random_unitary,
+    report_to_dict,
     run_pipeline,
+    scenario_from_dict,
 )
+from qmeasure.scenario import _pairs
 from reference import transformer_stack
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -89,10 +100,31 @@ def affine(scenario: Scenario, alpha: float, beta: float) -> Scenario:
     return dataclasses.replace(scenario, transformers=StateTransformerSet.from_transformers(transformers, obs))
 
 
+def null_block(scenario: Scenario, m: int) -> Scenario:
+    """The scenario on C^d ⊕ C^m: A ⊕ (a_max + 1)·1, ψ ⊕ 0, and the family A_k ⊕ 0 with a last term 0 ⊕ 1."""
+    obs, d = scenario.observable, scenario.observable.dim
+    matrix = np.zeros((d + m, d + m), dtype=complex)
+    matrix[:d, :d] = obs.matrix()
+    matrix[d:, d:] = (max(obs.eigenvalues) + 1.0) * np.eye(m)
+    family = np.zeros((obs.n_outcomes + 1, d + m, d + m), dtype=complex)
+    family[:-1, :d, :d] = transformer_stack(scenario.transformers)
+    family[-1, d:, d:] = np.eye(m)
+    return dataclasses.replace(
+        scenario,
+        initial_state=PureState(np.concatenate([scenario.initial_state.vector, np.zeros(m)])),
+        transformers=StateTransformerSet.from_transformers(tuple(family), observable_from_matrix(matrix)),
+    )
+
+
 def assert_same_physics(
-    scenario: Scenario, follow_up_scenario: Scenario, commutator_scale: float = 1.0, reversed_terms: bool = False
-) -> None:
-    """The two runs agree; ``reversed_terms``: term k of the follow-up is term K-1-k of the source."""
+    scenario: Scenario,
+    follow_up_scenario: Scenario,
+    commutator_scale: float = 1.0,
+    reversed_terms: bool = False,
+    null_terms: int = 0,
+) -> tuple:
+    """The two runs agree, and are returned; ``reversed_terms``: term k of the follow-up is term K-1-k of the
+    source; ``null_terms``: the follow-up has that many more terms, after the source's, each never detected."""
     source, follow_up = run_pipeline(scenario), run_pipeline(follow_up_scenario)
 
     assert source.error is None and follow_up.error is None
@@ -100,7 +132,7 @@ def assert_same_physics(
     assert [x.passed for x in follow_up.verdicts] == [x.passed for x in source.verdicts]
     assert follow_up.overall_pass == source.overall_pass
     assert follow_up.not_applicable == source.not_applicable
-    expected = source.probabilities[::-1] if reversed_terms else source.probabilities
+    expected = (source.probabilities[::-1] if reversed_terms else source.probabilities) + (0.0,) * null_terms
     np.testing.assert_allclose(follow_up.probabilities, expected, rtol=0, atol=NUMERIC_TOL)
     np.testing.assert_allclose(
         follow_up.schmidt_coefficients, source.schmidt_coefficients, rtol=0, atol=NUMERIC_TOL
@@ -115,6 +147,7 @@ def assert_same_physics(
         assert (value is None) == (other is None), field
         if value is not None:
             assert other == pytest.approx(value, rel=0, abs=NUMERIC_TOL), field
+    return source, follow_up
 
 
 SEEDED = [(s, 6, 4) for s in range(40)] + [(s, 16, 6) for s in range(20)]
@@ -160,3 +193,55 @@ def test_an_affine_map_of_the_eigenvalues_keeps_a_seeded_run(alpha, beta, seed, 
 def test_an_affine_map_of_the_eigenvalues_keeps_a_committed_scenario(alpha, beta, name):
     scenario = load_scenario(str(SCENARIOS / name))
     assert_same_physics(scenario, affine(scenario, alpha, beta), commutator_scale=abs(alpha), reversed_terms=alpha < 0)
+
+
+# (seed, d1_max, outcomes_max) with d = 218 and 215.
+LARGE = [(0, 256, 24), (2, 256, 24)]
+
+
+@pytest.mark.parametrize("seed, d1_max, outcomes_max", LARGE)
+def test_rotating_the_object_basis_keeps_a_seeded_run_at_d_over_200(seed, d1_max, outcomes_max):
+    scenario = generate_random_instance(seed, d1_max, outcomes_max)
+    assert scenario.observable.dim > 200
+    source, _ = assert_same_physics(scenario, rotated(scenario, seed))
+    assert source.overall_pass
+
+
+def test_a_global_phase_read_back_from_its_document_keeps_a_seeded_run_at_d_over_200():
+    # The follow-up's document is the source's with the new amplitudes, so parsing reads a 218 × 218 matrix.
+    scenario = generate_random_instance(*LARGE[0])
+    amplitudes = global_phase(scenario, 0).initial_state.vector
+    follow_up = scenario_from_dict({**scenario.source, "initial_state": {"amplitudes": _pairs(amplitudes)}})
+    assert follow_up.observable.dim == 218
+    source, _ = assert_same_physics(scenario, follow_up)
+    assert source.overall_pass
+
+
+@pytest.mark.parametrize("seed, d1_max, outcomes_max", SEEDED[:20] + SEEDED[40:50] + LARGE[1:])
+def test_a_null_block_keeps_a_seeded_run(seed, d1_max, outcomes_max):
+    scenario = generate_random_instance(seed, d1_max, outcomes_max)
+    assert_same_physics(scenario, null_block(scenario, 1 + seed % 3), null_terms=1)
+
+
+@pytest.mark.parametrize("name", COMMITTED)
+def test_a_null_block_keeps_a_committed_scenario(name):
+    scenario = load_scenario(str(SCENARIOS / name))
+    assert_same_physics(scenario, null_block(scenario, 1 + COMMITTED.index(name) % 3), null_terms=1)
+
+
+@pytest.mark.parametrize(
+    "instrument", [{"kind": "ideal"}, {"kind": "repeatable", "seed": 11}], ids=["ideal", "repeatable"]
+)
+def test_a_diag_preset_and_the_matrix_of_its_diagonal_give_one_report(instrument):
+    values = [2.0, -1.0, 2.0, 0.5]
+    doc = {
+        "object_dim": 4,
+        "observable": {"preset": "diag", "values": values},
+        "initial_state": {"amplitudes": [0.1, [0.0, 0.7], 0.5, [0.5, 0.0]]},
+        "instrument": instrument,
+    }
+    preset = report_to_dict(run_pipeline(parse_scenario(json.dumps(doc))))
+    doc["observable"] = {"matrix": np.diag(values).tolist()}
+    matrix = report_to_dict(run_pipeline(parse_scenario(json.dumps(doc))))
+    assert preset.pop("scenario") != matrix.pop("scenario")
+    assert preset == matrix

@@ -14,7 +14,6 @@ from qmeasure import (
     evolve,
     generate_random_instance,
     parse_scenario,
-    pure_marginal,
     random_state_vector,
     random_unitary,
     report_to_dict,
@@ -28,7 +27,7 @@ from qmeasure import pipeline as pipeline_module
 from qmeasure.cli import main as cli_main
 from qmeasure import tolerances as tol
 from qmeasure.errors import NoDefiniteValue, NonRepeatableInput
-from reference import apply_on_factor, projectors, von_neumann_entropy
+from reference import apply_on_factor, projectors, pure_marginal, von_neumann_entropy
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # `qmeasure run <scenario> --format json` for each committed scenario. A change

@@ -22,7 +22,7 @@ PUBLIC_NAMES = (
     "NoDefiniteValue", "NonRepeatableInput", "ParseError", "ValidationError",
     # linalg
     "TensorStructure", "dag", "frob", "kron", "basis_vector", "is_hermitian", "hermitian_eig",
-    "partial_trace", "pure_marginal", "check_orthonormal_columns",
+    "partial_trace", "check_orthonormal_columns",
     "complete_isometry", "random_unitary", "random_state_vector",
     # observables
     "Observable", "PureState", "DensityOperator", "validate_observable",
@@ -62,7 +62,7 @@ UNREAD_IN_SRC = {
     # (tests/reference.py).
     "complete_isometry",
     # bench/tracer.py resolves linalg.partial_trace by name; the tests take it
-    # as the dense reference of pure_marginal.
+    # as the dense reference of reference.pure_marginal.
     "partial_trace",
     # bench/tracer.py resolves observables.DensityOperator by name (its
     # density-check metrics), so bench/run.py --trace 1 needs it; the tests
@@ -90,7 +90,7 @@ def _resolve(dotted: str):
 
 
 def test_all_is_pinned_in_order():
-    assert len(PUBLIC_NAMES) == 62
+    assert len(PUBLIC_NAMES) == 61
     assert tuple(qmeasure.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(qmeasure, name), name

@@ -169,6 +169,26 @@ class TestParseScenario:
         with pytest.raises(ParseError, match=re.escape("options: unknown fields")):
             parse_scenario(scenario_text(options=options))
 
+    # Each block takes the fields that any of its forms reads, and rejects every other one.
+    @pytest.mark.parametrize(
+        "block, spec",
+        [
+            ("observable", {"preset": "pauli_z", "valuse": [1, -1]}),
+            ("observable", {"matrix": [[1, 0], [0, -1]], "comment": "z"}),
+            ("initial_state", {"amplitudes": [1, 0], "norm": 1}),
+            ("instrument", {"kind": "custom", "transformers": [[[1, 0], [0, 0]]], "seeds": 1}),
+        ],
+    )
+    def test_unknown_block_field_is_rejected(self, block, spec):
+        with pytest.raises(ParseError, match=re.escape(f"{block}: unknown fields [")):
+            parse_scenario(scenario_text(**{block: spec}))
+
+    @pytest.mark.parametrize("block", ["observable", "initial_state", "instrument"])
+    @pytest.mark.parametrize("spec", [None, [], "pauli_z", 2])
+    def test_block_that_is_not_an_object_is_rejected(self, block, spec):
+        with pytest.raises(ParseError, match=re.escape(f"{block}: expected an object")):
+            parse_scenario(scenario_text(**{block: spec}))
+
     # Only null or an absent field means no options; [] or false is not an object.
     @pytest.mark.parametrize("options", [[], False, 0, ""])
     def test_options_that_are_not_an_object_are_rejected(self, options):
