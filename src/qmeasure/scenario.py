@@ -16,12 +16,11 @@ be given as an explicit Hermitian "matrix", or as a preset: "pauli_x",
 "pauli_y", "pauli_z", or "diag" with a "values" list. Initial states are
 an "amplitudes" list or a preset ("basis" with "index", or "uniform").
 Instruments are "ideal", "repeatable" with a "seed", or "custom" with a
-list of "transformers" matrices. Each object rejects a field that none of
-its forms reads.
+list of "transformers" matrices. A block holds only its form's fields.
 
-Parsing and ``generate_random_instance`` build and check the instrument's
-transformer family, so a Scenario holds the family, and its observable is
-the family's.
+Parsing builds and checks the instrument's transformer family, so a Scenario
+holds it, and its observable is the family's. ``generate_random_instance``
+reads the document it writes with the same reader.
 """
 
 from __future__ import annotations
@@ -36,14 +35,7 @@ from typing import Any
 import numpy as np
 
 from . import tolerances as tol
-from .errors import (
-    DimensionMismatch,
-    InvalidTransformers,
-    NotHermitian,
-    ParseError,
-    QMeasureError,
-    ValidationError,
-)
+from .errors import DimensionMismatch, InvalidTransformers, NotHermitian, ParseError, QMeasureError, ValidationError
 from .linalg import basis_vector, dag, frob, hermitize, random_state_vector, random_unitary
 from .observables import Observable, PureState, observable_from_matrix, uniform_superposition
 from .instruments import StateTransformerSet, make_ideal_transformers, make_repeatable_transformers
@@ -171,7 +163,7 @@ def _complex_array(rows: Any, where: str, depth: int) -> np.ndarray:
 
 
 def _object(spec: Any, where: str, fields: set[str]) -> dict[str, Any]:
-    """``spec`` if it is a JSON object whose every field is one of ``fields``, the union of what its forms read."""
+    """``spec`` if it is a JSON object whose every field is one of ``fields``."""
     if not isinstance(spec, dict):
         raise ParseError(f"{where}: expected an object")
     unknown = set(spec) - fields
@@ -180,24 +172,42 @@ def _object(spec: Any, where: str, fields: set[str]) -> dict[str, Any]:
     return spec
 
 
+# The fields that each form of a block reads. A block holding `matrix` or `amplitudes` has that form, any other the
+# form that its `preset` or `kind` names; it holds only that form's fields, or with no form, only its forms' fields.
+_FORMS = {
+    "observable": {"matrix": {"matrix"}, **dict.fromkeys(_PAULI, {"preset"}), "diag": {"preset", "values"}},
+    "initial_state": {"amplitudes": {"amplitudes"}, "basis": {"preset", "index"}, "uniform": {"preset"}},
+    "instrument": {"ideal": {"kind"}, "repeatable": {"kind", "seed"}, "custom": {"kind", "transformers"}},
+}
+
+
+def _form(spec: Any, block: str) -> str | None:
+    """The form of a block, once ``spec`` is shown to be an object that holds only the fields of that form."""
+    forms = _FORMS[block]
+    _object(spec, block, set().union(*forms.values()))  # so no block holds both `preset` and `kind`
+    data = "matrix" if "matrix" in spec else "amplitudes" if "amplitudes" in spec else None
+    name = data or spec.get("preset", spec.get("kind"))
+    if not isinstance(name, str) or name not in forms or forms[name].isdisjoint(spec):  # e.g. {"preset": "matrix"}
+        return None
+    _object(spec, block, forms[name])
+    return name
+
+
 def _parse_observable(spec: Any, object_dim: int) -> Observable:
-    spec = _object(spec, "observable", {"matrix", "preset", "values"})
-    if "matrix" in spec:
+    form = _form(spec, "observable")
+    if form == "matrix":
         mat = _complex_array(spec["matrix"], "observable.matrix", 2)
         if mat.shape != (object_dim, object_dim):
-            raise ValidationError(
-                f"observable.matrix has shape {mat.shape}, expected {(object_dim, object_dim)}"
-            )
+            raise ValidationError(f"observable.matrix has shape {mat.shape}, expected {(object_dim, object_dim)}")
         try:
             return observable_from_matrix(mat)
         except NotHermitian as exc:
             raise ValidationError(f"observable.matrix violates hermiticity: {exc}") from exc
-    preset = spec.get("preset")
-    if isinstance(preset, str) and preset in _PAULI:  # an array or object preset is unhashable
+    if form in _PAULI:
         if object_dim != 2:
-            raise ValidationError(f"preset {preset} needs object_dim 2, got {object_dim}")
-        return observable_from_matrix(_PAULI[preset])
-    if preset == "diag":
+            raise ValidationError(f"preset {form} needs object_dim 2, got {object_dim}")
+        return observable_from_matrix(_PAULI[form])
+    if form == "diag":
         values = spec.get("values")
         if not isinstance(values, list) or not all(_is_number(v) for v in values):
             raise ParseError("observable.values: expected a list of numbers for the diag preset")
@@ -207,38 +217,40 @@ def _parse_observable(spec: Any, object_dim: int) -> Observable:
     raise ParseError(f"observable: need a 'matrix' or a preset in {sorted(_PAULI) + ['diag']}")
 
 
+def _state(vec: np.ndarray, object_dim: int) -> PureState:
+    """The state of the amplitudes ``vec``, renormalised if their norm is within STATE_RENORM of 1."""
+    if vec.size != object_dim:
+        raise ValidationError(f"initial_state has {vec.size} amplitudes for object_dim {object_dim}")
+    norm = frob(vec)
+    if abs(norm - 1.0) > tol.STATE_RENORM:
+        raise ValidationError(f"initial_state norm {norm} is not 1 within {tol.STATE_RENORM}")
+    return PureState(vec / norm)
+
+
 def _parse_state(spec: Any, object_dim: int) -> PureState:
-    spec = _object(spec, "initial_state", {"amplitudes", "preset", "index"})
-    if "amplitudes" in spec:
-        vec = _complex_array(spec["amplitudes"], "initial_state.amplitudes", 1)
-        if vec.size != object_dim:
-            raise ValidationError(f"initial_state has {vec.size} amplitudes for object_dim {object_dim}")
-        norm = frob(vec)
-        if abs(norm - 1.0) > tol.STATE_RENORM:
-            raise ValidationError(f"initial_state norm {norm} is not 1 within {tol.STATE_RENORM}")
-        return PureState(vec / norm)
-    preset = spec.get("preset")
-    if preset == "basis":
+    form = _form(spec, "initial_state")
+    if form == "amplitudes":
+        return _state(_complex_array(spec["amplitudes"], "initial_state.amplitudes", 1), object_dim)
+    if form == "basis":
         index = spec.get("index")
         if not _is_integer(index) or not 0 <= index < object_dim:
             raise ValidationError(f"initial_state basis index {index!r} is not in [0, {object_dim})")
         return PureState(basis_vector(object_dim, index))
-    if preset == "uniform":
+    if form == "uniform":
         return uniform_superposition(object_dim)
     raise ParseError("initial_state: need 'amplitudes' or a preset of 'basis' | 'uniform'")
 
 
 def _parse_instrument(spec: Any, obs: Observable) -> StateTransformerSet:
-    spec = _object(spec, "instrument", {"kind", "seed", "transformers"})
-    kind = spec.get("kind")
-    if kind == "ideal":
+    form = _form(spec, "instrument")
+    if form == "ideal":
         return make_ideal_transformers(obs)
-    if kind == "repeatable":
+    if form == "repeatable":
         seed = spec.get("seed")
         if not _is_integer(seed) or seed < 0:
             raise ParseError(f"instrument.seed: expected an integer >= 0 for the repeatable kind, got {seed!r}")
         return make_repeatable_transformers(obs, seed)
-    if kind == "custom":
+    if form == "custom":
         raw = spec.get("transformers")
         if not isinstance(raw, list) or not raw:
             raise ParseError("instrument.transformers: expected a non-empty list of matrices")
@@ -250,6 +262,21 @@ def _parse_instrument(spec: Any, obs: Observable) -> StateTransformerSet:
         except (InvalidTransformers, DimensionMismatch) as exc:
             raise ValidationError(f"instrument.transformers: {exc}") from exc
     raise ParseError("instrument.kind: expected 'ideal', 'repeatable' or 'custom'")
+
+
+def _read(doc: dict[str, Any], obs: Observable, state: PureState) -> Scenario:
+    """The Scenario of a document, given its observable and initial state: its instrument and options read."""
+    transformers = _parse_instrument(doc.get("instrument"), obs)
+    options = _object({} if doc.get("options") is None else doc["options"], "options", {"tolerance", "verbosity"})
+    tolerance = options.get("tolerance")
+    if tolerance is not None:
+        if not _is_json_number(tolerance):
+            raise ParseError(f"options.tolerance: expected a number, got {tolerance!r}")
+        tolerance = check_tolerance(tolerance, "options.tolerance")
+    verbosity = options.get("verbosity", "normal")
+    if verbosity not in _VERBOSITIES:
+        raise ParseError(f"options.verbosity: expected one of {_VERBOSITIES}, got {verbosity!r}")
+    return Scenario(state, transformers, tolerance, verbosity, source=doc)
 
 
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
@@ -265,33 +292,13 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
             f"object_dim {object_dim} needs {16 * object_dim**2} B for one complex d × d matrix, "
             f"beyond the budget of {CAMPAIGN_BYTES} B"
         )
-
     try:
         obs = _parse_observable(doc.get("observable"), object_dim)
-        state = _parse_state(doc.get("initial_state"), object_dim)
-        transformers = _parse_instrument(doc.get("instrument"), obs)
+        return _read(doc, obs, _parse_state(doc.get("initial_state"), object_dim))
     except (ParseError, ValidationError):
         raise
     except QMeasureError as exc:
         raise ValidationError(str(exc)) from exc
-
-    options = _object({} if doc.get("options") is None else doc["options"], "options", {"tolerance", "verbosity"})
-    tolerance = options.get("tolerance")
-    if tolerance is not None:
-        if not _is_json_number(tolerance):
-            raise ParseError(f"options.tolerance: expected a number, got {tolerance!r}")
-        tolerance = check_tolerance(tolerance, "options.tolerance")
-    verbosity = options.get("verbosity", "normal")
-    if verbosity not in _VERBOSITIES:
-        raise ParseError(f"options.verbosity: expected one of {_VERBOSITIES}, got {verbosity!r}")
-
-    return Scenario(
-        initial_state=state,
-        transformers=transformers,
-        tolerance=tolerance,
-        verbosity=verbosity,
-        source=doc,
-    )
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -327,7 +334,7 @@ def generate_random_instance(seed: int, d1_max: int, outcomes_max: int) -> Scena
     is drawn Haar-like and then restricted to a random subset of the
     eigenspaces, so null outcomes actually occur; the instrument is a
     seeded repeatable family. The same seed always reproduces the same
-    scenario document.
+    scenario document, and parsing's reader makes the Scenario of it.
     """
     if d1_max < 2:
         raise ValueError(f"d1_max must be >= 2, got {d1_max}")
@@ -358,22 +365,15 @@ def generate_random_instance(seed: int, d1_max: int, outcomes_max: int) -> Scena
     support = sorted(rng.choice(n_outcomes, size=int(rng.integers(1, n_outcomes + 1)), replace=False))
     inside = obs.indicator[:, support].sum(axis=1)  # 1 on the basis columns of the supported eigenspaces
     vec = obs.basis @ (inside * (dag(obs.basis) @ random_state_vector(dim, rng)))
-    norm = frob(vec)
-    if norm < 1e-6:  # astronomically unlikely; fall back to a supported eigenvector
-        vec = obs.basis[:, obs.columns[int(support[0])].start]
-        norm = frob(vec)
-    amplitudes = vec / norm
-    state = PureState(amplitudes / frob(amplitudes))  # what _parse_state makes of the amplitudes written below
-
-    instrument_seed = int(rng.integers(0, 2**31))
+    amplitudes = vec / frob(vec)
     doc = {
         "object_dim": dim,
         "observable": {"matrix": _pairs(hermitian)},
         "initial_state": {"amplitudes": _pairs(amplitudes)},
-        "instrument": {"kind": "repeatable", "seed": instrument_seed},
+        "instrument": {"kind": "repeatable", "seed": int(rng.integers(0, 2**31))},
         "options": {"tolerance": None, "verbosity": "normal"},
     }
-    return Scenario(initial_state=state, transformers=make_repeatable_transformers(obs, instrument_seed), source=doc)
+    return _read(doc, obs, _state(amplitudes, dim))
 
 
 __all__ = [

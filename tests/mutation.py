@@ -20,13 +20,17 @@ three on the repeat-certainty product (C1–C3), one per guard that must
 reject a NaN (N1–N4), each written back to the comparison that a NaN
 passes, two on the branch-weight entropy kernel (L1, L2), two
 common-mode faults that move both sides of every entropy verdict alike
-(H1, H2), which only closed-form values can see, and two on the family
-a scenario holds (P1, P2), which parse and generation must build from
-the document's instrument, and two on the bulk paths of documents and
-reports (B1, B2), which must accept, reject and write what the per-entry
-paths do, and one on the object rule of documents (O1), which must reject
-a field that no form of its block reads. The ``max`` that sets the text report's
-column width is layout, not a verdict, and has no mutant. M4, the W†W
+(H1, H2), which only closed-form values can see, and one on the family
+a scenario holds (P1), which parse, and generation through parse's
+reader, must build from the document's instrument, and two on the bulk
+paths of documents and reports (B1, B2), which must accept, reject and
+write what the per-entry paths do, and two on the object rule of
+documents, which must reject a field that no form of its block reads
+(O1) and a field that only another form of its block reads (F1). The
+``max`` that sets the text report's column width is layout, not a
+verdict, and has no mutant. P2, generation's family drawn from its own
+seed, left with generation's own family call: there is one construction
+path, and P1 covers it. M4, the W†W
 density check of the post-reading factor, left with its check:
 pointer_reading_marginals checks the reader marginal's spectrum as a
 distribution, and W†W is that marginal's complex conjugate, so a failure
@@ -214,11 +218,6 @@ MUTANTS = (
         "_parse_instrument builds the ideal family for the repeatable kind",
     ),
     Mutant(
-        "P2", "scenario.py",
-        "make_repeatable_transformers(obs, instrument_seed)", "make_repeatable_transformers(obs, seed)",
-        "generate_random_instance draws the family from its own seed, not the document's instrument seed",
-    ),
-    Mutant(
         "B1", "scenario.py",
         "if not kinds <= _NUMBER_TYPES:", "if not kinds <= _NUMBER_TYPES | {bool}:",
         "the bulk parse without its exact-type test, so a true entry reads as 1.0",
@@ -232,6 +231,11 @@ MUTANTS = (
         "O1", "scenario.py",
         "unknown = set(spec) - fields", "unknown = set()",
         "the document's objects without their unknown-field test, so a misspelled key is ignored",
+    ),
+    Mutant(
+        "F1", "scenario.py",
+        "_object(spec, block, forms[name])", "_object(spec, block, set().union(*forms.values()))",
+        "each block takes the fields of all its forms, so a field of another form runs unread",
     ),
     Mutant(
         "N1", "linalg.py",

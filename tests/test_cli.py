@@ -260,6 +260,37 @@ class TestRunCommand:
         assert captured.out == ""
         assert captured.err == f"invalid scenario: {block}: unknown fields ['{key}']\n"
 
+    # A field of another form of the same block once ran unread and was echoed into the report.
+    @pytest.mark.parametrize(
+        "block, spec, keys",
+        [
+            ("instrument", {"kind": "ideal", "seed": 3}, ["seed"]),
+            ("observable", {"preset": "pauli_z", "values": [1, 2]}, ["values"]),
+            ("initial_state", {"preset": "uniform", "index": 0}, ["index"]),
+            ("initial_state", {"amplitudes": [[0.6, 0], [0.8, 0]], "preset": "basis", "index": 0}, ["index", "preset"]),
+            ("observable", {"matrix": [[1, 0], [0, -1]], "preset": "diag", "values": [1, -1]}, ["preset", "values"]),
+            ("instrument", {"kind": "custom", "seed": 1, "transformers": [[[0, 0], [0, 1]], [[1, 0], [0, 0]]]}, ["seed"]),
+        ],
+    )
+    def test_field_of_another_form_exits_two_with_one_line(self, tmp_path, capsys, block, spec, keys):
+        doc = {
+            "object_dim": 2,
+            "observable": {"preset": "pauli_z"},
+            "initial_state": {"preset": "uniform"},
+            "instrument": {"kind": "ideal"},
+            block: spec,
+        }
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("run", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid scenario: {block}: unknown fields {keys}\n"
+        for key in keys:  # the block without them is a valid document of its form
+            del spec[key]
+        path.write_text(json.dumps(doc))
+        assert run_cli("run", path) == 0
+
     def test_text_reports_are_byte_stable_and_timed_only_on_request(self, capsys):
         runs = []
         for flags in ((), (), ("--include-timing",)):

@@ -169,7 +169,8 @@ class TestParseScenario:
         with pytest.raises(ParseError, match=re.escape("options: unknown fields")):
             parse_scenario(scenario_text(options=options))
 
-    # Each block takes the fields that any of its forms reads, and rejects every other one.
+    # Each block takes the fields of its own form and rejects every other one: a misspelled key, and a field
+    # that only another form of the block reads (tests/test_cli.py).
     @pytest.mark.parametrize(
         "block, spec",
         [
@@ -181,6 +182,21 @@ class TestParseScenario:
     )
     def test_unknown_block_field_is_rejected(self, block, spec):
         with pytest.raises(ParseError, match=re.escape(f"{block}: unknown fields [")):
+            parse_scenario(scenario_text(**{block: spec}))
+
+    # A preset that is the name of a data form is no preset, and a block of no form takes its forms' fields,
+    # so the error names what is missing.
+    @pytest.mark.parametrize(
+        "block, spec, message",
+        [
+            ("observable", {"preset": "matrix"}, "observable: need a 'matrix' or a preset"),
+            ("initial_state", {"preset": "amplitudes"}, "initial_state: need 'amplitudes' or a preset"),
+            ("observable", {"preset": "pauli_w", "values": [1, -1]}, "observable: need a 'matrix' or a preset"),
+            ("instrument", {"kind": "ideal_", "seed": 1, "transformers": []}, "instrument.kind: expected"),
+        ],
+    )
+    def test_block_of_no_form_names_the_missing_form(self, block, spec, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
             parse_scenario(scenario_text(**{block: spec}))
 
     @pytest.mark.parametrize("block", ["observable", "initial_state", "instrument"])
@@ -269,7 +285,7 @@ class TestGenerateRandomInstance:
         assert np.allclose(parsed.observable.matrix(), sc.observable.matrix(), atol=1e-12)
         assert np.allclose(parsed.initial_state.vector, sc.initial_state.vector, atol=1e-12)
 
-    # A generator that drew its family from `seed` instead of the document's instrument seed would pass
+    # Generation reads the document it writes with parse's reader; a family or state of its own would pass
     # every other test, while batch and `run` on the same document computed different numbers.
     @pytest.mark.parametrize("d1_max, outcomes_max", [(6, 4), (16, 6)])
     def test_parse_builds_the_generated_family(self, d1_max, outcomes_max):
@@ -277,7 +293,7 @@ class TestGenerateRandomInstance:
             sc = generate_random_instance(seed, d1_max, outcomes_max)
             parsed = parse_scenario(json.dumps(sc.to_dict()))
             assert np.array_equal(parsed.transformers.blocks, sc.transformers.blocks), seed
-            # Generation normalises the state as parsing does the amplitudes it writes.
+            # Generation renormalises the amplitudes it writes by parsing's rule.
             assert np.array_equal(parsed.initial_state.vector, sc.initial_state.vector), seed
 
     # A report echoes its document as the record of its run: the document must reproduce the report.
