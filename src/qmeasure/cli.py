@@ -13,7 +13,7 @@ from dataclasses import replace
 from functools import cache
 
 from .errors import ParseError, QMeasureError, ValidationError
-from .pipeline import VerificationReport, _json_text, report_to_dict, report_to_json, report_to_text, run_pipeline
+from .pipeline import VerificationReport, _document, report_to_dict, report_to_json, report_to_text, run_pipeline
 from .scenario import check_tolerance, generate_random_instance, load_scenario
 
 EXIT_PASS = 0
@@ -156,7 +156,7 @@ def _batch_command(args: argparse.Namespace) -> int:
             },
             "results": results,
         }
-        text = _json_text(doc) + "\n"
+        text = _document(doc)
     else:
         lines.append(
             f"campaign: {len(seeds)} scenarios, {len(seeds) - len(failed)} passed, "

@@ -5,10 +5,10 @@ coherence) entropy of an observable in a state is the entropy increase
 under the projective Lüders update; it vanishes exactly when observable
 and state commute. In a pure vector it is the entropy of the branch
 weights, and for repeatable instruments it equals the entanglement of the
-final object-pointer vector. That entanglement, and the rest of the
-``EntropyReport`` of a pure vector, is read from its Schmidt coefficients:
-both marginals have their squares as spectrum, and the vector itself has
-entropy 0.
+final object-pointer vector. That entanglement, S1, is H of the squared
+Schmidt coefficients: both marginals of a pure vector have them as
+spectrum, so S2 = S1, S12 = 0 and the mutual information is 2 S1, and a
+report carries only S1 and H(p).
 """
 
 from __future__ import annotations
@@ -27,26 +27,6 @@ from .observables import Observable
 # Not used here. It stays importable from this module because bench/selftest.py
 # checks that tracing restores this name in this namespace.
 from .observables import embed_observable  # noqa: F401
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    """Entropy bookkeeping of a bipartite pure vector, in bits."""
-
-    s1: float
-    s2: float
-    s12: float
-    mutual_information: float
-    shannon_pk: float
-
-    @classmethod
-    def of_pure_vector(cls, coefficients: np.ndarray, shannon_pk: float) -> "EntropyReport":
-        """The report of a pure bipartite vector from its Schmidt coefficients c: S1 = S2 = H(c²), S12 = 0, I = 2 S1.
-
-        ``shannon_pk`` is H(p) of the Born vector, carried as given: it is S1 only for orthogonal A_k psi.
-        """
-        s1 = shannon_entropy(np.square(coefficients))
-        return cls(s1, s1, 0.0, 2.0 * s1, float(shannon_pk))
 
 
 @dataclass(frozen=True)
@@ -145,7 +125,6 @@ def low_rank_commutator_norm(obs: Observable, w: np.ndarray) -> float:
 
 
 __all__ = [
-    "EntropyReport",
     "Verdict",
     "shannon_entropy",
     "lifted_incompatibility_entropy",

@@ -3,10 +3,10 @@
 ``run_pipeline`` works in two parts. ``_Run`` holds the artefacts of one
 run of the scenario's transformer family (the instrument, built and checked
 when the scenario was) on its initial state: the repeatability violation,
-the final vector, the Born vector, the initial commutator norm, the Schmidt
-form, the entropy report read from its coefficients, the definite-value
-report and the tripartite pointer reading. Each is computed once, on first
-use.
+the final vector, the Born vector and its entropy H(p), the initial
+commutator norm, the Schmidt form and the entanglement S1 read from its
+coefficients, the definite-value report and the tripartite pointer reading.
+Each is computed once, on first use.
 ``CHECKS`` is the ordered table of verdicts; each entry compares two
 routes to one identity, read from those artefacts. Every check lands in
 the report as a verdict carrying its deviation and tolerance, so failures
@@ -18,6 +18,7 @@ fails, rather than counted as failures.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -31,7 +32,6 @@ import numpy as np
 from . import tolerances as tol
 from .errors import QMeasureError
 from .information import (
-    EntropyReport,
     Verdict,
     lifted_incompatibility_entropy,
     low_rank_commutator_norm,
@@ -61,7 +61,7 @@ class VerificationReport:
     probabilities: tuple[float, ...] | None
     schmidt_coefficients: tuple[float, ...] | None
     initial_commutator_norm: float | None
-    entropies: EntropyReport | None
+    entropies: dict[str, float] | None  # {"s1": S1, "shannon_pk": H(p)}
     verdicts: tuple[Verdict, ...]
     not_applicable: tuple[str, ...]
     error: str | None
@@ -116,9 +116,8 @@ class _Run:
     born = _artefact("evolution", lambda run: probabilities(run.obs, run.psi))
     initial_commutator = _artefact("evolution", lambda run: low_rank_commutator_norm(run.obs, run.psi.vector[:, None]))
     schmidt = _artefact("schmidt", lambda run: schmidt_decompose(run.final, run.dims))
-    entropies = _artefact(
-        "entropies", lambda run: EntropyReport.of_pure_vector(run.schmidt.coefficients, run.h_born)
-    )
+    # S1 = H(c²): both marginals of the pure final vector have the squared Schmidt coefficients as spectrum
+    s1 = _artefact("entropies", lambda run: shannon_entropy(np.square(run.schmidt.coefficients)))
     definite = _artefact(
         "definite_values", lambda run: verify_definite_values(run.schmidt, run.obs, run.ts.pointer_observable)
     )
@@ -127,7 +126,7 @@ class _Run:
 
 
 # What every report carries, computed in this order before the checks run.
-_REPORTED = ("repeatability_violation", "final", "born", "initial_commutator", "schmidt", "entropies")
+_REPORTED = ("repeatability_violation", "final", "born", "initial_commutator", "schmidt", "h_born", "s1")
 
 
 class Check(NamedTuple):
@@ -197,14 +196,14 @@ def _compatibility_migration(run: _Run):
 
 
 def _entropy_ledger(run: _Run):
-    mutual, twice_h = run.entropies.mutual_information, 2.0 * run.h_born
+    mutual, twice_h = 2.0 * run.s1, 2.0 * run.h_born  # the mutual information S1 + S2 - S12 of the final vector
     return mutual, twice_h, abs(mutual - twice_h), tol.THEOREM
 
 
-# The entropy report's S1, H(c²) of the Schmidt coefficients, is the entanglement of
-# the final vector, so both entanglement checks read it rather than take another spectrum.
+# S1, H(c²) of the Schmidt coefficients, is the entanglement of the final vector,
+# so both entanglement checks read it rather than take another spectrum.
 def _entanglement_incompatibility_final(run: _Run):
-    entanglement, h_born = run.entropies.s1, run.h_born
+    entanglement, h_born = run.s1, run.h_born
     rhs = lifted_incompatibility_entropy(run.obs, run.final)
     deviation = max(abs(entanglement - rhs), abs(entanglement - h_born), abs(rhs - h_born))
     return entanglement, rhs, deviation, tol.THEOREM
@@ -213,7 +212,7 @@ def _entanglement_incompatibility_final(run: _Run):
 # The incompatibility entropy of psi is H(p) of its Born vector: the branch weights of
 # lifted_incompatibility_entropy on psi are the Born vector, so the check reads H(p).
 def _entanglement_incompatibility_initial(run: _Run):
-    h_born, entanglement = run.h_born, run.entropies.s1
+    h_born, entanglement = run.h_born, run.s1
     return h_born, entanglement, abs(h_born - entanglement), tol.THEOREM
 
 
@@ -307,12 +306,13 @@ def run_pipeline(scenario: Scenario) -> VerificationReport:
     computed = vars(run)  # cached_property keeps each computed artefact here
     born = computed.get("born")
     sf = computed.get("schmidt")
+    s1, h_born = computed.get("s1"), computed.get("h_born")
     return VerificationReport(
         scenario=scenario.source,
         probabilities=None if born is None else tuple(float(p) for p in born),
         schmidt_coefficients=None if sf is None else tuple(float(c) for c in sf.coefficients),
         initial_commutator_norm=computed.get("initial_commutator"),
-        entropies=computed.get("entropies"),
+        entropies=None if s1 is None or h_born is None else {"s1": s1, "shannon_pk": h_born},
         verdicts=tuple(verdicts),
         not_applicable=() if repeatable else tuple(c.label for c in CHECKS if c.needs_repeatable),
         error=run.error,
@@ -321,18 +321,30 @@ def run_pipeline(scenario: Scenario) -> VerificationReport:
     )
 
 
+def _number(x: float | None) -> float | str | None:
+    """A computed float as a report holds it: a finite one as itself, else "NaN", "Infinity" or "-Infinity"."""
+    return x if x is None or math.isfinite(x) else json.dumps(x)
+
+
 def report_to_dict(report: VerificationReport, include_timing: bool = False) -> dict[str, Any]:
-    """Structured form of a report; timing is off by default so the output is byte-stable."""
+    """Structured form of a report; timing is off by default so the output is byte-stable.
+
+    Only the initial commutator norm and a verdict's lhs, rhs and deviation can be non-finite (every number
+    of the echoed scenario is finite at parse), and ``_number`` writes them as strings, so the report is JSON.
+    """
     doc: dict[str, Any] = {
         "scenario": report.scenario,
         "probabilities": None if report.probabilities is None else list(report.probabilities),
         "schmidt_coefficients": None
         if report.schmidt_coefficients is None
         else list(report.schmidt_coefficients),
-        "initial_commutator_norm": report.initial_commutator_norm,
-        # vars() of these flat dataclasses holds their fields in order, at 1/30 the cost of dataclasses.asdict
-        "entropies": None if report.entropies is None else dict(vars(report.entropies)),
-        "verdicts": [dict(vars(v)) for v in report.verdicts],
+        "initial_commutator_norm": _number(report.initial_commutator_norm),
+        "entropies": report.entropies,
+        # vars() of this flat dataclass holds its fields in order, at 1/30 the cost of dataclasses.asdict
+        "verdicts": [
+            {**vars(v), "lhs": _number(v.lhs), "rhs": _number(v.rhs), "deviation": _number(v.deviation)}
+            for v in report.verdicts
+        ],
         "not_applicable": list(report.not_applicable),
         "error": report.error,
         "overall_pass": report.overall_pass,
@@ -343,7 +355,12 @@ def report_to_dict(report: VerificationReport, include_timing: bool = False) -> 
 
 
 def report_to_json(report: VerificationReport, include_timing: bool = False) -> str:
-    return _json_text(report_to_dict(report, include_timing)) + "\n"
+    return _document(report_to_dict(report, include_timing))
+
+
+def _document(doc: dict[str, Any]) -> str:
+    """The text of a report or campaign document: ``doc`` under report schema 2, and a final newline."""
+    return _json_text({"schema": 2, **doc}) + "\n"
 
 
 class _Unsupported(Exception):
@@ -351,30 +368,32 @@ class _Unsupported(Exception):
 
 
 _SCALAR_TYPES = {str, float, int, bool, type(None)}
+# json.dumps builds an encoder on each call that sets allow_nan; this one is built once.
+_encode_scalar = json.JSONEncoder(allow_nan=False).encode
 # Nesting deeper than this is left to json.dumps, so that where recursion ends is its own decision.
 _MAX_DEPTH = 100
 
 
 def _json_text(doc: Any) -> str:
-    """Exactly ``json.dumps(doc, indent=2, sort_keys=True)``, with runs of numbers and of scalars written at C speed.
+    """Exactly ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)``, runs of numbers and scalars at C speed.
 
     The stdlib writes every token in Python whenever ``indent`` is set. Anything but dicts with str keys,
     lists, tuples, str, int, float, bool and None, an integer too long for str, and nesting deeper than
     _MAX_DEPTH (a circular reference among them) is left to json.dumps, which writes or rejects it as it
-    always has.
+    always has; so is a NaN or ±inf, which it rejects.
     """
     chunks: list[str] = []
     try:
         _write(doc, "\n", chunks)
     except (_Unsupported, ValueError, RecursionError):
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     return "".join(chunks)
 
 
 def _write(value: Any, newline: str, chunks: list[str]) -> None:
     """Append ``value`` in json.dumps's indented form, ``newline`` being the line break and indent of its own line."""
     if isinstance(value, (str, int, float)) or value is None:  # bool is an int
-        chunks.append(json.dumps(value))
+        chunks.append(_encode_scalar(value))
         return
     if len(newline) > 2 * _MAX_DEPTH:
         raise _Unsupported
@@ -414,7 +433,7 @@ def _write(value: Any, newline: str, chunks: list[str]) -> None:
 def _scalars(value: dict | list | tuple, newline: str) -> str:
     """A dict or list of scalars, by json's C encoder: without ``indent`` it takes any item separator."""
     inner = newline + "  "
-    text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "))
+    text = json.dumps(value, sort_keys=True, separators=("," + inner, ": "), allow_nan=False)
     return text[0] + inner + text[1:-1] + newline + text[-1] if value else text
 
 
@@ -431,7 +450,7 @@ def _records(value: list, newline: str) -> str | None:
     ):
         return None
     inner, field = newline + "  ", newline + "    "
-    text = json.dumps(value, sort_keys=True, separators=("," + field, ": "))
+    text = json.dumps(value, sort_keys=True, separators=("," + field, ": "), allow_nan=False)
     body = text[2:-2].replace("}," + field + "{", inner + "}," + inner + "{" + field)
     return "[" + inner + "{" + field + body + inner + "}" + newline + "]"
 
@@ -468,11 +487,7 @@ def report_to_text(report: VerificationReport, verbosity: str = "normal", includ
     if report.initial_commutator_norm is not None:
         lines.append(f"initial [A, rho] norm: {report.initial_commutator_norm:.3e}")
     if report.entropies is not None:
-        e = report.entropies
-        lines.append(
-            f"entropies (bits): S1={e.s1:.10f} S2={e.s2:.10f} S12={e.s12:.3e} I12={e.mutual_information:.10f}"
-            f" H(p)={e.shannon_pk:.10f}"
-        )
+        lines.append(f"entropies (bits): S1={report.entropies['s1']:.10f} H(p)={report.entropies['shannon_pk']:.10f}")
     lines.append("")
     width = max((len(label) for label in [*(v.label for v in report.verdicts), *report.not_applicable]), default=10)
     for v in report.verdicts:

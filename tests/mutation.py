@@ -24,7 +24,9 @@ common-mode faults that move both sides of every entropy verdict alike
 a scenario holds (P1), which parse, and generation through parse's
 reader, must build from the document's instrument, and two on the bulk
 paths of documents and reports (B1, B2), which must accept, reject and
-write what the per-entry paths do, and two on the object rule of
+write what the per-entry paths do, one on the report's strings for a
+non-finite computed value (J1), without which a report either holds a
+bare NaN or Infinity or cannot be written, and two on the object rule of
 documents, which must reject a field that no form of its block reads
 (O1) and a field that only another form of its block reads (F1). The
 ``max`` that sets the text report's column width is layout, not a
@@ -226,6 +228,11 @@ MUTANTS = (
         "B2", "pipeline.py",
         'return text if "n" not in text else None', "return text",
         "the report encoder's runs of numbers without their finiteness test, so NaN is written as nan",
+    ),
+    Mutant(
+        "J1", "pipeline.py",
+        "return x if x is None or math.isfinite(x) else json.dumps(x)", "return x",
+        "reports without the string for a non-finite computed value, so an overflowing norm cannot be written",
     ),
     Mutant(
         "O1", "scenario.py",

@@ -34,7 +34,7 @@ from qmeasure import (
     uniform_superposition,
     verify_definite_values,
 )
-from qmeasure import EntropyReport, StateTransformerSet, cli
+from qmeasure import StateTransformerSet, cli, run_pipeline
 from qmeasure import tolerances as tol
 from qmeasure.instruments import probability_gap
 from reference import (
@@ -68,6 +68,7 @@ def instances():
         prepared.append(
             SimpleNamespace(
                 seed=seed,
+                scenario=scenario,
                 obs=scenario.observable,
                 psi=scenario.initial_state,
                 ts=ts,
@@ -164,12 +165,18 @@ def test_criterion_07_entropy_ledger(instances):
     worst = 0.0
     for x in instances:
         h = shannon_entropy(np.clip(x.born, 0.0, None))
-        entropies = EntropyReport.of_pure_vector(schmidt_decompose(x.final, x.dims).coefficients, h)
-        pointer_marginal = reduced_states(x.final, x.dims)[1]  # its spectrum, against that of the Schmidt form
+        s1 = run_pipeline(x.scenario).entropies["s1"]  # from the Schmidt coefficients
+        # S1, S2 and S12 of the dense final vector: the marginal spectra, against that of the Schmidt form
+        object_marginal, pointer_marginal = reduced_states(x.final, x.dims)
+        dense_s1, dense_s2 = von_neumann_entropy(object_marginal), von_neumann_entropy(pointer_marginal)
+        dense_s12 = von_neumann_entropy(DensityOperator(np.outer(x.final, np.conj(x.final))))
+        mutual = dense_s1 + dense_s2 - dense_s12
         worst = max(
             worst,
-            abs(entropies.s2 - von_neumann_entropy(pointer_marginal)),
-            abs(entropies.mutual_information - 2.0 * h),
+            abs(dense_s2 - s1),
+            abs(dense_s12),
+            abs(mutual - 2.0 * s1),
+            abs(mutual - 2.0 * h),
         )
     passed = worst < 1e-9
     report("7 (entropy ledger)", passed, f"worst deviation {worst:.3e}")

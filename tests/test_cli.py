@@ -22,6 +22,15 @@ def run_cli(*args) -> int:
     return cli.main([str(a) for a in args])
 
 
+def strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON (RFC 8259, section 6)."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestRunCommand:
     def test_passing_scenario_exits_zero(self, capsys):
         code = run_cli("run", SCENARIOS / "ideal_z_uniform.json")
@@ -291,6 +300,20 @@ class TestRunCommand:
         path.write_text(json.dumps(doc))
         assert run_cli("run", path) == 0
 
+    def test_an_overflowing_commutator_norm_is_written_as_valid_json(self, tmp_path, capsys):
+        # An eigenvalue of 1e160 overflows the initial commutator norm to inf, once written as a bare Infinity.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "object_dim": 2,
+            "observable": {"preset": "diag", "values": [0, 1e160]},
+            "initial_state": {"preset": "uniform"},
+            "instrument": {"kind": "ideal"},
+        }))
+        assert run_cli("run", path, "--format", "json") == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["schema"] == 2 and doc["overall_pass"] is True
+        assert doc["initial_commutator_norm"] == "Infinity"
+
     def test_text_reports_are_byte_stable_and_timed_only_on_request(self, capsys):
         runs = []
         for flags in ((), (), ("--include-timing",)):
@@ -314,9 +337,10 @@ class TestBatchCommand:
         code = run_cli("batch", "--seeds", "0..3", "--d1-max", "4", "--outcomes-max", "3",
                        "--format", "json", "--out", out)
         assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["campaign"]["total"] == 4
+        doc = strict_json(out.read_text())
+        assert doc["schema"] == 2 and doc["campaign"]["total"] == 4
         assert [entry["seed"] for entry in doc["results"]] == [0, 1, 2, 3]
+        assert not any("schema" in entry for entry in doc["results"])
         assert all(entry["overall_pass"] for entry in doc["results"])
 
     @pytest.mark.parametrize("target, code", [("verify_definite_values", 1), ("schmidt_decompose", 3)])
@@ -427,5 +451,5 @@ def test_fuzzed_documents_never_escape_as_a_traceback(tmp_path, capsys):
         if code == 2:
             assert captured.out == "" and captured.err.count("\n") == 1, (doc, captured.err)
         else:
-            assert isinstance(json.loads(captured.out)["overall_pass"], bool), doc
+            assert isinstance(strict_json(captured.out)["overall_pass"], bool), doc
     assert codes[0] > 0  # some mutants still reach the pipeline and pass

@@ -7,11 +7,11 @@ import pytest
 from qmeasure import (
     DensityOperator,
     DimensionMismatch,
-    EntropyReport,
     NonRepeatableInput,
     NotADistribution,
     NotNormalized,
     PureState,
+    Scenario,
     basis_vector,
     embed_observable,
     evolve,
@@ -24,6 +24,7 @@ from qmeasure import (
     probabilities,
     random_state_vector,
     read_pointer_tripartite,
+    run_pipeline,
     schmidt_decompose,
     shannon_entropy,
 )
@@ -105,25 +106,33 @@ class TestEntanglement:
         assert entanglement_of_pure_state(final, (2, 2)) == pytest.approx(H_03_07, abs=1e-9)
 
 
-def pure_vector_entropies(psi: np.ndarray, dims: tuple[int, int], shannon_pk: float) -> EntropyReport:
-    """The pipeline's entropy report of a pure bipartite vector: read from its Schmidt coefficients."""
-    return EntropyReport.of_pure_vector(schmidt_decompose(psi, dims).coefficients, shannon_pk)
+def ideal_run_entropies(obs, psi: PureState) -> tuple[dict[str, float], float]:
+    """The entropy block of the pipeline's report on an ideal measurement, and its ledger's lhs 2 S1."""
+    report = run_pipeline(Scenario(psi, make_ideal_transformers(obs)))
+    return report.entropies, next(v.lhs for v in report.verdicts if v.label == "entropy_ledger")
 
 
 class TestMutualInformation:
     def test_pure_product(self):
-        rng = np.random.default_rng(73)
-        psi = kron(random_state_vector(2, rng), random_state_vector(2, rng))
-        report = pure_vector_entropies(psi, (2, 2), 0.0)
-        assert abs(report.mutual_information) < 1e-9
-        assert report.s1 < 1e-9
+        # psi is an eigenvector of the observable, so the final vector is a product
+        obs = observable_from_matrix(random_hermitian(2, np.random.default_rng(73)))
+        entropies, mutual = ideal_run_entropies(obs, PureState(obs.basis[:, 0]))
+        assert abs(mutual) < 1e-9
+        assert entropies["s1"] < 1e-9
 
-    def test_bell_state(self):
-        report = pure_vector_entropies(bell_vector(), (2, 2), 1.0)
-        assert report.mutual_information == pytest.approx(2.0, abs=1e-12)
-        assert report.s1 == pytest.approx(1.0, abs=1e-12)
-        assert report.shannon_pk == pytest.approx(1.0, abs=1e-12)
-        assert abs(report.s1 - report.s2) < 1e-12 and abs(report.s12) < 1e-12
+    def test_bell_state(self, pauli_z, plus_state):
+        # an ideal Pauli-Z measurement of |+> ends in the Bell-type vector (|01> + |10>)/√2
+        final = evolve(make_ideal_transformers(pauli_z), plus_state)
+        assert np.allclose(final, np.array([0, 1, 1, 0]) / np.sqrt(2))
+        entropies, mutual = ideal_run_entropies(pauli_z, plus_state)
+        assert mutual == pytest.approx(2.0, abs=1e-12)
+        assert entropies["s1"] == pytest.approx(1.0, abs=1e-12)
+        assert entropies["shannon_pk"] == pytest.approx(1.0, abs=1e-12)
+        # S2 = S1 and S12 = 0, which the report leaves out, on the dense final vector
+        object_marginal, pointer_marginal = reduced_states(final, (2, 2))
+        assert abs(von_neumann_entropy(object_marginal) - entropies["s1"]) < 1e-12
+        assert abs(von_neumann_entropy(pointer_marginal) - entropies["s1"]) < 1e-12
+        assert abs(von_neumann_entropy(np.outer(final, final.conj()))) < 1e-12
 
     def test_rejects_a_density_operator_or_matrix_naming_its_shape(self):
         # A pure density matrix flattens to a unit vector, so only the shape check stops it.
@@ -228,7 +237,7 @@ class TestIdentityVerifiers:
         final = evolve(ts, PureState(random_state_vector(obs.dim, np.random.default_rng(79))))
         h = lifted_incompatibility_entropy(obs, final)
         entanglement, h_born = h + e_offset * tol.THEOREM, h + h_offset * tol.THEOREM
-        run = SimpleNamespace(entropies=SimpleNamespace(s1=entanglement), h_born=h_born, obs=obs, final=final)
+        run = SimpleNamespace(s1=entanglement, h_born=h_born, obs=obs, final=final)
         check = next(c for c in pipeline_module.CHECKS if c.label == "entanglement_incompatibility_final")
         lhs, rhs, deviation, _ = check.fn(run)
         assert (lhs, rhs) == (entanglement, h)
@@ -360,7 +369,7 @@ class TestEntropyIsNeverNegative:
         assert math.copysign(1.0, shannon_entropy([1.0 + 2.0**-52])) == 1.0
         assert shannon_entropy([1.0 + 2.0**-52]) == 0.0
 
-    def test_pure_state_entropies_are_positive_zero(self):
-        e = pure_vector_entropies(kron(basis_vector(2, 0), basis_vector(3, 1)), (2, 3), 0.0)
-        for value in (e.s1, e.s2, e.s12, e.mutual_information):
+    def test_pure_state_entropies_are_positive_zero(self, pauli_z):
+        entropies, mutual = ideal_run_entropies(pauli_z, PureState(basis_vector(2, 1)))
+        for value in (*entropies.values(), mutual):
             assert math.copysign(1.0, value) == 1.0

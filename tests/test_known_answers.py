@@ -57,8 +57,8 @@ def binary_entropy(p: float) -> float:
 def test_every_entropy_of_the_run_is_the_closed_form(seed, sizes, weights, expected):
     report = run_pipeline(known_weights_scenario(seed, sizes, weights))
     assert report.overall_pass and report.error is None
-    assert abs(report.entropies.s1 - expected) < CLOSED_FORM_TOL
-    assert abs(report.entropies.shannon_pk - expected) < CLOSED_FORM_TOL
+    assert abs(report.entropies["s1"] - expected) < CLOSED_FORM_TOL
+    assert abs(report.entropies["shannon_pk"] - expected) < CLOSED_FORM_TOL
     verdicts = {v.label: v for v in report.verdicts}
     for label in ENTROPY_LABELS:
         assert abs(verdicts[label].lhs - expected) < CLOSED_FORM_TOL, label

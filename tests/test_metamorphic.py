@@ -142,11 +142,9 @@ def assert_same_physics(
         assert follow_up.initial_commutator_norm == pytest.approx(
             commutator_scale * source.initial_commutator_norm, rel=0, abs=NUMERIC_TOL
         )
-    for field, value in vars(source.entropies).items():
-        other = getattr(follow_up.entropies, field)
-        assert (value is None) == (other is None), field
-        if value is not None:
-            assert other == pytest.approx(value, rel=0, abs=NUMERIC_TOL), field
+    assert source.entropies.keys() == follow_up.entropies.keys() == {"s1", "shannon_pk"}
+    for field, value in source.entropies.items():
+        assert follow_up.entropies[field] == pytest.approx(value, rel=0, abs=NUMERIC_TOL), field
     return source, follow_up
 
 

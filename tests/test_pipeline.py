@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from qmeasure import (
     PureState,
     SchmidtForm,
     StateTransformerSet,
+    Verdict,
     evolve,
     generate_random_instance,
     parse_scenario,
@@ -26,12 +28,13 @@ from qmeasure import (
 from qmeasure import pipeline as pipeline_module
 from qmeasure.cli import main as cli_main
 from qmeasure import tolerances as tol
-from qmeasure.errors import NoDefiniteValue, NonRepeatableInput
+from qmeasure.errors import NoDefiniteValue, NonRepeatableInput, NotADistribution
 from reference import apply_on_factor, projectors, pure_marginal, von_neumann_entropy
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-# `qmeasure run <scenario> --format json` for each committed scenario. A change
-# of route may move the last bits of a float (by up to ~5e-14 so far), nothing else.
+# `qmeasure run <scenario> --format json` for each committed scenario, written by
+# tests/golden/regenerate.py. A change of route may move the last bits of a float
+# (by up to ~5e-14 so far), nothing else.
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_FLOAT_TOL = 1e-12
 
@@ -88,7 +91,7 @@ class TestRunPipeline:
         assert report.overall_pass and report.error is None
         assert report.probabilities == pytest.approx((0.5, 0.5), abs=1e-12)
         assert report.schmidt_coefficients == pytest.approx((np.sqrt(0.5),) * 2, abs=1e-12)
-        assert report.entropies.s1 == pytest.approx(1.0, abs=1e-12)
+        assert report.entropies["s1"] == pytest.approx(1.0, abs=1e-12)
         # coherence present before measurement, gone from the object after
         assert report.initial_commutator_norm == pytest.approx(np.sqrt(2.0), abs=1e-12)
         assert report.not_applicable == ()
@@ -98,7 +101,7 @@ class TestRunPipeline:
         report = run_pipeline(parse_scenario(IDEAL_Z_BASIS0))
         assert report.overall_pass
         assert len(report.schmidt_coefficients) == 1
-        assert report.entropies.s1 < 1e-12
+        assert report.entropies["s1"] < 1e-12
 
     def test_ideal_x_on_basis_state(self):
         # degenerate Schmidt coefficients with an oblique raw eigenbasis;
@@ -111,7 +114,7 @@ class TestRunPipeline:
         })
         report = run_pipeline(parse_scenario(text))
         assert report.overall_pass and report.error is None
-        assert report.entropies.s1 == pytest.approx(1.0, abs=1e-12)
+        assert report.entropies["s1"] == pytest.approx(1.0, abs=1e-12)
 
     def test_non_repeatable_custom_instrument(self):
         report = run_pipeline(parse_scenario(SWAP))
@@ -134,6 +137,23 @@ class TestRunPipeline:
         assert report.schmidt_coefficients is None and report.entropies is None
         assert report.error == "schmidt: NoDefiniteValue: synthetic"
         assert not report.overall_pass
+
+    @pytest.mark.parametrize("failing_call, stage", [(1, "born_entropy"), (2, "entropies")])
+    def test_a_failing_entropy_names_its_stage_and_drops_the_entropy_block(self, failing_call, stage, monkeypatch):
+        # H(p) is taken before S1, so a failure of the first entropy is the Born vector's
+        calls = []
+
+        def entropy(p):
+            calls.append(1)
+            if len(calls) == failing_call:
+                raise NotADistribution("synthetic")
+            return shannon_entropy(p)
+
+        monkeypatch.setattr(pipeline_module, "shannon_entropy", entropy)
+        report = run_pipeline(parse_scenario(IDEAL_Z_UNIFORM))
+        assert report.error == f"{stage}: NotADistribution: synthetic"
+        assert report.entropies is None and report.schmidt_coefficients is not None
+        assert tuple(v.label for v in report.verdicts) == ALWAYS + REPEATABLE_ONLY[:1]
 
     def test_failing_pointer_reading_keeps_the_verdicts_before_it(self, monkeypatch):
         def explode(*args, **kwargs):
@@ -223,6 +243,29 @@ class TestReportSerialization:
         doc = json.loads(report_to_json(report))
         assert doc["overall_pass"] is True
         assert doc["scenario"]["observable"] == {"preset": "pauli_z"}
+
+    def test_the_document_carries_schema_2_and_the_entropy_block_s1_and_h_of_p(self):
+        report = run_pipeline(parse_scenario(IDEAL_Z_UNIFORM))
+        doc = json.loads(report_to_json(report))
+        assert doc.pop("schema") == 2
+        assert doc == json.loads(json.dumps(report_to_dict(report)))
+        assert doc["entropies"] == report.entropies == {"s1": 1.0, "shannon_pk": 1.0}
+        assert "entropies (bits): S1=1.0000000000 H(p)=1.0000000000\n" in report_to_text(report)
+
+    def test_non_finite_computed_values_are_written_as_json_strings(self):
+        report = run_pipeline(parse_scenario(IDEAL_Z_UNIFORM))
+        odd = Verdict("odd", math.nan, math.inf, -math.inf, 1e-9, False)
+        report = dataclasses.replace(report, initial_commutator_norm=-math.inf, verdicts=(*report.verdicts, odd))
+
+        def reject(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        doc = json.loads(report_to_json(report), parse_constant=reject)
+        assert doc["initial_commutator_norm"] == "-Infinity"
+        assert doc["verdicts"][-1] == {
+            "label": "odd", "lhs": "NaN", "rhs": "Infinity", "deviation": "-Infinity", "tolerance": 1e-9, "passed": False
+        }
+        assert doc["verdicts"][:-1] == [dict(vars(v)) for v in report.verdicts[:-1]]
 
 
 def assert_matches_golden(actual, expected, where="report"):
@@ -444,8 +487,8 @@ class TestEntropyAndMarginalControls:
             assert min(lhs, deviation) >= 1e3 * tol.COMMUTATOR and rhs < tol.COMMUTATOR, seed
 
     def test_entropy_ledger_sees_a_reweighted_branch(self):
-        # Doubling the weight of the likeliest pointer branch moves I12 away from 2 H(p).
-        # The entropies read the Schmidt form, so the form cached from the true final vector goes too.
+        # Doubling the weight of the likeliest pointer branch moves 2 S1, the mutual information, away from 2 H(p).
+        # S1 reads the Schmidt form, so the form cached from the true final vector goes too.
         for seed, run in _multi_term_runs():
             branches = run.final.reshape(run.dims).copy()  # column k is the branch of pointer outcome k
             branches[:, np.argmax(run.born)] *= np.sqrt(2.0)
@@ -591,6 +634,6 @@ def test_the_report_carries_the_born_entropy_as_shannon_pk(rng_seed, s1):
     rng = np.random.default_rng(rng_seed)
     family = StateTransformerSet.from_transformers(tuple(random_unitary(obs.dim, rng) @ p for p in projectors(obs)), obs)
     report = run_pipeline(dataclasses.replace(scenario, transformers=family))
-    assert report.entropies.shannon_pk == shannon_entropy(report.probabilities)
-    assert report.entropies.shannon_pk == pytest.approx(1.4972, abs=1e-4)
-    assert report.entropies.s1 == pytest.approx(s1, abs=1e-4)
+    assert report.entropies["shannon_pk"] == shannon_entropy(report.probabilities)
+    assert report.entropies["shannon_pk"] == pytest.approx(1.4972, abs=1e-4)
+    assert report.entropies["s1"] == pytest.approx(s1, abs=1e-4)

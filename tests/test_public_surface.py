@@ -33,7 +33,7 @@ PUBLIC_NAMES = (
     # schmidt
     "SchmidtForm", "DefiniteValueReport", "schmidt_decompose", "reconstruct", "verify_definite_values",
     # information
-    "EntropyReport", "Verdict", "shannon_entropy",
+    "Verdict", "shannon_entropy",
     "lifted_incompatibility_entropy", "read_pointer_tripartite", "low_rank_commutator_norm",
     # scenario
     "Scenario", "scenario_from_dict", "parse_scenario", "load_scenario",
@@ -90,7 +90,7 @@ def _resolve(dotted: str):
 
 
 def test_all_is_pinned_in_order():
-    assert len(PUBLIC_NAMES) == 61
+    assert len(PUBLIC_NAMES) == 60
     assert tuple(qmeasure.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(qmeasure, name), name
