@@ -111,14 +111,15 @@ def read_pointer_tripartite(final: np.ndarray, ts: StateTransformerSet) -> tuple
 
 
 def low_rank_commutator_norm(obs: Observable, w: np.ndarray) -> float:
-    """Frobenius norm of [X, W W†] for X = obs ⊗ 1, with obs on the first tensor factor, from the D×K matrix W.
+    """Frobenius norm of [X, W W†] for X = N ⊗ 1, N obs's outcome index on the first tensor factor, W a D×K matrix.
 
+    [N ⊗ 1, W W†] vanishes exactly when [A ⊗ 1, W W†] does, and does not grow with A's eigenvalues.
     With Q R = [W, XW] and R = [R_W R_Y], [X, W W†] = Q (R_Y R_W† - R_W R_Y†) Q†,
     and Q's orthonormal columns drop out of the norm. This costs O(D K min(D, K)).
     The trace formula for the same norm loses about 1e-8 to cancellation.
     """
     k = w.shape[1]
-    xw = (obs.matrix() @ _first_factor(obs, w)).reshape(w.shape)
+    xw = (obs.outcome_index @ _first_factor(obs, w)).reshape(w.shape)
     r = np.linalg.qr(np.concatenate([w, xw], axis=1), mode="r")
     m = r[:, k:] @ dag(r[:, :k])
     return frob(m - dag(m))

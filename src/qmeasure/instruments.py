@@ -25,7 +25,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, InvalidTransformers, NullOutcome
-from .linalg import dag, frob, frozen_array, random_unitary
+from .linalg import dag, frob, frozen_array, random_unitary, read_only
 from .observables import Observable, PureState
 
 
@@ -66,8 +66,7 @@ class StateTransformerSet:
             b[:, cols] = image[:, cols]
             if frob(image * (obs.indicator[:, k] == 0)) > tol.TRANSFORMER:
                 raise InvalidTransformers(f"A_{k} acts off eigenspace {k} beyond {tol.TRANSFORMER}")
-        b.setflags(write=False)
-        return cls(b, obs)
+        return cls(read_only(b), obs)
 
     @property
     def n_outcomes(self) -> int:
@@ -98,8 +97,7 @@ def make_repeatable_transformers(obs: Observable, seed: int) -> StateTransformer
     b = np.empty((obs.dim, obs.dim), dtype=complex)
     for r, cols in zip(obs.sizes, obs.columns):
         b[:, cols] = obs.basis[:, cols] @ random_unitary(r, rng)
-    b.setflags(write=False)
-    return StateTransformerSet(b, obs)
+    return StateTransformerSet(read_only(b), obs)
 
 
 def repeatability_violation(ts: StateTransformerSet) -> float:

@@ -48,13 +48,17 @@ def check_unit_norm(v: np.ndarray) -> tuple[np.ndarray, float]:
     return v, norm
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, made read-only."""
+    a.setflags(write=False)
+    return a
+
+
 def frozen_array(a: np.ndarray) -> np.ndarray:
     """Read-only complex array: ``a`` itself if it is one that owns its data, else a frozen copy."""
     if isinstance(a, np.ndarray) and a.dtype == complex and a.flags.owndata and not a.flags.writeable:
         return a
-    out = np.array(a, dtype=complex)
-    out.setflags(write=False)
-    return out
+    return read_only(np.array(a, dtype=complex))
 
 
 def frob(m: np.ndarray) -> float:
@@ -67,9 +71,16 @@ def frob(m: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
+def scaled(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """(a / s, s) for the largest modulus s of ``a`` past 1e150, where frob's squares overflow, else (a, 1.0)."""
+    scale = float(np.abs(a).max(initial=0.0))
+    return (a, 1.0) if scale <= 1e150 else (a / scale, scale)
+
+
 def is_hermitian(m: np.ndarray) -> bool:
-    m = np.asarray(m)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and frob(m - dag(m)) <= tol.HERMITICITY
+    """Whether ``m`` is square and within HERMITICITY of its adjoint, judged on ``scaled(m)`` so it cannot overflow."""
+    unit, scale = scaled(np.asarray(m))
+    return unit.ndim == 2 and unit.shape[0] == unit.shape[1] and scale * frob(unit - dag(unit)) <= tol.HERMITICITY
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

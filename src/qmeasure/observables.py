@@ -5,6 +5,7 @@ in one group V_k per distinct eigenvalue a_k, so that P_k = V_k V_k† is read
 as V_k (V_k† x) and never formed. It is validated by V†V = 1, which for a
 square V also makes sum_k P_k = 1, and by the eigenvalue-gap rule.
 Constructors produced by this module order terms by ascending eigenvalue.
+The checks read the outcome index N = sum_k k P_k, never the eigenvalues.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .linalg import (
     hermitize,
     is_hermitian,
     kron,
+    read_only,
 )
 
 
@@ -61,26 +63,22 @@ class Observable:
     @cached_property
     def indicator(self) -> np.ndarray:
         """Read-only dim × K matrix, 1 where basis column a lies in eigenspace k: X @ indicator sums X by term."""
-        out = np.repeat(np.eye(self.n_outcomes), self.sizes, axis=0)
-        out.setflags(write=False)
-        return out
+        return read_only(np.repeat(np.eye(self.n_outcomes), self.sizes, axis=0))
+
+    @cached_property
+    def terms(self) -> np.ndarray:
+        """Read-only term index of each basis column, indicator @ arange(K), as floats."""
+        return read_only(self.indicator @ np.arange(self.n_outcomes))
 
     @cached_property
     def adjoint(self) -> np.ndarray:
         """V†, the read-only view dag(basis), formed once: every V† x of the checks takes it."""
-        out = dag(self.basis)
-        out.setflags(write=False)
-        return out
+        return read_only(dag(self.basis))
 
     @cached_property
-    def _matrix(self) -> np.ndarray:
-        out = hermitize((self.basis * np.repeat(self.eigenvalues, self.sizes)) @ self.adjoint)
-        out.setflags(write=False)
-        return out
-
-    def matrix(self) -> np.ndarray:
-        """The Hermitian matrix V diag(a) V†, built once and read-only."""
-        return self._matrix
+    def outcome_index(self) -> np.ndarray:
+        """N = sum_k k P_k = V diag(terms) V†, read-only: [N, rho] vanishes exactly when [A, rho] does."""
+        return read_only(hermitize((self.basis * self.terms) @ self.adjoint))
 
 
 def validate_observable(obs: Observable) -> None:
@@ -136,10 +134,8 @@ class DensityOperator:
         spectrum = np.linalg.eigvalsh(m)
         if spectrum[0] < tol.ENTROPY_NEG_FLOOR:
             raise NotDensityOperator(f"smallest eigenvalue {float(spectrum[0])} is below {tol.ENTROPY_NEG_FLOOR}")
-        m.setflags(write=False)
-        spectrum.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_spectrum", spectrum)
+        object.__setattr__(self, "matrix", read_only(m))
+        object.__setattr__(self, "_spectrum", read_only(spectrum))
 
     @property
     def dim(self) -> int:
@@ -164,8 +160,7 @@ def observable_from_matrix(h: np.ndarray) -> Observable:
     # a term starts at 0 and wherever an eigenvalue lies more than the gap above the one before it
     bounds = [0, *((w[1:] - w[:-1] > tol.DEGENERACY_GAP).nonzero()[0] + 1).tolist(), w.size]
     starts, sizes = bounds[:-1], np.diff(bounds)
-    v.setflags(write=False)
-    return Observable(tuple((np.add.reduceat(w, starts) / sizes).tolist()), v, tuple(sizes.tolist()))
+    return Observable(tuple((np.add.reduceat(w, starts) / sizes).tolist()), read_only(v), tuple(sizes.tolist()))
 
 
 def embed_observable(obs: Observable, structure: Sequence[int], factor: int) -> Observable:
@@ -175,7 +170,7 @@ def embed_observable(obs: Observable, structure: Sequence[int], factor: int) -> 
         raise DimensionMismatch(f"observable of dim {obs.dim} does not sit at factor {factor} of {dims}")
     left, right = math.prod(dims[:factor]), math.prod(dims[factor + 1 :])
     lifted = kron(kron(np.eye(left), obs.basis), np.eye(right))
-    terms = np.tile(np.repeat(obs.indicator @ np.arange(obs.n_outcomes), right), left)  # term of each column
+    terms = np.tile(np.repeat(obs.terms, right), left)  # term of each column
     return Observable(
         obs.eigenvalues,
         lifted[:, np.argsort(terms, kind="stable")],
@@ -183,17 +178,12 @@ def embed_observable(obs: Observable, structure: Sequence[int], factor: int) -> 
     )
 
 
-def check_dims(obs: Observable, state: PureState) -> None:
-    """Raise unless the state is a PureState on the observable's space."""
+def probabilities(obs: Observable, state: PureState) -> np.ndarray:
+    """Outcome probabilities <psi|P_k|psi> = |V_k† psi|^2 in term order, of a PureState on the observable's space."""
     if not isinstance(state, PureState):
         raise ValidationError(f"expected a PureState, got {type(state).__name__}")
     if obs.dim != state.dim:
         raise DimensionMismatch(f"observable dim {obs.dim} != state dim {state.dim}")
-
-
-def probabilities(obs: Observable, state: PureState) -> np.ndarray:
-    """Outcome probabilities <psi|P_k|psi> = |V_k† psi|^2 in term order."""
-    check_dims(obs, state)
     c = obs.adjoint @ state.vector
     return (c.real**2 + c.imag**2) @ obs.indicator
 

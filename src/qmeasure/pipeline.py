@@ -182,9 +182,9 @@ def _twin_residual(x: np.ndarray, a: np.ndarray) -> float:
 
 
 def _twin_diagonality(run: _Run):
-    form, outcomes = run.definite.schmidt_form, run.definite.outcomes
-    twin_object = _twin_residual(form.lefts, np.array(run.obs.eigenvalues)[outcomes])
-    twin_pointer = _twin_residual(form.rights, np.array(run.ts.pointer_observable.eigenvalues)[outcomes])
+    # Both twins weigh term t by its outcome k_t + 1: a weight of 0 would hide the outcome-0 column's norm.
+    form, weights = run.definite.schmidt_form, run.definite.outcomes + 1.0
+    twin_object, twin_pointer = _twin_residual(form.lefts, weights), _twin_residual(form.rights, weights)
     return twin_object, twin_pointer, max(twin_object, twin_pointer), tol.RECONSTRUCTION
 
 
@@ -359,8 +359,8 @@ def report_to_json(report: VerificationReport, include_timing: bool = False) -> 
 
 
 def _document(doc: dict[str, Any]) -> str:
-    """The text of a report or campaign document: ``doc`` under report schema 2, and a final newline."""
-    return _json_text({"schema": 2, **doc}) + "\n"
+    """The text of a report or campaign document: ``doc`` under report schema 3, and a final newline."""
+    return _json_text({"schema": 3, **doc}) + "\n"
 
 
 class _Unsupported(Exception):
@@ -485,7 +485,7 @@ def report_to_text(report: VerificationReport, verbosity: str = "normal", includ
     if report.schmidt_coefficients is not None:
         lines.append("schmidt coefficients:  " + ", ".join(f"{c:.10f}" for c in report.schmidt_coefficients))
     if report.initial_commutator_norm is not None:
-        lines.append(f"initial [A, rho] norm: {report.initial_commutator_norm:.3e}")
+        lines.append(f"initial [N, rho] norm: {report.initial_commutator_norm:.3e}")
     if report.entropies is not None:
         lines.append(f"entropies (bits): S1={report.entropies['s1']:.10f} H(p)={report.entropies['shannon_pk']:.10f}")
     lines.append("")

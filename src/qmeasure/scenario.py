@@ -36,7 +36,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, InvalidTransformers, NotHermitian, ParseError, QMeasureError, ValidationError
-from .linalg import basis_vector, dag, frob, hermitize, random_state_vector, random_unitary
+from .linalg import basis_vector, dag, frob, hermitize, random_state_vector, random_unitary, scaled
 from .observables import Observable, PureState, observable_from_matrix, uniform_superposition
 from .instruments import StateTransformerSet, make_ideal_transformers, make_repeatable_transformers
 
@@ -50,8 +50,8 @@ _VERBOSITIES = ("normal", "verbose")
 
 # Size budget in bytes, 16·outcomes_max·d1_max² at 512/32; a campaign's 16·outcomes_max·d1_max² and a document's
 # 16·d² (one complex d × d matrix) stay within it. That counts the matrix, not the parse: the tracemalloc peak of
-# parse_scenario on a generated document is 14.2 × 16·d² at d = 122 and 13.1 × at d = 242, mostly json.loads's
-# [re, im] lists and the document the scenario keeps, and a test holds it within 16 ×.
+# load_scenario, which frees the file's text once json has read it, is 14.2 × 16·d² at d = 122 and 13.1 × at
+# d = 218, mostly json.loads's [re, im] lists and the document the scenario keeps; a test holds it within 14 × there.
 CAMPAIGN_BYTES = 16 * 32 * 512**2
 
 
@@ -221,7 +221,8 @@ def _state(vec: np.ndarray, object_dim: int) -> PureState:
     """The state of the amplitudes ``vec``, renormalised if their norm is within STATE_RENORM of 1."""
     if vec.size != object_dim:
         raise ValidationError(f"initial_state has {vec.size} amplitudes for object_dim {object_dim}")
-    norm = frob(vec)
+    unit, scale = scaled(vec)
+    norm = scale * frob(unit)
     if abs(norm - 1.0) > tol.STATE_RENORM:
         raise ValidationError(f"initial_state norm {norm} is not 1 within {tol.STATE_RENORM}")
     return PureState(vec / norm)
@@ -302,23 +303,23 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document from JSON text."""
+    """Parse and validate a scenario document from JSON text; the text is freed once json has read it."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # an integer past sys.get_int_max_str_digits(), or nesting too deep
         raise ParseError(f"invalid JSON: {exc}") from exc
+    del text
     return scenario_from_dict(doc)
 
 
 def load_scenario(path: str) -> Scenario:
     with open(path, encoding="utf-8") as handle:
         try:
-            text = handle.read()
+            return parse_scenario(handle.read())
         except UnicodeDecodeError as exc:
             raise ParseError(f"not UTF-8 text: {exc}") from exc
-    return parse_scenario(text)
 
 
 def _pairs(a: np.ndarray) -> list:

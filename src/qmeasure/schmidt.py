@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import DimensionMismatch, NoDefiniteValue
-from .linalg import check_unit_norm, dag, frob, frozen_array, hermitian_eig
+from .linalg import check_unit_norm, dag, frob, frozen_array, hermitian_eig, read_only
 from .observables import Observable
 
 
@@ -42,9 +42,7 @@ class SchmidtForm:
     rights: np.ndarray
 
     def __post_init__(self) -> None:
-        coeffs = np.array(self.coefficients, dtype=float)
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "coefficients", read_only(np.array(self.coefficients, dtype=float)))
         object.__setattr__(self, "lefts", frozen_array(self.lefts))
         object.__setattr__(self, "rights", frozen_array(self.rights))
 
@@ -119,8 +117,7 @@ def verify_definite_values(
     n_outcomes = object_obs.n_outcomes
 
     coeffs = object_obs.adjoint @ sf.lefts  # L† N L = (V†L)† diag(term of each column) (V†L)
-    index = object_obs.indicator @ np.arange(n_outcomes)
-    indices, u = hermitian_eig(dag(coeffs) @ (index[:, None] * coeffs))
+    indices, u = hermitian_eig(dag(coeffs) @ (object_obs.terms[:, None] * coeffs))
     order = np.argsort(np.argmax(np.abs(u), axis=0), kind="stable")
     indices, u = indices[order], u[:, order]
     lefts = sf.lefts @ u
@@ -144,9 +141,8 @@ def verify_definite_values(
     if len(set(outcomes.tolist())) != outcomes.size:
         raise NoDefiniteValue("spectral term claimed by two Schmidt terms")
 
-    outcomes.setflags(write=False)
     aligned = SchmidtForm(weights, lefts, rights)
-    return DefiniteValueReport(float(left_residuals.max()), float(right_residuals.max()), outcomes, aligned)
+    return DefiniteValueReport(float(left_residuals.max()), float(right_residuals.max()), read_only(outcomes), aligned)
 
 
 def _off_eigenspace(obs: Observable, vectors: np.ndarray, outcomes: np.ndarray) -> np.ndarray:

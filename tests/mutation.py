@@ -28,7 +28,11 @@ write what the per-entry paths do, one on the report's strings for a
 non-finite computed value (J1), without which a report either holds a
 bare NaN or Infinity or cannot be written, and two on the object rule of
 documents, which must reject a field that no form of its block reads
-(O1) and a field that only another form of its block reads (F1). The
+(O1) and a field that only another form of its block reads (F1), and
+three that bring A's eigenvalues back where the checks read the outcome
+index N = sum_k k P_k: twin weights of k, under which the outcome-0 term
+drops out of the twin residual (W1), N built from the eigenvalues (I1),
+and the initial commutator norm taken of [A, rho] (I2). The
 ``max`` that sets the text report's column width is layout, not a
 verdict, and has no mutant. P2, generation's family drawn from its own
 seed, left with generation's own family call: there is one construction
@@ -71,8 +75,8 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant(
         "M1", "information.py",
-        "xw = (obs.matrix() @ _first_factor(obs, w))", "xw = (obs.matrix().T @ _first_factor(obs, w))",
-        "low_rank_commutator_norm's first-factor product with the observable transposed",
+        "xw = (obs.outcome_index @ _first_factor(obs, w))", "xw = (obs.outcome_index.T @ _first_factor(obs, w))",
+        "low_rank_commutator_norm's first-factor product with the outcome index transposed",
     ),
     Mutant(
         "M3", "pipeline.py",
@@ -116,6 +120,24 @@ MUTANTS = (
         "M7b", "pipeline.py",
         "max(twin_object, twin_pointer)", "twin_pointer",
         "twin_diagonality without its object side",
+    ),
+    Mutant(
+        "W1", "pipeline.py",
+        "run.definite.outcomes + 1.0", "run.definite.outcomes",
+        "twin_diagonality weighs each twin by its outcome k, so the outcome-0 term drops out",
+    ),
+    Mutant(
+        "I1", "observables.py",
+        "hermitize((self.basis * self.terms) @ self.adjoint)",
+        "hermitize((self.basis * np.repeat(self.eigenvalues, self.sizes)) @ self.adjoint)",
+        "the outcome index N built from the eigenvalues, so every commutator reads A",
+    ),
+    Mutant(
+        "I2", "pipeline.py",
+        "lambda run: low_rank_commutator_norm(run.obs, run.psi.vector[:, None])",
+        "lambda run: float(np.linalg.norm((a := (run.obs.basis * np.repeat(run.obs.eigenvalues, run.obs.sizes))"
+        " @ run.obs.adjoint) @ (r := np.outer(run.psi.vector, np.conj(run.psi.vector))) - r @ a))",
+        "the initial commutator norm taken of [A, rho], not [N, rho]",
     ),
     Mutant(
         "M8", "pipeline.py",
@@ -232,7 +254,7 @@ MUTANTS = (
     Mutant(
         "J1", "pipeline.py",
         "return x if x is None or math.isfinite(x) else json.dumps(x)", "return x",
-        "reports without the string for a non-finite computed value, so an overflowing norm cannot be written",
+        "reports without the string for a non-finite computed value, so a NaN or inf cannot be written",
     ),
     Mutant(
         "O1", "scenario.py",

@@ -3,7 +3,11 @@
 The pipeline never runs these. ``projectors`` and ``transformer_stack`` give
 the dense (K, d, d) forms of an observable's spectral family and of a
 transformer family, which the library stores only as an eigenbasis and its
-blocks. ``apply_on_factor`` applies an operator to any one tensor factor,
+blocks. ``observable_matrix`` builds A = V diag(a) V†, which the library
+never forms, and ``index_matrix`` the outcome index N = sum_k k P_k from
+the dense projectors, the second route to ``Observable.outcome_index``:
+the commutator references ``commutator_norm`` and
+``lifted_commutator_norm`` take N, as the library's checks do. ``apply_on_factor`` applies an operator to any one tensor factor,
 where the library's kernels act on the first factor only; the tests use it
 to corrupt one factor of an artefact and to build dense references. The
 dense references (``luders_update``, ``reduced_states``,
@@ -72,6 +76,16 @@ def projectors(obs: Observable) -> np.ndarray:
     return np.array([obs.basis[:, cols] @ dag(obs.basis[:, cols]) for cols in obs.columns])
 
 
+def observable_matrix(obs: Observable) -> np.ndarray:
+    """The Hermitian matrix A = V diag(a) V† of the observable, which the library never forms."""
+    return (obs.basis * np.repeat(obs.eigenvalues, obs.sizes)) @ dag(obs.basis)
+
+
+def index_matrix(obs: Observable) -> np.ndarray:
+    """The outcome index N = sum_k k P_k, summed over the dense projectors, where the library scales V's columns."""
+    return np.tensordot(np.arange(obs.n_outcomes), projectors(obs), axes=1)
+
+
 def transformer_stack(ts: StateTransformerSet) -> np.ndarray:
     """The dense transformers A_k = B_k V_k† in term order, as one (K, d, d) stack."""
     obs = ts.observable
@@ -121,9 +135,9 @@ def luders_update(obs: Observable, state: PureState | DensityOperator) -> Densit
 
 
 def commutator_norm(obs: Observable, state: PureState | DensityOperator) -> float:
-    """Frobenius norm of [A, rho], with both as d×d matrices."""
-    a, rho = obs.matrix(), _dense_state(obs, state)
-    return frob(a @ rho - rho @ a)
+    """Frobenius norm of [N, rho] for the outcome index N of obs, with both as d×d matrices."""
+    n, rho = index_matrix(obs), _dense_state(obs, state)
+    return frob(n @ rho - rho @ n)
 
 
 def _dense_state(obs: Observable, state: PureState | DensityOperator) -> np.ndarray:
@@ -202,12 +216,12 @@ def partial_inner(a: np.ndarray, psi: np.ndarray, structure: Sequence[int]) -> n
 
 
 def lifted_commutator_norm(obs: Observable, rho: DensityOperator, structure: Sequence[int], factor: int) -> float:
-    """Frobenius norm of [obs ⊗ 1, rho], with obs on one tensor factor of rho's space.
+    """Frobenius norm of [N ⊗ 1, rho], with the outcome index N of obs on one tensor factor of rho's space.
 
-    (obs ⊗ 1) rho is formed on that factor alone. Both operators are
-    Hermitian, so rho (obs ⊗ 1) is its adjoint.
+    (N ⊗ 1) rho is formed on that factor alone. Both operators are
+    Hermitian, so rho (N ⊗ 1) is its adjoint.
     """
-    left = apply_on_factor(obs.matrix(), rho.matrix, structure, factor)
+    left = apply_on_factor(index_matrix(obs), rho.matrix, structure, factor)
     return frob(left - dag(left))
 
 

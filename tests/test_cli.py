@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -300,8 +301,8 @@ class TestRunCommand:
         path.write_text(json.dumps(doc))
         assert run_cli("run", path) == 0
 
-    def test_an_overflowing_commutator_norm_is_written_as_valid_json(self, tmp_path, capsys):
-        # An eigenvalue of 1e160 overflows the initial commutator norm to inf, once written as a bare Infinity.
+    def test_an_eigenvalue_of_1e160_gives_a_finite_commutator_norm_and_no_warning(self, tmp_path, capsys):
+        # The norm reads the outcome index, not A: with A's eigenvalues it overflowed to inf, written as "Infinity".
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({
             "object_dim": 2,
@@ -309,10 +310,34 @@ class TestRunCommand:
             "initial_state": {"preset": "uniform"},
             "instrument": {"kind": "ideal"},
         }))
-        assert run_cli("run", path, "--format", "json") == 0
-        doc = strict_json(capsys.readouterr().out)
-        assert doc["schema"] == 2 and doc["overall_pass"] is True
-        assert doc["initial_commutator_norm"] == "Infinity"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("run", path, "--format", "json") == 0
+        captured = capsys.readouterr()
+        doc = strict_json(captured.out)
+        assert doc["schema"] == 3 and doc["overall_pass"] is True
+        assert doc["initial_commutator_norm"] == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert captured.err == "" and [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            ({"observable": {"matrix": [[0, 1e160], [0, 0]]}}, "observable.matrix violates hermiticity"),
+            ({"initial_state": {"amplitudes": [1e160, 1e160]}}, "initial_state norm 1.414213562373095e+160 is not 1"),
+        ],
+        ids=["matrix", "amplitudes"],
+    )
+    def test_huge_entries_exit_two_with_one_line_and_no_warning(self, block, message, tmp_path, capsys):
+        # Their norms are taken on the entries divided by the largest modulus: squared, 1e160 overflows.
+        path = tmp_path / "huge.json"
+        doc = {"object_dim": 2, "observable": {"preset": "pauli_z"}, "initial_state": {"preset": "uniform"}}
+        path.write_text(json.dumps({**doc, "instrument": {"kind": "ideal"}, **block}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("run", path) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and [str(w.message) for w in caught] == []
+        assert captured.err.count("\n") == 1 and captured.err.startswith(f"invalid scenario: {message}")
 
     def test_text_reports_are_byte_stable_and_timed_only_on_request(self, capsys):
         runs = []
@@ -338,7 +363,7 @@ class TestBatchCommand:
                        "--format", "json", "--out", out)
         assert code == 0
         doc = strict_json(out.read_text())
-        assert doc["schema"] == 2 and doc["campaign"]["total"] == 4
+        assert doc["schema"] == 3 and doc["campaign"]["total"] == 4
         assert [entry["seed"] for entry in doc["results"]] == [0, 1, 2, 3]
         assert not any("schema" in entry for entry in doc["results"])
         assert all(entry["overall_pass"] for entry in doc["results"])

@@ -34,6 +34,7 @@ from conftest import bell_vector, random_density, random_hermitian
 from reference import (
     commutator_norm,
     entanglement_of_pure_state,
+    observable_matrix,
     post_reading_state,
     reduced_states,
     verify_entanglement_as_incompatibility,
@@ -165,7 +166,7 @@ class TestIncompatibilityEntropy:
         rng = np.random.default_rng(75)
         for _ in range(10):
             obs = observable_from_matrix(random_hermitian(3, rng))
-            eigenvector = PureState(np.linalg.eigh(obs.matrix())[1][:, int(rng.integers(3))])
+            eigenvector = PureState(np.linalg.eigh(observable_matrix(obs))[1][:, int(rng.integers(3))])
             for psi in (PureState(random_state_vector(3, rng)), eigenvector):
                 gain = lifted_incompatibility_entropy(obs, psi.vector)
                 assert gain >= -1e-9
@@ -186,8 +187,9 @@ class TestCommutatorNorm:
         assert commutator_norm(obs, rho) < 1e-14
 
     def test_z_with_plus_projector(self, pauli_z, plus_state):
-        # [Z, |+><+|] = |-><+| - |+><-| has Frobenius norm sqrt(2)
-        assert commutator_norm(pauli_z, plus_state) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        # Z's outcome index is N = |0><0| (outcome 1 is the eigenvalue +1), and [N, |+><+|] = (|0><+| - |+><0|)/√2
+        # = (|0><1| - |1><0|)/2 has Frobenius norm sqrt(1/2), half that of [Z, |+><+|] = 2[N, |+><+|]
+        assert commutator_norm(pauli_z, plus_state) == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_vanishes_on_final_object_state(self):
         rng = np.random.default_rng(76)

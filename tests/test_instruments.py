@@ -26,6 +26,7 @@ from qmeasure.instruments import probability_gap
 from conftest import random_hermitian
 from reference import (
     completed_unitary,
+    observable_matrix,
     projectors,
     transformer_stack,
     verify_conditional_states,
@@ -177,7 +178,7 @@ class TestFamilyFromOneEigendecomposition:
         for multiplicities, obs in zip(self.MULTIPLICITIES, self.observables()):
             calls = []
             monkeypatch.setattr(np.linalg, "eigh", lambda m, *args: calls.append(m.shape) or eigh(m, *args))
-            again = observable_from_matrix(obs.matrix())
+            again = observable_from_matrix(observable_matrix(obs))
             make_repeatable_transformers(again, seed=5)
             monkeypatch.undo()
             assert again.n_outcomes == obs.n_outcomes == len(multiplicities)

@@ -123,7 +123,7 @@ def test_reports_of_seeded_batches_and_committed_scenarios():
     scenarios += [load_scenario(str(path)) for path in sorted(SCENARIOS.glob("*.json"))]
     for scenario in scenarios:
         report = run_pipeline(scenario)
-        assert report_to_json(report) == _expected({"schema": 2, **report_to_dict(report)}) + "\n"
+        assert report_to_json(report) == _expected({"schema": 3, **report_to_dict(report)}) + "\n"
         with_timing = report_to_dict(report, include_timing=True)
         assert _json_text(with_timing) == _expected(with_timing)
 

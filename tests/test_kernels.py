@@ -42,6 +42,7 @@ from conftest import random_hermitian
 from reference import (
     apply_on_factor,
     dense_incompatibility,
+    index_matrix,
     luders_update,
     projectors,
     pure_marginal,
@@ -170,7 +171,7 @@ class TestFirstFactorKernels:
         obs = observable_from_matrix(random_hermitian(TRI_DIMS[0], rng))
         v = random_state_vector(int(np.prod(TRI_DIMS)), rng)
         rho = np.outer(v, np.conj(v))
-        x = lifted(obs.matrix(), TRI_DIMS, 0)
+        x = lifted(index_matrix(obs), TRI_DIMS, 0)
         assert abs(low_rank_commutator_norm(obs, v[:, None]) - np.linalg.norm(x @ rho - rho @ x)) < KERNEL_TOL
         assert abs(lifted_incompatibility_entropy(obs, v) - dense_incompatibility(obs, v, TRI_DIMS)) < ENTROPY_TOL
 

@@ -71,8 +71,8 @@ def test_every_entropy_of_the_run_is_the_closed_form(seed, sizes, weights, expec
     ids=["binary_1e-3_d220", "binary_0.3_d220"],
 )
 def test_the_initial_commutator_of_two_terms_is_the_closed_form(seed, sizes, weights):
-    # For A = a_0 P_0 + a_1 P_1 and psi with Born weights p, [A, psi psi†] = (a_1 - a_0)(P_1 psi psi† P_0 - h.c.),
-    # whose Frobenius norm is |a_1 - a_0| √(2 p_0 p_1); the eigenvalues here are 0 and 1.
+    # The norm reads the outcome index N = P_1: [N, psi psi†] = P_1 psi psi† P_0 - h.c., whose Frobenius norm is
+    # √(2 p_0 p_1), that of [A, psi psi†] divided by |a_1 - a_0|; the eigenvalues here are 0 and 1.
     report = run_pipeline(known_weights_scenario(seed, sizes, weights))
     assert report.error is None
     assert abs(report.initial_commutator_norm - math.sqrt(2 * weights[0] * weights[1])) < CLOSED_FORM_TOL

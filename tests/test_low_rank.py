@@ -3,7 +3,7 @@
 ``evolve`` applies the transformer stack as the dilation's D×d isometry
 |v> -> sum_k A_k|v> ⊗ e_k, and every commutator norm comes from the QR factorisation of a matrix W
 with state W W†: the D×K post-reading factor, psi as d×1, and the final vector's matrix M and Mᵀ
-for its two marginals. The observable acts on the first factor of W's rows; for the pointer of the
+for its two marginals. The outcome index N of the observable acts on the first factor of W's rows; for the pointer of the
 post-reading factor the rows are read pointer first, a permutation that keeps the norm. The
 references complete the D×D unitary and build the dense states.
 """
@@ -33,7 +33,14 @@ from qmeasure import (
 )
 from qmeasure import pipeline as pipeline_module
 from conftest import random_hermitian
-from reference import commutator_norm, completed_unitary, lifted_commutator_norm, post_reading_state, reduced_states
+from reference import (
+    commutator_norm,
+    completed_unitary,
+    index_matrix,
+    lifted_commutator_norm,
+    post_reading_state,
+    reduced_states,
+)
 
 # Set before the tests were run. The QR route and the dense route round
 # differently; both stay within a few ulps of the size of the commutator's terms.
@@ -47,14 +54,14 @@ def factor_first(w: np.ndarray, dims: tuple[int, int], factor: int) -> np.ndarra
 
 
 def dense_commutator(obs, w: np.ndarray, dims: tuple[int, int], factor: int) -> float:
-    """||[obs ⊗ 1, rho_12]||_F from the D×D post-reading state."""
+    """||[N ⊗ 1, rho_12]||_F, N the outcome index of obs, from the D×D post-reading state."""
     rho12 = post_reading_state(w.reshape(-1), (*dims, w.shape[1]))
     return lifted_commutator_norm(obs, rho12, dims, factor)
 
 
 def term_scale(obs, w: np.ndarray) -> float:
     """||X||_F ||W W†||_F, the size of the terms of [X, W W†]; ||W W†||_F = ||W†W||_F."""
-    return frob(obs.matrix()) * frob(dag(w) @ w)
+    return frob(index_matrix(obs)) * frob(dag(w) @ w)
 
 
 def seeded_reading(seed: int, d1_max: int, outcomes_max: int):
@@ -93,7 +100,7 @@ class TestLowRankCommutator:
         other = observable_from_matrix(random_hermitian(dims[0], np.random.default_rng(seed)))
         dense = dense_commutator(other, w, dims, 0)
         assert abs(low_rank_commutator_norm(other, w) - dense) <= RELATIVE_TOL * dense
-        # The pipeline's other inputs: psi as d×1 for [A, psi psi†], and the final vector's d×n matrix M
+        # The pipeline's other inputs: psi as d×1 for [N, psi psi†], and the final vector's d×n matrix M
         # for rho_1 = M M† and its transpose for rho_2 = Mᵀ (Mᵀ)†, against the dense d×d and n×n routes.
         psi = scenario.initial_state
         final = evolve(ts, psi)

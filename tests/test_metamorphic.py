@@ -9,10 +9,12 @@
   which commutes with the pointer observable.
 * An affine map A -> αA + β·1 with α > 0 moves every eigenvalue a_k to
   αa_k + β and keeps the eigenspaces and their order, so the transformers
-  and the final vector stay as they were. Only [A, ρ] scales, by α.
-  With α < 0 the eigenvalue order reverses: term k of the follow-up is
-  term K-1-k of the source, so its family is the source's reversed, its
-  Born vector the source's reversed, and [A, ρ] scales by |α|.
+  and the final vector stay as they were. With α < 0 the eigenvalue order
+  reverses: term k of the follow-up is term K-1-k of the source, so its
+  family is the source's reversed and its Born vector the source's
+  reversed. The checks read the outcome index N = sum_k k P_k, never the
+  eigenvalues, and N becomes (K-1)·1 - N, so every commutator norm stays
+  as it was, whatever α is.
 * A null block: on C^d ⊕ C^m the observable A ⊕ a·1 with a above every
   eigenvalue, the state ψ ⊕ 0 and the family A_k ⊕ 0 with one more term
   0 ⊕ 1. The new term is never detected: the Born vector gains a
@@ -20,7 +22,8 @@
 
 Each follow-up has the same Born probabilities (up to that reversal or
 trailing 0), Schmidt coefficients and marginal spectra as its source, so
-a run must reach the same verdicts. At d ≥ 200 one follow-up is read back
+a run must reach the same verdicts, with the same deviations and initial
+commutator norm up to rounding. At d ≥ 200 one follow-up is read back
 from its document. A ``diag`` preset and the ``matrix`` document of the
 same diagonal must give the same report.
 The source and follow-up runs are compared as in metamorphic testing
@@ -50,7 +53,7 @@ from qmeasure import (
     scenario_from_dict,
 )
 from qmeasure.scenario import _pairs
-from reference import transformer_stack
+from reference import observable_matrix, transformer_stack
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 COMMITTED = (
@@ -67,7 +70,7 @@ NUMERIC_TOL = 1e-12
 def rotated(scenario: Scenario, seed: int) -> Scenario:
     """The scenario in the object basis rotated by a seeded V, with its transformers as a custom family."""
     v = random_unitary(scenario.observable.dim, np.random.default_rng(seed))
-    obs = observable_from_matrix(v @ scenario.observable.matrix() @ dag(v))
+    obs = observable_from_matrix(v @ observable_matrix(scenario.observable) @ dag(v))
     transformers = tuple(v @ a @ dag(v) for a in transformer_stack(scenario.transformers))
     return dataclasses.replace(
         scenario,
@@ -95,7 +98,7 @@ def affine(scenario: Scenario, alpha: float, beta: float) -> Scenario:
 
     α < 0 reverses the term order, and the family with it.
     """
-    obs = observable_from_matrix(alpha * scenario.observable.matrix() + beta * np.eye(scenario.observable.dim))
+    obs = observable_from_matrix(alpha * observable_matrix(scenario.observable) + beta * np.eye(scenario.observable.dim))
     transformers = tuple(transformer_stack(scenario.transformers))[:: -1 if alpha < 0 else 1]
     return dataclasses.replace(scenario, transformers=StateTransformerSet.from_transformers(transformers, obs))
 
@@ -104,7 +107,7 @@ def null_block(scenario: Scenario, m: int) -> Scenario:
     """The scenario on C^d ⊕ C^m: A ⊕ (a_max + 1)·1, ψ ⊕ 0, and the family A_k ⊕ 0 with a last term 0 ⊕ 1."""
     obs, d = scenario.observable, scenario.observable.dim
     matrix = np.zeros((d + m, d + m), dtype=complex)
-    matrix[:d, :d] = obs.matrix()
+    matrix[:d, :d] = observable_matrix(obs)
     matrix[d:, d:] = (max(obs.eigenvalues) + 1.0) * np.eye(m)
     family = np.zeros((obs.n_outcomes + 1, d + m, d + m), dtype=complex)
     family[:-1, :d, :d] = transformer_stack(scenario.transformers)
@@ -119,7 +122,6 @@ def null_block(scenario: Scenario, m: int) -> Scenario:
 def assert_same_physics(
     scenario: Scenario,
     follow_up_scenario: Scenario,
-    commutator_scale: float = 1.0,
     reversed_terms: bool = False,
     null_terms: int = 0,
 ) -> tuple:
@@ -130,6 +132,8 @@ def assert_same_physics(
     assert source.error is None and follow_up.error is None
     assert [x.label for x in follow_up.verdicts] == [x.label for x in source.verdicts]
     assert [x.passed for x in follow_up.verdicts] == [x.passed for x in source.verdicts]
+    for x, y in zip(source.verdicts, follow_up.verdicts):
+        assert y.deviation == pytest.approx(x.deviation, rel=0, abs=NUMERIC_TOL), x.label
     assert follow_up.overall_pass == source.overall_pass
     assert follow_up.not_applicable == source.not_applicable
     expected = (source.probabilities[::-1] if reversed_terms else source.probabilities) + (0.0,) * null_terms
@@ -139,9 +143,7 @@ def assert_same_physics(
     )
     assert (source.initial_commutator_norm is None) == (follow_up.initial_commutator_norm is None)
     if source.initial_commutator_norm is not None:
-        assert follow_up.initial_commutator_norm == pytest.approx(
-            commutator_scale * source.initial_commutator_norm, rel=0, abs=NUMERIC_TOL
-        )
+        assert follow_up.initial_commutator_norm == pytest.approx(source.initial_commutator_norm, rel=NUMERIC_TOL)
     assert source.entropies.keys() == follow_up.entropies.keys() == {"s1", "shannon_pk"}
     for field, value in source.entropies.items():
         assert follow_up.entropies[field] == pytest.approx(value, rel=0, abs=NUMERIC_TOL), field
@@ -183,14 +185,14 @@ def test_a_phase_keeps_a_committed_scenario(relation, name):
 @pytest.mark.parametrize("seed, d1_max, outcomes_max", SEEDED)
 def test_an_affine_map_of_the_eigenvalues_keeps_a_seeded_run(alpha, beta, seed, d1_max, outcomes_max):
     scenario = generate_random_instance(seed, d1_max, outcomes_max)
-    assert_same_physics(scenario, affine(scenario, alpha, beta), commutator_scale=abs(alpha), reversed_terms=alpha < 0)
+    assert_same_physics(scenario, affine(scenario, alpha, beta), reversed_terms=alpha < 0)
 
 
 @pytest.mark.parametrize("alpha, beta", AFFINE)
 @pytest.mark.parametrize("name", COMMITTED)
 def test_an_affine_map_of_the_eigenvalues_keeps_a_committed_scenario(alpha, beta, name):
     scenario = load_scenario(str(SCENARIOS / name))
-    assert_same_physics(scenario, affine(scenario, alpha, beta), commutator_scale=abs(alpha), reversed_terms=alpha < 0)
+    assert_same_physics(scenario, affine(scenario, alpha, beta), reversed_terms=alpha < 0)
 
 
 # (seed, d1_max, outcomes_max) with d = 218 and 215.

@@ -27,7 +27,7 @@ from qmeasure import (
 )
 from qmeasure import tolerances as tol
 from conftest import random_density
-from reference import classify_outcomes, luders_update, projectors, purify, von_neumann_entropy
+from reference import classify_outcomes, luders_update, observable_matrix, projectors, purify, von_neumann_entropy
 
 
 class TestObservableFromMatrix:
@@ -50,7 +50,7 @@ class TestObservableFromMatrix:
         obs = observable_from_matrix(h)
         ranks = tuple(int(round(np.trace(p).real)) for p in projectors(obs))
         assert ranks == obs.sizes == (2, 1, 1)
-        assert np.linalg.norm(obs.matrix() - h) < 1e-9
+        assert np.linalg.norm(observable_matrix(obs) - h) < 1e-9
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
@@ -116,10 +116,10 @@ class TestStates:
         given[0, 0] = 7.0  # the caller's array stays writeable
         assert copy.basis[0, 0] == 1.0
 
-    def test_matrix_and_indicator_are_built_once_and_read_only(self, degenerate_observable):
+    def test_outcome_index_and_indicator_are_built_once_and_read_only(self, degenerate_observable):
         obs = degenerate_observable
         for build, expected in (
-            (obs.matrix, np.diag([2.0, 2.0, 5.0])),
+            (lambda: obs.outcome_index, np.diag([0.0, 0.0, 1.0])),
             (lambda: obs.indicator, np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
         ):
             first = build()
@@ -226,7 +226,7 @@ class TestLudersUpdate:
 
     def test_commutes_with_observable(self, pauli_z):
         rho = luders_update(pauli_z, uniform_superposition(2))
-        a = pauli_z.matrix()
+        a = observable_matrix(pauli_z)
         assert np.linalg.norm(a @ rho.matrix - rho.matrix @ a) < 1e-10
 
     def test_never_decreases_entropy(self):
@@ -274,7 +274,7 @@ class TestEmbedObservable:
     def test_middle_factor(self, pauli_z):
         lifted = embed_observable(pauli_z, (3, 2, 2), 1)
         assert lifted.dim == 12
-        assert np.allclose(lifted.matrix(), kron(kron(np.eye(3), pauli_z.matrix()), np.eye(2)))
+        assert np.allclose(observable_matrix(lifted), kron(kron(np.eye(3), observable_matrix(pauli_z)), np.eye(2)))
 
     def test_dimension_mismatch(self, pauli_z):
         with pytest.raises(DimensionMismatch):

@@ -92,8 +92,8 @@ class TestRunPipeline:
         assert report.probabilities == pytest.approx((0.5, 0.5), abs=1e-12)
         assert report.schmidt_coefficients == pytest.approx((np.sqrt(0.5),) * 2, abs=1e-12)
         assert report.entropies["s1"] == pytest.approx(1.0, abs=1e-12)
-        # coherence present before measurement, gone from the object after
-        assert report.initial_commutator_norm == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        # coherence present before measurement, gone from the object after: [N, |+><+|] for N = |0><0|
+        assert report.initial_commutator_norm == pytest.approx(np.sqrt(0.5), abs=1e-12)
         assert report.not_applicable == ()
         assert tuple(v.label for v in report.verdicts) == ALWAYS + REPEATABLE_ONLY
 
@@ -133,7 +133,7 @@ class TestRunPipeline:
         report = run_pipeline(parse_scenario(IDEAL_Z_UNIFORM))
         assert tuple(v.label for v in report.verdicts) == ALWAYS[:3]
         assert report.probabilities == pytest.approx((0.5, 0.5), abs=1e-12)
-        assert report.initial_commutator_norm == pytest.approx(np.sqrt(2.0), abs=1e-12)
+        assert report.initial_commutator_norm == pytest.approx(np.sqrt(0.5), abs=1e-12)
         assert report.schmidt_coefficients is None and report.entropies is None
         assert report.error == "schmidt: NoDefiniteValue: synthetic"
         assert not report.overall_pass
@@ -244,10 +244,10 @@ class TestReportSerialization:
         assert doc["overall_pass"] is True
         assert doc["scenario"]["observable"] == {"preset": "pauli_z"}
 
-    def test_the_document_carries_schema_2_and_the_entropy_block_s1_and_h_of_p(self):
+    def test_the_document_carries_schema_3_and_the_entropy_block_s1_and_h_of_p(self):
         report = run_pipeline(parse_scenario(IDEAL_Z_UNIFORM))
         doc = json.loads(report_to_json(report))
-        assert doc.pop("schema") == 2
+        assert doc.pop("schema") == 3
         assert doc == json.loads(json.dumps(report_to_dict(report)))
         assert doc["entropies"] == report.entropies == {"s1": 1.0, "shannon_pk": 1.0}
         assert "entropies (bits): S1=1.0000000000 H(p)=1.0000000000\n" in report_to_text(report)
@@ -377,6 +377,24 @@ class TestReBasedFormControls:
             run.__dict__["definite"] = definite._replace(schmidt_form=tilted)
             lhs, rhs, deviation, _ = self.CHECK["twin_diagonality"].fn(run)
             assert min(rhs, deviation) >= 1e3 * tol.RECONSTRUCTION and lhs < tol.RECONSTRUCTION, seed
+
+    def test_twin_diagonality_sees_a_scaled_outcome_0_right_vector(self):
+        # Both twins weigh term t by k_t + 1: a weight of k_t, the pointer's eigenvalue, would drop the outcome-0
+        # term from the residual, and a norm error of 1e-6 there would pass unseen.
+        scaled_seeds = []
+        for seed, run in _multi_term_runs():
+            definite = run.definite
+            if 0 not in definite.outcomes:
+                continue
+            canonical = definite.schmidt_form
+            rights = canonical.rights.copy()
+            rights[:, definite.outcomes == 0] *= 1 + 1e-6
+            scaled = SchmidtForm(canonical.coefficients, canonical.lefts, rights)
+            run.__dict__["definite"] = definite._replace(schmidt_form=scaled)
+            lhs, rhs, deviation, tolerance = self.CHECK["twin_diagonality"].fn(run)
+            assert rhs == deviation >= 1e3 * tolerance and lhs < tolerance, seed
+            scaled_seeds.append(seed)
+        assert len(scaled_seeds) >= 10
 
     def test_definite_values_fails_on_right_vectors_rotated_inside_the_fail_band(self):
         # Residuals between RECONSTRUCTION and DEFINITE_VALUE are the only FAIL band.

@@ -19,7 +19,7 @@ from qmeasure import (
     verify_definite_values,
 )
 from conftest import bell_vector, random_hermitian
-from reference import classify_outcomes, reduced_states
+from reference import classify_outcomes, observable_matrix, reduced_states
 
 
 def random_bipartite(d1, d2, rng):
@@ -191,7 +191,7 @@ class TestDefiniteValues:
         )
         assert abs(abs(np.vdot(final, rebuilt)) - 1.0) < 1e-12
         a = np.array(x_obs.eigenvalues)[report.outcomes]
-        assert np.allclose(twin_matrix(aligned.lefts, a), x_obs.matrix(), atol=1e-9)
+        assert np.allclose(twin_matrix(aligned.lefts, a), observable_matrix(x_obs), atol=1e-9)
 
 
 class TestTwinObservables:
@@ -201,7 +201,7 @@ class TestTwinObservables:
         sf = schmidt_decompose(final, (2, 2))
         report = verify_definite_values(sf, pauli_z, ts.pointer_observable)
         a = np.array(pauli_z.eigenvalues)[report.outcomes]
-        assert np.allclose(twin_matrix(report.schmidt_form.lefts, a), pauli_z.matrix(), atol=1e-12)
+        assert np.allclose(twin_matrix(report.schmidt_form.lefts, a), observable_matrix(pauli_z), atol=1e-12)
 
     def test_degenerate_observable_gets_rank_one_terms(self, degenerate_observable):
         ts = make_ideal_transformers(degenerate_observable)
