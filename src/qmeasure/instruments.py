@@ -62,6 +62,11 @@ class StateTransformerSet:
         for k, (a, cols) in enumerate(zip(transformers, obs.columns)):
             if np.shape(a) != (obs.dim, obs.dim):
                 raise DimensionMismatch(f"transformer {k} has shape {np.shape(a)}, expected {(obs.dim, obs.dim)}")
+            # An entry of A_k is at most |A_k|_2, within TRANSFORMER of |B_k|_2 = 1 on a family the checks
+            # below accept: an entry past 2 never passes them, and is rejected before a product overflows.
+            largest = float(np.abs(a).max())
+            if not largest <= 2.0:
+                raise InvalidTransformers(f"A_{k} has an entry of modulus {largest:.3g}, beyond 2")
             image = a @ obs.basis
             b[:, cols] = image[:, cols]
             if frob(image * (obs.indicator[:, k] == 0)) > tol.TRANSFORMER:
@@ -110,7 +115,7 @@ def repeatability_violation(ts: StateTransformerSet) -> float:
 @lru_cache(maxsize=32)
 def _pointer(n: int) -> Observable:
     """Observable sum_k k |e_k><e_k| of an n-dim pointer, shared as it is immutable; its basis is the identity."""
-    return Observable(tuple(float(k) for k in range(n)), np.eye(n), (1,) * n)
+    return Observable(np.eye(n), (1,) * n)
 
 
 def evolve(ts: StateTransformerSet, psi: PureState) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Discrete observables in spectral form, pure states and density operators.
 
-An observable is stored as its eigenbasis: a unitary V whose columns come
-in one group V_k per distinct eigenvalue a_k, so that P_k = V_k V_k† is read
-as V_k (V_k† x) and never formed. It is validated by V†V = 1, which for a
-square V also makes sum_k P_k = 1, and by the eigenvalue-gap rule.
-Constructors produced by this module order terms by ascending eigenvalue.
-The checks read the outcome index N = sum_k k P_k, never the eigenvalues.
+An observable is stored as its spectral projectors: a unitary V whose
+columns come in one group V_k per spectral term, so that P_k = V_k V_k† is
+read as V_k (V_k† x) and never formed. It is validated by V†V = 1, which for
+a square V also makes sum_k P_k = 1. ``observable_from_matrix`` is the one
+place that groups a spectrum into terms, in ascending eigenvalue order;
+nothing keeps the eigenvalues, and the checks read the outcome index
+N = sum_k k P_k.
 """
 
 from __future__ import annotations
@@ -18,30 +19,28 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import tolerances as tol
-from .errors import DimensionMismatch, NotDensityOperator, ValidationError
+from .errors import DimensionMismatch, NotDensityOperator, NotHermitian, ValidationError
 from .linalg import (
     check_orthonormal_columns,
     check_unit_norm,
     dag,
     frozen_array,
-    hermitian_eig,
     hermitize,
     is_hermitian,
     kron,
     read_only,
+    scaled,
 )
 
 
 @dataclass(frozen=True)
 class Observable:
-    """Observable sum_k a_k V_k V_k†: the first ``sizes[0]`` columns of ``basis`` span eigenspace 0, and so on."""
+    """Spectral projectors P_k = V_k V_k†: the first ``sizes[0]`` columns of ``basis`` span eigenspace 0, and so on."""
 
-    eigenvalues: tuple[float, ...]
     basis: np.ndarray
     sizes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "eigenvalues", tuple(float(a) for a in self.eigenvalues))
         object.__setattr__(self, "sizes", tuple(int(r) for r in self.sizes))
         object.__setattr__(self, "basis", frozen_array(self.basis))
         validate_observable(self)
@@ -52,7 +51,7 @@ class Observable:
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.eigenvalues)
+        return len(self.sizes)
 
     @cached_property
     def columns(self) -> tuple[slice, ...]:
@@ -82,19 +81,13 @@ class Observable:
 
 
 def validate_observable(obs: Observable) -> None:
-    """Check the eigenbasis and eigenvalue invariants, raising ValidationError or NotOrthonormal."""
-    if not obs.eigenvalues:
+    """Check the eigenbasis invariants, raising ValidationError or NotOrthonormal."""
+    if not obs.sizes:
         raise ValidationError("observable has no spectral terms")
     if obs.basis.ndim != 2 or obs.basis.shape[0] != obs.basis.shape[1]:
         raise DimensionMismatch(f"eigenbasis of shape {obs.basis.shape} is not square")
-    if len(obs.sizes) != obs.n_outcomes or min(obs.sizes) < 1 or sum(obs.sizes) != obs.dim:
+    if min(obs.sizes) < 1 or sum(obs.sizes) != obs.dim:
         raise ValidationError(f"term sizes {obs.sizes} do not split {obs.dim} columns into {obs.n_outcomes} terms")
-    if not all(map(math.isfinite, obs.eigenvalues)):
-        raise ValidationError(f"eigenvalues {obs.eigenvalues} are not all finite")
-    values = sorted(obs.eigenvalues)
-    for lo, hi in zip(values, values[1:]):
-        if hi - lo <= tol.DEGENERACY_GAP:
-            raise ValidationError(f"eigenvalues {lo} and {hi} are not separated beyond {tol.DEGENERACY_GAP}")
     check_orthonormal_columns(obs.basis)  # a square V with V†V = 1 also has V V† = sum_k P_k = 1
 
 
@@ -131,36 +124,34 @@ class DensityOperator:
         if abs(trace - 1.0) > tol.HERMITICITY:
             raise NotDensityOperator(f"trace {trace} is not 1 within {tol.HERMITICITY}")
         m = hermitize(m)  # a new array that nothing else holds
-        spectrum = np.linalg.eigvalsh(m)
-        if spectrum[0] < tol.ENTROPY_NEG_FLOOR:
-            raise NotDensityOperator(f"smallest eigenvalue {float(spectrum[0])} is below {tol.ENTROPY_NEG_FLOOR}")
+        smallest = float(np.linalg.eigvalsh(m)[0])
+        if smallest < tol.ENTROPY_NEG_FLOOR:
+            raise NotDensityOperator(f"smallest eigenvalue {smallest} is below {tol.ENTROPY_NEG_FLOOR}")
         object.__setattr__(self, "matrix", read_only(m))
-        object.__setattr__(self, "_spectrum", read_only(spectrum))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues, as found by the positivity check."""
-        return self._spectrum
-
 
 def observable_from_matrix(h: np.ndarray) -> Observable:
-    """Spectral form of a Hermitian matrix.
+    """Spectral projectors of a Hermitian matrix, grouped by the degeneracy gap.
 
-    Eigenvalues closer than the degeneracy gap are merged into one
-    (degenerate) spectral term whose eigenvalue is the cluster mean and
-    whose eigenspace is spanned by the clustered eigenvectors. Terms come
-    out in ascending eigenvalue order, and the eigenvectors of eigh are the
-    basis as they are.
+    Eigenvalues no further apart than the gap share one (degenerate) term,
+    spanned by their eigenvectors. Terms come out in ascending eigenvalue
+    order, and the eigenvectors of eigh are the basis as they are. The
+    spectrum is that of ``scaled(h)``, with the gap divided by its scale, so
+    nothing overflows; below a scale of 1e150 that is ``h`` itself. Raises
+    NotHermitian unless ``h`` as given is within HERMITICITY of its adjoint.
     """
     h = np.asarray(h, dtype=complex)
-    w, v = hermitian_eig(h)  # raises NotHermitian
+    if not is_hermitian(h):
+        raise NotHermitian(f"matrix deviates from its adjoint by more than {tol.HERMITICITY}")
+    unit, scale = scaled(h)
+    w, v = np.linalg.eigh(hermitize(unit))
     # a term starts at 0 and wherever an eigenvalue lies more than the gap above the one before it
-    bounds = [0, *((w[1:] - w[:-1] > tol.DEGENERACY_GAP).nonzero()[0] + 1).tolist(), w.size]
-    starts, sizes = bounds[:-1], np.diff(bounds)
-    return Observable(tuple((np.add.reduceat(w, starts) / sizes).tolist()), read_only(v), tuple(sizes.tolist()))
+    bounds = [0, *((w[1:] - w[:-1] > tol.DEGENERACY_GAP / scale).nonzero()[0] + 1).tolist(), w.size]
+    return Observable(read_only(v), tuple(np.diff(bounds).tolist()))
 
 
 def embed_observable(obs: Observable, structure: Sequence[int], factor: int) -> Observable:
@@ -171,11 +162,7 @@ def embed_observable(obs: Observable, structure: Sequence[int], factor: int) -> 
     left, right = math.prod(dims[:factor]), math.prod(dims[factor + 1 :])
     lifted = kron(kron(np.eye(left), obs.basis), np.eye(right))
     terms = np.tile(np.repeat(obs.terms, right), left)  # term of each column
-    return Observable(
-        obs.eigenvalues,
-        lifted[:, np.argsort(terms, kind="stable")],
-        tuple(r * left * right for r in obs.sizes),
-    )
+    return Observable(lifted[:, np.argsort(terms, kind="stable")], tuple(r * left * right for r in obs.sizes))
 
 
 def probabilities(obs: Observable, state: PureState) -> np.ndarray:

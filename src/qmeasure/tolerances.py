@@ -9,7 +9,7 @@ ORTHONORMALITY = 1e-9    # pairwise <v_i|v_j> deviation from delta_ij
 RECONSTRUCTION = 1e-9    # spectral / Schmidt reconstruction residuals
 NORMALIZATION = 1e-10    # | ||v|| - 1 | for state vectors
 
-DEGENERACY_GAP = 1e-8    # eigenvalue gap below which a cluster is one eigenvalue
+DEGENERACY_GAP = 1e-8    # eigenvalue gap at or below which neighbours share one spectral term
 DETECTABILITY = 1e-12    # probability below which an outcome counts as null
 REPEATABILITY = 1e-9     # max |A_k - P_k A_k|_F for a repeatable family
 TRANSFORMER = 1e-9       # completeness and PVM checks on transformer families

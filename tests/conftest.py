@@ -55,17 +55,17 @@ def three_level_document(seed: int, small: tuple[float, float]) -> dict:
 def small_weight_scenario(seed: int) -> Scenario:
     """A repeatable measurement at d = 3..12 whose Born weights are drawn log-uniformly over 1e-9 .. 1, then normalised.
 
-    The eigenbasis is Haar, the term sizes are random, and the eigenvalue gaps are drawn over 0.1 .. 1.
+    The eigenbasis is Haar and the term sizes are random.
     """
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(3, 13))
     n_outcomes = int(rng.integers(2, dim + 1))
     sizes = np.ones(n_outcomes, dtype=int)
     np.add.at(sizes, rng.integers(0, n_outcomes, dim - n_outcomes), 1)
-    eigenvalues = np.cumsum(10 ** rng.uniform(-1.0, 0.0, n_outcomes))
+    rng.uniform(-1.0, 0.0, n_outcomes)  # read by no case: it keeps each seed's weights, basis and state unchanged
     weights = 10 ** rng.uniform(-9.0, 0.0, n_outcomes)
     weights /= weights.sum()
-    obs = Observable(tuple(eigenvalues.tolist()), random_unitary(dim, rng), tuple(sizes.tolist()))
+    obs = Observable(random_unitary(dim, rng), tuple(sizes.tolist()))
     coordinates = np.concatenate([np.sqrt(p) * random_state_vector(int(r), rng) for p, r in zip(weights, sizes)])
     return Scenario(PureState(obs.basis @ coordinates), make_repeatable_transformers(obs, seed))
 

@@ -17,7 +17,7 @@ the unmutated copy does not pass.
 The table holds the numbered mutants M1–M11 of the roadmap, one mutant
 per term of every ``max`` that makes a verdict's deviation in pipeline.py,
 three on the repeat-certainty product (C1–C3), one per guard that must
-reject a NaN (N1–N4), each written back to the comparison that a NaN
+reject a NaN (N1, N2, N4), each written back to the comparison that a NaN
 passes, two on the branch-weight entropy kernel (L1, L2), two
 common-mode faults that move both sides of every entropy verdict alike
 (H1, H2), which only closed-form values can see, and one on the family
@@ -29,10 +29,17 @@ non-finite computed value (J1), without which a report either holds a
 bare NaN or Infinity or cannot be written, and two on the object rule of
 documents, which must reject a field that no form of its block reads
 (O1) and a field that only another form of its block reads (F1), and
-three that bring A's eigenvalues back where the checks read the outcome
+one that brings A's eigenvalues back where the checks read the outcome
 index N = sum_k k P_k: twin weights of k, under which the outcome-0 term
-drops out of the twin residual (W1), N built from the eigenvalues (I1),
-and the initial commutator norm taken of [A, rho] (I2). The
+drops out of the twin residual (W1), and three on the scale of parse and
+of a custom family: the degeneracy gap compared without dividing it by
+the matrix's scale (G1), the spectrum taken of the matrix as given, not
+of the matrix divided by its largest modulus (E1), and a family whose
+entries pass 2 let into its products (T1). I1 (N built from the
+eigenvalues) and I2 (the initial commutator norm taken of [A, rho]) are
+retired: an observable holds no eigenvalues, so each would raise an
+AttributeError, not make a fault. N3 (validate_observable letting
+non-finite eigenvalues through) is retired with the rule it mutated. The
 ``max`` that sets the text report's column width is layout, not a
 verdict, and has no mutant. P2, generation's family drawn from its own
 seed, left with generation's own family call: there is one construction
@@ -127,17 +134,19 @@ MUTANTS = (
         "twin_diagonality weighs each twin by its outcome k, so the outcome-0 term drops out",
     ),
     Mutant(
-        "I1", "observables.py",
-        "hermitize((self.basis * self.terms) @ self.adjoint)",
-        "hermitize((self.basis * np.repeat(self.eigenvalues, self.sizes)) @ self.adjoint)",
-        "the outcome index N built from the eigenvalues, so every commutator reads A",
+        "G1", "observables.py",
+        "tol.DEGENERACY_GAP / scale", "tol.DEGENERACY_GAP",
+        "observable_from_matrix compares the gap of A / s with the unscaled degeneracy gap",
     ),
     Mutant(
-        "I2", "pipeline.py",
-        "lambda run: low_rank_commutator_norm(run.obs, run.psi.vector[:, None])",
-        "lambda run: float(np.linalg.norm((a := (run.obs.basis * np.repeat(run.obs.eigenvalues, run.obs.sizes))"
-        " @ run.obs.adjoint) @ (r := np.outer(run.psi.vector, np.conj(run.psi.vector))) - r @ a))",
-        "the initial commutator norm taken of [A, rho], not [N, rho]",
+        "E1", "observables.py",
+        "np.linalg.eigh(hermitize(unit))", "np.linalg.eigh(hermitize(h))",
+        "observable_from_matrix takes the spectrum of the matrix as given, where A + A† overflows",
+    ),
+    Mutant(
+        "T1", "instruments.py",
+        "if not largest <= 2.0:", "if False:",
+        "from_transformers lets an entry past 2 into its products, where they overflow",
     ),
     Mutant(
         "M8", "pipeline.py",
@@ -275,11 +284,6 @@ MUTANTS = (
         "N2", "information.py",
         "if not abs(total - 1.0) <= tol.DISTRIBUTION_SUM:", "if abs(total - 1.0) > tol.DISTRIBUTION_SUM:",
         "shannon_entropy lets a NaN entry through",
-    ),
-    Mutant(
-        "N3", "observables.py",
-        "if not all(map(math.isfinite, obs.eigenvalues)):", "if False:",
-        "validate_observable lets non-finite eigenvalues through",
     ),
     Mutant(
         "N4", "information.py",

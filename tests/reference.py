@@ -3,10 +3,12 @@
 The pipeline never runs these. ``projectors`` and ``transformer_stack`` give
 the dense (K, d, d) forms of an observable's spectral family and of a
 transformer family, which the library stores only as an eigenbasis and its
-blocks. ``observable_matrix`` builds A = V diag(a) V†, which the library
-never forms, and ``index_matrix`` the outcome index N = sum_k k P_k from
-the dense projectors, the second route to ``Observable.outcome_index``:
-the commutator references ``commutator_norm`` and
+blocks. ``observable_matrix`` reads A from a scenario document, as
+``bench/gate.py`` does, since the library keeps only its spectral
+projectors. ``spectral_sum`` weighs the dense projectors by given
+eigenvalues, and ``index_matrix``, with the values 0..K-1, gives the
+outcome index N = sum_k k P_k, the second route to
+``Observable.outcome_index``: the commutator references ``commutator_norm`` and
 ``lifted_commutator_norm`` take N, as the library's checks do. ``apply_on_factor`` applies an operator to any one tensor factor,
 where the library's kernels act on the first factor only; the tests use it
 to corrupt one factor of an artefact and to build dense references. The
@@ -14,8 +16,8 @@ dense references (``luders_update``, ``reduced_states``,
 ``commutator_norm``, ``post_reading_state``, ``lifted_commutator_norm``,
 ``purify``, ``completed_unitary``) form the d×d and D×D operators that the
 library's kernels avoid, so a kernel test still compares two routes;
-``von_neumann_entropy`` reads the eigenvalues that a dense state's
-``DensityOperator`` check finds, where a run takes singular values.
+``von_neumann_entropy`` takes the eigenvalues of a dense state that passes
+the ``DensityOperator`` check, where a run takes singular values.
 ``pure_marginal`` forms a marginal of a pure vector, on any kept factors,
 as M M† of the reshaped vector, where a run forms only the pointer's.
 ``partial_inner`` is the one-vector form of the product
@@ -69,6 +71,7 @@ from qmeasure import (
 from qmeasure import tolerances as tol
 from qmeasure.instruments import conditional_state_gap, probability_gap
 from qmeasure.linalg import _check_structure, _kept_factors, check_unit_norm
+from qmeasure.scenario import _PAULI
 
 
 def projectors(obs: Observable) -> np.ndarray:
@@ -76,14 +79,24 @@ def projectors(obs: Observable) -> np.ndarray:
     return np.array([obs.basis[:, cols] @ dag(obs.basis[:, cols]) for cols in obs.columns])
 
 
-def observable_matrix(obs: Observable) -> np.ndarray:
-    """The Hermitian matrix A = V diag(a) V† of the observable, which the library never forms."""
-    return (obs.basis * np.repeat(obs.eigenvalues, obs.sizes)) @ dag(obs.basis)
+def observable_matrix(doc: dict) -> np.ndarray:
+    """The Hermitian matrix A that a scenario document gives its observable: a ``matrix``, or a preset's."""
+    spec = doc["observable"]
+    if "matrix" in spec:
+        return np.array([[complex(*x) if isinstance(x, list) else complex(x) for x in row] for row in spec["matrix"]])
+    if spec["preset"] == "diag":
+        return np.diag(np.array(spec["values"], dtype=complex))
+    return _PAULI[spec["preset"]].copy()
+
+
+def spectral_sum(obs: Observable, values: Sequence[float]) -> np.ndarray:
+    """sum_k values[k] P_k over the dense projectors: the matrix with eigenvalue values[k] on term k."""
+    return np.tensordot(np.asarray(values, dtype=float), projectors(obs), axes=1)
 
 
 def index_matrix(obs: Observable) -> np.ndarray:
     """The outcome index N = sum_k k P_k, summed over the dense projectors, where the library scales V's columns."""
-    return np.tensordot(np.arange(obs.n_outcomes), projectors(obs), axes=1)
+    return spectral_sum(obs, range(obs.n_outcomes))
 
 
 def transformer_stack(ts: StateTransformerSet) -> np.ndarray:
@@ -122,7 +135,7 @@ def von_neumann_entropy(rho: DensityOperator | np.ndarray) -> float:
     """Entropy of the eigenvalue spectrum of a checked density operator, negatives clamped to zero."""
     if not isinstance(rho, DensityOperator):
         rho = DensityOperator(np.asarray(rho, dtype=complex))  # raises NotDensityOperator
-    return shannon_entropy(np.maximum(rho.eigenvalues(), 0.0))
+    return shannon_entropy(np.maximum(np.linalg.eigvalsh(rho.matrix), 0.0))
 
 
 def luders_update(obs: Observable, state: PureState | DensityOperator) -> DensityOperator:

@@ -320,12 +320,43 @@ class TestRunCommand:
         assert captured.err == "" and [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize(
+        "observable, state",
+        [
+            ({"matrix": [[1e308, 1e308], [1e308, 1e308]]}, {"preset": "basis", "index": 0}),
+            ({"preset": "diag", "values": [0, 1.5e308]}, {"preset": "uniform"}),
+        ],
+        ids=["matrix", "diag"],
+    )
+    def test_entries_near_the_float_limit_pass_every_verdict_with_no_warning(self, observable, state, tmp_path, capsys):
+        # The spectrum is taken of the matrix divided by its largest modulus: A + A† overflowed to inf.
+        path = tmp_path / "huge.json"
+        doc = {"object_dim": 2, "observable": observable, "initial_state": state, "instrument": {"kind": "ideal"}}
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("run", path, "--format", "json") == 0
+        captured = capsys.readouterr()
+        report = strict_json(captured.out)
+        assert report["overall_pass"] is True and all(v["passed"] for v in report["verdicts"])
+        assert report["probabilities"] == pytest.approx([0.5, 0.5], abs=1e-12)
+        assert report["initial_commutator_norm"] == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert captured.err == "" and [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize(
         "block, message",
         [
             ({"observable": {"matrix": [[0, 1e160], [0, 0]]}}, "observable.matrix violates hermiticity"),
             ({"initial_state": {"amplitudes": [1e160, 1e160]}}, "initial_state norm 1.414213562373095e+160 is not 1"),
+            (
+                {"instrument": {"kind": "custom", "transformers": [[[0, 0], [0, 1e200]], [[1, 0], [0, 0]]]}},
+                "instrument.transformers: A_0 has an entry of modulus 1e+200, beyond 2",
+            ),
+            (
+                {"instrument": {"kind": "custom", "transformers": [[[1e200, 0], [0, 0]], [[1, 0], [0, 0]]]}},
+                "instrument.transformers: A_0 has an entry of modulus 1e+200, beyond 2",
+            ),
         ],
-        ids=["matrix", "amplitudes"],
+        ids=["matrix", "amplitudes", "transformer_on_its_eigenspace", "transformer_off_its_eigenspace"],
     )
     def test_huge_entries_exit_two_with_one_line_and_no_warning(self, block, message, tmp_path, capsys):
         # Their norms are taken on the entries divided by the largest modulus: squared, 1e160 overflows.
@@ -423,7 +454,9 @@ class TestBatchCommand:
 
 # Replacements for one node of a document: JSON's other types, the non-finite and out-of-range numbers
 # (1e400 reads as inf), a string, and empty and nested arrays and objects.
-FUZZ_VALUES = (True, False, None, math.nan, math.inf, 10**400, "pauli_z", [], {}, [[0, 1], []], {"a": {"b": []}})
+FUZZ_VALUES = (
+    True, False, None, math.nan, math.inf, 10**400, 1e300, -1e300, "pauli_z", [], {}, [[0, 1], []], {"a": {"b": []}}
+)
 CUSTOM_DOCUMENT = {
     "object_dim": 2,
     "observable": {"matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]},

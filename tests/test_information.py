@@ -34,7 +34,6 @@ from conftest import bell_vector, random_density, random_hermitian
 from reference import (
     commutator_norm,
     entanglement_of_pure_state,
-    observable_matrix,
     post_reading_state,
     reduced_states,
     verify_entanglement_as_incompatibility,
@@ -165,8 +164,9 @@ class TestIncompatibilityEntropy:
     def test_nonnegative_and_zero_iff_compatible(self):
         rng = np.random.default_rng(75)
         for _ in range(10):
-            obs = observable_from_matrix(random_hermitian(3, rng))
-            eigenvector = PureState(np.linalg.eigh(observable_matrix(obs))[1][:, int(rng.integers(3))])
+            h = random_hermitian(3, rng)
+            obs = observable_from_matrix(h)
+            eigenvector = PureState(np.linalg.eigh(h)[1][:, int(rng.integers(3))])
             for psi in (PureState(random_state_vector(3, rng)), eigenvector):
                 gain = lifted_incompatibility_entropy(obs, psi.vector)
                 assert gain >= -1e-9

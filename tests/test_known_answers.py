@@ -37,7 +37,7 @@ def known_weights_scenario(seed: int, sizes: tuple[int, ...], weights: tuple[flo
     """Observable with a Haar eigenbasis and eigenspaces of the given sizes, and a state with Born vector ``weights``."""
     rng = np.random.default_rng(seed)
     dim = sum(sizes)
-    obs = Observable(tuple(float(k) for k in range(len(sizes))), random_unitary(dim, rng), sizes)
+    obs = Observable(random_unitary(dim, rng), sizes)
     coordinates = np.concatenate([np.sqrt(p) * random_state_vector(r, rng) for p, r in zip(weights, sizes)])
     return Scenario(PureState(obs.basis @ coordinates), make_repeatable_transformers(obs, seed))
 

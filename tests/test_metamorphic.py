@@ -70,7 +70,7 @@ NUMERIC_TOL = 1e-12
 def rotated(scenario: Scenario, seed: int) -> Scenario:
     """The scenario in the object basis rotated by a seeded V, with its transformers as a custom family."""
     v = random_unitary(scenario.observable.dim, np.random.default_rng(seed))
-    obs = observable_from_matrix(v @ observable_matrix(scenario.observable) @ dag(v))
+    obs = observable_from_matrix(v @ observable_matrix(scenario.source) @ dag(v))
     transformers = tuple(v @ a @ dag(v) for a in transformer_stack(scenario.transformers))
     return dataclasses.replace(
         scenario,
@@ -98,17 +98,17 @@ def affine(scenario: Scenario, alpha: float, beta: float) -> Scenario:
 
     α < 0 reverses the term order, and the family with it.
     """
-    obs = observable_from_matrix(alpha * observable_matrix(scenario.observable) + beta * np.eye(scenario.observable.dim))
+    obs = observable_from_matrix(alpha * observable_matrix(scenario.source) + beta * np.eye(scenario.observable.dim))
     transformers = tuple(transformer_stack(scenario.transformers))[:: -1 if alpha < 0 else 1]
     return dataclasses.replace(scenario, transformers=StateTransformerSet.from_transformers(transformers, obs))
 
 
 def null_block(scenario: Scenario, m: int) -> Scenario:
     """The scenario on C^d ⊕ C^m: A ⊕ (a_max + 1)·1, ψ ⊕ 0, and the family A_k ⊕ 0 with a last term 0 ⊕ 1."""
-    obs, d = scenario.observable, scenario.observable.dim
+    obs, d, a = scenario.observable, scenario.observable.dim, observable_matrix(scenario.source)
     matrix = np.zeros((d + m, d + m), dtype=complex)
-    matrix[:d, :d] = observable_matrix(obs)
-    matrix[d:, d:] = (max(obs.eigenvalues) + 1.0) * np.eye(m)
+    matrix[:d, :d] = a
+    matrix[d:, d:] = (np.linalg.eigvalsh(a)[-1] + 1.0) * np.eye(m)
     family = np.zeros((obs.n_outcomes + 1, d + m, d + m), dtype=complex)
     family[:-1, :d, :d] = transformer_stack(scenario.transformers)
     family[-1, d:, d:] = np.eye(m)

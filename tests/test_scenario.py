@@ -19,7 +19,7 @@ from qmeasure import (
     validate_observable,
 )
 from qmeasure import tolerances as tol
-from reference import classify_outcomes, observable_matrix
+from reference import classify_outcomes, index_matrix, spectral_sum
 
 MINIMAL = {
     "object_dim": 2,
@@ -38,20 +38,28 @@ class TestParseScenario:
     def test_minimal_scenario(self):
         sc = parse_scenario(scenario_text())
         assert sc.observable.dim == 2
-        assert sc.observable.eigenvalues == (-1.0, 1.0)
+        assert np.array_equal(spectral_sum(sc.observable, (-1.0, 1.0)), np.diag([1.0, -1.0]))
         assert np.allclose(sc.initial_state.vector, [1.0, 0.0])
         assert sc.transformers.observable is sc.observable
         assert np.array_equal(sc.transformers.blocks, sc.observable.basis)  # the ideal family: B = V
 
     def test_explicit_matrix_and_presets(self):
         sc = parse_scenario(scenario_text(observable={"matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}))
-        assert sc.observable.eigenvalues == (-1.0, 1.0)
+        assert np.array_equal(spectral_sum(sc.observable, (-1.0, 1.0)), np.diag([1.0, -1.0]))
         sc = parse_scenario(scenario_text(object_dim=3,
                                           observable={"preset": "diag", "values": [2, 2, 5]},
                                           initial_state={"preset": "uniform"}))
-        assert sc.observable.eigenvalues == (2.0, 5.0)
+        assert np.allclose(spectral_sum(sc.observable, (2.0, 5.0)), np.diag([2.0, 2.0, 5.0]), rtol=0, atol=1e-15)
         sc = parse_scenario(scenario_text(initial_state={"preset": "basis", "index": 1}))
         assert np.allclose(sc.initial_state.vector, [0.0, 1.0])
+
+    @pytest.mark.parametrize("values, sizes", [([0, 1e191, 1e200], (1, 1, 1)), ([0, 1e-8, 2e-8], (3,))])
+    def test_the_gap_is_judged_on_the_scale_of_the_matrix(self, values, sizes):
+        # Past a largest modulus of 1e150 the spectrum is that of A / 1e200, whose first two eigenvalues lie 1e-9
+        # apart, and the gap is divided by 1e200 too. Below it, eigenvalues one gap apart share a term, in a chain.
+        observable = {"preset": "diag", "values": values}
+        text = scenario_text(object_dim=3, observable=observable, initial_state={"preset": "uniform"})
+        assert parse_scenario(text).observable.sizes == sizes
 
     def test_non_hermitian_matrix_names_the_invariant(self):
         text = scenario_text(observable={"matrix": [[[1, 0], [1, 0]], [[0, 0], [-1, 0]]]})
@@ -300,7 +308,7 @@ class TestGenerateRandomInstance:
         sc = generate_random_instance(42, 5, 3)
         parsed = parse_scenario(json.dumps(sc.to_dict()))
         assert parsed.observable.dim == sc.observable.dim
-        assert np.allclose(observable_matrix(parsed.observable), observable_matrix(sc.observable), atol=1e-12)
+        assert np.allclose(index_matrix(parsed.observable), index_matrix(sc.observable), atol=1e-12)
         assert np.allclose(parsed.initial_state.vector, sc.initial_state.vector, atol=1e-12)
 
     # Generation reads the document it writes with parse's reader; a family or state of its own would pass

@@ -19,7 +19,7 @@ from qmeasure import (
     verify_definite_values,
 )
 from conftest import bell_vector, random_hermitian
-from reference import classify_outcomes, observable_matrix, reduced_states
+from reference import classify_outcomes, index_matrix, reduced_states
 
 
 def random_bipartite(d1, d2, rng):
@@ -145,7 +145,8 @@ class TestDefiniteValues:
         report = verify_definite_values(sf, pauli_z, ts.pointer_observable)
         assert report.max_left_violation < 1e-12
         assert report.max_right_violation < 1e-12
-        pairs = {(pauli_z.eigenvalues[k], ts.pointer_observable.eigenvalues[k]) for k in report.outcomes}
+        pointer_values = np.diag(index_matrix(ts.pointer_observable)).real
+        pairs = {((-1.0, 1.0)[k], pointer_values[k]) for k in report.outcomes}  # Z's eigenvalues, ascending
         assert pairs == {(1.0, 1.0), (-1.0, 0.0)}
 
     def test_random_repeatable_pipeline(self):
@@ -175,7 +176,8 @@ class TestDefiniteValues:
         # measuring X on a basis state gives marginal I/2, whose numerically
         # chosen eigenbasis is oblique to the X eigenvectors; the matching
         # must rotate the degenerate pair instead of rejecting it
-        x_obs = observable_from_matrix(np.array([[0, 1], [1, 0]], dtype=complex))
+        x = np.array([[0, 1], [1, 0]], dtype=complex)
+        x_obs = observable_from_matrix(x)
         ts = make_ideal_transformers(x_obs)
         final = evolve(ts, PureState(basis_vector(2, 0)))
         sf = schmidt_decompose(final, (2, 2))
@@ -190,8 +192,8 @@ class TestDefiniteValues:
             for c, l, r in zip(aligned.coefficients, aligned.lefts.T, aligned.rights.T)
         )
         assert abs(abs(np.vdot(final, rebuilt)) - 1.0) < 1e-12
-        a = np.array(x_obs.eigenvalues)[report.outcomes]
-        assert np.allclose(twin_matrix(aligned.lefts, a), observable_matrix(x_obs), atol=1e-9)
+        a = np.array([-1.0, 1.0])[report.outcomes]
+        assert np.allclose(twin_matrix(aligned.lefts, a), x, atol=1e-9)
 
 
 class TestTwinObservables:
@@ -200,8 +202,8 @@ class TestTwinObservables:
         final = evolve(ts, plus_state)
         sf = schmidt_decompose(final, (2, 2))
         report = verify_definite_values(sf, pauli_z, ts.pointer_observable)
-        a = np.array(pauli_z.eigenvalues)[report.outcomes]
-        assert np.allclose(twin_matrix(report.schmidt_form.lefts, a), observable_matrix(pauli_z), atol=1e-12)
+        a = np.array([-1.0, 1.0])[report.outcomes]
+        assert np.allclose(twin_matrix(report.schmidt_form.lefts, a), np.diag([1.0, -1.0]), atol=1e-12)
 
     def test_degenerate_observable_gets_rank_one_terms(self, degenerate_observable):
         ts = make_ideal_transformers(degenerate_observable)
@@ -209,7 +211,7 @@ class TestTwinObservables:
         final = evolve(ts, psi)
         sf = schmidt_decompose(final, ts.composite_dims)
         report = verify_definite_values(sf, degenerate_observable, ts.pointer_observable)
-        lefts, a = report.schmidt_form.lefts, np.array(degenerate_observable.eigenvalues)[report.outcomes]
+        lefts, a = report.schmidt_form.lefts, np.array([2.0, 5.0])[report.outcomes]
         assert lefts.shape == (3, 2)  # one rank-one term per Schmidt term
         assert sorted(a) == [2.0, 5.0]
         # diagonal in the Schmidt vectors
@@ -223,7 +225,7 @@ class TestTwinObservables:
         final = evolve(ts, psi)
         sf = schmidt_decompose(final, ts.composite_dims)
         report = verify_definite_values(sf, degenerate_observable, ts.pointer_observable)
-        a = np.array(degenerate_observable.eigenvalues)[report.outcomes]
+        a = np.array([2.0, 5.0])[report.outcomes]
         rho1, _ = reduced_states(final, ts.composite_dims)
         a_mat = twin_matrix(report.schmidt_form.lefts, a)
         assert np.linalg.norm(a_mat @ rho1.matrix - rho1.matrix @ a_mat) < 1e-10
